@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test race vet staticcheck sivet fuzz-smoke bench bench-smoke serving shardscale reorder live live-smoke flat flat-smoke serve serve-smoke metrics-smoke views views-smoke overhead-gate
+.PHONY: check build test race vet staticcheck sivet fuzz-smoke bench bench-smoke bench-check serving shardscale reorder live live-smoke flat flat-smoke serve serve-smoke metrics-smoke views views-smoke overhead-gate
 
 ## check: the CI gate — vet, build, and race-enabled tests.
 check: vet build race
@@ -23,6 +23,14 @@ bench:
 ## bench-smoke: the CI benchmark gate — every benchmark runs once.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+
+## bench-check: the CI gate for the repo's benchmark (sibm, BENCHMARK.json).
+## benchmarks/ is a nested module, so `go test ./...` above never sees it:
+## vet and test it (contract, determinism, hygiene, oracle, trace), then
+## run all four workloads once on smoke-sized data (≈ 10 s, checks on).
+bench-check:
+	cd benchmarks && $(GO) vet ./... && $(GO) test ./...
+	bash benchmarks/run.sh --workload all --smoke
 
 ## staticcheck: run honnef.co/go/tools if installed (CI runs it always).
 staticcheck:

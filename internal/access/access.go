@@ -167,16 +167,31 @@ func (e Entry) String() string {
 // analyzer. ImplicitMembership is set at construction and must not be
 // flipped concurrently with readers.
 type Schema struct {
-	rel                *relation.Schema
-	mu                 sync.RWMutex
-	entries            []Entry
+	rel     *relation.Schema
+	mu      sync.RWMutex
+	entries []Entry // guarded by mu
+	// byRel is the per-relation snapshot ForRel serves: for each relation,
+	// its explicit entries in insertion order followed by its implicit
+	// membership entry. Each slice is immutable once published — DDL
+	// replaces it, never edits it — so readers use it without copying.
+	byRel              map[string]relEntries // guarded by mu
 	ImplicitMembership bool
+}
+
+// relEntries is one relation's immutable entry snapshot.
+type relEntries struct {
+	all      []Entry // explicit entries, then (R, attr(R), 1, 1) if R was declared
+	explicit int     // how many leading entries of all are explicit
 }
 
 // New returns an empty access schema over rel with implicit membership
 // enabled.
 func New(rel *relation.Schema) *Schema {
-	return &Schema{rel: rel, ImplicitMembership: true}
+	a := &Schema{rel: rel, ImplicitMembership: true}
+	a.mu.Lock()
+	a.snapshotAllLocked()
+	a.mu.Unlock()
+	return a
 }
 
 // Relational returns the underlying relational schema.
@@ -189,8 +204,48 @@ func (a *Schema) Add(e Entry) error {
 	}
 	a.mu.Lock()
 	a.entries = append(a.entries, e)
+	a.snapshotLocked(e.Rel)
 	a.mu.Unlock()
 	return nil
+}
+
+// snapshotLocked republishes rel's entry snapshot from the explicit
+// entries and the relation's current declaration.
+//
+//sivet:holds mu
+func (a *Schema) snapshotLocked(rel string) {
+	var s relEntries
+	for _, e := range a.entries {
+		if e.Rel == rel {
+			s.all = append(s.all, e)
+		}
+	}
+	s.explicit = len(s.all)
+	if rs, ok := a.rel.Rel(rel); ok {
+		s.all = append(s.all, Plain(rel, rs.Attrs, 1, 1))
+	}
+	if len(s.all) == 0 {
+		delete(a.byRel, rel)
+		return
+	}
+	s.all = slices.Clip(s.all)
+	a.byRel[rel] = s
+}
+
+// snapshotAllLocked rebuilds the snapshot of every declared relation and
+// of every relation an explicit entry names.
+//
+//sivet:holds mu
+func (a *Schema) snapshotAllLocked() {
+	a.byRel = make(map[string]relEntries)
+	for _, rs := range a.rel.Rels() {
+		a.snapshotLocked(rs.Name)
+	}
+	for _, e := range a.entries {
+		if _, ok := a.byRel[e.Rel]; !ok {
+			a.snapshotLocked(e.Rel)
+		}
+	}
 }
 
 // MustAdd adds and panics on error.
@@ -216,6 +271,7 @@ func (a *Schema) AddIfAbsent(e Entry) error {
 		}
 	}
 	a.entries = append(a.entries, e)
+	a.snapshotLocked(e.Rel)
 	return nil
 }
 
@@ -231,6 +287,7 @@ func (a *Schema) RemoveRel(rel string) {
 		}
 	}
 	a.entries = kept
+	a.snapshotLocked(rel)
 }
 
 // Entries returns the explicit entries plus, when ImplicitMembership is
@@ -252,21 +309,36 @@ func (a *Schema) Explicit() []Entry {
 	return append([]Entry(nil), a.entries...)
 }
 
-// ForRel returns the (explicit + implicit) entries for one relation.
+// ForRel returns the (explicit + implicit) entries for one relation, in
+// the order Entries lists them. The slice is a shared snapshot: callers
+// must treat it as read-only. It costs no copy unless the relation was
+// declared or redeclared in the relational schema after the last entry
+// DDL, in which case the membership entry is built fresh.
 func (a *Schema) ForRel(rel string) []Entry {
-	var out []Entry
-	for _, e := range a.Entries() {
-		if e.Rel == rel {
-			out = append(out, e)
-		}
+	a.mu.RLock()
+	s := a.byRel[rel]
+	a.mu.RUnlock()
+	explicit := s.all[:s.explicit:s.explicit]
+	if !a.ImplicitMembership {
+		return explicit
 	}
-	return out
+	rs, ok := a.rel.Rel(rel)
+	if !ok {
+		return explicit
+	}
+	if len(s.all) > s.explicit && slices.Equal(s.all[s.explicit].On, rs.Attrs) {
+		return s.all
+	}
+	return append(explicit, Plain(rel, rs.Attrs, 1, 1))
 }
 
 // Clone returns an independent copy (sharing the relational schema).
 func (a *Schema) Clone() *Schema {
 	c := &Schema{rel: a.rel, ImplicitMembership: a.ImplicitMembership}
 	c.entries = a.Explicit()
+	c.mu.Lock()
+	c.snapshotAllLocked()
+	c.mu.Unlock()
 	return c
 }
 

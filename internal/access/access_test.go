@@ -1,7 +1,9 @@
 package access
 
 import (
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/relation"
@@ -86,6 +88,112 @@ func TestSchemaEntriesAndImplicitMembership(t *testing.T) {
 	fr := a.ForRel("friend")
 	if len(fr) != 2 {
 		t.Fatalf("ForRel(friend) = %v", fr)
+	}
+}
+
+// forRelByScan is ForRel's definition: Entries filtered to one relation.
+func forRelByScan(a *Schema, rel string) []Entry {
+	var out []Entry
+	for _, e := range a.Entries() {
+		if e.Rel == rel {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestForRelSnapshot pins the per-relation snapshot against its
+// definition through every kind of DDL, a flipped implicit-membership
+// flag, and a relation declared after the last entry DDL.
+func TestForRelSnapshot(t *testing.T) {
+	rels := socialSchema()
+	a := New(rels)
+	check := func(step string) {
+		t.Helper()
+		for _, rel := range []string{"person", "friend", "visit", "cafe", "nosuch"} {
+			got, want := a.ForRel(rel), forRelByScan(a, rel)
+			if !slices.EqualFunc(got, want, Entry.Equal) {
+				t.Fatalf("%s: ForRel(%s) = %v, want %v", step, rel, got, want)
+			}
+		}
+	}
+	check("empty")
+	a.MustAdd(Plain("friend", []string{"id1"}, 2, 1))
+	a.MustAdd(Plain("person", []string{"id"}, 1, 1))
+	a.MustAdd(Plain("friend", nil, 100, 1))
+	check("add")
+	if err := a.AddIfAbsent(Plain("friend", []string{"id1"}, 2, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.AddIfAbsent(Plain("visit", []string{"id"}, 9, 1)); err != nil {
+		t.Fatal(err)
+	}
+	check("add-if-absent")
+	held := a.ForRel("friend")
+	a.RemoveRel("friend")
+	check("remove")
+	if len(held) != 3 || held[0].N != 2 || held[1].N != 100 {
+		t.Fatalf("a snapshot handed out before RemoveRel changed: %v", held)
+	}
+	a.ImplicitMembership = false
+	check("no implicit membership")
+	a.ImplicitMembership = true
+	if err := rels.Add(relation.MustRelSchema("cafe", "cid", "city")); err != nil {
+		t.Fatal(err)
+	}
+	check("relation declared after DDL")
+	a.MustAdd(Plain("cafe", []string{"city"}, 5, 1))
+	check("entry on the new relation")
+	if c := a.Clone(); !slices.EqualFunc(c.ForRel("cafe"), a.ForRel("cafe"), Entry.Equal) {
+		t.Fatal("Clone lost the snapshot")
+	}
+}
+
+// TestForRelConcurrentDDL runs entry DDL against ForRel readers: under
+// -race it checks the snapshot is published under the lock and never
+// edited in place.
+func TestForRelConcurrentDDL(t *testing.T) {
+	a := New(socialSchema())
+	a.MustAdd(Plain("friend", []string{"id1"}, 2, 1))
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				es := a.ForRel("friend")
+				if len(es) < 2 || es[0].N != 2 || es[len(es)-1].N != 1 {
+					t.Errorf("torn snapshot %v", es)
+					return
+				}
+				for _, e := range es {
+					if e.Rel != "friend" {
+						t.Errorf("snapshot names %s", e.Rel)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		a.MustAdd(Plain("friend", []string{"id2"}, 10+i, 1))
+		if err := a.AddIfAbsent(Plain("person", []string{"id"}, 1, 1)); err != nil {
+			t.Error(err)
+		}
+		if i%50 == 49 {
+			a.RemoveRel("person")
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if got := len(a.ForRel("friend")); got != 202 {
+		t.Fatalf("ForRel(friend) has %d entries, want 202", got)
 	}
 }
 

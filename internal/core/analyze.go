@@ -257,8 +257,8 @@ func (st *analysisState) atomDerivs(a *query.Atom) ([]*Derivation, error) {
 		return nil, fmt.Errorf("core: atom %s has arity %d, relation %s has %d", a, len(a.Args), a.Rel, rs.Arity())
 	}
 	var out []*Derivation
-	for _, e := range st.an.Acc.Entries() {
-		if e.Rel != a.Rel || e.IsEmbedded() {
+	for _, e := range st.an.Acc.ForRel(a.Rel) {
+		if e.IsEmbedded() {
 			continue
 		}
 		pos, err := rs.Positions(e.On)

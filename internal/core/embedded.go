@@ -259,10 +259,7 @@ func newChaseBuilder(acc *access.Schema, atoms []*query.Atom, eqs []*query.Eq, f
 		if len(a.Args) != rs.Arity() {
 			return nil, fmt.Errorf("core: atom %s arity mismatch with %s", a, rs)
 		}
-		for _, e := range acc.Entries() {
-			if e.Rel != a.Rel {
-				continue
-			}
+		for _, e := range acc.ForRel(a.Rel) {
 			onPos, err := rs.Positions(e.On)
 			if err != nil {
 				return nil, err
@@ -390,8 +387,8 @@ func (b *chaseBuilder) membershipAllowed(rel string) bool {
 	if !ok {
 		return false
 	}
-	for _, e := range b.acc.Explicit() {
-		if e.Rel == rel && !e.IsEmbedded() && len(e.On) == rs.Arity() {
+	for _, e := range b.acc.ForRel(rel) { // explicit only: implicit membership is off
+		if !e.IsEmbedded() && len(e.On) == rs.Arity() {
 			return true
 		}
 	}

@@ -84,10 +84,12 @@ const (
 	// order and access entries exactly as analysis chose them. The
 	// baseline for reordering experiments (sibench -reorder).
 	OptimizerOff OptimizerMode = iota
-	// OptimizerOn (the default) reorders conjunct operators greedy
-	// min-bound-first using the access schema's N bounds, re-selects
-	// access entries as variables become bound, and upgrades fully bound
-	// atoms to membership probes. Deterministic across backends.
+	// OptimizerOn (the default) reorders conjunct operators into the
+	// cheapest order under the access schema's N bounds (exact branch and
+	// bound, plan.Optimizer), re-selects access entries as variables
+	// become bound, and upgrades fully bound atoms to membership probes —
+	// so Q2/Q3 run the N=1 person filter before the visit expansion.
+	// Deterministic across backends.
 	OptimizerOn
 	// OptimizerStats additionally refines entry bounds with live backend
 	// cardinality statistics (store.EntryStats) when the backend provides

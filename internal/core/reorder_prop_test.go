@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -113,6 +114,107 @@ func usesUntracedAccess(n plan.Node) bool {
 		}
 	}
 	return false
+}
+
+// socialEngine opens the workload's social store (default access schema:
+// friend N=50, visit-by-id N=68, restr-by-city N=34) under an optimizer-on
+// engine.
+func socialEngine(t *testing.T, persons int) *Engine {
+	t.Helper()
+	cfg := workload.DefaultConfig()
+	cfg.Persons = persons
+	data, err := workload.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(data, workload.Access(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewEngine(st)
+}
+
+// mustRuleOrQ parses a query in rule form (Q2Src) or formula form.
+func mustRuleOrQ(t *testing.T, src string) *query.Query {
+	t.Helper()
+	cq, err := parser.ParseCQ(src)
+	if err != nil {
+		return mustQ(t, src)
+	}
+	q, err := cq.Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// TestQ2Q3HoistNYCFilter pins the exact order search on the paper's
+// headline queries: the N=1 person filter runs before the ×68 visit
+// expansion. (Greedy min-bound-first opened with restr-by-city, N=34 <
+// friend's 50, blew up, and fell back to the analysis order
+// friend, visit, person, restr at bound 10 250.)
+func TestQ2Q3HoistNYCFilter(t *testing.T) {
+	eng := socialEngine(t, 200)
+	want := []string{"friend(p, id)", "person(id, pn, 'NYC')", "visit(id, rid, yy, mm, dd)", "restr(rid, rn, 'NYC', 'A')"}
+	for _, tc := range []struct {
+		src  string
+		ctrl query.VarSet
+	}{
+		{workload.Q2Src, query.NewVarSet("p")},
+		{workload.Q3Src, query.NewVarSet("p", "yy")},
+	} {
+		q := mustRuleOrQ(t, tc.src)
+		prep, err := eng.Prepare(q, tc.ctrl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := plan.AtomOrder(prep.Plan().Root); !slices.Equal(got, want) {
+			t.Errorf("%s: order %v, want %v", q.Name, got, want)
+		}
+		if got := prep.Plan().Root.Bound().Reads; got != 6900 {
+			t.Errorf("%s: bound %d reads, want 6900\n%s", q.Name, got, prep.Explain())
+		}
+	}
+}
+
+// TestQ2DeltaPlanBounds pins the static bounds of the maintenance plans
+// Watch compiles for Q2 (one per atom occurrence, plus the deletion
+// re-verification plan). They go through the same optimizer, so a chain
+// falling back to analysis order fails here rather than only reading
+// more. The greedy column is what greedy min-bound-first chose.
+func TestQ2DeltaPlanBounds(t *testing.T) {
+	eng := socialEngine(t, 200)
+	prep, err := eng.Prepare(mustRuleOrQ(t, workload.Q2Src), query.NewVarSet("p"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := newLiveMaintainer(prep, query.Bindings{"p": relation.Int(3)}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		rel          string
+		want, greedy int64
+	}{
+		{"friend", 137, 2347},
+		{"visit", 1800, 1800},
+		{"person", 6850, 117334},
+		{"restr", 3500, 3500},
+	} {
+		ops := m.plans[tc.rel]
+		if len(ops) != 1 {
+			t.Fatalf("%s: %d maintenance plans, want 1", tc.rel, len(ops))
+		}
+		if got := ops[0].plan.Bound.Reads; got != tc.want {
+			t.Errorf("Δ%s plan bound %d reads, want %d (greedy: %d)\n%s", tc.rel, got, tc.want, tc.greedy, plan.Explain(ops[0].plan.Root))
+		}
+	}
+	if m.verify == nil {
+		t.Fatal("Q2 watched for p must support deletions")
+	}
+	if got := m.verify.Bound.Reads; got != 6900 {
+		t.Errorf("verification plan bound %d reads, want 6900 (greedy: 10250)", got)
+	}
 }
 
 func TestOptimizerPropertyRandomCQs(t *testing.T) {

@@ -12,25 +12,26 @@ import (
 // access entry serves each lookup, and whether a fully determined atom is
 // probed instead of fetched.
 //
-// The ordering heuristic is greedy min-bound-first: conjunct chains
-// (nested NLJoins, with safe-negation probes flattened in as filter
-// members) are reordered so that, at every step, the runnable operator
-// with the smallest effective bound executes next — filters and probes
-// (bound ≈ 1, no new candidates) as soon as their variables are bound,
-// fetches in ascending effective-N order. "Effective" means the access
-// schema's N, optionally refined by live backend statistics (Stats);
-// statistics influence ordering only — the static bound reported by the
-// plan is always derived from N alone, so reads ≤ M stays a guarantee.
+// Ordering is exact: conjunct chains (nested NLJoins, with safe-negation
+// probes flattened in as filter members) are reordered into the runnable
+// order with the smallest estimated cost, found by a depth-first branch
+// and bound over all orders (searchOrder) under a placement budget.
+// Filters and probes (bound ≈ 1, no new candidates) can run as soon as
+// their variables are bound, fetches cost their effective N per
+// candidate. "Effective" means the access schema's N, optionally refined
+// by live backend statistics (Stats); statistics influence ordering only
+// — the static bound reported by the plan is always derived from N alone,
+// so reads ≤ M stays a guarantee.
 //
-// As the greedy order is built, bound-variable knowledge propagates
-// sideways: each lookup re-selects, among the plain access entries of its
-// relation whose input attributes are bound at that point, the one with
-// the smallest effective bound (e.g. a key entry instead of a broader
-// secondary entry once the key variable is bound by an earlier
-// conjunct), and an atom all of whose variables are bound compiles to a
-// MembershipProbe. The rewrite is kept only when its estimated cost is
-// strictly below the analysis-emitted order's estimate under the same
-// entry re-selection rules — never-worse by construction of the estimate.
+// Each position propagates bound-variable knowledge sideways: a lookup
+// re-selects, among the plain access entries of its relation whose input
+// attributes are bound at that point, the one with the smallest effective
+// bound (e.g. a key entry instead of a broader secondary entry once the
+// key variable is bound by an earlier conjunct), and an atom all of whose
+// variables are bound compiles to a MembershipProbe. The rewrite is kept
+// only when its estimated cost is strictly below the analysis-emitted
+// order's estimate with the analysis-chosen entries — never-worse by
+// construction of the estimate.
 type Optimizer struct {
 	// Acc is the access schema: the catalog of entries available for
 	// lookup re-selection.
@@ -46,7 +47,7 @@ type Optimizer struct {
 func (o *Optimizer) Optimize(n Node) Node {
 	switch v := n.(type) {
 	case *NLJoin, *AntiProbe:
-		if opt, ok := o.chain(n); ok {
+		if opt, ok := o.chain(n, searchBudget); ok {
 			return opt
 		}
 		// Not a reorderable chain (opaque members): recurse in place.
@@ -269,25 +270,22 @@ func flatten(n Node, out *[]member) (ok bool) {
 	}
 }
 
-// placedMember is a member with the access decision made for its position
-// in a concrete order.
-type placedMember struct {
-	member
-	probe    bool         // fully bound at this position: membership probe
-	selEntry access.Entry // entry selected for a lookup (probe == false)
-	selOnPos []int
-	reads    int64 // estimated reads per candidate reaching this operator
-	cands    int64 // estimated candidate multiplier
-}
+// searchBudget caps the placements (member × position evaluations) the
+// order search makes per chain. It stops backtracking, never the first
+// descent, so a chain over budget still gets the greedy order when that
+// beats analysis order. A chain of six members needs at most 1 956
+// placements, so those are always searched exhaustively; Q2's four
+// members need at most 64.
+const searchBudget = 4096
 
 // chain attempts the reorder of a join chain rooted at n. It returns the
-// rebuilt chain and true when the chain was flattenable. The rewrite
-// (greedy order, or the analysis order with entries re-selected) is kept
-// only when its estimate strictly beats the analysis-emitted plan's
-// estimate — on a tie or a regression the original tree is returned
+// rebuilt chain and true when the chain was flattenable. The rewrite is
+// the cheapest runnable order under the estimate, found by searchOrder,
+// and is kept only when its estimate strictly beats the analysis-emitted
+// plan's — on a tie or a regression the original tree is returned
 // untouched, so the optimized plan is never estimated-worse than what
 // analysis emitted.
-func (o *Optimizer) chain(n Node) (Node, bool) {
+func (o *Optimizer) chain(n Node, budget int) (Node, bool) {
 	// Optimize within opaque operands (the negated side of anti filters)
 	// first, mutating the tree in place: the rewrite survives even when
 	// the outer chain keeps its analysis order below.
@@ -300,27 +298,15 @@ func (o *Optimizer) chain(n Node) (Node, bool) {
 		return n, true
 	}
 	ctrl := n.Need()
-
-	baselineCost := int64(costCap)
-	if baseline, ok := o.analysisOrder(members, ctrl, true); ok {
-		baselineCost = estimate(baseline)
+	cms, ctrlBits, ok := o.encode(members, ctrl)
+	if !ok {
+		return n, true // too wide for the bit masks: analysis order stands
 	}
-	var best []placedMember
-	bestCost := baselineCost
-	if reselected, ok := o.analysisOrder(members, ctrl, false); ok {
-		if c := estimate(reselected); c < bestCost {
-			best, bestCost = reselected, c
-		}
-	}
-	if greedy, ok := o.greedyOrder(members, ctrl); ok {
-		if c := estimate(greedy); c < bestCost {
-			best, bestCost = greedy, c
-		}
-	}
-	if best == nil {
+	order, ok := searchOrder(cms, ctrlBits, budget)
+	if !ok {
 		return n, true // analysis order stands, tree untouched
 	}
-	return o.rebuild(best, ctrl, n.Out()), true
+	return rebuild(cms, order, ctrl, n.Out()), true
 }
 
 // optimizeNegs descends a join chain's spine and optimizes every
@@ -336,180 +322,270 @@ func (o *Optimizer) optimizeNegs(n Node) {
 	}
 }
 
-// analysisOrder places the members in analysis-emitted order, with the
-// analysis-chosen entries (keepEntry) or with per-position entry
-// re-selection. It returns false when some member is not runnable — a
-// malformed chain the optimizer leaves alone.
-func (o *Optimizer) analysisOrder(members []member, ctrl query.VarSet, keepEntry bool) ([]placedMember, bool) {
-	bound := ctrl.Clone()
-	out := make([]placedMember, 0, len(members))
-	for _, m := range members {
-		pm, ok := o.placeOne(m, bound, keepEntry)
+// chainMember is a member encoded once per chain for the order search:
+// its variable sets as bit masks over the chain's variable numbering and,
+// for a lookup, every plain entry that could serve it, already priced.
+// No placement allocates or consults the catalog again.
+type chainMember struct {
+	member
+	need, out, free uint64     // free: the atom's variables (lookups only)
+	opts            []entryOpt // the analysis entry first, so ties keep it
+}
+
+// entryOpt is one access entry a lookup member could fetch through.
+type entryOpt struct {
+	e     access.Entry
+	onPos []int
+	on    uint64 // variables at onPos: the entry is usable once these are bound
+	n     int64  // effective N
+}
+
+// step is one access decision: member m at its position in an order,
+// fetched through opts[opt] (opt < 0: no fetch — a condition filter, an
+// anti filter, or a membership probe of a fully bound atom).
+type step struct {
+	m, opt int
+	reads  int64 // estimated reads per candidate reaching the operator
+	cands  int64 // estimated candidate multiplier
+}
+
+// varBits numbers a chain's variables as bits of a uint64.
+type varBits struct {
+	ids  map[string]uint
+	full bool // a 65th variable was seen: the chain is not encodable
+}
+
+func (vb *varBits) bit(v string) uint64 {
+	id, ok := vb.ids[v]
+	if !ok {
+		if len(vb.ids) == 64 {
+			vb.full = true
+			return 0
+		}
+		id = uint(len(vb.ids))
+		vb.ids[v] = id
+	}
+	return 1 << id
+}
+
+func (vb *varBits) set(vs query.VarSet) (m uint64) {
+	for v := range vs {
+		m |= vb.bit(v)
+	}
+	return m
+}
+
+// at is the mask of the variables at the given atom positions.
+func (vb *varBits) at(a *query.Atom, positions []int) (m uint64) {
+	for _, p := range positions {
+		if t := a.Args[p]; t.IsVar() {
+			m |= vb.bit(t.Name())
+		}
+	}
+	return m
+}
+
+// encode numbers the chain's variables and encodes its members, pricing
+// every candidate entry once (effN may consult live statistics). It
+// returns false for a chain with more than 64 variables or members.
+func (o *Optimizer) encode(members []member, ctrl query.VarSet) ([]chainMember, uint64, bool) {
+	if len(members) > 64 {
+		return nil, 0, false
+	}
+	vb := varBits{ids: make(map[string]uint, 2*len(members))}
+	ctrlBits := vb.set(ctrl)
+	cms := make([]chainMember, len(members))
+	for i, m := range members {
+		cm := &cms[i]
+		cm.member = m
+		cm.need, cm.out = vb.set(m.need), vb.set(m.out)
+		if m.atom == nil {
+			continue
+		}
+		for _, t := range m.atom.Args {
+			if t.IsVar() {
+				cm.free |= vb.bit(t.Name())
+			}
+		}
+		if m.entry.Rel == "" {
+			continue // a MembershipProbe member: no entry to fetch through
+		}
+		cm.opts = append(cm.opts, entryOpt{e: m.entry, onPos: m.onPos, on: vb.at(m.atom, m.onPos), n: o.effN(m.entry)})
+		rs, ok := o.Acc.Relational().Rel(m.atom.Rel)
 		if !ok {
-			return nil, false
+			continue
 		}
-		out = append(out, pm)
-		bound = bound.Union(m.out)
-	}
-	return out, true
-}
-
-// greedyOrder is the min-bound-first schedule: repeatedly run the
-// runnable member with the smallest estimated per-candidate reads (ties:
-// smallest candidate multiplier, then analysis position). Anti filters
-// are not eligible as the chain head — they need a positive stream to
-// filter. Returns false when the members cannot all be scheduled.
-func (o *Optimizer) greedyOrder(members []member, ctrl query.VarSet) ([]placedMember, bool) {
-	bound := ctrl.Clone()
-	used := make([]bool, len(members))
-	out := make([]placedMember, 0, len(members))
-	for len(out) < len(members) {
-		best := -1
-		var bestPM placedMember
-		for i, m := range members {
-			if used[i] || (m.anti && len(out) == 0) {
+		for _, e := range o.Acc.ForRel(m.atom.Rel) {
+			// A whole-key entry is usable only where every variable is
+			// bound, and there the atom is probed instead.
+			if e.IsEmbedded() || len(e.On) == len(m.atom.Args) {
 				continue
 			}
-			pm, ok := o.placeOne(m, bound, false)
-			if !ok {
+			onPos, err := rs.Positions(e.On)
+			if err != nil {
 				continue
 			}
-			if best < 0 || pm.reads < bestPM.reads ||
-				(pm.reads == bestPM.reads && pm.cands < bestPM.cands) {
-				best, bestPM = i, pm
-			}
+			cm.opts = append(cm.opts, entryOpt{e: e, onPos: onPos, on: vb.at(m.atom, onPos), n: o.effN(e)})
 		}
-		if best < 0 {
-			return nil, false
-		}
-		used[best] = true
-		out = append(out, bestPM)
-		bound = bound.Union(members[best].out)
 	}
-	return out, true
+	return cms, ctrlBits, !vb.full
 }
 
-// placeOne makes the access decision for m at a position where bound is
-// bound. keepEntry pins the analysis-chosen entry (the baseline).
-func (o *Optimizer) placeOne(m member, bound query.VarSet, keepEntry bool) (placedMember, bool) {
-	pm := placedMember{member: m, reads: 1, cands: 1}
+// place makes the access decision for member i at a position where bound
+// is bound (head: first in the chain; keep: only the analysis-chosen
+// entry may serve a lookup). It reports false where i cannot run.
+func place(cms []chainMember, i int, bound uint64, head, keep bool) (step, bool) {
+	m := &cms[i]
+	s := step{m: i, opt: -1, reads: 1, cands: 1}
 	switch {
 	case m.anti:
 		// Emptiness probe: requires every variable of the negated operand
 		// bound (only then is the per-candidate probe equivalent at any
-		// position). Estimated one read: the probe stops at the first
-		// witness.
-		if !m.need.SubsetOf(bound) {
-			return pm, false
-		}
+		// position), and a positive stream to filter, so never the head.
+		// Estimated one read: the probe stops at the first witness.
+		return s, !head && m.need&^bound == 0
 	case m.atom == nil:
 		// Condition filter: free.
-		if !m.need.SubsetOf(bound) {
-			return pm, false
-		}
-		pm.reads = 0
-	case m.atom.FreeVars().SubsetOf(bound):
-		// Fully determined: a single membership probe.
-		pm.probe = true
-	case m.entry.Rel == "":
-		// A MembershipProbe member placed where its atom is not fully
-		// bound: no entry to fetch through.
-		return pm, false
-	default:
-		e, onPos, ok := o.selectEntry(m, bound, keepEntry)
-		if !ok {
-			return pm, false
-		}
-		pm.selEntry, pm.selOnPos = e, onPos
-		pm.reads = o.effN(e)
-		if !m.out.SubsetOf(bound) {
-			pm.cands = pm.reads
+		s.reads = 0
+		return s, m.need&^bound == 0
+	case m.free&^bound == 0:
+		return s, true // fully determined: a single membership probe
+	}
+	opts := m.opts
+	if keep {
+		opts = opts[:min(1, len(opts))]
+	}
+	// The usable entry with the smallest effective bound; the analysis
+	// entry comes first, so ties keep it.
+	for j, e := range opts {
+		if e.on&^bound == 0 && (s.opt < 0 || e.n < s.reads) {
+			s.opt, s.reads = j, e.n
 		}
 	}
-	return pm, true
+	if s.opt < 0 {
+		return s, false
+	}
+	if m.out&^bound != 0 {
+		s.cands = s.reads
+	}
+	return s, true
 }
 
-// selectEntry picks the access entry serving a lookup at a position where
-// bound is bound: the analysis-chosen one (keepEntry), or the plain entry
-// with the smallest effective bound among those whose input attributes
-// are covered by constants and bound variables.
-func (o *Optimizer) selectEntry(m member, bound query.VarSet, keepEntry bool) (access.Entry, []int, bool) {
-	usable := func(onPos []int) bool {
-		for _, p := range onPos {
-			if t := m.atom.Args[p]; t.IsVar() && !bound.Contains(t.Name()) {
-				return false
-			}
-		}
-		return true
-	}
-	if keepEntry {
-		if !usable(m.onPos) {
-			return access.Entry{}, nil, false
-		}
-		return m.entry, m.onPos, true
-	}
-	rs, ok := o.Acc.Relational().Rel(m.atom.Rel)
-	if !ok {
-		return access.Entry{}, nil, false
-	}
-	var bestE access.Entry
-	var bestPos []int
-	bestN := int64(-1)
-	consider := func(e access.Entry, onPos []int) {
-		if n := o.effN(e); bestN < 0 || n < bestN {
-			bestE, bestPos, bestN = e, onPos, n
-		}
-	}
-	// The analysis-chosen entry is always a candidate (ties keep it:
-	// it is considered first).
-	if usable(m.onPos) {
-		consider(m.entry, m.onPos)
-	}
-	for _, e := range o.Acc.Entries() {
-		if e.Rel != m.atom.Rel || e.IsEmbedded() {
-			continue
-		}
-		onPos, err := rs.Positions(e.On)
-		if err != nil || !usable(onPos) {
-			continue
-		}
-		consider(e, onPos)
-	}
-	if bestN < 0 {
-		return access.Entry{}, nil, false
-	}
-	return bestE, bestPos, true
+// orderSearch is a depth-first branch and bound over the runnable orders
+// of one chain.
+type orderSearch struct {
+	cms       []chainMember
+	budget    int    // placements left; once spent, backtracking stops
+	cur, best []step // the order being built; the incumbent
+	bestCost  int64  // the incumbent's estimate: what a new order must beat
+	found     bool   // best holds an order strictly below the analysis order
 }
 
-// estimate totals an order's cost: each operator's reads are charged once
-// per candidate reaching it; candidate counts multiply along the chain.
-func estimate(order []placedMember) int64 {
+// searchOrder returns the cheapest runnable order of the chain under the
+// estimate — each operator's reads charged once per candidate reaching
+// it, candidate counts multiplying along the chain — provided it strictly
+// beats the analysis-emitted order with its analysis-chosen entries;
+// otherwise ok is false.
+//
+// The incumbent starts at the analysis order, and at the analysis order
+// with entries re-selected when that is cheaper. Children are expanded in
+// greedy preference order — fewest reads, then fewest candidates, then
+// analysis position — so the first complete order reached is the greedy
+// min-bound-first schedule, and a branch is pruned as soon as its partial
+// estimate reaches the incumbent (every later term is non-negative).
+func searchOrder(cms []chainMember, ctrl uint64, budget int) ([]step, bool) {
+	n := len(cms)
+	s := &orderSearch{cms: cms, budget: budget, cur: make([]step, n), best: make([]step, n), bestCost: costCap}
+	if c, ok := s.inAnalysisOrder(ctrl, true); ok {
+		s.bestCost = c
+	}
+	if c, ok := s.inAnalysisOrder(ctrl, false); ok && c < s.bestCost {
+		s.bestCost, s.found = c, true
+		copy(s.best, s.cur)
+	}
+	s.dfs(0, ctrl, 0, 1, 0, make([]step, n*(n+1)/2))
+	return s.best, s.found
+}
+
+// inAnalysisOrder places the members in analysis-emitted order into cur
+// and returns that order's estimate, or false when some member cannot run
+// there.
+func (s *orderSearch) inAnalysisOrder(bound uint64, keep bool) (int64, bool) {
 	cands, total := int64(1), int64(0)
-	for _, pm := range order {
-		total = SatAdd(total, SatMul(cands, pm.reads))
-		cands = SatMul(cands, pm.cands)
+	for i := range s.cms {
+		st, ok := place(s.cms, i, bound, i == 0, keep)
+		if !ok {
+			return 0, false
+		}
+		s.cur[i] = st
+		total = SatAdd(total, SatMul(cands, st.reads))
+		cands = SatMul(cands, st.cands)
+		bound |= s.cms[i].out
 	}
-	return total
+	return total, true
 }
 
-// rebuild materializes a placed order as a left-deep operator chain,
-// restoring the original output variable set with a final projection when
-// the chain's is wider.
-func (o *Optimizer) rebuild(order []placedMember, ctrl, out query.VarSet) Node {
+// dfs extends the order cur[:depth], whose members are used, which binds
+// bound, emits cands candidates and is estimated at total. scratch holds
+// the children lists of this level and every level below.
+func (s *orderSearch) dfs(depth int, bound, used uint64, cands, total int64, scratch []step) {
+	n := len(s.cms)
+	if depth == n {
+		s.bestCost, s.found = total, true // pruning let only a strictly cheaper order through
+		copy(s.best, s.cur)
+		return
+	}
+	kids := scratch[:0] // at most n-depth entries: this level's share
+	for i := range s.cms {
+		if used&(1<<i) != 0 {
+			continue
+		}
+		s.budget--
+		st, ok := place(s.cms, i, bound, depth == 0, false)
+		if !ok {
+			continue
+		}
+		// Insertion sort by (reads, cands); scanning in analysis order
+		// keeps analysis position as the final tie-break.
+		j := len(kids)
+		kids = append(kids, st)
+		for ; j > 0 && (st.reads < kids[j-1].reads || st.reads == kids[j-1].reads && st.cands < kids[j-1].cands); j-- {
+			kids[j] = kids[j-1]
+		}
+		kids[j] = st
+	}
+	for j, st := range kids {
+		if j > 0 && s.budget <= 0 {
+			return
+		}
+		t := SatAdd(total, SatMul(cands, st.reads))
+		if t >= s.bestCost {
+			return // kids ascend in reads, so every later sibling prunes too
+		}
+		s.cur[depth] = st
+		s.dfs(depth+1, bound|s.cms[st.m].out, used|1<<st.m, SatMul(cands, st.cands), t, scratch[n-depth:])
+	}
+}
+
+// rebuild materializes an order as a left-deep operator chain, restoring
+// the original output variable set with a final projection when the
+// chain's is wider.
+func rebuild(cms []chainMember, order []step, ctrl, out query.VarSet) Node {
 	var chainNode Node
-	for _, pm := range order {
+	for _, st := range order {
+		m := &cms[st.m]
 		var opNode Node
 		switch {
-		case pm.anti:
-			chainNode = NewAntiProbe(chainNode, pm.node, ctrl, chainNode.Out())
+		case m.anti:
+			chainNode = NewAntiProbe(chainNode, m.node, ctrl, chainNode.Out())
 			continue
-		case pm.atom == nil:
-			opNode = pm.node // condition filter, reused as compiled
-		case pm.probe:
-			opNode = NewMembershipProbe(pm.atom)
+		case m.atom == nil:
+			opNode = m.node // condition filter, reused as compiled
+		case st.opt < 0:
+			opNode = NewMembershipProbe(m.atom)
 		default:
-			lk := NewIndexLookup(pm.atom, pm.selEntry, pm.selOnPos, varsAt(pm.atom, pm.selOnPos))
-			opNode = lk
+			e := m.opts[st.opt]
+			opNode = NewIndexLookup(m.atom, e.e, e.onPos, varsAt(m.atom, e.onPos))
 		}
 		if chainNode == nil {
 			chainNode = opNode

@@ -51,11 +51,11 @@
 // Behind Prepare sits a physical plan compiler: the controllability
 // derivation lowers to an operator IR (index lookups, membership probes,
 // pipelined nested-loop joins, emptiness probes, streaming unions, chase
-// steps) and a cost-based optimizer reorders conjuncts greedy
-// min-bound-first, re-selects access entries as variables become bound,
-// and — on a sharded backend — pins each fetch's single-shard vs scatter
-// routing at plan time. Inspect the result with prep.Explain() (also
-// rows.Explain(), sirun -explain):
+// steps) and a cost-based optimizer reorders conjuncts into their cheapest
+// order (exact branch and bound), re-selects access entries as variables
+// become bound, and — on a sharded backend — pins each fetch's
+// single-shard vs scatter routing at plan time. Inspect the result with
+// prep.Explain() (also rows.Explain(), sirun -explain):
 //
 //	fmt.Print(prep.Explain())
 //	// Q1 controlled by {p}
@@ -228,7 +228,8 @@ const DefaultRecostThreshold = core.DefaultRecostThreshold
 const (
 	// OptimizerOff compiles the analysis-emitted derivation 1:1.
 	OptimizerOff = core.OptimizerOff
-	// OptimizerOn (default) reorders conjuncts greedy min-bound-first and
+	// OptimizerOn (default) reorders conjuncts into their cheapest order
+	// under the access schema's N bounds (exact branch and bound) and
 	// re-selects access entries as variables become bound.
 	OptimizerOn = core.OptimizerOn
 	// OptimizerStats additionally refines ordering with live backend
