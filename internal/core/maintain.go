@@ -90,7 +90,12 @@ type occPlan struct {
 // NewMaintainer checks the conditions of Proposition 5.5, compiles the
 // maintenance plans through the plan IR, and computes the initial answer
 // set by naive evaluation over an uncounted snapshot (the paper's offline
-// precomputation step). Failure wraps ErrWatchNotMaintainable when the
+// precomputation step). That seed is one hash-joined pass of the
+// DBSource evaluator: O(Σ|R| + |answers|) time and a transient index per
+// joined relation, with the answers in nested-loop order; none of it is
+// charged, and CreateView holds commitMu for its whole duration (plus a
+// CloneData copy on backends other than store.DB). Failure wraps
+// ErrWatchNotMaintainable when the
 // query cannot be incrementally maintained. Serving-path watchers are
 // built by PreparedQuery.Watch instead, which seeds the answers from a
 // bounded execution and attaches the re-execution fallback.

@@ -38,7 +38,9 @@ type Source interface {
 // DBSource adapts a bare database (no instrumentation). It is the
 // uncounted reference oracle: tests and offline precomputation compare
 // charged execution against it, so its reads are deliberately invisible
-// to ExecStats and it must never sit on a serving path.
+// to ExecStats and it must never sit on a serving path. Being uncounted,
+// it is also the one source whose conjunctive joins are hash-joined
+// (see dbRuntime): same answers in the same order, linear in |D|.
 type DBSource struct{ DB *relation.Database }
 
 // Schema implements Source.

@@ -4,7 +4,9 @@
 // resumable generators. The eager entry points (Answers, AnswersCQ) are
 // full drains of these streams, so their answers and measured counters
 // are unchanged; a consumer that stops early (LIMIT serving, First,
-// cancellation) skips the scans of join branches it never reached.
+// cancellation) skips the scans of join branches it never reached. Over
+// the uncounted DBSource, inner scans are answered by key (dbRuntime);
+// counted sources keep the nested loop and its full-scan charges.
 
 package eval
 
@@ -150,6 +152,91 @@ func (rt sourceRuntime) Check() error { return nil }
 // per-operator statistics.
 func (rt sourceRuntime) Trace() *plan.Trace { return nil }
 
+// runtimeFor picks the runtime of one evaluation over src. The uncounted
+// DBSource gets keyed inner scans (dbRuntime); counted sources keep the
+// nested loop, so every naive scan is charged in full.
+func runtimeFor(src Source) plan.Runtime {
+	if db, ok := src.(DBSource); ok {
+		return &dbRuntime{sourceRuntime: sourceRuntime{src: db}, index: make(map[keyedScan]map[string][]relation.Tuple)}
+	}
+	return sourceRuntime{src: src}
+}
+
+// keyedScan names one hash index of an evaluation: a relation keyed on
+// the argument positions set in mask.
+type keyedScan struct {
+	rel  string
+	mask uint64
+}
+
+// dbRuntime is the runtime of one evaluation over a DBSource. It
+// implements plan.KeyedScanner, which turns the naive NLJoin chain into
+// a hash join: the second probe of a (relation, positions) pair builds a
+// map from key to the relation's matching tuples, each bucket in scan
+// order, so the output order is the nested loop's and the whole
+// evaluation costs O(Σ|R| + |answers|) instead of Π|R|. The first probe
+// scans and filters, so an atom reached once (the outermost scan, a fully
+// fixed query) pays no build it never reuses. The indexes live for one
+// evaluation; like the snapshot a StoreSource memoizes, they must not
+// outlive updates to the database.
+type dbRuntime struct {
+	sourceRuntime
+	// index holds a nil map for a pair probed once, the built index after
+	// the second probe.
+	index map[keyedScan]map[string][]relation.Tuple
+	kb    []byte
+}
+
+// ScanKeyed implements plan.KeyedScanner.
+func (rt *dbRuntime) ScanKeyed(_ int, rel string, positions []int, vals []relation.Value) ([]relation.Tuple, error) {
+	ts, err := rt.src.Tuples(rel)
+	if err != nil {
+		return nil, err
+	}
+	k := keyedScan{rel: rel}
+	for _, p := range positions {
+		if p >= 64 {
+			return filterAt(ts, positions, vals), nil
+		}
+		k.mask |= 1 << p
+	}
+	ix, probed := rt.index[k]
+	if !probed {
+		rt.index[k] = nil
+		return filterAt(ts, positions, vals), nil
+	}
+	if ix == nil {
+		ix = make(map[string][]relation.Tuple)
+		last := positions[len(positions)-1]
+		for _, t := range ts {
+			if len(t) <= last {
+				continue // cannot unify with the atom
+			}
+			rt.kb = t.AppendKeyAt(rt.kb[:0], positions)
+			ix[string(rt.kb)] = append(ix[string(rt.kb)], t)
+		}
+		rt.index[k] = ix
+	}
+	rt.kb = relation.Tuple(vals).AppendKey(rt.kb[:0])
+	return ix[string(rt.kb)], nil
+}
+
+// filterAt returns the tuples of ts whose values at positions equal vals,
+// in scan order.
+func filterAt(ts []relation.Tuple, positions []int, vals []relation.Value) []relation.Tuple {
+	var out []relation.Tuple
+next:
+	for _, t := range ts {
+		for i, p := range positions {
+			if p >= len(t) || t[p] != vals[i] {
+				continue next
+			}
+		}
+		out = append(out, t)
+	}
+	return out
+}
+
 // compileCQ lowers a conjunctive query to its physical plan: one
 // NaiveScan leaf per atom in the greedy most-bound-first order, chained
 // by non-deduplicating NLJoins (the naive join deduplicates only at the
@@ -239,7 +326,7 @@ func StreamCQ(src Source, cq *query.CQ, fixed query.Bindings) iter.Seq2[relation
 			emit(env)
 			return
 		}
-		rt := sourceRuntime{src: src}
+		rt := runtimeFor(src)
 		for b, err := range root.Stream(rt, env) {
 			if err != nil {
 				yield(nil, err)

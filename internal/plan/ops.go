@@ -638,6 +638,22 @@ func (n *NaiveScan) stream(rt Runtime, env query.Bindings) Seq {
 		return failSeq(err)
 	}
 	return func(yield func(query.Bindings, error) bool) {
+		if ks, ok := rt.(KeyedScanner); ok && !n.StreamOK {
+			if pos, vals := n.keyArgs(env); len(pos) > 0 {
+				ts, err := ks.ScanKeyed(n.id, n.Atom.Rel, pos, vals)
+				if err != nil {
+					yield(nil, err)
+					return
+				}
+				for _, tu := range ts {
+					b, ok := UnifyAtom(n.Atom, tu, env)
+					if ok && !yield(b, nil) {
+						return
+					}
+				}
+				return
+			}
+		}
 		for tu, err := range rt.Scan(n.id, n.Atom.Rel, n.StreamOK) {
 			if err != nil {
 				yield(nil, err)
@@ -649,4 +665,25 @@ func (n *NaiveScan) stream(rt Runtime, env query.Bindings) Seq {
 			}
 		}
 	}
+}
+
+// keyArgs returns the argument positions whose value is known before the
+// scan — constants and variables bound in env — with those values.
+func (n *NaiveScan) keyArgs(env query.Bindings) ([]int, []relation.Value) {
+	var pos []int
+	var vals []relation.Value
+	for i, a := range n.Atom.Args {
+		var v relation.Value
+		ok := !a.IsVar()
+		if ok {
+			v = a.Value()
+		} else {
+			v, ok = env[a.Name()]
+		}
+		if ok {
+			pos = append(pos, i)
+			vals = append(vals, v)
+		}
+	}
+	return pos, vals
 }

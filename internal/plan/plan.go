@@ -84,6 +84,18 @@ type Runtime interface {
 	Trace() *Trace
 }
 
+// KeyedScanner is optionally implemented by a Runtime that can answer a
+// non-streaming NaiveScan by key: ScanKeyed returns the tuples of rel
+// whose values at positions (ascending) equal vals, in the order Scan
+// would deliver them. A NaiveScan whose atom has constant or env-bound
+// arguments asks it instead of scanning the whole relation per outer
+// binding, so the naive join becomes a hash join with the nested-loop
+// output order. Only uncounted runtimes may implement it: a counted
+// runtime charges every naive scan in full.
+type KeyedScanner interface {
+	ScanKeyed(op int, rel string, positions []int, vals []relation.Value) ([]relation.Tuple, error)
+}
+
 // BackendRuntime runs plans against a store.Backend with per-call stats:
 // the engine's runtime.
 type BackendRuntime struct {
