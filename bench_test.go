@@ -1,14 +1,12 @@
 package scaleindep
 
-// Benchmarks regenerating every table/figure of the reproduction (see
-// DESIGN.md §9 for the experiment index). Each benchmark wraps one
-// experiment of internal/bench in quick mode, plus fine-grained benches
-// for the core engine paths and the prepared-query serving API. Run:
+// Microbenchmarks for the core engine paths and the prepared-query
+// serving API, plus the instrumentation overhead gate. Run:
 //
 //	go test -bench=. -benchmem
 //
-// cmd/sibench prints the full paper-style tables; `sibench -serving`
-// prints the serving comparison as a table.
+// cmd/sibench prints the paper's tables; load, latency and scaling
+// numbers come from sibm (BENCHMARK.json, benchmarks/).
 
 import (
 	"context"
@@ -16,7 +14,6 @@ import (
 	"os"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/incr"
@@ -27,54 +24,6 @@ import (
 	"repro/internal/store"
 	"repro/internal/workload"
 )
-
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	for _, e := range bench.All() {
-		if e.ID != id {
-			continue
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := e.Run(true); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return
-	}
-	b.Fatalf("unknown experiment %q", id)
-}
-
-// BenchmarkTable1 regenerates the Table 1 validation tables (QDSI
-// complexity cells).
-func BenchmarkTable1(b *testing.B) { runExperiment(b, "T1") }
-
-// BenchmarkF1a_BoundedVsNaive regenerates Example 1.1(a): Q1 bounded vs
-// naive scaling.
-func BenchmarkF1a_BoundedVsNaive(b *testing.B) { runExperiment(b, "F1a") }
-
-// BenchmarkF1b_Incremental regenerates Example 1.1(b): incremental Q2.
-func BenchmarkF1b_Incremental(b *testing.B) { runExperiment(b, "F1b") }
-
-// BenchmarkF1c_Views regenerates Example 1.1(c): Q2 via views.
-func BenchmarkF1c_Views(b *testing.B) { runExperiment(b, "F1c") }
-
-// BenchmarkX44_QCntl regenerates the Theorem 4.4 experiment.
-func BenchmarkX44_QCntl(b *testing.B) { runExperiment(b, "X4.4") }
-
-// BenchmarkX45_Embedded regenerates the Proposition 4.5 / Example 4.6
-// experiment.
-func BenchmarkX45_Embedded(b *testing.B) { runExperiment(b, "X4.5") }
-
-// BenchmarkX54_RAA regenerates the Theorem 5.4 experiment.
-func BenchmarkX54_RAA(b *testing.B) { runExperiment(b, "X5.4") }
-
-// BenchmarkX61_VQSI regenerates the Theorem 6.1 experiment.
-func BenchmarkX61_VQSI(b *testing.B) { runExperiment(b, "X6.1") }
-
-// BenchmarkXGLT_Deltas regenerates the GLT maintenance substrate
-// experiment.
-func BenchmarkXGLT_Deltas(b *testing.B) { runExperiment(b, "XGLT") }
 
 // --- Fine-grained engine benchmarks (X-4.2: Theorem 4.2 hot paths). ---
 

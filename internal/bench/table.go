@@ -3,13 +3,12 @@
 // of QDSI) as empirical validation tables, and the three motivating
 // scenarios of Example 1.1 as scaling series — plus one experiment per
 // constructive theorem (4.2, 4.4, 4.5/4.6, 5.4, 6.1, and the GLT
-// maintenance substrate). cmd/sibench prints all of them; bench_test.go
-// exposes testing.B entry points.
+// maintenance substrate). cmd/sibench prints all of them;
+// TestAllExperimentsQuick runs each one in quick mode.
 package bench
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"time"
 )
@@ -125,32 +124,4 @@ func All() []Experiment {
 		{"X6.1", X61VQSI},
 		{"XGLT", XGLTDeltas},
 	}
-}
-
-// RunAll executes every experiment, writing tables to w.
-func RunAll(w io.Writer, quick bool) error {
-	for _, e := range All() {
-		tables, err := e.Run(quick)
-		if err != nil {
-			return fmt.Errorf("experiment %s: %w", e.ID, err)
-		}
-		for _, t := range tables {
-			fmt.Fprintln(w, t.String())
-		}
-	}
-	return nil
-}
-
-// RunAllMarkdown executes every experiment, writing markdown to w.
-func RunAllMarkdown(w io.Writer, quick bool) error {
-	for _, e := range All() {
-		tables, err := e.Run(quick)
-		if err != nil {
-			return fmt.Errorf("experiment %s: %w", e.ID, err)
-		}
-		for _, t := range tables {
-			fmt.Fprintln(w, t.Markdown())
-		}
-	}
-	return nil
 }

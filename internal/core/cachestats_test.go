@@ -1,9 +1,8 @@
 package core
 
-// Plan-cache observability (ISSUE 4 satellite): the engine exports
-// atomic hit/miss/evict counters so serving dashboards (and sibench
-// -serving) can see whether the analysis cost is actually being
-// amortized.
+// Plan-cache observability: the engine exports atomic hit/miss/evict
+// counters so serving dashboards (and sibm's core.plan_cache_hit_rate)
+// can see whether the analysis cost is actually being amortized.
 
 import (
 	"fmt"

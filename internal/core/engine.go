@@ -82,7 +82,7 @@ type OptimizerMode int
 const (
 	// OptimizerOff compiles the analysis-emitted derivation 1:1: conjunct
 	// order and access entries exactly as analysis chose them. The
-	// baseline for reordering experiments (sibench -reorder).
+	// baseline the backendtest planequiv lane holds cost order against.
 	OptimizerOff OptimizerMode = iota
 	// OptimizerOn (the default) reorders conjunct operators into the
 	// cheapest order under the access schema's N bounds (exact branch and

@@ -117,7 +117,8 @@ func (e *Engine) planKey(q *query.Query, x query.VarSet, mode OptimizerMode) str
 }
 
 // PlanCacheStats are the engine plan cache's lifetime counters: cache
-// observability for serving dashboards (sibench -serving prints them).
+// observability for serving dashboards (sibm reports them as
+// core.plan_cache_hit_rate and core.plan_cache_evictions).
 // Hits include negative entries (cached ErrNotControllable outcomes);
 // evictions count both LRU pressure and fingerprint-mismatch
 // invalidations.

@@ -7,7 +7,7 @@ import "repro/internal/store"
 // the write path's sequence numbers and committed volume, and the live
 // subscription population. Engine.Stats assembles it from the engine's
 // atomic counters without stopping serving; the HTTP tier exposes it at
-// GET /statusz (expvar-compatible JSON) and sibench -serve prints it
+// GET /statusz (expvar-compatible JSON), where sibm's read_wire reads it
 // after a load run.
 type EngineStats struct {
 	// Size is the backend's current |D| (total stored tuples).

@@ -1,8 +1,8 @@
 // Package obs is the dependency-free observability substrate of the
 // serving stack: a metrics registry (counters, gauges, log-linear
 // histograms, all label-vectored) that exports in the Prometheus text
-// exposition format, plus a strict parser for that format so tests and
-// the metrics-smoke gate can round-trip what the server serves.
+// exposition format, plus a strict parser for that format so tests
+// (TestMetricszOverWire among them) can round-trip what the server serves.
 //
 // Design constraints, in order: zero third-party dependencies (the repo
 // rule), cheap enough to be default-on in the serving hot path (lock-free

@@ -106,8 +106,8 @@ func TestHistogramDuration(t *testing.T) {
 	}
 }
 
-// TestParserStrictness rejects the malformations metrics-smoke must
-// catch.
+// TestParserStrictness rejects the malformations TestMetricszOverWire
+// must catch.
 func TestParserStrictness(t *testing.T) {
 	bad := []struct{ name, in string }{
 		{"sample without TYPE", "orphan_metric 1\n"},

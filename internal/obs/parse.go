@@ -11,8 +11,8 @@ import (
 
 // This file is the verification half of the exporter: a strict parser for
 // the Prometheus text exposition format, used by the obs round-trip test
-// and by `sibench -metricsz` (the metrics-smoke CI gate) to fail on any
-// malformed line the server emits. It is deliberately stricter than
+// and by the server's TestMetricszOverWire to fail on any malformed line
+// the server emits. It is deliberately stricter than
 // Prometheus itself: unknown sample names (no preceding TYPE), histogram
 // series without their _count/_sum, and non-monotone cumulative buckets
 // are all errors.

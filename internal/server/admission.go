@@ -37,7 +37,8 @@ type tenantState struct {
 	spent     int64
 	windowEnd time.Time
 
-	// Lifetime counters, surfaced at /statusz and by sibench -serve.
+	// Lifetime counters, surfaced at /statusz (sibm read_wire reads them
+	// as server.admit_reject_share).
 	admitted            int64
 	rejectedBound       int64
 	rejectedBudget      int64

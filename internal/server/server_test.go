@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -499,10 +500,13 @@ func TestStatusz(t *testing.T) {
 
 // TestConcurrentClientsAndCommitters races streaming HTTP clients
 // against committers through the live serving tier (run under -race):
-// every served query must stay within its advertised bound and the tier
-// must end balanced (no stuck in-flight slots).
+// every served query must stay within its advertised bound, the tier
+// must end balanced (no stuck in-flight slots), and no goroutine the
+// tier spawned may survive Drain plus shutdown. Server tests do not run
+// in parallel, so the goroutine count is this test's own.
 func TestConcurrentClientsAndCommitters(t *testing.T) {
 	ctx := context.Background()
+	baseline := runtime.NumGoroutine()
 	ti := newTier(t, openShard4, server.Config{})
 	prep, err := ti.cl.Prepare(ctx, workload.Q1Src, "p")
 	if err != nil {
@@ -557,6 +561,22 @@ func TestConcurrentClientsAndCommitters(t *testing.T) {
 	}
 	if st.Engine.CommitSeq != commits {
 		t.Fatalf("CommitSeq = %d, want %d", st.Engine.CommitSeq, commits)
+	}
+
+	drainCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if err := ti.srv.Drain(drainCtx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	ti.hs.Close() // also closes the client's idle connections
+	// Connection goroutines wind down asynchronously; give them 3 s to
+	// return the count to its baseline exactly, so one leak fails.
+	deadline := time.Now().Add(3 * time.Second)
+	for n := runtime.NumGoroutine(); n > baseline; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine leak: %d running after drain and shutdown, baseline %d", n, baseline)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 

@@ -206,7 +206,8 @@ type QueryLine struct {
 type QueryStats struct {
 	Answers int64 `json:"answers"`
 	// Reads is the measured TupleReads; Reads ≤ Bound for every admitted
-	// query (the load harness and serve-smoke gate assert it).
+	// query (TestConcurrentClientsAndCommitters and sibm's read_wire
+	// bound check assert it).
 	Reads int64 `json:"reads"`
 	Bound int64 `json:"bound"`
 }

@@ -216,8 +216,9 @@ const (
 //
 // A share of the write traffic targets the hot person ids, so live
 // queries fixed on them see real churn; pass nil for a uniform stream.
-// This is the workload behind the backendtest livemaint subtest,
-// sibench -live and sirun -watch.
+// This is the workload behind the backendtest livemaint and viewserve
+// subtests, core's TestCommitLatencyFlat, sibm's write_live and
+// sirun -watch.
 func MixedCommits(db *relation.Database, cfg Config, n int, hot []int64, seed int64) []*relation.Update {
 	rng := rand.New(rand.NewSource(seed))
 	mirror := db.Clone()
