@@ -32,6 +32,7 @@ var unchargedReads = []struct {
 }{
 	{"internal/relation", "Relation", "Tuples"},
 	{"internal/relation", "Relation", "Contains"},
+	{"internal/relation", "Relation", "Find"},
 	{"internal/index", "Index", "Lookup"},
 	{"internal/store", "DB", "Data"},
 	{"internal/store", "DB", "CloneData"},

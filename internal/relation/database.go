@@ -118,7 +118,7 @@ func (db *Database) DropRelation(name string) {
 // SeedFromSet replaces the named, still-empty relation's contents with an
 // independent copy of s. The set structure is cloned directly — no tuple
 // is re-validated, re-keyed or re-inserted — so bulk snapshot
-// materialization (witness traces, replicas) costs O(|s|) map copies
+// materialization (witness traces, replicas) costs two slice copies
 // instead of |s| key encodings. The caller asserts every tuple of s fits
 // the relation's schema; this holds for sets that only ever held tuples
 // read back from a stored relation. Panics if the relation is unknown or

@@ -78,3 +78,84 @@ func FuzzTupleKeyInjective(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTupleSetOps drives a TupleSet through a byte-coded sequence of Add,
+// Remove, Contains and Clone, checked at every step against a
+// map[string]bool and at the end by the table invariant checker. Each
+// operation takes two bytes: the opcode and a tuple drawn from a small
+// domain of int and string pairs, so operations keep hitting the same
+// tuples. The first byte's low bit narrows tags to three bits, forcing
+// collisions that only Tuple.Equal can resolve and probe runs that wrap.
+// A Clone continues on the copy; the original must keep its contents.
+// Sequences are cut at 128 operations, which the small domain saturates,
+// so that long inputs do not slow the search quadratically.
+func FuzzTupleSetOps(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 0, 2, 1, 1, 1, 1, 2, 1})
+	f.Add([]byte{1, 0, 3, 0, 11, 0, 19, 3, 0, 1, 3, 2, 11, 0, 3, 1, 19})
+	f.Add([]byte{1, 0, 200, 0, 201, 0, 202, 1, 200, 3, 0, 0, 200, 1, 202})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		if ops[0]&1 != 0 {
+			narrowTags(t, 0x7)
+		}
+		ops = ops[1:min(len(ops), 257)]
+		s := NewTupleSet(int(len(ops) % 5))
+		ref := make(map[string]bool)
+		type frozen struct {
+			s   *TupleSet
+			ref map[string]bool
+		}
+		var clones []frozen
+		for ; len(ops) >= 2; ops = ops[2:] {
+			b := ops[1]
+			tu := Ints(int64(b&0x1f), int64(b>>5))
+			if b&0x80 != 0 {
+				tu = NewTuple(Str(string(rune('a'+b&0x7))), Int(int64(b>>3&0x3)))
+			}
+			k := tu.Key()
+			switch ops[0] % 4 {
+			case 0:
+				if s.Add(tu) == ref[k] {
+					t.Fatalf("Add(%v) = %v with reference membership %v", tu, !ref[k], ref[k])
+				}
+				ref[k] = true
+			case 1:
+				if s.Remove(tu) != ref[k] {
+					t.Fatalf("Remove(%v) disagrees with reference membership %v", tu, ref[k])
+				}
+				delete(ref, k)
+			case 2:
+				if s.Contains(tu) != ref[k] {
+					t.Fatalf("Contains(%v) disagrees with reference membership %v", tu, ref[k])
+				}
+			case 3:
+				snap := make(map[string]bool, len(ref))
+				for k := range ref {
+					snap[k] = true
+				}
+				clones = append(clones, frozen{s, snap})
+				s = s.Clone()
+			}
+			if s.Len() != len(ref) {
+				t.Fatalf("Len = %d, reference holds %d", s.Len(), len(ref))
+			}
+		}
+		clones = append(clones, frozen{s, ref})
+		for _, c := range clones {
+			checkTupleSetInvariants(t, c.s)
+			if c.s.Len() != len(c.ref) {
+				t.Fatalf("set of %d tuples, reference holds %d", c.s.Len(), len(c.ref))
+			}
+			for _, tu := range c.s.Tuples() {
+				if !c.ref[tu.Key()] {
+					t.Fatalf("set holds %v, absent from the reference", tu)
+				}
+				if !c.s.Contains(tu) {
+					t.Fatalf("set iterates %v but does not contain it", tu)
+				}
+			}
+		}
+	})
+}

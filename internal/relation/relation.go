@@ -64,6 +64,9 @@ func (r *Relation) Delete(t Tuple) bool { return r.set.Remove(t) }
 // Contains reports membership of t.
 func (r *Relation) Contains(t Tuple) bool { return r.set.Contains(t) }
 
+// Find returns the stored tuple Equal to t, if any (see TupleSet.Find).
+func (r *Relation) Find(t Tuple) (Tuple, bool) { return r.set.Find(t) }
+
 // Tuples returns all tuples in the relation's current order (see the
 // TupleSet ordering contract). The slice is owned by the relation; callers
 // must not mutate it or hold it across updates.

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -153,31 +154,78 @@ func TestTupleSet(t *testing.T) {
 	}
 }
 
-// checkTupleSetInvariants verifies the parallel-slice representation
-// behind the swap-remove design: order, keys and pos must stay mutually
-// consistent after any operation mix — every slot's stored key re-encodes
-// its tuple, and the pos map is the exact inverse of the keys slice.
+// checkTupleSetInvariants verifies the open-addressing table behind the
+// swap-remove design against the order slice after any operation mix:
+// every row is referenced by exactly one slot, each slot's tag is its
+// tuple's hash, every entry is reachable from its home slot without
+// crossing an empty slot (so a probe finds it), and the table holds
+// exactly Len entries below its load limit.
 func checkTupleSetInvariants(t *testing.T, s *TupleSet) {
 	t.Helper()
-	if len(s.order) != len(s.keys) || len(s.order) != len(s.pos) {
-		t.Fatalf("invariant: len(order)=%d len(keys)=%d len(pos)=%d",
-			len(s.order), len(s.keys), len(s.pos))
+	n := len(s.slots)
+	if n&(n-1) != 0 {
+		t.Fatalf("invariant: table length %d is not zero or a power of two", n)
 	}
-	for i, tu := range s.order {
-		if s.keys[i] != tu.Key() {
-			t.Fatalf("invariant: keys[%d] = %q, but order[%d].Key() = %q", i, s.keys[i], i, tu.Key())
+	if s.Len() > 0 && s.Len()*maxLoadDen > n*maxLoadNum {
+		t.Fatalf("invariant: %d entries overload a table of %d slots", s.Len(), n)
+	}
+	refs := make([]int, s.Len())
+	used := 0
+	mask := n - 1
+	for i, e := range s.slots {
+		if e == 0 {
+			continue
 		}
-		if j, ok := s.pos[s.keys[i]]; !ok || j != i {
-			t.Fatalf("invariant: pos[keys[%d]] = %d (present %v), want %d", i, j, ok, i)
+		used++
+		row := slotRow(e)
+		if row < 0 || row >= s.Len() {
+			t.Fatalf("invariant: slot %d references row %d of %d", i, row, s.Len())
 		}
+		refs[row]++
+		if tag := tupleTag(s.order[row]); slotTag(e) != tag {
+			t.Fatalf("invariant: slot %d has tag %#x, but row %d %v hashes to %#x", i, slotTag(e), row, s.order[row], tag)
+		}
+		for j := int(slotTag(e)) & mask; j != i; j = (j + 1) & mask {
+			if s.slots[j] == 0 {
+				t.Fatalf("invariant: slot %d (row %d) is cut off from its home slot by empty slot %d", i, row, j)
+			}
+		}
+	}
+	for row, k := range refs {
+		if k != 1 {
+			t.Fatalf("invariant: row %d %v is referenced by %d slots, want 1", row, s.order[row], k)
+		}
+	}
+	if used != s.Len() {
+		t.Fatalf("invariant: %d occupied slots, Len = %d", used, s.Len())
 	}
 }
 
+// narrowTags lowers tagMask for the rest of the test so that tags collide
+// constantly: lookups must then resolve by Tuple.Equal, and probe runs
+// grow long enough to wrap and to exercise every backward-shift case.
+// Sets built under one mask must not be used under another.
+func narrowTags(t testing.TB, mask uint32) {
+	old := tagMask
+	tagMask = mask
+	t.Cleanup(func() { tagMask = old })
+}
+
 // Set semantics must hold under random interleavings of adds and removes,
-// mirrored against a reference map implementation, and the parallel-slice
+// mirrored against a reference map implementation, and the table
 // invariants must hold at every point — including after remove-then-readd
 // cycles, which exercise the slot reuse the swap-remove design performs.
+// The narrow-tag run makes most tuples collide on their tag.
 func TestTupleSetQuickAgainstMap(t *testing.T) {
+	for _, mask := range []uint32{^uint32(0), 0x7} {
+		t.Run(fmt.Sprintf("tags=%#x", mask), func(t *testing.T) {
+			narrowTags(t, mask)
+			tupleSetQuickAgainstMap(t)
+		})
+	}
+}
+
+func tupleSetQuickAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := NewTupleSet(0)
 	ref := make(map[string]bool)
@@ -197,7 +245,7 @@ func TestTupleSetQuickAgainstMap(t *testing.T) {
 			delete(ref, k)
 		case 1:
 			// Remove-then-readd: the re-added tuple lands in a fresh slot and
-			// every displaced tuple's pos entry must have followed it.
+			// every displaced tuple's slot must have followed it.
 			s.Remove(tu)
 			delete(ref, k)
 			if !s.Add(tu) {
@@ -219,9 +267,9 @@ func TestTupleSetQuickAgainstMap(t *testing.T) {
 		}
 	}
 	checkTupleSetInvariants(t, s)
-	for k := range ref {
-		if _, ok := s.pos[k]; !ok {
-			t.Fatalf("reference key %q missing from set", k)
+	for _, tu := range s.Tuples() {
+		if !ref[tu.Key()] {
+			t.Fatalf("set holds %v, absent from the reference", tu)
 		}
 	}
 }

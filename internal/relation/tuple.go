@@ -1,6 +1,10 @@
 package relation
 
-import "strings"
+import (
+	"hash/maphash"
+	"slices"
+	"strings"
+)
 
 // Tuple is an ordered list of values, one per attribute of the relation it
 // belongs to. Tuples are value-like: functions in this package never mutate
@@ -72,9 +76,10 @@ func (t Tuple) Key() string {
 }
 
 // AppendKey appends the injective encoding of Key to dst and returns the
-// extended slice. Hot paths probe maps with string(buf) on a stack-backed
-// scratch buffer, so a membership check or deletion computes no garbage;
-// Key remains the convenience form for code that stores the key.
+// extended slice. Hot paths encode into a stack-backed scratch buffer —
+// TupleSet hashes it, index maps are probed with string(buf) — so a
+// membership check or deletion computes no garbage; Key remains the
+// convenience form for code that stores the key.
 func (t Tuple) AppendKey(dst []byte) []byte {
 	for _, v := range t {
 		dst = v.appendKey(dst)
@@ -143,33 +148,124 @@ func (t Tuple) String() string {
 // set-valued comparison in this repository (Equal, conformance checks,
 // witness sets) is order-insensitive. See DESIGN.md "Storage engine:
 // ordering and delete complexity".
+//
+// Representation: order holds the tuples; slots is an open-addressing
+// hash table over it with linear probing. Each non-empty slot packs the
+// 32-bit tag of a tuple's key (tupleTag) above that tuple's row+1 in
+// order; 0 marks an empty slot. slots holds no pointer, so the table
+// costs the collector nothing to trace, and no key string is stored:
+// equal tags are resolved by Tuple.Equal against the row. The table length is zero or a power of two and its load stays at
+// most maxLoadNum/maxLoadDen, so every probe ends at an empty slot.
 type TupleSet struct {
 	order []Tuple
-	keys  []string // keys[i] == order[i].Key(), shared with the pos map
-	pos   map[string]int
+	slots []uint64
 }
+
+// Table sizing: the smallest non-empty table, and the load factor past
+// which it doubles.
+const (
+	minSlots   = 8
+	maxLoadNum = 3
+	maxLoadDen = 4
+)
+
+// keySeed seeds the tag hash. Tags never influence iteration order, so a
+// per-process seed keeps the table unpredictable to crafted inputs at no
+// cost to determinism.
+var keySeed = maphash.MakeSeed()
+
+// tagMask narrows tags; it is all ones outside tests, which lower it to
+// force tag collisions and long probe chains.
+var tagMask = ^uint32(0)
+
+// tupleTag hashes t's key encoding, built on stack scratch.
+func tupleTag(t Tuple) uint32 {
+	var a [keyScratchSize]byte
+	return uint32(maphash.Bytes(keySeed, t.AppendKey(a[:0]))) & tagMask
+}
+
+// slotTag and slotRow unpack a non-empty slot.
+func slotTag(e uint64) uint32 { return uint32(e >> 32) }
+func slotRow(e uint64) int    { return int(uint32(e)) - 1 }
 
 // NewTupleSet returns an empty set with capacity hint n.
 func NewTupleSet(n int) *TupleSet {
-	return &TupleSet{order: make([]Tuple, 0, n), keys: make([]string, 0, n), pos: make(map[string]int, n)}
+	s := &TupleSet{order: make([]Tuple, 0, n)}
+	if n > 0 {
+		size := minSlots
+		for size*maxLoadNum < n*maxLoadDen {
+			size *= 2
+		}
+		s.slots = make([]uint64, size)
+	}
+	return s
+}
+
+// probe looks t (with tag tag) up. It returns the slot holding t and
+// true, or the empty slot that ends t's probe sequence and false. The
+// table must be non-empty.
+func (s *TupleSet) probe(t Tuple, tag uint32) (uint32, bool) {
+	mask := uint32(len(s.slots) - 1)
+	for i := tag & mask; ; i = (i + 1) & mask {
+		e := s.slots[i]
+		if e == 0 {
+			return i, false
+		}
+		if slotTag(e) == tag && s.order[slotRow(e)].Equal(t) {
+			return i, true
+		}
+	}
+}
+
+// rowSlot returns the slot referencing row, which holds t.
+func (s *TupleSet) rowSlot(t Tuple, row int) uint32 {
+	mask := uint32(len(s.slots) - 1)
+	want := uint32(row + 1)
+	for i := tupleTag(t) & mask; ; i = (i + 1) & mask {
+		if uint32(s.slots[i]) == want {
+			return i
+		}
+	}
+}
+
+// grow doubles the table, re-placing each slot by its stored tag: no
+// tuple is re-keyed.
+func (s *TupleSet) grow() {
+	n := max(2*len(s.slots), minSlots)
+	old := s.slots
+	s.slots = make([]uint64, n)
+	mask := uint32(n - 1)
+	for _, e := range old {
+		if e == 0 {
+			continue
+		}
+		i := slotTag(e) & mask
+		for s.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = e
+	}
 }
 
 // Add inserts t and reports whether it was not already present. A rejected
-// duplicate costs no allocation (the key is probed on a stack scratch); a
-// genuine insert allocates only the stored key string.
+// duplicate costs no allocation (the key is encoded on a stack scratch
+// only to be hashed); a genuine insert allocates only when the order slice
+// or the table grows.
 func (s *TupleSet) Add(t Tuple) bool {
-	if s.pos == nil {
-		s.pos = make(map[string]int)
+	tag := tupleTag(t)
+	var i uint32
+	if len(s.slots) > 0 {
+		var ok bool
+		if i, ok = s.probe(t, tag); ok {
+			return false
+		}
 	}
-	var a [keyScratchSize]byte
-	kb := t.AppendKey(a[:0])
-	if _, ok := s.pos[string(kb)]; ok {
-		return false
+	if (len(s.order)+1)*maxLoadDen > len(s.slots)*maxLoadNum {
+		s.grow()
+		i, _ = s.probe(t, tag)
 	}
-	k := string(kb)
-	s.pos[k] = len(s.order)
+	s.slots[i] = uint64(tag)<<32 | uint64(len(s.order)+1)
 	s.order = append(s.order, t)
-	s.keys = append(s.keys, k)
 	return true
 }
 
@@ -180,40 +276,68 @@ func (s *TupleSet) AddAll(ts []Tuple) {
 	}
 }
 
-// Remove deletes t and reports whether it was present, in O(1): the last
-// tuple is swapped into the vacated slot and its position entry fixed up
-// (the stored key is reused, so no key is recomputed or allocated). This is
-// what keeps commit cost proportional to |ΔD| instead of |R| — see the
-// ordering contract on TupleSet.
+// Remove deletes t and reports whether it was present, in O(1): its slot
+// is emptied by backward-shift deletion (the entries after it in the probe
+// run move up, so no tombstone is left), then the last tuple is swapped
+// into the vacated row and its slot repointed — one extra key hash, no
+// allocation. This is what keeps commit cost proportional to |ΔD| instead
+// of |R| — see the ordering contract on TupleSet.
 func (s *TupleSet) Remove(t Tuple) bool {
-	var a [keyScratchSize]byte
-	kb := t.AppendKey(a[:0])
-	i, ok := s.pos[string(kb)]
+	if len(s.slots) == 0 {
+		return false
+	}
+	i, ok := s.probe(t, tupleTag(t))
 	if !ok {
 		return false
 	}
-	delete(s.pos, s.keys[i])
+	row := slotRow(s.slots[i])
+	s.deleteSlot(i)
 	last := len(s.order) - 1
-	if i != last {
-		s.order[i] = s.order[last]
-		s.keys[i] = s.keys[last]
-		s.pos[s.keys[i]] = i
+	if row != last {
+		moved := s.order[last]
+		j := s.rowSlot(moved, last)
+		s.slots[j] = s.slots[j]&^0xffffffff | uint64(row+1)
+		s.order[row] = moved
 	}
 	s.order[last] = nil
-	s.keys[last] = ""
 	s.order = s.order[:last]
-	s.keys = s.keys[:last]
 	return true
 }
 
+// deleteSlot empties slot i by backward shift: each later entry of the
+// probe run whose home slot does not lie strictly between the hole and
+// itself moves into the hole, which then advances to where it was.
+func (s *TupleSet) deleteSlot(i uint32) {
+	mask := uint32(len(s.slots) - 1)
+	for j := (i + 1) & mask; s.slots[j] != 0; j = (j + 1) & mask {
+		home := slotTag(s.slots[j]) & mask
+		if (j-home)&mask >= (j-i)&mask {
+			s.slots[i] = s.slots[j]
+			i = j
+		}
+	}
+	s.slots[i] = 0
+}
+
 // Contains reports whether t is in the set. Allocation-free: the probe key
-// is built on a stack scratch and the map is indexed with string(buf),
-// which the compiler does not materialize.
+// is built on a stack scratch and only hashed.
 func (s *TupleSet) Contains(t Tuple) bool {
-	var a [keyScratchSize]byte
-	kb := t.AppendKey(a[:0])
-	_, ok := s.pos[string(kb)]
+	_, ok := s.Find(t)
 	return ok
+}
+
+// Find returns the stored tuple Equal to t, if any. Allocation-free like
+// Contains; callers that hand the tuple out get the set's own copy rather
+// than t, whose backing array the caller may reuse.
+func (s *TupleSet) Find(t Tuple) (Tuple, bool) {
+	if len(s.slots) == 0 {
+		return nil, false
+	}
+	i, ok := s.probe(t, tupleTag(t))
+	if !ok {
+		return nil, false
+	}
+	return s.order[slotRow(s.slots[i])], true
 }
 
 // Len returns the number of tuples.
@@ -224,19 +348,13 @@ func (s *TupleSet) Len() int { return len(s.order) }
 // must not mutate it or hold it across updates.
 func (s *TupleSet) Tuples() []Tuple { return s.order }
 
-// Clone returns an independent copy of the set: the order and key slices
-// are copied and the position map rebuilt from the shared key strings —
-// no tuple is re-keyed and no key string is re-allocated.
+// Clone returns an independent copy of the set: the order slice and the
+// table are copied as they are — no tuple is re-keyed or re-hashed.
 func (s *TupleSet) Clone() *TupleSet {
-	c := &TupleSet{
+	return &TupleSet{
 		order: append(make([]Tuple, 0, len(s.order)), s.order...),
-		keys:  append(make([]string, 0, len(s.keys)), s.keys...),
-		pos:   make(map[string]int, len(s.pos)),
+		slots: slices.Clone(s.slots),
 	}
-	for i, k := range c.keys {
-		c.pos[k] = i
-	}
-	return c
 }
 
 // Equal reports whether two sets contain exactly the same tuples,

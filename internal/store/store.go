@@ -369,11 +369,8 @@ type DB struct {
 	data *relation.Database // guarded by mu
 	acc  *access.Schema
 
-	// plain indices: rel -> canonical key name -> index; guarded by mu
-	indexes map[string]map[string]*index.Index
-	// projected indices for embedded entries: rel -> "X->Y" name -> index;
-	// guarded by mu
-	projIndexes map[string]map[string]*projIndex
+	// paths holds each relation's physical access paths, guarded by mu
+	paths map[string]*relPaths
 
 	// version is the commit-log sequence number of the last applied update,
 	// guarded by mu (writes hold the exclusive lock).
@@ -383,15 +380,13 @@ type DB struct {
 }
 
 // Open wraps data with the given access schema, validating every entry and
-// building one index per entry (plain indices for plain entries, projected
-// indices for embedded ones). It does not check cardinality conformance;
-// call Conforms for that.
+// registering the access path each one needs (see relPaths). It does not
+// check cardinality conformance; call Conforms for that.
 func Open(data *relation.Database, acc *access.Schema) (*DB, error) {
 	db := &DB{
-		data:        data,
-		acc:         acc,
-		indexes:     make(map[string]map[string]*index.Index),
-		projIndexes: make(map[string]map[string]*projIndex),
+		data:  data,
+		acc:   acc,
+		paths: make(map[string]*relPaths),
 	}
 	for _, e := range acc.Entries() {
 		if err := e.Validate(data.Schema()); err != nil {
@@ -461,25 +456,26 @@ func (db *DB) ResetCounters() Counters { return db.counters.SwapZero() }
 func (db *DB) MaxGroup(e access.Entry) (int, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if e.IsEmbedded() {
-		name := index.KeyName(e.On) + "->" + index.KeyName(e.Proj)
-		pi := db.projIndexes[e.Rel][name]
-		if pi == nil {
-			return 0, false
-		}
-		max := 0
-		for _, b := range pi.buckets {
-			if len(b.order) > max {
-				max = len(b.order)
-			}
-		}
-		return max, true
-	}
-	ix := db.indexes[e.Rel][index.KeyName(e.On)]
-	if ix == nil {
+	p := db.paths[e.Rel]
+	if p == nil {
 		return 0, false
 	}
-	return ix.MaxBucket(), true
+	if e.IsEmbedded() {
+		if w := p.wideFor(e.On, e.Proj); w != nil {
+			return w.ix.MaxBucket(), true
+		}
+		if pi := p.projFor(e.On, e.Proj); pi != nil {
+			return pi.maxGroup(), true
+		}
+		return 0, false
+	}
+	if ix := p.plainFor(e.On); ix != nil {
+		return ix.MaxBucket(), true
+	}
+	if p.isFullKey(e.On) {
+		return min(db.data.Rel(e.Rel).Len(), 1), true
+	}
+	return 0, false
 }
 
 // Conforms checks cardinality conformance of the data to the access schema.
@@ -489,56 +485,96 @@ func (db *DB) Conforms() error {
 	return db.acc.Conforms(db.data)
 }
 
-// ensureEntryIndex builds the index an entry needs. It does no locking:
-// callers either run before the DB is shared (Open) or hold the
+// ensureEntryIndex registers the access path an entry needs. It does no
+// locking: callers either run before the DB is shared (Open) or hold the
 // exclusive lock (AddRelation).
 //
 //sivet:holds mu
 func (db *DB) ensureEntryIndex(e access.Entry) error {
-	rs, _ := db.data.Schema().Rel(e.Rel)
-	if e.IsEmbedded() {
-		name := index.KeyName(e.On) + "->" + index.KeyName(e.Proj)
-		if db.projIndexes[e.Rel][name] != nil {
-			return nil
-		}
-		pi, err := newProjIndex(rs, e.On, e.Proj)
+	if !e.IsEmbedded() {
+		return db.ensurePlainIndex(e.Rel, e.On)
+	}
+	r := db.data.Rel(e.Rel)
+	if r == nil {
+		return fmt.Errorf("store: unknown relation %q", e.Rel)
+	}
+	p := db.pathsFor(e.Rel)
+	if p.wideFor(e.On, e.Proj) != nil || p.projFor(e.On, e.Proj) != nil {
+		return nil
+	}
+	rs := r.Schema()
+	projPos, err := rs.Positions(e.Proj)
+	if err != nil {
+		return err
+	}
+	if len(e.Proj) == rs.Arity() {
+		// Y lists every attribute (validation rules out repeats), so π_Y
+		// is a permutation: injective, never deduplicating. A plain index
+		// on X serves it, projecting on lookup.
+		ix, err := db.plainIndex(r, e.On)
 		if err != nil {
 			return err
 		}
-		for _, t := range db.data.Rel(e.Rel).Tuples() {
-			pi.add(t)
-		}
-		if db.projIndexes[e.Rel] == nil {
-			db.projIndexes[e.Rel] = make(map[string]*projIndex)
-		}
-		db.projIndexes[e.Rel][name] = pi
+		p.wide = append(p.wide, &wideIndex{proj: e.Proj, projPos: projPos, ix: ix})
 		return nil
 	}
-	return db.ensurePlainIndex(e.Rel, e.On)
+	pi, err := newProjIndex(rs, e.On, e.Proj)
+	if err != nil {
+		return err
+	}
+	for _, t := range r.Tuples() {
+		pi.add(t)
+	}
+	p.proj = append(p.proj, pi)
+	return nil
+}
+
+// pathsFor returns rel's access paths, creating the empty set.
+//
+//sivet:holds mu
+func (db *DB) pathsFor(rel string) *relPaths {
+	p := db.paths[rel]
+	if p == nil {
+		p = &relPaths{}
+		db.paths[rel] = p
+	}
+	return p
 }
 
 // ensurePlainIndex is EnsureIndex without the locking; see
-// ensureEntryIndex for the callers' locking discipline.
+// ensureEntryIndex for the callers' locking discipline. A key listing
+// every attribute of rel in schema order — the implicit membership entry
+// (R, attr(R), 1, 1) — gets no index: the relation's own tuple set
+// answers it.
 //
 //sivet:holds mu
 func (db *DB) ensurePlainIndex(rel string, attrs []string) error {
-	name := index.KeyName(attrs)
-	if db.indexes[rel][name] != nil {
-		return nil
-	}
 	r := db.data.Rel(rel)
 	if r == nil {
 		return fmt.Errorf("store: unknown relation %q", rel)
 	}
+	if rs := r.Schema(); slices.Equal(attrs, rs.Attrs) {
+		db.pathsFor(rel).fullKey = rs.Attrs
+		return nil
+	}
+	_, err := db.plainIndex(r, attrs)
+	return err
+}
+
+// plainIndex builds (or reuses) the index.Index on attrs of r.
+//
+//sivet:holds mu
+func (db *DB) plainIndex(r *relation.Relation, attrs []string) (*index.Index, error) {
+	p := db.pathsFor(r.Name())
+	if ix := p.plainFor(attrs); ix != nil {
+		return ix, nil
+	}
 	ix, err := index.Build(r, attrs)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if db.indexes[rel] == nil {
-		db.indexes[rel] = make(map[string]*index.Index)
-	}
-	db.indexes[rel][name] = ix
-	return nil
+	p.plain = append(p.plain, ix)
+	return ix, nil
 }
 
 // EnsureIndex builds (or reuses) a plain index on attrs of rel.
@@ -553,7 +589,7 @@ func (db *DB) EnsureIndex(rel string, attrs []string) error {
 // extended — every shard of a sharded store shares one *Schema), creates
 // the relation seeded with tuples, registers the access entries
 // (idempotently, for the shared access schema), and builds their indexes
-// plus the implicit-membership index — all under the exclusive lock, so
+// plus the implicit-membership path — all under the exclusive lock, so
 // concurrent readers see the relation appear atomically.
 func (db *DB) AddRelation(rs relation.RelSchema, entries []access.Entry, tuples []relation.Tuple) error {
 	db.mu.Lock()
@@ -605,8 +641,7 @@ func (db *DB) AddRelation(rs relation.RelSchema, entries []access.Entry, tuples 
 func (db *DB) DropRelation(name string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	delete(db.indexes, name)
-	delete(db.projIndexes, name)
+	delete(db.paths, name)
 	db.acc.RemoveRel(name)
 	if as := db.acc.Relational(); as != db.data.Schema() {
 		as.Remove(name)
@@ -678,30 +713,7 @@ func (db *DB) FetchInto(es *ExecStats, e access.Entry, vals []relation.Value) ([
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if e.IsEmbedded() {
-		name := index.KeyName(e.On) + "->" + index.KeyName(e.Proj)
-		pi := db.projIndexes[e.Rel][name]
-		if pi == nil {
-			return nil, fmt.Errorf("store: no projected index for %s", e.String())
-		}
-		out := pi.lookup(vals)
-		if len(out) > e.N {
-			return nil, fmt.Errorf("store: %s violated: group has %d > %d tuples", e.String(), len(out), e.N)
-		}
-		// Embedded fetches do not touch identifiable base tuples (a covering
-		// index serves them), so the trace is not charged; Prop 4.5 gives a
-		// time bound, not a D_Q witness.
-		if err := es.ChargeTo(&db.counters, Counters{TupleReads: int64(len(out)), IndexLookups: 1, TimeUnits: int64(e.T)}); err != nil {
-			return nil, err
-		}
-		return copyTuples(out), nil
-	}
-	name := index.KeyName(e.On)
-	ix := db.indexes[e.Rel][name]
-	if ix == nil {
-		return nil, fmt.Errorf("store: no index for %s", e.String())
-	}
-	out, err := ix.Lookup(vals)
+	out, err := db.fetch(e, vals)
 	if err != nil {
 		return nil, err
 	}
@@ -711,10 +723,15 @@ func (db *DB) FetchInto(es *ExecStats, e access.Entry, vals []relation.Value) ([
 	if err := es.ChargeTo(&db.counters, Counters{TupleReads: int64(len(out)), IndexLookups: 1, TimeUnits: int64(e.T)}); err != nil {
 		return nil, err
 	}
-	for _, t := range out {
-		es.record(e.Rel, t)
+	// Embedded fetches do not touch identifiable base tuples (a covering
+	// index serves them), so the trace is not charged; Prop 4.5 gives a
+	// time bound, not a D_Q witness.
+	if !e.IsEmbedded() {
+		for _, t := range out {
+			es.record(e.Rel, t)
+		}
 	}
-	return copyTuples(out), nil
+	return out, nil
 }
 
 // FetchUncounted performs the retrieval licensed by entry e without
@@ -731,23 +748,41 @@ func (db *DB) FetchUncounted(e access.Entry, vals []relation.Value) ([]relation.
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if e.IsEmbedded() {
-		name := index.KeyName(e.On) + "->" + index.KeyName(e.Proj)
-		pi := db.projIndexes[e.Rel][name]
-		if pi == nil {
-			return nil, fmt.Errorf("store: no projected index for %s", e.String())
+	return db.fetch(e, vals)
+}
+
+// fetch resolves e to its access path and returns the group for vals
+// (len(vals) == len(e.On)) in a slice the caller owns. Resolution compares
+// attribute lists against the relation's few registered paths, so it
+// builds no name and allocates nothing.
+//
+//sivet:holds mu
+func (db *DB) fetch(e access.Entry, vals []relation.Value) ([]relation.Tuple, error) {
+	if p := db.paths[e.Rel]; p != nil {
+		if e.IsEmbedded() {
+			if w := p.wideFor(e.On, e.Proj); w != nil {
+				return w.lookup(vals), nil
+			}
+			if pi := p.projFor(e.On, e.Proj); pi != nil {
+				return copyTuples(pi.lookup(vals)), nil
+			}
+		} else {
+			if ix := p.plainFor(e.On); ix != nil {
+				out, err := ix.Lookup(vals)
+				return copyTuples(out), err
+			}
+			if p.isFullKey(e.On) {
+				if t, ok := db.data.Rel(e.Rel).Find(relation.Tuple(vals)); ok {
+					return []relation.Tuple{t}, nil
+				}
+				return nil, nil
+			}
 		}
-		return copyTuples(pi.lookup(vals)), nil
 	}
-	ix := db.indexes[e.Rel][index.KeyName(e.On)]
-	if ix == nil {
-		return nil, fmt.Errorf("store: no index for %s", e.String())
+	if e.IsEmbedded() {
+		return nil, fmt.Errorf("store: no projected index for %s", e.String())
 	}
-	out, err := ix.Lookup(vals)
-	if err != nil {
-		return nil, err
-	}
-	return copyTuples(out), nil
+	return nil, fmt.Errorf("store: no index for %s", e.String())
 }
 
 // copyTuples snapshots a result slice whose backing array belongs to a
@@ -755,9 +790,9 @@ func (db *DB) FetchUncounted(e access.Entry, vals []relation.Value) ([]relation.
 // the read lock is released, even if a concurrent ApplyUpdate mutates the
 // source in place (swap-remove moves tuples within the backing array, so
 // the copy stays load-bearing under the O(1)-delete design). Tuples
-// themselves are immutable, so a shallow copy suffices. This is the one
-// unavoidable per-fetch allocation on the read path; every key probe above
-// it is allocation-free.
+// themselves are immutable, so a shallow copy suffices. It is the one
+// allocation of a plain or embedded fetch; key probes and path resolution
+// allocate nothing.
 func copyTuples(ts []relation.Tuple) []relation.Tuple {
 	if len(ts) == 0 {
 		return nil
@@ -866,26 +901,36 @@ func (db *DB) ApplyVersioned(u *relation.Update) (int64, error) {
 }
 
 // syncIndexes folds an applied ΔD into every index incrementally (cost
-// proportional to |ΔD|). Caller holds the exclusive lock.
+// proportional to |ΔD|). Full-width projections ride on a plain index and
+// membership entries on the relation itself, so neither has anything of
+// its own to sync. Caller holds the exclusive lock.
 //
 //sivet:holds mu
 func (db *DB) syncIndexes(u *relation.Update) {
 	for rel, ts := range u.Del {
+		p := db.paths[rel]
+		if p == nil {
+			continue
+		}
 		for _, t := range ts {
-			for _, ix := range db.indexes[rel] {
+			for _, ix := range p.plain {
 				ix.Remove(t)
 			}
-			for _, pi := range db.projIndexes[rel] {
+			for _, pi := range p.proj {
 				pi.remove(t)
 			}
 		}
 	}
 	for rel, ts := range u.Ins {
+		p := db.paths[rel]
+		if p == nil {
+			continue
+		}
 		for _, t := range ts {
-			for _, ix := range db.indexes[rel] {
+			for _, ix := range p.plain {
 				ix.Add(t)
 			}
-			for _, pi := range db.projIndexes[rel] {
+			for _, pi := range p.proj {
 				pi.add(t)
 			}
 		}
@@ -909,27 +954,115 @@ func (db *DB) EntriesFor(rel string) []access.Entry {
 	return sorted
 }
 
+// relPaths is the physical side of one relation's access entries. A
+// fetch resolves its entry to one of these by comparing attribute lists —
+// a relation has a handful of paths — so no name is built per call:
+//
+//   - plain entries: an index.Index on X;
+//   - the membership entry (R, attr(R), 1, 1), or any plain X listing
+//     attr(R) in schema order: no index at all, the relation's tuple set
+//     answers it (fullKey);
+//   - embedded entries whose Y lists every attribute, such as the FD
+//     entry visit(id, yy, mm, dd → id, yy, mm, dd, rid): the plain index
+//     on X, projected on lookup (wideIndex);
+//   - other embedded entries: a refcounted projection (projIndex).
+type relPaths struct {
+	fullKey []string // attr(R) when a full-key entry is registered, else nil
+	plain   []*index.Index
+	wide    []*wideIndex
+	proj    []*projIndex
+}
+
+// plainFor returns the plain index on exactly on, if registered.
+func (p *relPaths) plainFor(on []string) *index.Index {
+	for _, ix := range p.plain {
+		if slices.Equal(ix.Attrs(), on) {
+			return ix
+		}
+	}
+	return nil
+}
+
+// isFullKey reports whether on is the registered full key.
+func (p *relPaths) isFullKey(on []string) bool {
+	return p.fullKey != nil && slices.Equal(p.fullKey, on)
+}
+
+// wideFor returns the full-width projection for X = on, Y = proj.
+func (p *relPaths) wideFor(on, proj []string) *wideIndex {
+	for _, w := range p.wide {
+		if slices.Equal(w.proj, proj) && slices.Equal(w.ix.Attrs(), on) {
+			return w
+		}
+	}
+	return nil
+}
+
+// projFor returns the refcounted projection for X = on, Y = proj.
+func (p *relPaths) projFor(on, proj []string) *projIndex {
+	for _, pi := range p.proj {
+		if slices.Equal(pi.proj, proj) && slices.Equal(pi.on, on) {
+			return pi
+		}
+	}
+	return nil
+}
+
+// wideIndex serves an embedded entry whose Y lists every attribute of R.
+// Such a projection is a permutation of the tuple, so each X-group holds
+// exactly as many distinct projections as base tuples, in the same order:
+// the plain index on X (shared with any plain entry on X, and maintained
+// as one) already has the groups, and lookup only permutes the values.
+type wideIndex struct {
+	proj    []string
+	projPos []int
+	ix      *index.Index
+}
+
+// lookup returns the projected group for vals in a fresh slice whose
+// tuples share one value array: two allocations per non-empty group.
+func (w *wideIndex) lookup(vals []relation.Value) []relation.Tuple {
+	ts, _ := w.ix.Lookup(vals) // errs only on a value count FetchInto checked
+	if len(ts) == 0 {
+		return nil
+	}
+	k := len(w.projPos)
+	out := make([]relation.Tuple, len(ts))
+	vs := make([]relation.Value, len(ts)*k)
+	for i, t := range ts {
+		p := relation.Tuple(vs[i*k : (i+1)*k : (i+1)*k])
+		for j, pos := range w.projPos {
+			p[j] = t[pos]
+		}
+		out[i] = p
+	}
+	return out
+}
+
 // keyScratchSize is the stack scratch for key probes on the projected-index
 // paths, mirroring the tuple key machinery in package relation.
 const keyScratchSize = 128
 
-// projIndex serves embedded entries: it maps each X-group to the deduped
-// projection π_Y of the group, refcounted so that deletions of base tuples
-// keep shared projections alive. Key positions are precomputed and keys are
-// built positionally on stack scratch buffers, so neither add, remove nor
-// lookup materializes a projected tuple just to key it; removal of a
-// projection is O(1) swap-remove under the same ordering contract as
+// projIndex serves embedded entries whose Y omits some attribute, so that
+// distinct base tuples can share a projection: it maps each X-group to the
+// deduped projection π_Y of the group, refcounted so that deletions of
+// base tuples keep shared projections alive (full-width Y needs none of
+// this; see wideIndex). Key positions are precomputed and keys are built
+// positionally on stack scratch buffers, so neither add, remove nor lookup
+// materializes a projected tuple just to key it; removal of a projection
+// is O(1) swap-remove under the same ordering contract as
 // relation.TupleSet and index.Index (bucket order is deterministic but
 // unspecified once anything was removed).
 type projIndex struct {
-	onPos   []int
-	projPos []int
-	buckets map[string]*projBucket
+	on, proj []string
+	onPos    []int
+	projPos  []int
+	buckets  map[string]*projBucket
 }
 
-// projBucket is one X-group: parallel slices of projected tuples, their
-// stored keys and their base-tuple refcounts, plus the key → slot map that
-// makes removal O(1).
+// projBucket is one X-group of a true projection: parallel slices of
+// projected tuples, their stored keys and their base-tuple refcounts, plus
+// the key → slot map that makes removal O(1).
 type projBucket struct {
 	order []relation.Tuple // projected tuples
 	keys  []string         // keys[i] == order[i].Key(), shared with pos
@@ -946,7 +1079,16 @@ func newProjIndex(rs relation.RelSchema, on, proj []string) (*projIndex, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &projIndex{onPos: onPos, projPos: projPos, buckets: make(map[string]*projBucket)}, nil
+	return &projIndex{on: on, proj: proj, onPos: onPos, projPos: projPos, buckets: make(map[string]*projBucket)}, nil
+}
+
+// maxGroup returns the largest number of distinct projections in a group.
+func (pi *projIndex) maxGroup() int {
+	m := 0
+	for _, b := range pi.buckets {
+		m = max(m, len(b.order))
+	}
+	return m
 }
 
 func (pi *projIndex) add(t relation.Tuple) {

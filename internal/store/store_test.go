@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/access"
+	"repro/internal/index"
 	"repro/internal/relation"
 )
 
@@ -21,6 +22,12 @@ func socialSchema() *relation.Schema {
 
 func testDB(t *testing.T) *DB {
 	t.Helper()
+	return testDBWith(t)
+}
+
+// testDBWith is testDB with extra access entries registered.
+func testDBWith(t *testing.T, extra ...access.Entry) *DB {
+	t.Helper()
 	s := socialSchema()
 	data := relation.NewDatabase(s)
 	data.MustInsert("person", relation.NewTuple(relation.Int(1), relation.Str("ann"), relation.Str("NYC")))
@@ -32,6 +39,9 @@ func testDB(t *testing.T) *DB {
 	acc := access.New(s)
 	acc.MustAdd(access.Plain("friend", []string{"id1"}, 5000, 1))
 	acc.MustAdd(access.Plain("person", []string{"id"}, 1, 1))
+	for _, e := range extra {
+		acc.MustAdd(e)
+	}
 	db, err := Open(data, acc)
 	if err != nil {
 		t.Fatal(err)
@@ -265,26 +275,34 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 // rejects inserting a present tuple, so index buckets — which do not
 // deduplicate — can never acquire a duplicate through the store, and
 // delete/re-insert churn keeps every index exactly as large as its
-// relation.
+// relation. That includes the plain index a full-width embedded entry is
+// served from, whose lookups must never repeat a projection either.
 func TestStoreMaintainsIndexSyncInvariant(t *testing.T) {
-	db := testDB(t)
+	wide := access.Embedded("friend", []string{"id2"}, []string{"id2", "id1"}, 5000, 1)
+	db := testDBWith(t, wide)
 	dup := relation.Ints(1, 2) // seeded by testDB
 	if err := db.ApplyUpdate(relation.NewUpdate().Insert("friend", dup)); err == nil {
 		t.Fatal("inserting an already-present tuple was accepted")
 	}
 	e := access.Plain("friend", []string{"id1"}, 5000, 1)
-	countDup := func() int {
-		got, err := Fetch(db, e, []relation.Value{relation.Int(1)})
+	countIn := func(e access.Entry, v int64, want relation.Tuple) int {
+		got, err := Fetch(db, e, []relation.Value{relation.Int(v)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		n := 0
 		for _, tu := range got {
-			if tu.Equal(dup) {
+			if tu.Equal(want) {
 				n++
 			}
 		}
 		return n
+	}
+	countDup := func() int {
+		if n := countIn(wide, 2, relation.Ints(2, 1)); n != 1 {
+			t.Errorf("full-width group: %d copies of the projection of %v", n, dup)
+		}
+		return countIn(e, 1, dup)
 	}
 	if n := countDup(); n != 1 {
 		t.Fatalf("after rejected double insert: %d copies of %v in the index group", n, dup)
@@ -303,13 +321,21 @@ func TestStoreMaintainsIndexSyncInvariant(t *testing.T) {
 	if n := countDup(); n != 1 {
 		t.Fatalf("after churn: %d copies of %v in the index group", n, dup)
 	}
-	for rel, ixs := range db.indexes {
+	for rel, p := range db.paths {
 		want := db.Data().Rel(rel).Len()
-		for key, ix := range ixs {
+		for _, ix := range p.plain {
 			if ix.Len() != want {
-				t.Errorf("index %s(%s): %d tuples, relation has %d", rel, key, ix.Len(), want)
+				t.Errorf("%s: %d tuples, relation has %d", ix, ix.Len(), want)
 			}
 		}
+		for _, w := range p.wide {
+			if w.ix.Len() != want {
+				t.Errorf("full-width %v over %s: %d tuples, relation has %d", w.proj, w.ix, w.ix.Len(), want)
+			}
+		}
+	}
+	if p := db.paths["friend"]; len(p.wide) != 1 || p.wide[0].ix != p.plainFor([]string{"id2"}) {
+		t.Errorf("full-width entry is not served by the plain index on its X")
 	}
 }
 
@@ -503,6 +529,124 @@ func TestProjIndexQuick(t *testing.T) {
 			if !want.Contains(p) {
 				t.Fatalf("step %d: stray projected tuple %v", step, p)
 			}
+		}
+	}
+}
+
+// The entries that get no structure of their own — the full-key
+// membership entry, served by the relation's tuple set, and full-width
+// embedded entries, served by a plain index projected on lookup — must
+// answer exactly as dedicated structures maintained alongside would: the
+// same tuples in the same order, the same charges and the same MaxGroup,
+// under random insert/delete churn. The references are an index.Index on
+// attr(R) and a refcounted projIndex per entry, built when the store opens
+// and fed every ΔD.
+func TestFullKeyAndFullWidthMatchReference(t *testing.T) {
+	s := socialSchema()
+	rs, _ := s.Rel("visit")
+	member := access.Plain("visit", rs.Attrs, 1, 1)
+	// The FD's shape with a loose N, so groups grow past one and their
+	// order is observable; the second permutes the attributes.
+	fdShape := access.Embedded("visit", []string{"id", "yy", "mm", "dd"}, []string{"id", "yy", "mm", "dd", "rid"}, 1000, 1)
+	permuted := access.Embedded("visit", []string{"yy"}, []string{"rid", "yy", "id", "dd", "mm"}, 1000, 2)
+	wides := []access.Entry{fdShape, permuted}
+
+	rng := rand.New(rand.NewSource(5))
+	randVisit := func() relation.Tuple {
+		return relation.Ints(int64(rng.Intn(4)), int64(rng.Intn(3)), int64(2010+rng.Intn(2)), int64(rng.Intn(2)), int64(rng.Intn(2)))
+	}
+	data := relation.NewDatabase(s)
+	for i := 0; i < 40; i++ {
+		data.Insert("visit", randVisit()) //nolint:errcheck // duplicates collapse
+	}
+	acc := access.New(s)
+	for _, e := range wides {
+		acc.MustAdd(e)
+	}
+	db := MustOpen(data, acc)
+	if len(db.paths["visit"].plain) != 2 || len(db.paths["visit"].proj) != 0 {
+		t.Fatalf("visit paths: %d plain indexes, %d projections; want the two X indexes only",
+			len(db.paths["visit"].plain), len(db.paths["visit"].proj))
+	}
+
+	refFull, err := index.Build(db.Data().Rel("visit"), rs.Attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refWide := make([]*projIndex, len(wides))
+	for i, e := range wides {
+		if refWide[i], err = newProjIndex(rs, e.On, e.Proj); err != nil {
+			t.Fatal(err)
+		}
+		for _, tu := range db.Data().Rel("visit").Tuples() {
+			refWide[i].add(tu)
+		}
+	}
+
+	check := func(step int, e access.Entry, vals []relation.Value, want []relation.Tuple, wantMax int) {
+		t.Helper()
+		es := &ExecStats{}
+		got, err := db.FetchInto(es, e, vals)
+		if err != nil {
+			t.Fatalf("step %d: %s %v: %v", step, e.String(), vals, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("step %d: %s %v: %d tuples, reference %d", step, e.String(), vals, len(got), len(want))
+		}
+		for i := range got {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("step %d: %s %v: tuple %d is %v, reference %v\ngot  %v\nwant %v", step, e.String(), vals, i, got[i], want[i], got, want)
+			}
+		}
+		wantC := Counters{TupleReads: int64(len(want)), IndexLookups: 1, TimeUnits: int64(e.T)}
+		if es.Counters != wantC {
+			t.Fatalf("step %d: %s: counters %s, want %s", step, e.String(), es.Counters, wantC)
+		}
+		raw, err := db.FetchUncounted(e, vals)
+		if err != nil || len(raw) != len(got) {
+			t.Fatalf("step %d: %s: FetchUncounted %v (err %v), FetchInto %v", step, e.String(), raw, err, got)
+		}
+		if m, ok := db.MaxGroup(e); !ok || m != wantMax {
+			t.Fatalf("step %d: %s: MaxGroup = %d, %v; reference %d", step, e.String(), m, ok, wantMax)
+		}
+	}
+
+	for step := 0; step < 300; step++ {
+		u := relation.NewUpdate()
+		for k, n := 0, 1+rng.Intn(4); k < n; k++ {
+			tu := randVisit()
+			if db.Data().Rel("visit").Contains(tu) {
+				u.Delete("visit", tu)
+			} else {
+				u.Insert("visit", tu)
+			}
+		}
+		if u.Validate(db.Data()) != nil {
+			continue // the batch touched one tuple twice
+		}
+		if err := db.ApplyUpdate(u); err != nil {
+			t.Fatal(err)
+		}
+		for _, tu := range u.Del["visit"] {
+			refFull.Remove(tu)
+			for _, pi := range refWide {
+				pi.remove(tu)
+			}
+		}
+		for _, tu := range u.Ins["visit"] {
+			refFull.Add(tu)
+			for _, pi := range refWide {
+				pi.add(tu)
+			}
+		}
+
+		probe := randVisit()
+		want, _ := refFull.Lookup(probe)
+		check(step, member, probe, want, refFull.MaxBucket())
+		for i, e := range wides {
+			pos, _ := rs.Positions(e.On)
+			vals := probe.Project(pos)
+			check(step, e, vals, refWide[i].lookup(vals), refWide[i].maxGroup())
 		}
 	}
 }
