@@ -5,8 +5,9 @@
 //
 // It drives the prepared-query serving API: the query is prepared once
 // (analysis + plan compilation) and executed under a context, optionally
-// with a runtime read budget (-max-reads), a deadline (-timeout), or a
-// naive fallback when the query is not controllable (-fallback).
+// with a runtime read budget (-max-reads) or a deadline (-timeout). A
+// query that is not controllable for the fixed variables is refused, not
+// scanned; materializing a view with -view can rescue it (Theorem 6.1).
 //
 // Usage:
 //
@@ -18,6 +19,8 @@
 //	sirun -query ... -fix "p=7" -analyze               # EXPLAIN ANALYZE: static bound vs measured per operator
 //	sirun -query ... -fix "p=7" -explain -no-optimizer # ... the analysis-order plan instead
 //	sirun -query ... -fix "p=7" -watch                 # live query: stream answer deltas until Ctrl-C
+//	sirun -query ... -fix "p=7" -view "V(...) :- ..."  # materialize a view first; the plan may read it
+//	sirun -query ... -fix "p=7" -naive=false           # skip the naive baseline (much faster at large |D|)
 //
 // With -limit N the cursor API is used instead: answers stream out as the
 // bounded plan pulls them, and evaluation — including its tuple reads and
@@ -54,6 +57,11 @@ import (
 	"repro/internal/workload"
 )
 
+// rescueHint follows ErrNotControllable: sirun never answers such a query
+// by full scans, but a materialized view the query is controlled through
+// rescues it (Theorem 6.1).
+const rescueHint = `(no bounded plan for the fixed variables; rescue the query through a view (Theorem 6.1): re-run with -view "V(...) :- ..." naming a view the query is controlled through; core.Advise suggests the access entries it needs)`
+
 func main() {
 	dataDir := flag.String("data", "", "directory with catalog.txt and per-relation CSVs (from sigen)")
 	persons := flag.Int("persons", 5000, "generate a social graph of this size when -data is not given")
@@ -63,7 +71,6 @@ func main() {
 	naive := flag.Bool("naive", true, "also run the naive baseline")
 	maxReads := flag.Int64("max-reads", 0, "runtime tuple-read budget (0 = unlimited)")
 	timeout := flag.Duration("timeout", 0, "evaluation deadline (0 = none)")
-	fallback := flag.Bool("fallback", false, "fall back to naive evaluation when not controllable")
 	shards := flag.Int("shards", 0, "serve from a hash-sharded store with this many shards (0 = single-node)")
 	limit := flag.Int("limit", 0, "stream at most this many answers through the cursor API and stop charging reads (0 = drain everything)")
 	explain := flag.Bool("explain", false, "print the compiled physical plan (operator tree, chosen order, static cost) before executing")
@@ -141,16 +148,13 @@ func main() {
 	if *maxReads > 0 {
 		opts = append(opts, core.WithMaxReads(*maxReads))
 	}
-	if *fallback {
-		opts = append(opts, core.WithNaiveFallback())
-	}
 
 	if *watch {
 		if *dataDir != "" {
 			fatal(fmt.Errorf("-watch needs the generated social workload (drop -data): the background writer mutates that schema"))
 		}
-		if *maxReads > 0 || *fallback {
-			fatal(fmt.Errorf("-max-reads and -fallback configure one-shot executions; a -watch subscription's maintenance is budgeted at its own per-delta bound"))
+		if *maxReads > 0 {
+			fatal(fmt.Errorf("-max-reads configures one-shot executions; a -watch subscription's maintenance is budgeted at its own per-delta bound"))
 		}
 		cfg := workload.DefaultConfig()
 		cfg.Persons = *persons
@@ -171,7 +175,6 @@ func main() {
 	start := time.Now()
 	prep, err := eng.Prepare(q, fixed.Vars())
 	prepTime := time.Since(start)
-	prepLabel := "prepared"
 	var ans *core.Answer
 	if err == nil {
 		if *explain {
@@ -187,15 +190,10 @@ func main() {
 		} else {
 			ans, err = prep.Exec(ctx, fixed, opts...)
 		}
-	} else if *fallback && errors.Is(err, core.ErrNotControllable) {
-		fmt.Printf("not controllable for %s; falling back to naive evaluation\n\n", fixed.Vars())
-		prepLabel = "analysis (not controllable)"
-		start = time.Now()
-		ans, err = eng.AnswerContext(ctx, q, fixed, opts...)
 	}
 	switch {
 	case errors.Is(err, core.ErrNotControllable):
-		fatal(fmt.Errorf("%w\n  (re-run with -fallback to answer it naively anyway)", err))
+		fatal(fmt.Errorf("%w\n  %s", err, rescueHint))
 	case errors.Is(err, core.ErrBudgetExceeded):
 		fatal(fmt.Errorf("%w\n  (raise -max-reads or tighten the access schema)", err))
 	case errors.Is(err, core.ErrCanceled):
@@ -204,18 +202,14 @@ func main() {
 		fatal(err)
 	}
 	execTime := time.Since(start)
-	fmt.Printf("%s in %s, executed in %s: %d answers\n",
-		prepLabel, prepTime.Round(time.Microsecond), execTime.Round(time.Microsecond), ans.Tuples.Len())
+	fmt.Printf("prepared in %s, executed in %s: %d answers\n",
+		prepTime.Round(time.Microsecond), execTime.Round(time.Microsecond), ans.Tuples.Len())
 	fmt.Printf("  measured: %s\n", ans.Cost)
 	if ans.DQ != nil {
 		fmt.Printf("  |D_Q| = %d distinct base tuples (per relation: %v)\n", ans.DQ.Distinct(), ans.DQ.PerRelation())
 	}
-	if ans.Plan != nil {
-		fmt.Printf("  static bound: %s\n\n", ans.Plan.Bound)
-		fmt.Print(ans.Plan.Describe())
-	} else {
-		fmt.Println("  (naive fallback: no bounded plan)")
-	}
+	fmt.Printf("  static bound: %s\n\n", ans.Plan.Bound)
+	fmt.Print(ans.Plan.Describe())
 
 	for i, t := range ans.Tuples.Tuples() {
 		if i == 10 {
@@ -250,7 +244,7 @@ func streamAnswers(ctx context.Context, eng *core.Engine, q *query.Query, fixed 
 	rows, err := eng.QueryContext(ctx, q, fixed, append(opts, core.WithLimit(limit))...)
 	switch {
 	case errors.Is(err, core.ErrNotControllable):
-		return fmt.Errorf("%w\n  (re-run with -fallback to stream it naively anyway)", err)
+		return fmt.Errorf("%w\n  %s", err, rescueHint)
 	case err != nil:
 		return err
 	}
@@ -286,11 +280,7 @@ func streamAnswers(ctx context.Context, eng *core.Engine, q *query.Query, fixed 
 	if dq := rows.DQ(); dq != nil {
 		fmt.Printf("  |D_Q| = %d distinct base tuples (per relation: %v)\n", dq.Distinct(), dq.PerRelation())
 	}
-	if rows.Plan() != nil {
-		fmt.Printf("  static full-drain bound: %s\n", rows.Plan().Bound)
-	} else {
-		fmt.Println("  (naive fallback: no bounded plan)")
-	}
+	fmt.Printf("  static full-drain bound: %s\n", rows.Plan().Bound)
 	return nil
 }
 
@@ -307,7 +297,7 @@ func watchQuery(parent context.Context, eng *core.Engine, q *query.Query, fixed 
 	defer stop()
 	prep, err := eng.Prepare(q, fixed.Vars())
 	if errors.Is(err, core.ErrNotControllable) {
-		return fmt.Errorf("%w\n  (a live query needs a bounded plan for the fixed variables)", err)
+		return fmt.Errorf("%w\n  %s", err, rescueHint)
 	}
 	if err != nil {
 		return err

@@ -1,22 +1,15 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/relation"
 	"repro/internal/store"
 )
-
-// DefaultRecostThreshold is the cumulative committed tuple volume per
-// relation (insertions + deletions since the last re-cost) after which
-// cached OptimizerStats plans are re-costed: their conjunct ordering was
-// derived from backend statistics measured at Prepare time, and heavy
-// drift can leave it stale (still correct and within its N-derived bound,
-// just no longer best).
-const DefaultRecostThreshold = 1024
 
 // CommitResult describes one applied commit. JSON tags are snake_case
 // throughout (as everywhere on the observability surface), so marshaling
@@ -39,9 +32,6 @@ type CommitResult struct {
 	// answer sets — every read counted, each watcher's share bounded by
 	// its N-derived per-delta bound.
 	Maintenance store.Counters `json:"maintenance"`
-	// Recosted reports whether this commit pushed some relation's update
-	// volume past the re-cost threshold, aging cached stats-ordered plans.
-	Recosted bool `json:"recosted"`
 	// ViewsMaintained is the number of materialized views whose extents
 	// this commit's base ΔD touched and that were maintained in-pipeline;
 	// ViewReads the tuple reads charged doing so (each view's share
@@ -58,7 +48,7 @@ type CommitResult struct {
 // Commit is the engine's write path: it validates ΔD, applies it to the
 // storage backend (through the backend's versioned commit log when it
 // keeps one), assigns the commit a sequence number, tracks per-relation
-// update volume for plan re-costing, and incrementally maintains every
+// committed update volume, and incrementally maintains every
 // registered Live subscription — deletion candidates are probed against
 // the pre-commit state, insertion candidates and re-verification against
 // the post-commit state, and each watcher receives one Delta carrying the
@@ -208,7 +198,8 @@ func (e *Engine) Commit(ctx context.Context, u *relation.Update) (*CommitResult,
 		return nil, err
 	}
 	seq := e.commitSeq.Add(1)
-	res := &CommitResult{Seq: seq, StoreSeq: storeSeq, Size: u.Size(), Recosted: e.trackVolume(u)}
+	e.trackVolume(u)
+	res := &CommitResult{Seq: seq, StoreSeq: storeSeq, Size: u.Size()}
 	mark(&phases.Apply)
 
 	// Phase 3a — view post-apply: insertion candidates and deletion
@@ -302,25 +293,11 @@ func (e *Engine) Commit(ctx context.Context, u *relation.Update) (*CommitResult,
 // first).
 func (e *Engine) CommitSeq() int64 { return e.commitSeq.Load() }
 
-// SetRecostThreshold sets the per-relation committed-volume threshold at
-// which cached OptimizerStats plans are re-costed; n <= 0 disables
-// re-costing. Engines built as struct literals start disabled; NewEngine
-// starts at DefaultRecostThreshold.
-func (e *Engine) SetRecostThreshold(n int64) {
-	e.driftMu.Lock()
-	defer e.driftMu.Unlock()
-	e.recostThreshold = n
-}
-
-// Recosts reports how many times committed update volume has crossed the
-// threshold and aged the cached stats-ordered plans.
-func (e *Engine) Recosts() int64 { return e.recosts.Load() }
-
 // CommittedVolume returns the cumulative committed tuple volume
 // (insertions + deletions) per relation since the engine was built.
 func (e *Engine) CommittedVolume() map[string]int64 {
-	e.driftMu.Lock()
-	defer e.driftMu.Unlock()
+	e.volumeMu.Lock()
+	defer e.volumeMu.Unlock()
 	out := make(map[string]int64, len(e.volume))
 	for rel, n := range e.volume {
 		out[rel] = n
@@ -328,81 +305,51 @@ func (e *Engine) CommittedVolume() map[string]int64 {
 	return out
 }
 
-// trackVolume accumulates u's per-relation volume and, when some
-// relation's drift since the last re-cost crosses the threshold, bumps
-// the stats epoch: every cached OptimizerStats plan becomes unreachable
-// (its key embeds the old epoch) and the next Prepare/Exec re-orders
-// against fresh backend statistics.
-func (e *Engine) trackVolume(u *relation.Update) bool {
-	e.driftMu.Lock()
-	defer e.driftMu.Unlock()
+// trackVolume accumulates u's per-relation volume.
+func (e *Engine) trackVolume(u *relation.Update) {
+	e.volumeMu.Lock()
+	defer e.volumeMu.Unlock()
 	if e.volume == nil {
 		e.volume = make(map[string]int64)
-		e.drift = make(map[string]int64)
 	}
-	add := func(m map[string][]relation.Tuple) {
-		for rel, ts := range m {
-			e.volume[rel] += int64(len(ts))
-			e.drift[rel] += int64(len(ts))
-		}
+	for rel, ts := range u.Ins {
+		e.volume[rel] += int64(len(ts))
 	}
-	add(u.Ins)
-	add(u.Del)
-	if e.recostThreshold <= 0 {
-		return false
+	for rel, ts := range u.Del {
+		e.volume[rel] += int64(len(ts))
 	}
-	crossed := false
-	for rel, d := range e.drift {
-		if d >= e.recostThreshold {
-			e.drift[rel] = 0
-			crossed = true
-		}
-	}
-	if crossed {
-		e.statsEpoch.Add(1)
-		e.recosts.Add(1)
-	}
-	return crossed
 }
 
-// register adds a Live subscription to the engine's watcher set,
-// assigning its id. Called under the commit lock (Watch), so a handle is
-// either notified of a commit or its initial snapshot already includes it.
+// register appends a Live subscription to the engine's watcher list,
+// assigning its id. Ids are handed out monotonically, so the list stays
+// in registration order without sorting. Called under the commit lock
+// (Watch), so a handle is either notified of a commit or its initial
+// snapshot already includes it.
 func (e *Engine) register(l *Live) {
 	e.watchMu.Lock()
 	defer e.watchMu.Unlock()
-	if e.watchers == nil {
-		e.watchers = make(map[int64]*Live)
-	}
 	e.watchID++
 	l.id = e.watchID
-	e.watchers[l.id] = l
+	e.watchers = append(e.watchers, l)
 }
 
 // unregister removes a subscription (Close).
 func (e *Engine) unregister(id int64) {
 	e.watchMu.Lock()
 	defer e.watchMu.Unlock()
-	delete(e.watchers, id)
+	if i, ok := slices.BinarySearchFunc(e.watchers, id, func(l *Live, id int64) int { return cmp.Compare(l.id, id) }); ok {
+		e.watchers = slices.Delete(e.watchers, i, i+1)
+	}
 }
 
 // liveWatchers snapshots the registered subscriptions in registration
-// order, pruning dead ones.
+// order, pruning dead ones: notification (and delta delivery) order is
+// deterministic.
 func (e *Engine) liveWatchers() []*Live {
 	e.watchMu.Lock()
 	defer e.watchMu.Unlock()
-	out := make([]*Live, 0, len(e.watchers))
-	for id, l := range e.watchers {
-		if l.dead() {
-			delete(e.watchers, id)
-			continue
-		}
-		out = append(out, l)
-	}
-	// Registration order: notification (and delta delivery) is
-	// deterministic regardless of map iteration.
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
+	e.watchers = slices.DeleteFunc(e.watchers, (*Live).dead)
+	return slices.Clone(e.watchers)
 }
 
 // Watchers reports the number of registered live subscriptions.

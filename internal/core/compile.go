@@ -86,13 +86,7 @@ func compileChase(d *Derivation) plan.Node {
 func compilePlan(d *Derivation, b store.Backend, mode OptimizerMode) *Plan {
 	root := Compile(d)
 	if mode != OptimizerOff && b != nil {
-		opt := &plan.Optimizer{Acc: b.Access()}
-		if mode == OptimizerStats {
-			if st, ok := b.(store.EntryStats); ok {
-				opt.Stats = st
-			}
-		}
-		root = opt.Optimize(root)
+		root = (&plan.Optimizer{Acc: b.Access()}).Optimize(root)
 	}
 	if b != nil {
 		plan.ResolveRoutes(root, b)

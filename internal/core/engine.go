@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/eval"
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/store"
@@ -40,23 +38,18 @@ type Engine struct {
 
 	// Commit pipeline state (commit.go): commitMu serializes the
 	// validate→apply→notify pipeline and totally orders commit sequence
-	// numbers; watchers are the registered Live subscriptions.
+	// numbers; watchers are the registered Live subscriptions in id
+	// (registration) order.
 	commitMu  sync.Mutex
 	commitSeq atomic.Int64
 	watchMu   sync.Mutex
-	watchers  map[int64]*Live // guarded by watchMu
-	watchID   int64           // guarded by watchMu
+	watchers  []*Live // guarded by watchMu
+	watchID   int64   // guarded by watchMu
 
-	// Update-volume tracking for stats re-costing (commit.go): volume is
-	// the cumulative committed |ΔD| per relation, drift the portion since
-	// the last re-cost; once drift crosses recostThreshold the statsEpoch
-	// bumps, unreachably aging every cached OptimizerStats plan.
-	driftMu         sync.Mutex
-	volume          map[string]int64 // guarded by driftMu
-	drift           map[string]int64 // guarded by driftMu
-	recostThreshold int64            // guarded by driftMu
-	statsEpoch      atomic.Int64
-	recosts         atomic.Int64
+	// Committed update volume per relation (commit.go), reported as
+	// EngineStats.CommittedVolume.
+	volumeMu sync.Mutex
+	volume   map[string]int64 // guarded by volumeMu
 
 	// Materialized-view registry (views.go): viewMu guards the map and
 	// each view's seq/broken fields; maintainers themselves run only under
@@ -91,23 +84,14 @@ const (
 	// so Q2/Q3 run the N=1 person filter before the visit expansion.
 	// Deterministic across backends.
 	OptimizerOn
-	// OptimizerStats additionally refines entry bounds with live backend
-	// cardinality statistics (store.EntryStats) when the backend provides
-	// them. Ordering only: static bounds still come from N. Plans may
-	// differ between backends with different data layouts.
-	OptimizerStats
 )
 
 // String renders the mode for EXPLAIN output.
 func (m OptimizerMode) String() string {
-	switch m {
-	case OptimizerOn:
+	if m == OptimizerOn {
 		return "on"
-	case OptimizerStats:
-		return "on+stats"
-	default:
-		return "off"
 	}
+	return "off"
 }
 
 // DefaultPlanCacheSize is the number of (query name, controlling set)
@@ -118,10 +102,9 @@ const DefaultPlanCacheSize = 128
 // access schema. The cost-based plan optimizer is on (OptimizerOn).
 func NewEngine(db store.Backend) *Engine {
 	e := &Engine{
-		DB:              db,
-		An:              NewAnalyzer(db.Access()),
-		plans:           newPlanCache(DefaultPlanCacheSize),
-		recostThreshold: DefaultRecostThreshold,
+		DB:    db,
+		An:    NewAnalyzer(db.Access()),
+		plans: newPlanCache(DefaultPlanCacheSize),
 	}
 	e.mode.Store(int32(OptimizerOn))
 	return e
@@ -149,12 +132,11 @@ func (e *Engine) PlanCacheLen() int { return e.plans.len() }
 type ExecOption func(*execOpts)
 
 type execOpts struct {
-	maxReads      int64
-	noTrace       bool
-	naiveFallback bool
-	limit         int
-	analyze       bool
-	requestID     string
+	maxReads  int64
+	noTrace   bool
+	limit     int
+	analyze   bool
+	requestID string
 }
 
 // WithLimit stops the evaluation after n distinct answers have been
@@ -190,14 +172,6 @@ func WithAnalyze() ExecOption { return func(o *execOpts) { o.analyze = true } }
 // store work it caused.
 func WithRequestID(id string) ExecOption { return func(o *execOpts) { o.requestID = id } }
 
-// WithNaiveFallback makes AnswerContext fall back to naive (full-scan)
-// evaluation when the query is not controllable for the fixed variables,
-// instead of failing with ErrNotControllable. The fallback still honors
-// WithMaxReads — an unbounded scan over a large store will trip the
-// budget, which is exactly the protection the bound gives up. A fallback
-// Answer has a nil Plan.
-func WithNaiveFallback() ExecOption { return func(o *execOpts) { o.naiveFallback = true } }
-
 // Answer is the result of one bounded evaluation.
 type Answer struct {
 	// Tuples are the answers over RemainingHead (head variables not fixed
@@ -205,8 +179,7 @@ type Answer struct {
 	// tuple means true.
 	Tuples        *relation.TupleSet
 	RemainingHead []string
-	// Plan is the bounded plan that was executed; nil when the answer came
-	// from the naive fallback (WithNaiveFallback).
+	// Plan is the bounded plan that was executed; never nil.
 	Plan *Plan
 	// Cost is the work measured for this call alone.
 	Cost store.Counters
@@ -269,7 +242,7 @@ func (e *Engine) Prepare(q *query.Query, x query.VarSet) (*PreparedQuery, error)
 				e.plans.put(key, q, p, nil)
 				return p, nil
 			}
-			// Cache the negative outcome too: repeated fallback serving of a
+			// Cache the negative outcome too: a client retrying a
 			// non-controllable query must not re-run the analysis every call.
 			// The view epoch in the key un-caches it when a view appears.
 			e.plans.put(key, q, nil, err)
@@ -302,9 +275,6 @@ func (e *Engine) AnswerContext(ctx context.Context, q *query.Query, fixed query.
 	}
 	p, err := e.Prepare(q, fixed.Vars())
 	if err != nil {
-		if o.naiveFallback && errors.Is(err, ErrNotControllable) {
-			return e.naiveAnswer(ctx, q, fixed, o)
-		}
 		return nil, err
 	}
 	return p.exec(ctx, fixed, o)
@@ -317,46 +287,6 @@ func (e *Engine) AnswerContext(ctx context.Context, q *query.Query, fixed query.
 func (e *Engine) AnswerWith(q *query.Query, fixed query.Bindings, d *Derivation) (*Answer, error) {
 	p := &PreparedQuery{eng: e, q: q, ctrl: d.Ctrl, d: d, plan: compilePlan(d, e.DB, OptimizerOff)}
 	return p.exec(context.Background(), fixed, execOpts{})
-}
-
-// naiveAnswer evaluates q by full scans through the instrumented store —
-// the WithNaiveFallback path, a drain of naiveQuery. The call is still
-// charged per-call stats (and budget-limited, if requested); only the
-// scale-independence guarantee is gone.
-func (e *Engine) naiveAnswer(ctx context.Context, q *query.Query, fixed query.Bindings, o execOpts) (*Answer, error) {
-	rows, err := e.naiveQuery(ctx, q, fixed, o)
-	if err != nil {
-		return nil, err
-	}
-	return rows.drain()
-}
-
-// naiveQuery opens a cursor over naive (full-scan) evaluation through the
-// instrumented store. The backtracking join underneath is itself a lazy
-// generator: atom scans are issued only as the consumer pulls, so an
-// early-terminated naive cursor skips the scans of join branches it never
-// reached. Cancellation is checked on every charged store access (and
-// periodically within large scans), since this is the one path whose
-// running time can grow with |D|.
-func (e *Engine) naiveQuery(ctx context.Context, q *query.Query, fixed query.Bindings, o execOpts) (*Rows, error) {
-	es := &store.ExecStats{MaxReads: o.maxReads, Ctx: ctx, RequestID: o.requestID}
-	if !o.noTrace {
-		es.Trace = store.NewTrace()
-	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: %w: %w", ErrCanceled, err)
-		}
-	}
-	seq := eval.Stream(eval.NewStoreSource(e.DB, es), q, fixed)
-	r := newRows(remainingHead(q.Head, fixed), nil, es, seq, o.limit)
-	r.qname = q.Name
-	r.naive = true
-	if obs := e.telemetry(); obs != nil {
-		r.obs = obs
-		r.start = time.Now()
-	}
-	return r, nil
 }
 
 // QCntl decides the problem of Theorem 4.4: is there x̄ with |x̄| ≤ K such

@@ -11,7 +11,7 @@ import (
 // errors.Is instead of string matching:
 //
 //	prep, err := eng.Prepare(q, x)
-//	if errors.Is(err, core.ErrNotControllable) { ... fall back to naive ... }
+//	if errors.Is(err, core.ErrNotControllable) { ... rescue it with a view (CreateView) ... }
 var (
 	// ErrNotControllable: the query is not x̄-controlled under the access
 	// schema for the requested x̄ — no bounded plan exists (or, when the

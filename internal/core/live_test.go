@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/query"
@@ -246,6 +247,37 @@ func TestWatchContextCancelFailsHandle(t *testing.T) {
 	}
 	if eng.Watchers() != 0 {
 		t.Fatalf("dead watcher not pruned: %d registered", eng.Watchers())
+	}
+}
+
+// TestWatcherRegistryOrder: the registry stays in registration order
+// without a per-commit sort — closing a handle in the middle removes
+// exactly it, a failed handle is pruned at the next snapshot, and later
+// registrations land at the end.
+func TestWatcherRegistryOrder(t *testing.T) {
+	eng, prep, first := watchQ1(t, 30, 1)
+	defer first.Close()
+	watch := func(p int64) *Live {
+		l, err := prep.Watch(context.Background(), query.Bindings{"p": relation.Int(p)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		return l
+	}
+	mid, failed, last := watch(2), watch(3), watch(4)
+	mid.Close()
+	failed.fail(errors.New("injected"))
+	late := watch(5)
+	var got []int64
+	for _, l := range eng.liveWatchers() {
+		got = append(got, l.id)
+	}
+	if want := []int64{first.id, last.id, late.id}; !slices.Equal(got, want) {
+		t.Fatalf("live watchers %v, want %v (registration order, closed and failed handles gone)", got, want)
+	}
+	if eng.Watchers() != 3 {
+		t.Fatalf("registered watchers = %d, want 3", eng.Watchers())
 	}
 }
 

@@ -364,8 +364,8 @@ func (m *Maintainer) DeltaBound(u *relation.Update) int64 {
 
 // Apply maintains the answers under u as a standalone (non-subscribed)
 // maintainer, routing the write through the engine's commit pipeline —
-// registered Live watchers on the same engine are notified, drift is
-// tracked — and returns the answer delta over the remaining head (ins
+// registered Live watchers on the same engine are notified, committed
+// volume is tracked — and returns the answer delta over the remaining head (ins
 // disjoint from the old answers, del contained in them) plus the measured
 // maintenance cost. Not safe for concurrent use; concurrent serving goes
 // through Watch.

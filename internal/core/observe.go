@@ -25,8 +25,6 @@ type QueryEvent struct {
 	// Cost is the work the call charged; Answers the tuples it produced.
 	Cost    store.Counters
 	Answers int
-	// Naive marks a WithNaiveFallback full-scan evaluation (no bound).
-	Naive bool
 	// Views names the materialized views the executed plan read (empty
 	// for a pure base plan); Rescued marks a plan serving a query that is
 	// not controllable over the base relations (Plan.Views / Plan.Rescued).
@@ -113,9 +111,6 @@ func (o *engineObs) observeQuery(ev QueryEvent) {
 		}
 		if ev.RequestID != "" {
 			attrs = append(attrs, slog.String("request_id", ev.RequestID))
-		}
-		if ev.Naive {
-			attrs = append(attrs, slog.Bool("naive", true))
 		}
 		if ev.Err != nil {
 			attrs = append(attrs, slog.String("error", ev.Err.Error()))

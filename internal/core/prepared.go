@@ -97,23 +97,12 @@ func (p *PreparedQuery) Analyze(ctx context.Context, fixed query.Bindings, opts 
 }
 
 // planKey builds the cache key (query name, controlling set, optimizer
-// mode — plans compiled under different modes are distinct entries). For
-// OptimizerStats plans the engine's stats epoch is part of the key:
-// ordering was derived from live backend statistics, so when committed
-// update volume drifts past the re-cost threshold (commit.go) the epoch
-// bumps and every stale stats-ordered plan becomes unreachable — the next
-// Prepare/Exec re-costs against fresh statistics while mode-Off/On plans
-// (whose ordering is data-independent) stay cached.
-//
-// The view epoch is part of every key, regardless of mode: any plan may
-// read a view (or be a cached ErrNotControllable outcome a new view could
-// rescue), so CreateView/DropView/a frozen view must age the whole cache.
+// mode — plans compiled under different modes are distinct entries).
+// The view epoch is part of every key: any plan may read a view (or be a
+// cached ErrNotControllable outcome a new view could rescue), so
+// CreateView/DropView/a frozen view must age the whole cache.
 func (e *Engine) planKey(q *query.Query, x query.VarSet, mode OptimizerMode) string {
-	epoch := int64(0)
-	if mode == OptimizerStats {
-		epoch = e.statsEpoch.Load()
-	}
-	return fmt.Sprintf("%d\x00%d\x00%d\x00%s\x00%s", mode, epoch, e.viewEpoch.Load(), q.Name, x.Key())
+	return fmt.Sprintf("%d\x00%d\x00%s\x00%s", mode, e.viewEpoch.Load(), q.Name, x.Key())
 }
 
 // PlanCacheStats are the engine plan cache's lifetime counters: cache
@@ -134,9 +123,9 @@ func (e *Engine) PlanCacheStats() PlanCacheStats { return e.plans.stats() }
 
 // planCache is a small LRU of analysis outcomes, keyed by (query name,
 // controlling set, optimizer mode): successful entries hold the prepared
-// query, negative entries the ErrNotControllable result, so repeated
-// fallback serving does not re-run the exponential analysis either. Safe
-// for concurrent use.
+// query, negative entries the ErrNotControllable result, so a repeated
+// non-controllable request does not re-run the exponential analysis
+// either. Safe for concurrent use.
 type planCache struct {
 	mu  sync.Mutex
 	cap int

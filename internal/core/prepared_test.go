@@ -139,7 +139,7 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 }
 
 // Negative outcomes are cached too: re-preparing a non-controllable query
-// (e.g. under fallback serving) skips re-analysis.
+// (e.g. a client retrying it) skips re-analysis.
 func TestPlanCacheNegative(t *testing.T) {
 	cat := mustCatalog(t, facebookCatalog)
 	st := buildSocial(t, cat, 20, 3, 5, 12)
@@ -156,14 +156,6 @@ func TestPlanCacheNegative(t *testing.T) {
 	_, err2 := eng.Prepare(q, query.NewVarSet("y"))
 	if !errors.Is(err2, ErrNotControllable) {
 		t.Fatalf("cached negative: want ErrNotControllable, got %v", err2)
-	}
-	// The fallback still fires off the cached negative.
-	ans, err := eng.AnswerContext(context.Background(), q, query.Bindings{"y": relation.Int(1)}, WithNaiveFallback())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ans.Plan != nil {
-		t.Error("fallback answer should have nil Plan")
 	}
 }
 
@@ -251,45 +243,6 @@ func TestWithoutTraceSkipsWitness(t *testing.T) {
 	}
 	if ans.Cost.TupleReads == 0 && ans.Tuples.Len() > 0 {
 		t.Error("counters not charged without trace")
-	}
-}
-
-func TestWithNaiveFallback(t *testing.T) {
-	cat := mustCatalog(t, facebookCatalog)
-	st := buildSocial(t, cat, 30, 4, 5, 9)
-	eng := NewEngine(st)
-	q := mustQ(t, "Q(x, y) := friend(x, y)") // {y} does not control
-	fixed := query.Bindings{"y": relation.Int(1)}
-
-	ans, err := eng.AnswerContext(context.Background(), q, fixed, WithNaiveFallback())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ans.Plan != nil {
-		t.Error("fallback answer should have nil Plan")
-	}
-	naive, err := eval.Answers(eval.DBSource{DB: st.Data()}, q, fixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ans.Tuples.Equal(naive) {
-		t.Fatalf("fallback %v != naive %v", ans.Tuples.Tuples(), naive.Tuples())
-	}
-	if ans.Cost.Scans == 0 {
-		t.Error("fallback should be charged scans")
-	}
-	// The fallback still honors the read budget.
-	_, err = eng.AnswerContext(context.Background(), q, fixed, WithNaiveFallback(), WithMaxReads(1))
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("budgeted fallback: want ErrBudgetExceeded, got %v", err)
-	}
-	// ... and cancellation: the naive path checks the context on every
-	// data access, so a canceled ctx stops it.
-	canceled, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err = eng.AnswerContext(canceled, q, fixed, WithNaiveFallback())
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("canceled fallback: want ErrCanceled, got %v", err)
 	}
 }
 

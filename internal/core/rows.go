@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"iter"
 	"strings"
@@ -56,13 +55,6 @@ type Rows struct {
 	obs   *engineObs
 	qname string
 	start time.Time
-	naive bool
-}
-
-// newRows wraps a lazy answer sequence (already deduplicated, projected
-// to head order). limit <= 0 means unlimited.
-func newRows(head []string, plan *Plan, es *store.ExecStats, seq tupleSeq, limit int) *Rows {
-	return &Rows{head: head, plan: plan, es: es, seq: seq, limit: limit}
 }
 
 // ctxErr reports the cursor's cancellation state: checked on every pull,
@@ -177,11 +169,9 @@ func (r *Rows) Close() error {
 			Wall:      time.Since(r.start),
 			Cost:      r.es.Counters,
 			Answers:   r.n,
-			Naive:     r.naive,
+			Views:     r.plan.Views,
+			Rescued:   r.plan.Rescued,
 			Err:       r.err,
-		}
-		if r.plan != nil {
-			ev.Views, ev.Rescued = r.plan.Views, r.plan.Rescued
 		}
 		r.obs.observeQuery(ev)
 	}
@@ -232,18 +222,11 @@ func (r *Rows) All() iter.Seq2[relation.Tuple, error] {
 // caller, in head order.
 func (r *Rows) Head() []string { return r.head }
 
-// Plan returns the bounded plan the cursor executes, nil on the naive
-// fallback path.
+// Plan returns the bounded plan the cursor executes; never nil.
 func (r *Rows) Plan() *Plan { return r.plan }
 
-// Explain renders the physical operator plan behind the cursor, or a
-// note that the cursor streams from the naive fallback.
-func (r *Rows) Explain() string {
-	if r.plan == nil {
-		return "naive fallback: full-scan evaluation, no bounded plan\n"
-	}
-	return r.plan.Explain()
-}
+// Explain renders the physical operator plan behind the cursor.
+func (r *Rows) Explain() string { return r.plan.Explain() }
 
 // Analyze renders the EXPLAIN ANALYZE view of the cursor: the physical
 // plan annotated per operator with the static bound next to the measured
@@ -252,9 +235,6 @@ func (r *Rows) Explain() string {
 // WithAnalyze; meaningful after consumption (the counters grow as the
 // cursor is pulled, like Cost).
 func (r *Rows) Analyze() string {
-	if r.plan == nil {
-		return "naive fallback: full-scan evaluation, no bounded plan\n"
-	}
 	if r.tr == nil {
 		return "analyze: cursor was not opened with WithAnalyze\n"
 	}
@@ -386,9 +366,15 @@ func (p *PreparedQuery) query(ctx context.Context, fixed query.Bindings, o execO
 		rt.Tr = tr
 	}
 	head := remainingHead(p.q.Head, fixed)
-	r := newRows(head, p.plan, es, projectSeq(p.plan.Root.Stream(rt, fixed), head, nil, p.q.Name), o.limit)
-	r.tr = tr
-	r.qname = p.q.Name
+	r := &Rows{
+		head:  head,
+		plan:  p.plan,
+		es:    es,
+		seq:   projectSeq(p.plan.Root.Stream(rt, fixed), head, nil, p.q.Name),
+		limit: o.limit, // <= 0: unlimited
+		tr:    tr,
+		qname: p.q.Name,
+	}
 	if obs := p.eng.telemetry(); obs != nil {
 		r.obs = obs
 		r.start = time.Now()
@@ -414,22 +400,14 @@ func (p *PreparedQuery) First(ctx context.Context, fixed query.Bindings, opts ..
 
 // QueryContext opens an answer cursor for q with fixed values for a
 // controlling set, preparing (or reusing the cached plan for)
-// fixed.Vars() first. With WithNaiveFallback, a non-controllable query
-// streams from naive evaluation instead (Rows.Plan is nil); the scans it
-// performs are then pulled — and charged — incrementally too.
+// fixed.Vars() first. A query that is not controllable for fixed.Vars()
+// (and that no view rescues) fails with ErrNotControllable.
 func (e *Engine) QueryContext(ctx context.Context, q *query.Query, fixed query.Bindings, opts ...ExecOption) (*Rows, error) {
-	var o execOpts
-	for _, f := range opts {
-		f(&o)
-	}
 	p, err := e.Prepare(q, fixed.Vars())
 	if err != nil {
-		if o.naiveFallback && errors.Is(err, ErrNotControllable) {
-			return e.naiveQuery(ctx, q, fixed, o)
-		}
 		return nil, err
 	}
-	return p.query(ctx, fixed, o)
+	return p.Query(ctx, fixed, opts...)
 }
 
 // First answers q with fixed values for a controlling set and returns

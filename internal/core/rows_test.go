@@ -399,42 +399,6 @@ access S(a -> *) limit 8 time 1
 	}
 }
 
-// TestQueryContextNaiveFallbackStreams: the naive fallback path is a
-// cursor too — WithLimit over a non-controllable query charges fewer
-// reads than the full naive drain.
-func TestQueryContextNaiveFallbackStreams(t *testing.T) {
-	cat := mustCatalog(t, facebookCatalog)
-	st := buildSocial(t, cat, 60, 5, 8, 11)
-	eng := NewEngine(st)
-	// No controlling set fixed: not controllable, naive fallback only.
-	q := mustQ(t, "QAll(p, name) := exists id (friend(p, id) and person(id, name, 'NYC'))")
-	ctx := context.Background()
-	full, err := eng.AnswerContext(ctx, q, query.Bindings{}, WithNaiveFallback())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Tuples.Len() < 2 {
-		t.Fatalf("workload too small: %d naive answers", full.Tuples.Len())
-	}
-	rows, err := eng.QueryContext(ctx, q, query.Bindings{}, WithNaiveFallback(), WithLimit(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := drainAll(t, rows)
-	if got.Len() != 1 {
-		t.Fatalf("limit 1 delivered %d answers", got.Len())
-	}
-	if rows.Plan() != nil {
-		t.Fatal("fallback rows should carry no bounded plan")
-	}
-	if !full.Tuples.Contains(got.Tuples()[0]) {
-		t.Fatalf("limited naive answer %v not among the full drain's", got.Tuples()[0])
-	}
-	if lim, fullReads := rows.Cost().TupleReads, full.Cost.TupleReads; lim >= fullReads {
-		t.Fatalf("limited naive cursor charged %d reads, full drain %d", lim, fullReads)
-	}
-}
-
 // TestRowsAllIterator: the range-over-func adapter delivers the same
 // answers as the manual Next loop and closes the cursor.
 func TestRowsAllIterator(t *testing.T) {

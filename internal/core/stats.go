@@ -17,7 +17,7 @@ type EngineStats struct {
 	PlanCache    PlanCacheStats `json:"plan_cache"`
 	PlanCacheLen int            `json:"plan_cache_len"`
 	// Optimizer is the engine's current plan optimizer mode, rendered as
-	// its EXPLAIN string ("off", "on", "on+stats").
+	// its EXPLAIN string ("off", "on").
 	Optimizer string `json:"optimizer"`
 	// CommitSeq is the engine's last commit sequence number (0 before the
 	// first commit); StoreSeq the backend commit log's own LSN, 0 when the
@@ -27,9 +27,6 @@ type EngineStats struct {
 	// CommittedVolume is the cumulative committed tuple volume (insertions
 	// + deletions) per relation since the engine was built.
 	CommittedVolume map[string]int64 `json:"committed_volume"`
-	// Recosts counts how many times committed volume crossed the re-cost
-	// threshold and aged the cached stats-ordered plans.
-	Recosts int64 `json:"recosts"`
 	// Watchers is the number of registered live subscriptions.
 	Watchers int `json:"watchers"`
 	// Views is the number of registered materialized views (broken ones
@@ -50,7 +47,6 @@ func (e *Engine) Stats() EngineStats {
 		Optimizer:       e.Optimizer().String(),
 		CommitSeq:       e.CommitSeq(),
 		CommittedVolume: e.CommittedVolume(),
-		Recosts:         e.Recosts(),
 		Watchers:        e.Watchers(),
 		Views:           e.NumViews(),
 		ViewEpoch:       e.ViewEpoch(),

@@ -2,6 +2,8 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
+	"slices"
 )
 
 // ChargedReads enforces the paper's charging discipline inside the
@@ -13,6 +15,12 @@ import (
 // every bound the admission controller reserved against it. Direct
 // calls that return stored tuples without charging, and construction of
 // the uncounted eval.DBSource oracle outside internal/eval, are errors.
+//
+// Charged is not enough where requests are answered (internal/core,
+// internal/server, internal/shard): there every answer must come from a
+// bounded plan, so calling the naive evaluator's counted full-scan entry
+// points (eval.NewStoreSource, eval.Stream) is an error too — its reads
+// are charged but grow with |D|, and no admission bound covers them.
 var ChargedReads = &Analyzer{
 	Name: "chargedreads",
 	Doc:  "store reads in serving code must flow through the ExecStats charging entry points",
@@ -22,6 +30,14 @@ var ChargedReads = &Analyzer{
 // chargedServingPkgs are the package-path suffixes where the discipline
 // is enforced — the packages that execute plans against live data.
 var chargedServingPkgs = []string{"internal/plan", "internal/eval", "internal/core"}
+
+// boundedServingPkgs are the package-path suffixes that answer requests,
+// where only bounded plans may evaluate queries.
+var boundedServingPkgs = []string{"internal/core", "internal/server", "internal/shard"}
+
+// unboundedEvals are the internal/eval functions that evaluate a query by
+// counted full scans.
+var unboundedEvals = []string{"NewStoreSource", "Stream"}
 
 // unchargedReads are the (receiver package suffix, receiver type,
 // method) triples that hand back stored data without touching
@@ -42,14 +58,11 @@ var unchargedReads = []struct {
 
 func runChargedReads(pass *Pass) {
 	path := pass.Pkg.Path
-	serving := false
-	for _, s := range chargedServingPkgs {
-		if suffixMatch(path, s) {
-			serving = true
-			break
-		}
+	inAny := func(suffixes []string) bool {
+		return slices.ContainsFunc(suffixes, func(s string) bool { return suffixMatch(path, s) })
 	}
-	if !serving {
+	charged, bounded := inAny(chargedServingPkgs), inAny(boundedServingPkgs)
+	if !charged && !bounded {
 		return
 	}
 	info := pass.Pkg.Info
@@ -57,8 +70,15 @@ func runChargedReads(pass *Pass) {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
+				if bounded {
+					if name, ok := unboundedEval(info, n); ok {
+						pass.Reportf(n.Pos(),
+							"unbounded evaluation: eval.%s answers by counted full scans whose reads grow with |D|; serving code answers through a bounded plan or fails with ErrNotControllable",
+							name)
+					}
+				}
 				sel, ok := n.Fun.(*ast.SelectorExpr)
-				if !ok {
+				if !ok || !charged {
 					return true
 				}
 				selection := info.Selections[sel]
@@ -77,7 +97,7 @@ func runChargedReads(pass *Pass) {
 			case *ast.CompositeLit:
 				// The DBSource oracle is uncounted by design; serving
 				// code must not construct one.
-				if suffixMatch(path, "internal/eval") {
+				if !charged || suffixMatch(path, "internal/eval") {
 					return true
 				}
 				if tv, ok := info.Types[ast.Expr(n)]; ok && isNamedType(tv.Type, "internal/eval", "DBSource") {
@@ -88,4 +108,21 @@ func runChargedReads(pass *Pass) {
 			return true
 		})
 	}
+}
+
+// unboundedEval reports whether call invokes one of the unboundedEvals,
+// returning its name.
+func unboundedEval(info *types.Info, call *ast.CallExpr) (string, bool) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return "", false
+	}
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || !suffixMatch(fn.Pkg().Path(), "internal/eval") {
+		return "", false
+	}
+	if fn.Type().(*types.Signature).Recv() != nil || !slices.Contains(unboundedEvals, fn.Name()) {
+		return "", false
+	}
+	return fn.Name(), true
 }

@@ -15,3 +15,11 @@ func (s DBSource) Contains(rel string, t relation.Tuple) bool {
 	//sivet:ignore chargedreads -- reference oracle: uncounted by design, never on the serving path
 	return s.DB.Rel(rel).Contains(t)
 }
+
+// Source is the charged full-scan source of the naive evaluator.
+type Source struct{}
+
+func NewStoreSource() Source              { return Source{} }
+func Stream(s Source) []relation.Tuple    { return nil }
+func Answers(s Source) []relation.Tuple   { return Stream(s) }
+func (s Source) Stream() []relation.Tuple { return nil }

@@ -17,18 +17,17 @@ import (
 // order with the smallest estimated cost, found by a depth-first branch
 // and bound over all orders (searchOrder) under a placement budget.
 // Filters and probes (bound ≈ 1, no new candidates) can run as soon as
-// their variables are bound, fetches cost their effective N per
-// candidate. "Effective" means the access schema's N, optionally refined
-// by live backend statistics (Stats); statistics influence ordering only
-// — the static bound reported by the plan is always derived from N alone,
-// so reads ≤ M stays a guarantee.
+// their variables are bound, fetches cost their N per candidate. Costs
+// come from the access schema alone, so the order the search picks and
+// the static bound the plan reports agree, and reads ≤ M stays a
+// guarantee.
 //
 // Each position propagates bound-variable knowledge sideways: a lookup
 // re-selects, among the plain access entries of its relation whose input
-// attributes are bound at that point, the one with the smallest effective
-// bound (e.g. a key entry instead of a broader secondary entry once the
-// key variable is bound by an earlier conjunct), and an atom all of whose
-// variables are bound compiles to a MembershipProbe. The rewrite is kept
+// attributes are bound at that point, the one with the smallest N (e.g.
+// a key entry instead of a broader secondary entry once the key variable
+// is bound by an earlier conjunct), and an atom all of whose variables
+// are bound compiles to a MembershipProbe. The rewrite is kept
 // only when its estimated cost is strictly below the analysis-emitted
 // order's estimate with the analysis-chosen entries — never-worse by
 // construction of the estimate.
@@ -36,9 +35,6 @@ type Optimizer struct {
 	// Acc is the access schema: the catalog of entries available for
 	// lookup re-selection.
 	Acc *access.Schema
-	// Stats, when non-nil, refines entry bounds with live backend
-	// cardinality statistics (store.EntryStats). Ordering only.
-	Stats store.EntryStats
 }
 
 // Optimize rewrites the tree rooted at n, returning the (possibly new)
@@ -70,17 +66,17 @@ func (o *Optimizer) Optimize(n Node) Node {
 		}
 		return n
 	case *ChaseExec:
-		o.reorderChase(v)
+		reorderChase(v)
 		return n
 	default:
 		return n
 	}
 }
 
-// reorderChase reschedules a chase's steps greedily by effective bound:
-// at every point, a ready equality propagation runs first (free, binds a
-// variable), otherwise the ready fetch with the smallest effective N. A
-// step is ready when the chase state already binds what it consumes — all
+// reorderChase reschedules a chase's steps greedily by N: at every
+// point, a ready equality propagation runs first (free, binds a
+// variable), otherwise the ready fetch with the smallest N. A step is
+// ready when the chase state already binds what it consumes — all
 // variables at a fetch's input positions, at least one side of a
 // propagation — which is exactly the condition the analysis-emitted order
 // satisfies, so any such schedule chases the same candidates (fetch
@@ -88,10 +84,8 @@ func (o *Optimizer) Optimize(n Node) Node {
 // bound them).
 //
 // The reorder is kept only under the same never-worse rule as join
-// chains: the stats-refined estimate must strictly beat the emitted
-// order's estimate AND the static N-derived bound must not regress — live
-// statistics influence ordering only, never the reported bound.
-func (o *Optimizer) reorderChase(n *ChaseExec) {
+// chains: its bound must strictly beat the emitted order's.
+func reorderChase(n *ChaseExec) {
 	if len(n.Steps) < 2 {
 		return
 	}
@@ -113,7 +107,7 @@ func (o *Optimizer) reorderChase(n *ChaseExec) {
 				best = i
 				break // free: run it now
 			}
-			if en := o.effN(s.Entry); best < 0 || en < bestN {
+			if en := int64(s.Entry.N); best < 0 || en < bestN {
 				best, bestN = i, en
 			}
 		}
@@ -124,11 +118,8 @@ func (o *Optimizer) reorderChase(n *ChaseExec) {
 		order = append(order, n.Steps[best])
 		bound = chaseStepAfter(n.Steps[best], bound)
 	}
-	if o.chaseEstimate(n, order, true) >= o.chaseEstimate(n, n.Steps, true) {
-		return // not strictly better under live statistics
-	}
-	if o.chaseEstimate(n, order, false) > o.chaseEstimate(n, n.Steps, false) {
-		return // static N-derived bound would regress
+	if chaseEstimate(n, order) >= chaseEstimate(n, n.Steps) {
+		return // not strictly better
 	}
 	// Re-derive each step's newly-bound variables for the new positions:
 	// Binds feeds the candidate multiplier of Bound(). Fresh slices — the
@@ -181,10 +172,9 @@ func chaseStepAfter(s ChaseStep, bound query.VarSet) query.VarSet {
 // chaseEstimate prices one step order, mirroring ChaseExec.Bound with the
 // newly-bound sets derived from the order itself: per-candidate reads per
 // fetch, candidate multiplication on binding fetches, one membership probe
-// per surviving candidate per membership atom. useStats refines entry
-// bounds with live statistics (estimation); without, it is the static
-// N-derived bound the reordered operator will report.
-func (o *Optimizer) chaseEstimate(n *ChaseExec, steps []ChaseStep, useStats bool) int64 {
+// per surviving candidate per membership atom. It is the static bound the
+// reordered operator will report.
+func chaseEstimate(n *ChaseExec, steps []ChaseStep) int64 {
 	bound := n.Need().Clone()
 	for v := range n.EqConsts {
 		bound[v] = true
@@ -196,9 +186,6 @@ func (o *Optimizer) chaseEstimate(n *ChaseExec, steps []ChaseStep, useStats bool
 			continue
 		}
 		en := int64(s.Entry.N)
-		if useStats {
-			en = o.effN(s.Entry)
-		}
 		reads = SatAdd(reads, SatMul(cands, en))
 		for _, p := range s.ProjPos {
 			if t := s.Atom.Args[p]; t.IsVar() && !bound.Contains(t.Name()) {
@@ -209,18 +196,6 @@ func (o *Optimizer) chaseEstimate(n *ChaseExec, steps []ChaseStep, useStats bool
 		bound = chaseStepAfter(s, bound)
 	}
 	return SatAdd(reads, SatMul(cands, int64(len(n.MembershipAtoms))))
-}
-
-// effN is the effective bound of an entry: the schema's N, refined by
-// live statistics when available. Estimation only — never a bound.
-func (o *Optimizer) effN(e access.Entry) int64 {
-	n := int64(e.N)
-	if o.Stats != nil {
-		if m, ok := o.Stats.MaxGroup(e); ok && int64(m) < n {
-			n = int64(m)
-		}
-	}
-	return n
 }
 
 // member is one flattened conjunct of a join chain.
@@ -337,7 +312,7 @@ type entryOpt struct {
 	e     access.Entry
 	onPos []int
 	on    uint64 // variables at onPos: the entry is usable once these are bound
-	n     int64  // effective N
+	n     int64  // the entry's N
 }
 
 // step is one access decision: member m at its position in an order,
@@ -386,7 +361,7 @@ func (vb *varBits) at(a *query.Atom, positions []int) (m uint64) {
 }
 
 // encode numbers the chain's variables and encodes its members, pricing
-// every candidate entry once (effN may consult live statistics). It
+// every candidate entry once. It
 // returns false for a chain with more than 64 variables or members.
 func (o *Optimizer) encode(members []member, ctrl query.VarSet) ([]chainMember, uint64, bool) {
 	if len(members) > 64 {
@@ -410,7 +385,7 @@ func (o *Optimizer) encode(members []member, ctrl query.VarSet) ([]chainMember, 
 		if m.entry.Rel == "" {
 			continue // a MembershipProbe member: no entry to fetch through
 		}
-		cm.opts = append(cm.opts, entryOpt{e: m.entry, onPos: m.onPos, on: vb.at(m.atom, m.onPos), n: o.effN(m.entry)})
+		cm.opts = append(cm.opts, entryOpt{e: m.entry, onPos: m.onPos, on: vb.at(m.atom, m.onPos), n: int64(m.entry.N)})
 		rs, ok := o.Acc.Relational().Rel(m.atom.Rel)
 		if !ok {
 			continue
@@ -425,7 +400,7 @@ func (o *Optimizer) encode(members []member, ctrl query.VarSet) ([]chainMember, 
 			if err != nil {
 				continue
 			}
-			cm.opts = append(cm.opts, entryOpt{e: e, onPos: onPos, on: vb.at(m.atom, onPos), n: o.effN(e)})
+			cm.opts = append(cm.opts, entryOpt{e: e, onPos: onPos, on: vb.at(m.atom, onPos), n: int64(e.N)})
 		}
 	}
 	return cms, ctrlBits, !vb.full
@@ -455,7 +430,7 @@ func place(cms []chainMember, i int, bound uint64, head, keep bool) (step, bool)
 	if keep {
 		opts = opts[:min(1, len(opts))]
 	}
-	// The usable entry with the smallest effective bound; the analysis
+	// The usable entry with the smallest N; the analysis
 	// entry comes first, so ties keep it.
 	for j, e := range opts {
 		if e.on&^bound == 0 && (s.opt < 0 || e.n < s.reads) {

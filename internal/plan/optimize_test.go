@@ -15,14 +15,6 @@ import (
 	"repro/internal/relation"
 )
 
-// entryStats is a canned store.EntryStats keyed by entry text.
-type entryStats map[string]int
-
-func (s entryStats) MaxGroup(e access.Entry) (int, bool) {
-	n, ok := s[e.String()]
-	return n, ok
-}
-
 // refPlace is the reference access decision for m at a position where
 // bound is bound: the optimizer's rules, stated over variable-set maps.
 func refPlace(o *Optimizer, m member, bound query.VarSet, head, keep bool) (reads, cands int64, ok bool) {
@@ -46,7 +38,7 @@ func refPlace(o *Optimizer, m member, bound query.VarSet, head, keep bool) (read
 	}
 	best := int64(-1)
 	if usable(m.onPos) {
-		best = o.effN(m.entry)
+		best = int64(m.entry.N)
 	}
 	if !keep {
 		rs, _ := o.Acc.Relational().Rel(m.atom.Rel)
@@ -58,7 +50,7 @@ func refPlace(o *Optimizer, m member, bound query.VarSet, head, keep bool) (read
 			if err != nil || !usable(onPos) {
 				continue
 			}
-			if n := o.effN(e); best < 0 || n < best {
+			if n := int64(e.N); best < 0 || n < best {
 				best = n
 			}
 		}
@@ -150,7 +142,7 @@ func refGreedy(o *Optimizer, ms []member, ctrl query.VarSet) (int64, bool) {
 // randomChain builds a random optimizer input over four relations: a
 // left-deep chain of lookups (through random analysis entries), condition
 // filters and anti filters, controlled by v0 (and sometimes v1), with a
-// random access schema and, sometimes, live statistics.
+// random access schema.
 func randomChain(rng *rand.Rand, members, vars int) (*Optimizer, Node) {
 	attrs := []string{"a", "b", "c"}
 	var rels []relation.RelSchema
@@ -158,7 +150,6 @@ func randomChain(rng *rand.Rand, members, vars int) (*Optimizer, Node) {
 		rels = append(rels, relation.MustRelSchema(fmt.Sprintf("r%d", r), attrs[:2+rng.Intn(2)]...))
 	}
 	acc := access.New(relation.MustSchema(rels...))
-	stats := entryStats{}
 	ns := []int{0, 1, 2, 5, 10, 50, 100}
 	for _, rs := range rels {
 		for k := 1 + rng.Intn(3); k > 0; k-- {
@@ -173,15 +164,9 @@ func randomChain(rng *rand.Rand, members, vars int) (*Optimizer, Node) {
 				e = access.Embedded(rs.Name, on, rs.Attrs, e.N, 1) // never selected by a lookup
 			}
 			acc.MustAdd(e)
-			if rng.Intn(3) == 0 {
-				stats[e.String()] = rng.Intn(e.N + 1)
-			}
 		}
 	}
 	o := &Optimizer{Acc: acc}
-	if rng.Intn(2) == 0 {
-		o.Stats = stats
-	}
 	v := func() query.Term { return query.Var(fmt.Sprintf("v%d", rng.Intn(vars))) }
 	ctrl := query.NewVarSet("v0")
 	if rng.Intn(2) == 0 {

@@ -27,16 +27,16 @@
 //     plan (Proposition 4.5), one ChaseStep per bounded action;
 //   - Project — existential projection / restriction to a target
 //     variable set, with deduplication;
-//   - NaiveScan — a full relation scan (the naive fallback's leaf; never
-//     part of a bounded plan).
+//   - NaiveScan — a full relation scan (the naive evaluator's leaf,
+//     internal/eval; never part of a bounded plan).
 //
 // Every operator streams: Stream compiles to a resumable iter.Seq2
 // generator, so store work is charged only as the consumer pulls, and the
 // eager entry points in internal/core are plain drains. Every operator
 // also carries a static cost bound derived from the access schema's N
-// values alone (Theorem 4.2's M) — the optimizer in optimize.go may use
-// runtime cardinality statistics to *order* operators, but bounds are
-// always schema-derived, so "reads ≤ M" is a guarantee, not an estimate.
+// values alone (Theorem 4.2's M) — the optimizer in optimize.go orders
+// operators by the same N, never by runtime statistics, so "reads ≤ M" is
+// a guarantee, not an estimate.
 package plan
 
 import (

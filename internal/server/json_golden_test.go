@@ -32,11 +32,10 @@ func TestObservabilityJSONGolden(t *testing.T) {
 					Size:            9,
 					PlanCache:       core.PlanCacheStats{Hits: 1, Misses: 2, Evictions: 3},
 					PlanCacheLen:    4,
-					Optimizer:       "on+stats",
+					Optimizer:       "on",
 					CommitSeq:       5,
 					StoreSeq:        6,
 					CommittedVolume: map[string]int64{"friend": 7},
-					Recosts:         8,
 					Watchers:        10,
 				},
 				Tenants: map[string]TenantStats{"t0": {
@@ -52,8 +51,8 @@ func TestObservabilityJSONGolden(t *testing.T) {
 				Draining: true,
 			},
 			`{"engine":{"size":9,"plan_cache":{"hits":1,"misses":2,"evictions":3},` +
-				`"plan_cache_len":4,"optimizer":"on+stats","commit_seq":5,"store_seq":6,` +
-				`"committed_volume":{"friend":7},"recosts":8,"watchers":10},` +
+				`"plan_cache_len":4,"optimizer":"on","commit_seq":5,"store_seq":6,` +
+				`"committed_volume":{"friend":7},"watchers":10},` +
 				`"tenants":{"t0":{"admitted":11,"rejected_bound":12,"rejected_budget":13,` +
 				`"rejected_concurrency":14,"inflight":15,"measured_reads":16,"measured_answers":17}},` +
 				`"handles":18,"draining":true}`,
@@ -72,7 +71,6 @@ func TestObservabilityJSONGolden(t *testing.T) {
 					Memberships:  8,
 					TimeUnits:    9,
 				},
-				Recosted: true,
 				Phases: core.CommitPhases{
 					Validate: 1 * time.Nanosecond,
 					Maintain: 2 * time.Nanosecond,
@@ -82,7 +80,7 @@ func TestObservabilityJSONGolden(t *testing.T) {
 			},
 			`{"seq":1,"store_seq":2,"size":3,"watchers":4,` +
 				`"maintenance":{"tuple_reads":5,"index_lookups":6,"scans":7,"memberships":8,"time_units":9},` +
-				`"recosted":true,"phases":{"validate":1,"maintain":2,"apply":3,"notify":4}}`,
+				`"phases":{"validate":1,"maintain":2,"apply":3,"notify":4}}`,
 		},
 	}
 	for _, g := range golden {

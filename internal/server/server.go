@@ -436,7 +436,6 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 		MaintenanceReads: res.Maintenance.TupleReads,
 		ViewsMaintained:  res.ViewsMaintained,
 		ViewReads:        res.ViewReads,
-		Recosted:         res.Recosted,
 		Phases:           res.Phases,
 	})
 }

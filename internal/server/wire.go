@@ -264,7 +264,6 @@ type CommitResponse struct {
 	// maintenance charged.
 	ViewsMaintained int   `json:"views_maintained,omitempty"`
 	ViewReads       int64 `json:"view_reads,omitempty"`
-	Recosted        bool  `json:"recosted"`
 	// Phases is the commit pipeline's wall-time breakdown
 	// (core.CommitPhases), durations in nanoseconds.
 	Phases core.CommitPhases `json:"phases"`

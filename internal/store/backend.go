@@ -183,9 +183,9 @@ type DDL interface {
 
 // EntryStats is optionally implemented by backends that can report actual
 // data statistics for an access entry: MaxGroup returns an upper bound on
-// the current size of any σ_X=ā group served by e (for the cost-based
-// optimizer's stats mode), with ok = false when unknown. Estimates only:
-// static read bounds always come from the access schema's N values.
+// the current size of any σ_X=ā group served by e, with ok = false when
+// unknown. A data-dependent refinement of N for diagnostics; plan
+// ordering and static read bounds come from the access schema's N alone.
 type EntryStats interface {
 	MaxGroup(e access.Entry) (n int, ok bool)
 }

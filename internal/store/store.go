@@ -450,8 +450,7 @@ func (db *DB) ResetCounters() Counters { return db.counters.SwapZero() }
 
 // MaxGroup implements the optional EntryStats interface: the size of the
 // largest group currently served by e's index — an exact, data-dependent
-// refinement of the entry's declared N, used by the cost-based optimizer's
-// stats mode to order plan operators. It never loosens anything: static
+// refinement of the entry's declared N. It never loosens anything: static
 // read bounds always come from N.
 func (db *DB) MaxGroup(e access.Entry) (int, bool) {
 	db.mu.RLock()

@@ -63,9 +63,12 @@
 //	// order: friend(p, id), person(id, name, 'NYC')
 //	// ...operator tree with per-operator bounds...
 //
-// Static bounds always come from the access schema's N values; optimizer
-// statistics (OptimizerStats) influence operator order only, so measured
-// reads stay within the plan's bound M on every backend.
+// Bounds and ordering both come from the access schema's N values, so
+// measured reads stay within the plan's bound M on every backend. Every
+// served answer has such a bound: a query that is not controllable for the
+// fixed variables fails with ErrNotControllable unless a materialized
+// view rescues it (Engine.CreateView, Theorem 6.1); it is never answered
+// by full scans.
 //
 // The write path mirrors the read path's prepare-once discipline: mutate
 // through the transactional eng.Commit rather than the raw backend, and
@@ -94,8 +97,8 @@
 // is enforced as a runtime budget. Queries outside the maintainable class
 // watch with WithReexec (bounded re-execution per commit); a watch of an
 // unmaintainable query without it fails with ErrWatchNotMaintainable.
-// Commit also tracks committed update volume per relation and re-costs
-// cached OptimizerStats plans once drift crosses Engine.SetRecostThreshold.
+// Commit also tracks committed update volume per relation
+// (EngineStats.CommittedVolume).
 //
 // The same lifecycle is served over the network by internal/server and
 // cmd/siserve: POST /prepare returns a plan handle with the static bound
@@ -154,7 +157,7 @@ type (
 	// times concurrently (Engine.Prepare).
 	PreparedQuery = core.PreparedQuery
 	// ExecOption configures one execution: WithMaxReads, WithLimit,
-	// WithoutTrace, WithNaiveFallback.
+	// WithoutTrace, WithAnalyze, WithRequestID.
 	ExecOption = core.ExecOption
 	// Rows is a pull-based answer cursor (PreparedQuery.Query,
 	// Engine.QueryContext): reads are charged only as answers are pulled.
@@ -183,10 +186,9 @@ type (
 	// Counters are accumulated access-path work measurements.
 	Counters = store.Counters
 	// OptimizerMode selects how Prepare compiles derivations into physical
-	// plans: OptimizerOff (analysis order), OptimizerOn (cost-based
-	// reordering on access-constraint N bounds — the default), or
-	// OptimizerStats (plus live backend cardinality statistics). Set it
-	// per engine with Engine.SetOptimizer.
+	// plans: OptimizerOff (analysis order) or OptimizerOn (cost-based
+	// reordering on access-constraint N bounds — the default). Set it per
+	// engine with Engine.SetOptimizer.
 	OptimizerMode = core.OptimizerMode
 	// PlanCacheStats are the engine plan cache's hit/miss/evict counters
 	// (Engine.PlanCacheStats).
@@ -219,11 +221,6 @@ type (
 	Versioned = store.Versioned
 )
 
-// DefaultRecostThreshold is the default per-relation committed update
-// volume after which cached stats-ordered plans are re-costed
-// (Engine.SetRecostThreshold).
-const DefaultRecostThreshold = core.DefaultRecostThreshold
-
 // Plan optimizer modes for Engine.SetOptimizer.
 const (
 	// OptimizerOff compiles the analysis-emitted derivation 1:1.
@@ -232,10 +229,6 @@ const (
 	// under the access schema's N bounds (exact branch and bound) and
 	// re-selects access entries as variables become bound.
 	OptimizerOn = core.OptimizerOn
-	// OptimizerStats additionally refines ordering with live backend
-	// cardinality statistics; static bounds still come from the access
-	// schema.
-	OptimizerStats = core.OptimizerStats
 )
 
 // Typed error taxonomy: every load-bearing failure of Prepare/Exec wraps
@@ -272,9 +265,6 @@ var (
 	WithMaxReads = core.WithMaxReads
 	// WithoutTrace skips witness-set (D_Q) bookkeeping on the hot path.
 	WithoutTrace = core.WithoutTrace
-	// WithNaiveFallback falls back to naive evaluation when the query is
-	// not controllable (still budget-limited; Answer.Plan is nil).
-	WithNaiveFallback = core.WithNaiveFallback
 	// WithAnalyze records per-operator runtime counters (rows, reads,
 	// wall time, shard fan-out) for Rows.Analyze / EXPLAIN ANALYZE.
 	WithAnalyze = core.WithAnalyze
