@@ -41,13 +41,15 @@ sivet:
 ## fuzz-smoke: the CI fuzz gate — each native fuzz target gets a 10s
 ## coverage-guided run: the DSL parser (no panics, positioned errors,
 ## print→parse fixpoint), the Prometheus exporter against its own strict
-## parser, the injective tuple-key encoding every index rides on, and the
-## TupleSet hash table against a map under random operation sequences.
+## parser, the injective tuple-key encoding every index rides on, the
+## TupleSet hash table against a map under random operation sequences,
+## and the /query row codec against encoding/json from both ends.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDSLParser -fuzztime=10s ./internal/parser/
 	$(GO) test -run=NONE -fuzz=FuzzExpfmtRoundTrip -fuzztime=10s ./internal/obs/
 	$(GO) test -run=NONE -fuzz=FuzzTupleKeyInjective -fuzztime=10s ./internal/relation/
 	$(GO) test -run=NONE -fuzz=FuzzTupleSetOps -fuzztime=10s ./internal/relation/
+	$(GO) test -run=NONE -fuzz=FuzzQueryLine -fuzztime=10s ./internal/server/
 
 ## overhead-gate: the CI instrumentation budget — default-on telemetry
 ## must cost at most 5% wall time on the prepared-exec hot path.

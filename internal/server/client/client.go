@@ -166,7 +166,9 @@ func WithRequestID(id string) QueryOption {
 // server-side cursor and stops further reads.
 type Rows struct {
 	body  io.ReadCloser
-	dec   *json.Decoder
+	br    *bufio.Reader
+	long  []byte         // a line longer than br's buffer, reassembled
+	vals  relation.Tuple // ScanRowLine's scratch
 	head  []string
 	bound int64
 	cur   relation.Tuple
@@ -201,9 +203,13 @@ func (p *Prepared) Query(ctx context.Context, fixed query.Bindings, opts ...Quer
 		defer resp.Body.Close()
 		return nil, decodeError(resp)
 	}
-	r := &Rows{body: resp.Body, dec: json.NewDecoder(resp.Body)}
+	r := &Rows{body: resp.Body, br: bufio.NewReaderSize(resp.Body, lineBufSize)}
 	var line server.QueryLine
-	if err := r.dec.Decode(&line); err != nil {
+	raw, err := r.readLine()
+	if err == nil {
+		err = json.Unmarshal(raw, &line)
+	}
+	if err != nil {
 		resp.Body.Close()
 		return nil, fmt.Errorf("client: reading stream head: %w", err)
 	}
@@ -215,14 +221,52 @@ func (p *Prepared) Query(ctx context.Context, fixed query.Bindings, opts ...Quer
 	return r, nil
 }
 
+// lineBufSize is the stream reader's buffer; it holds any ordinary
+// answer line, and a longer one is reassembled in Rows.long.
+const lineBufSize = 512
+
+// readLine returns the next stream line without its newline. The slice
+// is valid until the next call. At the end of the stream it returns
+// io.EOF; a last line cut short by the end comes back with a nil error,
+// so decoding it reports the truncation.
+func (r *Rows) readLine() ([]byte, error) {
+	line, err := r.br.ReadSlice('\n')
+	if errors.Is(err, bufio.ErrBufferFull) {
+		r.long = append(r.long[:0], line...)
+		for errors.Is(err, bufio.ErrBufferFull) {
+			line, err = r.br.ReadSlice('\n')
+			r.long = append(r.long, line...)
+		}
+		line = r.long
+	}
+	switch {
+	case err == nil:
+		return line[:len(line)-1], nil
+	case errors.Is(err, io.EOF) && len(line) > 0:
+		return line, nil
+	default:
+		return nil, err
+	}
+}
+
 // Next advances to the next answer, blocking until the server streams
 // one. It returns false at end of stream or on error — check Err.
 func (r *Rows) Next() bool {
 	if r.done || r.err != nil {
 		return false
 	}
+	raw, err := r.readLine()
 	var line server.QueryLine
-	if err := r.dec.Decode(&line); err != nil {
+	if err == nil {
+		var ok bool
+		if r.vals, ok = server.ScanRowLine(r.vals[:0], raw); ok {
+			r.cur = make(relation.Tuple, len(r.vals))
+			copy(r.cur, r.vals)
+			return true
+		}
+		err = json.Unmarshal(raw, &line)
+	}
+	if err != nil {
 		r.done = true
 		if !errors.Is(err, io.EOF) {
 			r.err = fmt.Errorf("client: reading stream: %w", err)

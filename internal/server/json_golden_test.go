@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"regexp"
@@ -9,6 +11,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/query"
+	"repro/internal/relation"
 	"repro/internal/store"
 )
 
@@ -150,5 +154,85 @@ func TestWireTagsSnakeCase(t *testing.T) {
 	}
 	if len(seen) < len(roots) {
 		t.Fatalf("walked %d struct types from %d roots; type aliasing collapsed the surface?", len(seen), len(roots))
+	}
+}
+
+// goldenStream is the full /query stream of the stream fixture for k=1.
+const goldenStream = `{"head":["v","w"],"bound":2200}
+{"row":["plain",-3]}
+{"row":["a\u0026b",-2]}
+{"row":["1\u003e0",-1]}
+{"row":["\u003ctag\u003e",0]}
+{"row":["x\u2028y\u2029",1]}
+{"row":["\ufffdz",2]}
+{"row":["q\"\\",3]}
+{"row":["tab\t",4]}
+{"row":["é",5]}
+{"stats":{"answers":9,"reads":18,"bound":2200}}
+`
+
+// TestQueryStreamGolden pins the /query stream byte for byte: the head;
+// rows with ints and with strings that need every escape encoding/json
+// makes (<, >, &, U+2028/U+2029, invalid UTF-8, quote and backslash, a
+// control byte) or none (non-ASCII); the stats line; and a stream a read
+// budget cuts after its first rows, with its error line. Both streams
+// must equal what json.Encoder wrote per QueryLine — the reflection path
+// the hand-written codec replaced — for the same execution in process.
+func TestQueryStreamGolden(t *testing.T) {
+	srv, eng := streamServer(t)
+	q, err := parseServing(streamQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := eng.Prepare(q, query.NewVarSet("k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	encoderStream := func(maxReads int64) []byte {
+		charge := prep.Plan().Bound.Reads
+		opts := []core.ExecOption{core.WithoutTrace()}
+		if maxReads > 0 {
+			charge = min(charge, maxReads)
+			opts = append(opts, core.WithMaxReads(maxReads))
+		}
+		rows, err := prep.Query(context.Background(), query.Bindings{"k": relation.Int(1)}, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rows.Close()
+		out := encoderLine(t, QueryLine{Head: rows.Head(), Bound: charge})
+		var n int64
+		for rows.Next() {
+			out = append(out, encoderLine(t, refRow(rows.Tuple()))...)
+			n++
+		}
+		if err := rows.Err(); err != nil {
+			return append(out, encoderLine(t, QueryLine{Error: bodyFor(err)})...)
+		}
+		st := &QueryStats{Answers: n, Reads: rows.Cost().TupleReads, Bound: charge}
+		return append(out, encoderLine(t, QueryLine{Stats: st})...)
+	}
+
+	full := serveQuery(t, srv, 1, 0).body.Bytes()
+	if want := encoderStream(0); !bytes.Equal(full, want) {
+		t.Fatalf("/query stream drifted from json.Encoder:\n got %s\nwant %s", full, want)
+	}
+	if string(full) != goldenStream {
+		t.Fatalf("/query stream drifted from its golden:\n got %s\nwant %s", full, goldenStream)
+	}
+
+	var last QueryLine
+	lines := bytes.Split(bytes.TrimSuffix(full, []byte("\n")), []byte("\n"))
+	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil || last.Stats == nil {
+		t.Fatalf("no stats line: %s (%v)", lines[len(lines)-1], err)
+	}
+	cut := last.Stats.Reads - 2
+	got := serveQuery(t, srv, 1, cut).body.Bytes()
+	want := encoderStream(cut)
+	if !bytes.Contains(want, []byte(`{"row":`)) || !bytes.Contains(want, []byte(`{"error":{"code":"budget_exceeded"`)) {
+		t.Fatalf("max_reads %d does not cut the stream mid-way:\n%s", cut, want)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("mid-stream error stream drifted from json.Encoder:\n got %s\nwant %s", got, want)
 	}
 }

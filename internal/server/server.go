@@ -319,12 +319,17 @@ func (s *Server) handle(id string) *handle {
 
 // handleQuery admits and executes one prepared query, streaming the
 // answer as NDJSON: a head line carrying the enforced read bound, one
-// line per answer flushed as produced (a client that stops reading after
-// LIMIT answers saves the server the remaining reads), and a terminal
-// stats-or-error line. The admission charge is the effective entitlement
-// min(static bound M, client max_reads), reserved against the tenant's
-// window budget up front and refunded down to the measured reads on
-// completion.
+// line per answer, and a terminal stats-or-error line. Lines collect in
+// one pooled buffer. The head and the first answer go out together in
+// one write and flush, so the first answer reaches the client as soon as
+// it exists; after that the buffer is written when it passes
+// flushBytes, and once more at the end. Early termination still holds:
+// LIMIT stops the cursor server-side, and a client that disconnects
+// cancels the request context (or fails the next write), which ends the
+// cursor before its remaining reads are issued. The admission charge is
+// the effective entitlement min(static bound M, client max_reads),
+// reserved against the tenant's window budget up front and refunded down
+// to the measured reads on completion.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -389,30 +394,53 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	enc.Encode(QueryLine{Head: rows.Head(), Bound: charge})
-	if flusher != nil {
-		flusher.Flush()
-	}
-	for rows.Next() {
-		if err := enc.Encode(QueryLine{Row: EncodeRow(rows.Tuple())}); err != nil {
-			return // client went away; defer settles admission
+	bp := lineBufs.Get().(*[]byte)
+	buf := AppendHeadLine((*bp)[:0], rows.Head(), charge)
+	defer func() {
+		if cap(buf) <= maxPooledBuf {
+			*bp = buf[:0]
+			lineBufs.Put(bp)
 		}
+	}()
+	for rows.Next() {
+		buf = AppendRowLine(buf, rows.Tuple())
 		answers++
-		if flusher != nil {
-			flusher.Flush()
+		if answers == 1 || len(buf) >= flushBytes {
+			if _, err := w.Write(buf); err != nil {
+				return // client went away; defer settles admission
+			}
+			buf = buf[:0]
+			if flusher != nil {
+				flusher.Flush()
+			}
 		}
 	}
 	if err := rows.Err(); err != nil {
-		enc.Encode(QueryLine{Error: bodyFor(err)})
-		return
+		buf = appendErrorLine(buf, bodyFor(err))
+	} else {
+		buf = AppendStatsLine(buf, QueryStats{
+			Answers: answers,
+			Reads:   rows.Cost().TupleReads,
+			Bound:   charge,
+		})
 	}
-	enc.Encode(QueryLine{Stats: &QueryStats{
-		Answers: answers,
-		Reads:   rows.Cost().TupleReads,
-		Bound:   charge,
-	}})
+	// The handler's return flushes this last write.
+	w.Write(buf) //nolint:errcheck // the stream is over either way
 }
+
+// flushBytes is the /query stream's write threshold after the first
+// answer: buffered lines go out once they pass it. maxPooledBuf caps
+// the buffers lineBufs keeps, so one huge answer does not pin memory.
+const (
+	flushBytes   = 4 << 10
+	maxPooledBuf = 64 << 10
+)
+
+// lineBufs pools the /query stream's line buffers.
+var lineBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 2*flushBytes)
+	return &b
+}}
 
 // handleCommit applies one transactional update through Engine.Commit and
 // returns the commit result (engine sequence, store LSN, bounded

@@ -159,6 +159,47 @@ func TestWireConformance(t *testing.T) {
 	}
 }
 
+// TestWireBoolean runs Boolean queries over the wire: a true one streams
+// one zero-arity answer ({"row":[]}), a false one none, and the client's
+// Exec equals the in-process Exec for both.
+func TestWireBoolean(t *testing.T) {
+	ctx := context.Background()
+	ti := newTier(t, openSingle, server.Config{})
+	for _, c := range []struct {
+		src  string
+		want int
+	}{
+		{"B() :- friend(1, id)", 1},
+		{"B() :- friend(-1, id)", 0},
+	} {
+		remote, err := ti.cl.Prepare(ctx, c.src)
+		if err != nil {
+			t.Fatalf("%s: remote prepare: %v", c.src, err)
+		}
+		want, err := mustPrepare(t, ti.eng, c.src, nil).Exec(ctx, nil)
+		if err != nil {
+			t.Fatalf("%s in-process: %v", c.src, err)
+		}
+		tuples, stats, err := remote.Exec(ctx, nil)
+		if err != nil {
+			t.Fatalf("%s over wire: %v", c.src, err)
+		}
+		got := relation.NewTupleSet(len(tuples))
+		got.AddAll(tuples)
+		if len(tuples) != c.want || !got.Equal(want.Tuples) {
+			t.Fatalf("%s: %v over wire, %v in-process, want %d answers", c.src, tuples, want.Tuples.Tuples(), c.want)
+		}
+		for _, tup := range tuples {
+			if len(tup) != 0 {
+				t.Fatalf("%s: Boolean answer %v has arity %d", c.src, tup, len(tup))
+			}
+		}
+		if stats.Answers != int64(c.want) || stats.Reads != want.Cost.TupleReads {
+			t.Fatalf("%s: stats %+v, in-process reads %d", c.src, stats, want.Cost.TupleReads)
+		}
+	}
+}
+
 // TestWireLimitBudgetDeadline pins the execution controls over the wire:
 // LIMIT early-terminates server-side (fewer reads than the full drain),
 // max_reads surfaces ErrBudgetExceeded through the stream, and an

@@ -44,19 +44,23 @@ type Val relation.Value
 
 // MarshalJSON encodes the value in its natural JSON shape.
 func (v Val) MarshalJSON() ([]byte, error) {
-	rv := relation.Value(v)
-	switch rv.Kind() {
-	case relation.KindInt:
-		return strconv.AppendInt(nil, rv.AsInt(), 10), nil
-	case relation.KindString:
-		return json.Marshal(rv.AsString())
-	default:
-		return []byte("null"), nil
-	}
+	return appendValue(nil, relation.Value(v)), nil
 }
 
-// UnmarshalJSON decodes a JSON number (int64), string, or null.
+// UnmarshalJSON decodes a JSON number (int64), string, or null. A plain
+// int64 literal, an escape-free string and null are read directly;
+// everything else takes the exact json.Decoder path.
 func (v *Val) UnmarshalJSON(b []byte) error {
+	if x, n, ok := scanValue(b); ok && n == len(b) {
+		*v = Val(x)
+		return nil
+	}
+	return v.unmarshalExact(b)
+}
+
+// unmarshalExact decodes b through json.Decoder: the reference semantics
+// for every form scanValue does not take, errors included.
+func (v *Val) unmarshalExact(b []byte) error {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.UseNumber()
 	var raw any
@@ -82,6 +86,9 @@ func (v *Val) UnmarshalJSON(b []byte) error {
 
 // Row is the wire form of a tuple: a JSON array of Vals.
 type Row []Val
+
+// MarshalJSON encodes the row with the /query stream's row appender.
+func (r Row) MarshalJSON() ([]byte, error) { return appendRow(nil, r), nil }
 
 // EncodeRow converts a tuple to its wire form.
 func EncodeRow(t relation.Tuple) Row {
