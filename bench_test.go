@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/incr"
 	"repro/internal/obs"
 	"repro/internal/qdsi"
 	"repro/internal/query"
@@ -97,18 +96,40 @@ func BenchmarkControllabilityAnalysis(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalMaintenance measures one maintained visit insertion
-// for Q2 on a 10k-person graph.
+// BenchmarkIncrementalMaintenance measures one commit of a visit
+// insertion or deletion with Q2 watched for one person on a 10k-person
+// graph: Engine.Commit maintaining the Live handle.
 func BenchmarkIncrementalMaintenance(b *testing.B) {
 	eng, st := socialEngine(b, 10000)
 	q2, err := ParseCQ(workload.Q2Src)
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := incr.NewCQMaintainer(eng, q2, Bindings{"p": Int(7)})
+	q, err := q2.Query()
 	if err != nil {
 		b.Fatal(err)
 	}
+	fixed := Bindings{"p": Int(7)}
+	prep, err := eng.Prepare(q, fixed.Vars())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	live, err := prep.Watch(ctx, fixed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Drain the deltas so the queue stays short; Close ends the stream.
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for range live.Deltas() {
+		}
+	}()
+	defer func() {
+		live.Close()
+		<-drained
+	}()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -119,7 +140,7 @@ func BenchmarkIncrementalMaintenance(b *testing.B) {
 		} else {
 			u.Insert("visit", t)
 		}
-		if _, _, err := m.Apply(u); err != nil {
+		if _, err := eng.Commit(ctx, u); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -27,7 +28,11 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "run smaller instances")
 	markdown := flag.Bool("markdown", false, "emit markdown tables")
-	only := flag.String("only", "", "run a single experiment by id (T1, F1a, F1b, F1c, X4.4, X4.5, X5.4, X6.1, XGLT)")
+	var ids []string
+	for _, e := range bench.All() {
+		ids = append(ids, e.ID)
+	}
+	only := flag.String("only", "", "run a single experiment by id ("+strings.Join(ids, ", ")+")")
 	flag.Parse()
 
 	start := time.Now()

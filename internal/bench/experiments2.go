@@ -1,16 +1,15 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
 
-	"repro/internal/access"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/parser"
 	"repro/internal/query"
-	"repro/internal/ra"
 	"repro/internal/relation"
 	"repro/internal/store"
 	"repro/internal/views"
@@ -70,7 +69,7 @@ func X44QCntl(quick bool) ([]*Table, error) {
 // access schema (366-day bound + FD), bounded vs naive as |D| grows.
 func X45Embedded(quick bool) ([]*Table, error) {
 	t := NewTable("X4.5", "Q3(rn, p₀, 2013) with embedded entries: bounded vs naive",
-		"persons", "|D|", "naive reads", "bounded reads+probes", "answers match")
+		"persons", "|D|", "naive reads", "bounded reads+probes")
 	sizes := []int{500, 2000}
 	if quick {
 		sizes = []int{300, 1200}
@@ -96,69 +95,135 @@ func X45Embedded(quick bool) ([]*Table, error) {
 			return nil, err
 		}
 		c := st.Counters()
-		t.Row(n, st.Size(), naiveReads, c.TupleReads+c.Memberships, ans.Tuples.Equal(naive))
+		if !ans.Tuples.Equal(naive) {
+			return nil, fmt.Errorf("X4.5: bounded and naive answers differ at n=%d", n)
+		}
+		t.Row(n, st.Size(), naiveReads, c.TupleReads+c.Memberships)
 	}
-	t.Notes = "without the embedded entries Q3 is not (p,yy)-controlled (Example 4.1); with them the chase gives a bounded plan."
+	t.Notes = "without the embedded entries Q3 is not (p,yy)-controlled (Example 4.1); with them the chase gives a bounded plan. Answers identical."
 	return []*Table{t}, nil
 }
 
-// X54RAA is Theorem 5.4: RAA-derived incremental scale independence of a
-// join, measured as base reads per update across database sizes.
-func X54RAA(quick bool) ([]*Table, error) {
-	t := NewTable("X5.4", "σ_a=ā(R ⋈ S) incremental maintenance: base reads per update vs |D|",
-		"|D|", "(E,X)∈RAA", "(E∆,X),(E∇,X)∈RAA", "reads/update", "exact")
-	s := relation.MustSchema(
-		relation.MustRelSchema("R", "a", "b"),
-		relation.MustRelSchema("S", "b", "c"),
-	)
-	acc := access.New(s)
-	acc.MustAdd(access.Plain("R", []string{"a"}, 4, 1))
-	acc.MustAdd(access.Plain("S", []string{"b"}, 4, 1))
-	rRel, _ := s.Rel("R")
-	sRel, _ := s.Rel("S")
-	join := ra.NewJoin(ra.NewRel(rRel), ra.NewRel(sRel))
-	x := query.NewVarSet("a")
-	si, err := ra.ScaleIndependent(join, acc, x)
+// X54Maintenance is Theorem 5.4 / Proposition 5.5 on the serving engine:
+// Q(a,b,c) := R(a,b) ∧ S(b,c) prepared on {a} and watched at a = ā, under
+// a mixed insert/delete stream on R and S that touches ā's groups. Every
+// commit is maintained by Engine.Commit; the snapshot is checked against
+// recomputation after each one.
+func X54Maintenance(quick bool) ([]*Table, error) {
+	t := NewTable("X5.4", "σ_a=ā(R ⋈ S) watched on {a}: maintenance reads per update vs |D|",
+		"|D|", "controlled", "maintained", "deletions", "reads/update", "bound/update", "maintain time", "recompute time")
+	cat, err := parser.ParseCatalog(`
+relation R(a, b)
+relation S(b, c)
+access R(a -> *) limit 4 time 1
+access S(b -> *) limit 4 time 1
+`)
 	if err != nil {
 		return nil, err
 	}
-	isi, err := ra.IncrementallyScaleIndependent(join, acc, x)
+	q := mustParseQuery("Q(a, b, c) := R(a, b) and S(b, c)")
+	const abar = 7
+	fixed := query.Bindings{"a": relation.Int(abar)}
+	res, err := core.NewAnalyzer(cat.Access).AnalyzeQuery(q)
 	if err != nil {
 		return nil, err
 	}
+	controlled := res.Controls(fixed.Vars()) != nil
 	sizes := []int{500, 2000, 8000}
 	if quick {
 		sizes = []int{300, 1200}
 	}
+	ctx := context.Background()
 	for _, n := range sizes {
-		db := relation.NewDatabase(s)
+		db := relation.NewDatabase(cat.Relational)
 		for i := 0; i < n; i++ {
 			db.MustInsert("R", relation.Ints(int64(i), int64(i)))
 			db.MustInsert("S", relation.Ints(int64(i), int64(3*i)))
 		}
-		st := store.MustOpen(db, acc)
-		maint, err := ra.NewMaintainer(st, join)
+		st, err := store.Open(db, cat.Access)
 		if err != nil {
 			return nil, err
 		}
-		st.ResetCounters()
-		updates := 10
-		for k := 0; k < updates; k++ {
-			u := relation.NewUpdate().Insert("R", relation.Ints(int64(n+k+1), int64(k)))
-			if _, err := maint.Apply(u); err != nil {
+		eng := core.NewEngine(st)
+		prep, err := eng.Prepare(q, fixed.Vars())
+		if err != nil {
+			return nil, err
+		}
+		live, err := prep.Watch(ctx, fixed)
+		if err != nil {
+			return nil, err
+		}
+		ups := x54Stream(abar, 40)
+		var reads int64
+		var maintainTime, recomputeTime time.Duration
+		for k, u := range ups {
+			start := time.Now()
+			cr, err := eng.Commit(ctx, u)
+			if err != nil {
 				return nil, err
 			}
+			maintainTime += time.Since(start)
+			reads += cr.Maintenance.TupleReads + cr.Maintenance.Memberships
+			start = time.Now()
+			want, err := eval.Answers(eval.NewStoreSource(st, nil), q, fixed)
+			if err != nil {
+				return nil, err
+			}
+			recomputeTime += time.Since(start)
+			if !live.Snapshot().Equal(want) {
+				return nil, fmt.Errorf("X5.4: maintained and recomputed answers differ at n=%d after update %d", n, k)
+			}
 		}
-		c := st.Counters()
-		perUpdate := float64(c.TupleReads+c.Memberships) / float64(updates)
-		want, err := ra.Eval(join, st.Data())
-		if err != nil {
-			return nil, err
+		live.Close()
+		var bound int64
+		for d, err := range live.Deltas() {
+			if err != nil {
+				return nil, err
+			}
+			bound += d.Bound
 		}
-		t.Row(st.Size(), si, isi, perUpdate, maint.Result().Equal(want))
+		per := func(x int64) float64 { return float64(x) / float64(len(ups)) }
+		t.Row(st.Size(), controlled, live.Maintained(), live.SupportsDeletions(),
+			per(reads), per(bound), maintainTime, recomputeTime)
 	}
-	t.Notes = "the RAA rules predict incremental scale independence; the measured per-update base reads are flat in |D|."
+	t.Notes = "maintained by Engine.Commit on the Watch handle (Prop 5.5): reads per update are flat in |D| and within the N-derived bound; deletions re-verify without re-execution. Snapshot identical to recomputation after every update."
 	return []*Table{t}, nil
+}
+
+// x54Stream is a deterministic mixed insert/delete stream in which every
+// update touches ā's groups: it toggles R(ā, b) for b in a fixed pool, or
+// S(b, c) for a current partner b of ā and c in a fixed pool. Groups stay
+// within N = 4 — R(ā) holds at most the four pool values, S(b) at most
+// its base tuple plus three — and the stream is the same at every |D|.
+func x54Stream(abar int64, n int) []*relation.Update {
+	rng := rand.New(rand.NewSource(54))
+	bs := []int64{abar, 1_000_001, 1_000_002, 1_000_003}
+	cs := []int64{2_000_001, 2_000_002, 2_000_003}
+	inR := []bool{true, false, false, false} // the base data holds R(ā, ā)
+	inS := make([][]bool, len(bs))
+	for i := range inS {
+		inS[i] = make([]bool, len(cs))
+	}
+	toggle := func(u *relation.Update, present *bool, rel string, t relation.Tuple) {
+		if *present {
+			u.Delete(rel, t)
+		} else {
+			u.Insert(rel, t)
+		}
+		*present = !*present
+	}
+	out := make([]*relation.Update, n)
+	for k := range out {
+		u := relation.NewUpdate()
+		i := rng.Intn(len(bs))
+		if j := rng.Intn(2 * len(cs)); j < len(cs) && inR[i] {
+			toggle(u, &inS[i][j], "S", relation.Ints(bs[i], cs[j]))
+		} else {
+			toggle(u, &inR[i], "R", relation.Ints(abar, bs[i]))
+		}
+		out[k] = u
+	}
+	return out
 }
 
 // X61VQSI is Theorem 6.1: the VQSI decision procedure on the paper's
@@ -198,75 +263,5 @@ func X61VQSI(quick bool) ([]*Table, error) {
 		t.Row(c.name, len(c.vs), c.m, dec.InVSQ, detail, time.Since(start))
 	}
 	t.Notes = "Q2 is not in VSQ for small M (rn stays unconstrained — Thm 6.1's characterization); for larger M the trivial rewriting qualifies for Boolean shape; a complete rewriting gives M = 0."
-	return []*Table{t}, nil
-}
-
-// XGLTDeltas validates the maintenance substrate [14]: exactness of the
-// deltas over a random expression/update mix, with timing against
-// recomputation.
-func XGLTDeltas(quick bool) ([]*Table, error) {
-	t := NewTable("XGLT", "Griffin–Libkin–Trickey delta propagation: exactness and speed",
-		"|D|", "updates", "mismatches", "maintain time", "recompute time")
-	s := relation.MustSchema(
-		relation.MustRelSchema("R", "a", "b"),
-		relation.MustRelSchema("S", "b", "c"),
-		relation.MustRelSchema("T", "a", "b"),
-	)
-	acc := access.New(s)
-	acc.MustAdd(access.Plain("R", []string{"a"}, 1000, 1))
-	acc.MustAdd(access.Plain("S", []string{"b"}, 1000, 1))
-	rRel, _ := s.Rel("R")
-	sRel, _ := s.Rel("S")
-	tRel, _ := s.Rel("T")
-	expr := ra.MustDiff(
-		ra.MustProject(ra.NewJoin(ra.NewRel(rRel), ra.NewRel(sRel)), "a", "b"),
-		ra.NewRel(tRel),
-	)
-	sizes := []int{200, 800}
-	if quick {
-		sizes = []int{100, 400}
-	}
-	for _, n := range sizes {
-		rng := rand.New(rand.NewSource(7))
-		db := relation.NewDatabase(s)
-		for i := 0; i < n; i++ {
-			db.Insert("R", relation.Ints(int64(rng.Intn(n)), int64(rng.Intn(50)))) //nolint:errcheck
-			db.Insert("S", relation.Ints(int64(rng.Intn(50)), int64(rng.Intn(n)))) //nolint:errcheck
-			db.Insert("T", relation.Ints(int64(rng.Intn(n)), int64(rng.Intn(50)))) //nolint:errcheck
-		}
-		st := store.MustOpen(db, acc)
-		maint, err := ra.NewMaintainer(st, expr)
-		if err != nil {
-			return nil, err
-		}
-		updates := 30
-		mismatches := 0
-		var maintainTime, recomputeTime time.Duration
-		for k := 0; k < updates; k++ {
-			u := relation.NewUpdate()
-			tu := relation.Ints(int64(rng.Intn(n)), int64(rng.Intn(50)))
-			if !st.Data().Rel("R").Contains(tu) {
-				u.Insert("R", tu)
-			} else {
-				u.Delete("R", tu)
-			}
-			start := time.Now()
-			if _, err := maint.Apply(u); err != nil {
-				return nil, err
-			}
-			maintainTime += time.Since(start)
-			start = time.Now()
-			want, err := ra.Eval(expr, st.Data())
-			if err != nil {
-				return nil, err
-			}
-			recomputeTime += time.Since(start)
-			if !maint.Result().Equal(want) {
-				mismatches++
-			}
-		}
-		t.Row(st.Size(), updates, mismatches, maintainTime, recomputeTime)
-	}
-	t.Notes = "zero mismatches: old ⊕ Δ equals recomputation for π/⋈/− mixes; maintenance is far cheaper than recomputation."
 	return []*Table{t}, nil
 }

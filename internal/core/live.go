@@ -78,7 +78,7 @@ func WithDeltaBuffer(n int) WatchOption { return func(o *watchOpts) { o.buffer =
 //
 // A Live is safe for concurrent use: Snapshot, Deltas, Err and Close may
 // race each other and the engine's commits — internal locking serializes
-// maintenance against readers (the concurrency contract the standalone
+// maintenance against readers (the concurrency contract the single-writer
 // Maintainer does not give). Deltas is intended for a single consumer;
 // concurrent consumers are safe but split the stream between them.
 //

@@ -14,7 +14,7 @@ import (
 )
 
 // TestLiveConcurrency is the race test for the concurrency contract the
-// old standalone maintainer did not give: Live handles are maintained by
+// single-writer Maintainer does not give: Live handles are maintained by
 // concurrent Commits while readers iterate Deltas and take Snapshots, on
 // the single-node backend and on 4 shards, green under `go test -race`.
 func TestLiveConcurrency(t *testing.T) {

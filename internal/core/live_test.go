@@ -7,8 +7,10 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/parser"
 	"repro/internal/query"
 	"repro/internal/relation"
+	"repro/internal/workload"
 )
 
 // watchQ1 prepares and watches Q1 for one person on a fresh social store.
@@ -490,5 +492,110 @@ func TestCommitTracksVolume(t *testing.T) {
 	vol := eng.CommittedVolume()
 	if vol["person"] != 2 || vol["friend"] != 2 {
 		t.Fatalf("committed volume %v, want person:2 friend:2", vol)
+	}
+}
+
+// TestCQMaintainerBoundedReads is the headline measurement of Example
+// 1.1(b): with Q2 watched for p, the maintenance work one commit charges
+// does not grow with |D| and never scans. The committed ΔD (a new NYC
+// friend of p and that friend's visit to the NYC, A-rated restaurant
+// 1000) touches only tuples whose neighbourhood is the same at every
+// size, so the reads are identical, not merely bounded.
+func TestCQMaintainerBoundedReads(t *testing.T) {
+	ctx := context.Background()
+	cat := mustCatalog(t, facebookCatalog+"access visit(id -> *) limit 100 time 1\n")
+	fixed := query.Bindings{"p": relation.Int(3)}
+	var reads []int64
+	for _, n := range []int{30, 120, 480} {
+		eng := NewEngine(buildSocial(t, cat, n, 6, 8, 7))
+		prep, err := eng.Prepare(mustRuleOrQ(t, workload.Q2Src), fixed.Vars())
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := prep.Watch(ctx, fixed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := newPersonUpdate(3, 900_001)
+		u.Insert("visit", relation.Ints(900_001, 1000, 2020, 1, 1))
+		res, err := eng.Commit(ctx, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Maintenance.Scans != 0 {
+			t.Fatalf("n=%d: maintenance scanned %d times", n, res.Maintenance.Scans)
+		}
+		if !l.Snapshot().Contains(relation.Tuple{relation.Str("r0")}) {
+			t.Fatalf("n=%d: the new friend's visit to r0 did not reach the live answers", n)
+		}
+		reads = append(reads, res.Maintenance.TupleReads+res.Maintenance.Memberships)
+		l.Close()
+	}
+	if reads[0] == 0 {
+		t.Fatal("maintenance charged no reads — the delta plans did not run")
+	}
+	for _, r := range reads[1:] {
+		if r != reads[0] {
+			t.Fatalf("per-commit maintenance reads vary with |D|: %v", reads)
+		}
+	}
+}
+
+// TestAnswersSnapshotIsolated: the set Snapshot hands out is the caller's
+// copy — mutating it must not corrupt the live answers, and it must stay
+// frozen while later commits move the live set on.
+func TestAnswersSnapshotIsolated(t *testing.T) {
+	ctx := context.Background()
+	eng, prep, l := watchQ1(t, 40, 1)
+	defer l.Close()
+	fixed := query.Bindings{"p": relation.Int(1)}
+
+	snap := l.Snapshot()
+	before := snap.Len()
+	for _, tu := range slices.Clone(snap.Tuples()) {
+		snap.Remove(tu)
+	}
+	bogus := relation.Tuple{relation.Str("bogus")}
+	snap.Add(bogus)
+	if got := l.Snapshot(); got.Len() != before || got.Contains(bogus) {
+		t.Fatalf("mutating a snapshot changed the live set: %d answers (want %d), bogus present %v",
+			got.Len(), before, got.Contains(bogus))
+	}
+
+	frozen := l.Snapshot()
+	if _, err := eng.Commit(ctx, namedPersonUpdate(1, 900_002)); err != nil {
+		t.Fatal(err)
+	}
+	ans, err := prep.Exec(ctx, fixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !l.Snapshot().Equal(ans.Tuples) {
+		t.Fatal("live set diverged from a fresh exec after the snapshot was vandalized")
+	}
+	if frozen.Len() != before || frozen.Contains(relation.Tuple{relation.Str("w900002")}) {
+		t.Fatal("an earlier snapshot moved with the live set")
+	}
+}
+
+// TestCQMaintainerRejectsUncontrolled: without the person, restr and visit
+// access entries the remainder a friend insertion leaves is not
+// controlled, so the maintainer (CreateView's constructor) must refuse
+// with ErrWatchNotMaintainable rather than maintain by scanning.
+func TestCQMaintainerRejectsUncontrolled(t *testing.T) {
+	cat := mustCatalog(t, `
+relation person(id, name, city)
+relation friend(id1, id2)
+relation restr(rid, name, city, rating)
+relation visit(id, rid, yy, mm, dd)
+access friend(id1 -> *) limit 5000 time 1
+`)
+	eng := NewEngine(buildSocial(t, cat, 10, 3, 4, 9))
+	cq, err := parser.ParseCQ(workload.Q2Src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewMaintainer(eng, cq, query.Bindings{"p": relation.Int(1)}); !errors.Is(err, ErrWatchNotMaintainable) {
+		t.Fatalf("err = %v, want ErrWatchNotMaintainable", err)
 	}
 }

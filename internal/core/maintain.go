@@ -14,8 +14,9 @@ import (
 // Maintainer incrementally maintains the answers of a conjunctive query
 // with fixed values ā for a controlling set x̄ — the constructive side of
 // the paper's incremental scale independence result (Corollary 5.3,
-// Proposition 5.5), absorbed from internal/incr and rewritten onto the
-// physical plan IR:
+// Proposition 5.5), compiled onto the physical plan IR. It is the one
+// maintenance engine: Engine.Commit drives it for every Live handle
+// (PreparedQuery.Watch) and every materialized view (CreateView):
 //
 //   - one maintenance plan per atom occurrence: the occurrence is unified
 //     with each delta tuple and the *remainder* of the body — controlled
@@ -37,10 +38,9 @@ import (
 // bound M) instead of failing.
 //
 // Answers are kept over the *remaining* head (head terms not fixed by ā),
-// matching PreparedQuery.Exec output; Expand/Project convert to and from
-// full-head tuples for callers that want ā included (internal/incr).
+// matching PreparedQuery.Exec output.
 //
-// A Maintainer is NOT safe for concurrent use: Apply must not race
+// A Maintainer is NOT safe for concurrent use: maintenance must not race
 // Answers. The concurrency-safe wrapper is the *Live handle, whose
 // internal locking serializes maintenance against Snapshot and Deltas
 // readers; Engine.Commit drives registered handles under the engine's
@@ -50,9 +50,8 @@ type Maintainer struct {
 	cq    *query.CQ // nil in pure re-execution mode
 	fixed query.Bindings
 
-	// head is the full (eq-eliminated) head; rem the terms not fixed by ā,
-	// remPos their positions within head.
-	head   []query.Term
+	// rem is the (eq-eliminated) head without the terms fixed by ā,
+	// remPos their positions within the full head.
 	rem    []query.Term
 	remPos []int
 
@@ -73,9 +72,9 @@ type Maintainer struct {
 
 	// answers is the maintained answer set — the single-writer state the
 	// "NOT safe for concurrent use" contract protects. Every runtime
-	// mutation happens under Engine.commitMu (Apply, driven by the commit
-	// pipeline) or before the Maintainer is published (the constructors);
-	// the *Live handle is the concurrency-safe wrapper.
+	// mutation happens under Engine.commitMu (postApply, driven by the
+	// commit pipeline) or before the Maintainer is published (the
+	// constructors); the *Live handle is the concurrency-safe wrapper.
 	answers *relation.TupleSet // guarded by single-writer
 }
 
@@ -95,10 +94,10 @@ type occPlan struct {
 // joined relation, with the answers in nested-loop order; none of it is
 // charged, and CreateView holds commitMu for its whole duration (plus a
 // CloneData copy on backends other than store.DB). Failure wraps
-// ErrWatchNotMaintainable when the
-// query cannot be incrementally maintained. Serving-path watchers are
-// built by PreparedQuery.Watch instead, which seeds the answers from a
-// bounded execution and attaches the re-execution fallback.
+// ErrWatchNotMaintainable when the query cannot be incrementally
+// maintained. It backs CreateView; live queries are built by
+// PreparedQuery.Watch instead, which seeds the answers from a bounded
+// execution and attaches the re-execution fallback.
 func NewMaintainer(eng *Engine, q *query.CQ, fixed query.Bindings) (*Maintainer, error) {
 	m, err := buildMaintPlans(eng, q, fixed)
 	if err != nil {
@@ -122,7 +121,7 @@ func NewMaintainer(eng *Engine, q *query.CQ, fixed query.Bindings) (*Maintainer,
 	}
 	answers := relation.NewTupleSet(full.Len())
 	for _, t := range full.Tuples() {
-		answers.Add(m.Project(t))
+		answers.Add(t.Project(m.remPos))
 	}
 	m.seed(answers)
 	return m, nil
@@ -146,11 +145,10 @@ func buildMaintPlans(eng *Engine, q *query.CQ, fixed query.Bindings) (*Maintaine
 		eng:      eng,
 		cq:       q,
 		fixed:    fixed.Clone(),
-		head:     q.Head,
 		plans:    make(map[string][]occPlan),
 		bodyRels: make(map[string]bool, len(q.Atoms)),
 	}
-	m.initHead()
+	m.initHead(q.Head)
 	an := eng.An
 	mode := eng.Optimizer()
 	fixedVars := fixed.Vars()
@@ -202,15 +200,14 @@ func newReexecMaintainer(p *PreparedQuery, fixed query.Bindings) *Maintainer {
 		reexec:   p,
 		bodyRels: make(map[string]bool),
 	}
-	m.head = query.Vars(p.q.Head...)
-	m.initHead()
+	m.initHead(query.Vars(p.q.Head...))
 	collectRels(p.q.Body, m.bodyRels)
 	return m
 }
 
 // initHead splits the full head into fixed and remaining terms.
-func (m *Maintainer) initHead() {
-	for i, h := range m.head {
+func (m *Maintainer) initHead(head []query.Term) {
+	for i, h := range head {
 		if h.IsVar() {
 			if _, ok := m.fixed[h.Name()]; ok {
 				continue
@@ -244,45 +241,13 @@ func collectRels(f query.Formula, out map[string]bool) {
 	}
 }
 
-// Head returns the full (eq-eliminated) head terms.
-func (m *Maintainer) Head() []query.Term { return m.head }
-
-// Remaining returns the head terms not fixed by ā — the attributes of the
-// maintained answer tuples, matching PreparedQuery.Exec output.
-func (m *Maintainer) Remaining() []query.Term { return m.rem }
-
-// Expand rebuilds the full head tuple from a maintained (remaining-head)
-// tuple by re-inserting the fixed values.
-func (m *Maintainer) Expand(t relation.Tuple) relation.Tuple {
-	out := make(relation.Tuple, len(m.head))
-	j := 0
-	for i, h := range m.head {
-		if j < len(m.remPos) && m.remPos[j] == i {
-			out[i] = t[j]
-			j++
-			continue
-		}
-		out[i] = m.fixed[h.Name()]
-	}
-	return out
-}
-
-// Project restricts a full head tuple to the remaining head positions.
-func (m *Maintainer) Project(t relation.Tuple) relation.Tuple {
-	return t.Project(m.remPos)
-}
-
 // Answers returns a snapshot of the maintained answer set over the
 // remaining head. The copy is the caller's to keep: mutating it cannot
-// corrupt the maintainer, and it stays stable across later Apply calls.
+// corrupt the maintainer, and it stays stable across later commits.
 func (m *Maintainer) Answers() *relation.TupleSet { return m.answers.Clone() }
 
 // Len returns the current number of maintained answers.
 func (m *Maintainer) Len() int { return m.answers.Len() }
-
-// Contains reports whether t (over the remaining head) is currently an
-// answer.
-func (m *Maintainer) Contains(t relation.Tuple) bool { return m.answers.Contains(t) }
 
 // SupportsDeletions reports whether per-tuple deletion maintenance is
 // available (Proposition 5.5(2)'s condition held at construction). When
@@ -360,32 +325,6 @@ func (m *Maintainer) DeltaBound(u *relation.Update) int64 {
 		reads = plan.SatAdd(reads, plan.SatMul(delCands, m.verify.Bound.Reads))
 	}
 	return reads
-}
-
-// Apply maintains the answers under u as a standalone (non-subscribed)
-// maintainer, routing the write through the engine's commit pipeline —
-// registered Live watchers on the same engine are notified, committed
-// volume is tracked — and returns the answer delta over the remaining head (ins
-// disjoint from the old answers, del contained in them) plus the measured
-// maintenance cost. Not safe for concurrent use; concurrent serving goes
-// through Watch.
-func (m *Maintainer) Apply(ctx context.Context, u *relation.Update) (ins, del []relation.Tuple, cost store.Counters, err error) {
-	if u == nil || u.Size() == 0 {
-		return nil, nil, cost, nil
-	}
-	if err := m.canMaintain(u); err != nil {
-		return nil, nil, cost, err
-	}
-	es := &store.ExecStats{Ctx: ctx, MaxReads: m.DeltaBound(u)}
-	delCand, err := m.preDelete(ctx, es, u)
-	if err != nil {
-		return nil, nil, es.Counters, err
-	}
-	if _, err := m.eng.Commit(ctx, u); err != nil {
-		return nil, nil, es.Counters, err
-	}
-	ins, del, err = m.postApply(ctx, es, u, delCand)
-	return ins, del, es.Counters, err
 }
 
 // preDelete computes the deletion candidates of u against the OLD database

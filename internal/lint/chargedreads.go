@@ -9,8 +9,7 @@ import (
 // ChargedReads enforces the paper's charging discipline inside the
 // serving packages (internal/plan, internal/eval, internal/core): every
 // read of stored data must flow through the charging entry points —
-// store.Fetch/Membership/Scan* (which call the Backend's
-// FetchInto/MembershipInto/ScanInto) or an explicit
+// the Backend's FetchInto/MembershipInto/ScanInto* or an explicit
 // ExecStats.ChargeTo — because one silent bypass voids reads ≤ M for
 // every bound the admission controller reserved against it. Direct
 // calls that return stored tuples without charging, and construction of
@@ -89,7 +88,7 @@ func runChargedReads(pass *Pass) {
 				for _, b := range unchargedReads {
 					if sel.Sel.Name == b.meth && isNamedType(recv, b.pkg, b.typ) {
 						pass.Reportf(n.Pos(),
-							"uncharged read: (%s).%s bypasses the ExecStats charge points (store.Fetch/Membership/Scan*/ChargeTo); an uncounted access voids reads ≤ M",
+							"uncharged read: (%s).%s bypasses the ExecStats charge points (FetchInto/MembershipInto/ScanInto*/ChargeTo); an uncounted access voids reads ≤ M",
 							typeString(recv), sel.Sel.Name)
 						break
 					}

@@ -1,8 +1,13 @@
-// Package qdsi implements the decision problems of Section 3 of the paper:
+// Package qdsi implements the definition-level decision problems of
+// Sections 3 and 5 of the paper:
 //
 //   - QDSI(L): given a query Q ∈ L, a database D and a bound M, is there a
 //     witness D_Q ⊆ D with |D_Q| ≤ M and Q(D_Q) = Q(D)?
 //   - QSI(L): is Q scale-independent w.r.t. M in *every* database?
+//   - ∆QSI (Theorems 5.1/5.2): for each candidate update ∆D, does some
+//     D_Q ⊆ D with |D_Q| ≤ M compute the exact answer delta? Decided by
+//     subset search on small instances (DecideDeltaQSI); the constructive
+//     side — bounded maintenance — is the engine's Watch + Commit path.
 //
 // The complexity results of Table 1 shape the implementations:
 //
@@ -424,6 +429,137 @@ func MinimalWitnessFO(q *query.Query, d *relation.Database, opt Options) (int, e
 		return 0, fmt.Errorf("qdsi: no witness at size |D| (impossible: D witnesses itself)")
 	}
 	return dec.WitnessSize, nil
+}
+
+// DecideDeltaQSI decides the ∆QSI question of Section 5 (Theorems 5.1/5.2)
+// on a concrete instance: for every update in candidates (each of size ≤ k
+// by the caller's choice), does some D_Q ⊆ D with |D_Q| ≤ M compute the
+// exact answer delta? The maintenance semantics is the canonical one:
+// ∆Q(∆D, D_Q) is the delta of Q between D_Q and D_Q ⊕ ∆D. Exponential in
+// |D|, so the work budget of opt applies and ErrBudget is returned when
+// it is exceeded.
+func DecideDeltaQSI(q *query.Query, d *relation.Database, candidates []*relation.Update, m int, opt Options) (bool, int64, error) {
+	oldAnswers, err := eval.Answers(eval.DBSource{DB: d}, q, nil)
+	if err != nil {
+		return false, 0, err
+	}
+	var checks int64
+	budget := opt.maxChecks()
+	tuples := allTuples(d)
+	m = min(m, len(tuples))
+	for _, u := range candidates {
+		newDB, err := d.Applied(u)
+		if err != nil {
+			return false, checks, err
+		}
+		target, err := eval.Answers(eval.DBSource{DB: newDB}, q, nil)
+		if err != nil {
+			return false, checks, err
+		}
+		found := false
+		for size := 0; size <= m && !found; size++ {
+			err := forEachSubset(len(tuples), size, func(idx []int) (bool, error) {
+				checks++
+				if checks > budget {
+					return false, ErrBudget
+				}
+				dq := relation.NewDatabase(d.Schema())
+				for _, i := range idx {
+					dq.MustInsert(tuples[i].rel, tuples[i].t)
+				}
+				ok, err := deltaWitnesses(q, dq, u, oldAnswers, target)
+				found = ok
+				return !ok, err
+			})
+			if err != nil {
+				return false, checks, err
+			}
+		}
+		if !found {
+			return false, checks, nil
+		}
+	}
+	return true, checks, nil
+}
+
+// deltaWitnesses checks whether the delta computed from (D_Q, ∆D) turns
+// the old answers into the target answers.
+func deltaWitnesses(q *query.Query, dq *relation.Database, u *relation.Update, oldAnswers, target *relation.TupleSet) (bool, error) {
+	before, err := eval.Answers(eval.DBSource{DB: dq}, q, nil)
+	if err != nil {
+		return false, err
+	}
+	dqNew := dq.Clone()
+	if err := applyLoose(dqNew, u); err != nil {
+		return false, err
+	}
+	after, err := eval.Answers(eval.DBSource{DB: dqNew}, q, nil)
+	if err != nil {
+		return false, err
+	}
+	// ∆ = after − before, ∇ = before − after; apply to the old answers.
+	result := oldAnswers.Clone()
+	for _, t := range before.Tuples() {
+		if !after.Contains(t) {
+			result.Remove(t)
+		}
+	}
+	for _, t := range after.Tuples() {
+		if !before.Contains(t) {
+			result.Add(t)
+		}
+	}
+	return result.Equal(target), nil
+}
+
+// applyLoose applies an update ignoring deletions of absent tuples and
+// insertions of present ones (D_Q is a subset of D).
+func applyLoose(db *relation.Database, u *relation.Update) error {
+	for rel, ts := range u.Del {
+		r := db.Rel(rel)
+		if r == nil {
+			return fmt.Errorf("qdsi: unknown relation %q", rel)
+		}
+		for _, t := range ts {
+			r.Delete(t)
+		}
+	}
+	for rel, ts := range u.Ins {
+		r := db.Rel(rel)
+		if r == nil {
+			return fmt.Errorf("qdsi: unknown relation %q", rel)
+		}
+		for _, t := range ts {
+			if !r.Contains(t) {
+				if _, err := r.Insert(t); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// SingleTupleUpdates enumerates candidate single-tuple updates for
+// DecideDeltaQSI: one insertion per tuple in pool absent from D and one
+// deletion per tuple of D.
+func SingleTupleUpdates(d *relation.Database, pool map[string][]relation.Tuple) []*relation.Update {
+	var out []*relation.Update
+	for rel, ts := range pool {
+		r := d.Rel(rel)
+		if r == nil {
+			continue
+		}
+		for _, t := range ts {
+			if !r.Contains(t) {
+				out = append(out, relation.NewUpdate().Insert(rel, t))
+			}
+		}
+	}
+	for _, tt := range allTuples(d) {
+		out = append(out, relation.NewUpdate().Delete(tt.rel, tt.t))
+	}
+	return out
 }
 
 // forEachSubset enumerates index subsets of {0..n-1} of exactly size k.

@@ -333,3 +333,79 @@ func TestDecideCQBeatsGreedyShape(t *testing.T) {
 		}
 	}
 }
+
+func TestDecideDeltaQSISmall(t *testing.T) {
+	d := relation.NewDatabase(schemaR())
+	d.MustInsert("R", relation.Ints(1, 1))
+	d.MustInsert("R", relation.Ints(2, 2))
+	q := mustQuery(t, "Q(x) := exists y (R(x, y))")
+	pool := map[string][]relation.Tuple{"R": {relation.Ints(1, 5), relation.Ints(3, 3)}}
+	updates := SingleTupleUpdates(d, pool)
+	if len(updates) != 4 { // 2 insertions + 2 deletions
+		t.Fatalf("updates = %d", len(updates))
+	}
+	// With M = |D| the delta is always computable (use all of D).
+	ok, _, err := DecideDeltaQSI(q, d, updates, d.Size(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok {
+		t.Fatal("M=|D| must suffice")
+	}
+	// Deletion of R(1,1) is the crux: with D_Q = ∅ the computed delta is
+	// empty, but answer 1 disappears from Q(D). So M=0 must fail.
+	ok, _, err = DecideDeltaQSI(q, d, updates, 0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok {
+		t.Fatal("M=0 must fail for deletions")
+	}
+}
+
+// Insert-only workloads: the delta of a monotone query needs only the
+// witness tuples for genuinely new answers.
+func TestDecideDeltaQSIInsertOnly(t *testing.T) {
+	s := relation.MustSchema(
+		relation.MustRelSchema("R", "a", "b"),
+		relation.MustRelSchema("S", "b"),
+	)
+	d := relation.NewDatabase(s)
+	d.MustInsert("R", relation.Ints(1, 10))
+	d.MustInsert("S", relation.Ints(10))
+	d.MustInsert("S", relation.Ints(20))
+	q := mustQuery(t, "Q(x) := exists y (R(x, y) and S(y))")
+	// Insertion R(2, 20): the new answer 2 needs S(20) from D: M=1 works.
+	updates := []*relation.Update{relation.NewUpdate().Insert("R", relation.Ints(2, 20))}
+	ok, _, err := DecideDeltaQSI(q, d, updates, 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok {
+		t.Fatal("M=1 should suffice: fetch S(20)")
+	}
+	ok, _, err = DecideDeltaQSI(q, d, updates, 0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok {
+		t.Fatal("M=0 should fail: S(20) must be read")
+	}
+}
+
+func TestDecideDeltaQSIBudget(t *testing.T) {
+	// The full-input cycle query of Proposition 3.6: after deleting one
+	// edge the delta is computable only from a D_Q containing the whole
+	// cycle, so with M below |D| every subset fails and the enumeration
+	// exhausts a small budget.
+	d := relation.NewDatabase(schemaR())
+	n := int64(10)
+	for i := int64(0); i < n; i++ {
+		d.MustInsert("R", relation.Ints(i, (i+1)%n))
+	}
+	q := mustQuery(t, "Q() := (exists x, y (R(x, y))) and (forall x, y (R(x, y) implies exists z (R(y, z))))")
+	updates := []*relation.Update{relation.NewUpdate().Delete("R", relation.Ints(0, 1))}
+	if _, _, err := DecideDeltaQSI(q, d, updates, 5, Options{MaxChecks: 25}); !errors.Is(err, ErrBudget) {
+		t.Fatalf("err = %v, want ErrBudget", err)
+	}
+}

@@ -198,21 +198,3 @@ var (
 	_ Validator = (*DB)(nil)
 	_ DDL       = (*DB)(nil)
 )
-
-// Fetch is FetchInto with no per-call stats: only the backend-global
-// counters are charged and no trace is recorded. This is the one no-stats
-// entry point shared by every backend — accounting cannot diverge between
-// implementations.
-func Fetch(b Backend, e access.Entry, vals []relation.Value) ([]relation.Tuple, error) {
-	return b.FetchInto(nil, e, vals)
-}
-
-// Membership is MembershipInto with no per-call stats.
-func Membership(b Backend, rel string, t relation.Tuple) (bool, error) {
-	return b.MembershipInto(nil, rel, t)
-}
-
-// Scan is ScanInto with no per-call stats.
-func Scan(b Backend, rel string) ([]relation.Tuple, error) {
-	return b.ScanInto(nil, rel)
-}

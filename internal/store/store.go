@@ -361,9 +361,9 @@ func (a *AtomicCounters) SwapZero() Counters {
 }
 
 // DB is an instrumented database: data + access schema + indices. A DB is
-// safe for concurrent use: reads (Fetch/Membership/Scan and their *Into
-// variants) take a shared lock, ApplyUpdate and EnsureIndex an exclusive
-// one, and the global counters are atomic.
+// safe for concurrent use: reads (FetchInto/MembershipInto/ScanInto) take
+// a shared lock, ApplyUpdate and EnsureIndex an exclusive one, and the
+// global counters are atomic.
 type DB struct {
 	mu   sync.RWMutex
 	data *relation.Database // guarded by mu

@@ -52,7 +52,7 @@ func testDBWith(t *testing.T, extra ...access.Entry) *DB {
 func TestFetchPlain(t *testing.T) {
 	db := testDB(t)
 	e := access.Plain("friend", []string{"id1"}, 5000, 1)
-	got, err := Fetch(db, e, []relation.Value{relation.Int(1)})
+	got, err := db.FetchInto(nil, e, []relation.Value{relation.Int(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestFetchPlain(t *testing.T) {
 	if c.TupleReads != 2 || c.IndexLookups != 1 || c.TimeUnits != 1 {
 		t.Errorf("counters = %s", c)
 	}
-	if _, err := Fetch(db, e, nil); err == nil {
+	if _, err := db.FetchInto(nil, e, nil); err == nil {
 		t.Error("wrong value count accepted")
 	}
 }
@@ -80,7 +80,7 @@ func TestFetchEnforcesN(t *testing.T) {
 	if err := db.Conforms(); err == nil {
 		t.Fatal("Conforms should fail: two friends, limit 1")
 	}
-	if _, err := Fetch(db, e, []relation.Value{relation.Int(1)}); err == nil {
+	if _, err := db.FetchInto(nil, e, []relation.Value{relation.Int(1)}); err == nil {
 		t.Fatal("Fetch should enforce N")
 	}
 }
@@ -131,7 +131,7 @@ func TestExecStatsBudget(t *testing.T) {
 		t.Fatalf("want ErrBudgetExceeded, got %v", err)
 	}
 	// A nil ExecStats is never budget-limited.
-	if _, err := Fetch(db, ef, []relation.Value{relation.Int(1)}); err != nil {
+	if _, err := db.FetchInto(nil, ef, []relation.Value{relation.Int(1)}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -185,11 +185,11 @@ func TestConcurrentReads(t *testing.T) {
 
 func TestMembershipAndScan(t *testing.T) {
 	db := testDB(t)
-	ok, err := Membership(db, "friend", relation.Ints(1, 2))
+	ok, err := db.MembershipInto(nil, "friend", relation.Ints(1, 2))
 	if err != nil || !ok {
 		t.Fatalf("Membership: %v %v", ok, err)
 	}
-	ok, err = Membership(db, "friend", relation.Ints(9, 9))
+	ok, err = db.MembershipInto(nil, "friend", relation.Ints(9, 9))
 	if err != nil || ok {
 		t.Fatalf("Membership absent: %v %v", ok, err)
 	}
@@ -197,7 +197,7 @@ func TestMembershipAndScan(t *testing.T) {
 	if c.Memberships != 2 || c.TupleReads != 1 {
 		t.Errorf("membership counters = %s", c)
 	}
-	ts, err := Scan(db, "friend")
+	ts, err := db.ScanInto(nil, "friend")
 	if err != nil || len(ts) != 3 {
 		t.Fatalf("Scan: %v %v", ts, err)
 	}
@@ -286,7 +286,7 @@ func TestStoreMaintainsIndexSyncInvariant(t *testing.T) {
 	}
 	e := access.Plain("friend", []string{"id1"}, 5000, 1)
 	countIn := func(e access.Entry, v int64, want relation.Tuple) int {
-		got, err := Fetch(db, e, []relation.Value{relation.Int(v)})
+		got, err := db.FetchInto(nil, e, []relation.Value{relation.Int(v)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -429,7 +429,7 @@ func TestApplyUpdateKeepsIndexesInSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := access.Plain("friend", []string{"id1"}, 5000, 1)
-	got, err := Fetch(db, e, []relation.Value{relation.Int(1)})
+	got, err := db.FetchInto(nil, e, []relation.Value{relation.Int(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +457,7 @@ func TestEmbeddedFetch(t *testing.T) {
 	acc.MustAdd(days)
 	db := MustOpen(data, acc)
 
-	got, err := Fetch(db, days, []relation.Value{relation.Int(2013)})
+	got, err := db.FetchInto(nil, days, []relation.Value{relation.Int(2013)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +475,7 @@ func TestEmbeddedFetch(t *testing.T) {
 	if err := db.ApplyUpdate(u); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = Fetch(db, days, []relation.Value{relation.Int(2013)})
+	got, _ = db.FetchInto(nil, days, []relation.Value{relation.Int(2013)})
 	if len(got) != 2 {
 		t.Fatalf("after shared delete: %v", got)
 	}
@@ -484,7 +484,7 @@ func TestEmbeddedFetch(t *testing.T) {
 	if err := db.ApplyUpdate(u2); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = Fetch(db, days, []relation.Value{relation.Int(2013)})
+	got, _ = db.FetchInto(nil, days, []relation.Value{relation.Int(2013)})
 	if len(got) != 1 {
 		t.Fatalf("after full delete: %v", got)
 	}
@@ -512,7 +512,7 @@ func TestProjIndexQuick(t *testing.T) {
 			t.Fatal(err)
 		}
 		yy := relation.Int(int64(2010 + rng.Intn(3)))
-		got, err := Fetch(db, days, []relation.Value{yy})
+		got, err := db.FetchInto(nil, days, []relation.Value{yy})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,9 +4,11 @@
 //	"On Scale Independence for Querying Big Data." PODS 2014.
 //
 // It provides bounded (scale-independent) query evaluation under access
-// schemas, the QDSI/QSI/∆QSI/VQSI decision procedures, incremental
-// maintenance, and query rewriting using views — see DESIGN.md for the
-// full inventory and EXPERIMENTS.md for the experiment index.
+// schemas, incremental maintenance of live queries (Watch + Commit), and
+// views that rescue uncontrollable queries. The paper's definition-level
+// decision procedures are internal: QDSI/QSI/∆QSI in internal/qdsi, VQSI
+// in internal/views — see DESIGN.md for the full inventory and
+// EXPERIMENTS.md for the experiment index.
 //
 // This file is the public facade: a small, stable API over the internal
 // engine. The serving flow is modeled on database/sql: prepare once (the
@@ -213,9 +215,6 @@ type (
 	EngineStats = core.EngineStats
 	// WatchOption configures a subscription: WithReexec, WithDeltaBuffer.
 	WatchOption = core.WatchOption
-	// Maintainer is the standalone (non-subscribed, not concurrency-safe)
-	// incremental maintenance engine behind Live (core.NewMaintainer).
-	Maintainer = core.Maintainer
 	// Versioned is implemented by backends keeping a commit-log sequence
 	// number (both built-in backends do).
 	Versioned = store.Versioned
@@ -287,14 +286,6 @@ var (
 	// deltas instead of a failed handle.
 	WithDeltaBuffer = core.WithDeltaBuffer
 )
-
-// NewMaintainer builds a standalone incremental maintainer for a
-// conjunctive query with fixed controlling values — the non-subscribed
-// variant of Watch (not safe for concurrent use; its Apply commits
-// through the engine's write pipeline).
-func NewMaintainer(eng *Engine, q *CQ, fixed Bindings) (*Maintainer, error) {
-	return core.NewMaintainer(eng, q, fixed)
-}
 
 // Int builds an integer value.
 func Int(v int64) Value { return relation.Int(v) }
