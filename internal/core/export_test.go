@@ -1,0 +1,6 @@
+package core
+
+// Test-only exports for the external core_test package.
+
+// RandomSocialCQ is randomSocialCQ for the analysis golden test.
+var RandomSocialCQ = randomSocialCQ
