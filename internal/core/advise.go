@@ -34,14 +34,21 @@ const PlaceholderN = 1000
 // design procedure); data, when non-nil, is used to compute tight N values
 // and to validate that it conforms to the proposed entries.
 func Advise(acc *access.Schema, q *query.Query, x query.VarSet, data *relation.Database) (*Advice, error) {
-	atoms, eqs, _, ok := conjShape(q.Body)
-	if !ok {
+	working := acc.Clone()
+	st := &analysisState{an: NewAnalyzer(working)}
+	if err := st.number(q.Body); err != nil {
+		return nil, err
+	}
+	var atoms []*query.Atom
+	var eqs []*query.Eq
+	var quantified uint64
+	if !st.conjShape(q.Body, &atoms, &eqs, &quantified) || len(atoms) == 0 {
 		return nil, fmt.Errorf("core: %w: Advise handles conjunctive queries; %s is not one", ErrInvalidQuery, q.Name)
 	}
 	if !x.SubsetOf(q.Body.FreeVars()) {
 		return nil, fmt.Errorf("core: %w: %s is not a subset of the free variables of %s", ErrInvalidQuery, x, q.Name)
 	}
-	working := acc.Clone()
+	free, xBits := st.free[q.Body], st.vars.Set(x)
 	var proposed []access.Entry
 	rel := acc.Relational()
 
@@ -57,24 +64,24 @@ func Advise(acc *access.Schema, q *query.Query, x query.VarSet, data *relation.D
 		// Re-run the chase's closure with the current entries to find what
 		// is reachable from x̄, then propose an entry for an atom with
 		// unbound variables, keyed on its currently bound positions.
-		builder, err := newChaseBuilder(working, atoms, eqs, q.Body.FreeVars(), q.Body.FreeVars().Minus(x))
+		builder, err := st.newChaseBuilder(atoms, eqs, free, free&^xBits)
 		if err != nil {
 			return nil, fmt.Errorf("core: cannot analyze conjunction for advice: %w", err)
 		}
 		if builder == nil {
 			return nil, fmt.Errorf("core: %w: conjunction yields no chase for advice", ErrInvalidQuery)
 		}
-		bound := closureOf(builder, x)
+		bound := builder.closure(xBits)
+		isBound := func(t query.Term) bool { return !t.IsVar() || bound&st.vars.Bit(t.Name()) != 0 }
 		best, bestScore := -1, -1
 		for ai, a := range atoms {
-			unbound := a.FreeVars().Minus(bound)
-			if unbound.IsEmpty() {
+			if builder.atomVars[ai]&^bound == 0 {
 				continue
 			}
 			// Prefer atoms with many bound positions (more selective keys).
 			score := 0
 			for _, t := range a.Args {
-				if !t.IsVar() || bound[t.Name()] {
+				if isBound(t) {
 					score++
 				}
 			}
@@ -92,7 +99,7 @@ func Advise(acc *access.Schema, q *query.Query, x query.VarSet, data *relation.D
 		}
 		var key []string
 		for p, t := range a.Args {
-			if !t.IsVar() || bound[t.Name()] {
+			if isBound(t) {
 				key = append(key, rs.Attrs[p])
 			}
 		}
@@ -115,38 +122,30 @@ func Advise(acc *access.Schema, q *query.Query, x query.VarSet, data *relation.D
 	return nil, fmt.Errorf("core: %w: advice did not converge for %s (needs non-index constraints, e.g. embedded entries)", ErrNotControllable, q.Name)
 }
 
-// closureOf runs the chase's binding closure from x without building a
-// full plan.
-func closureOf(b *chaseBuilder, x query.VarSet) query.VarSet {
-	bound := x.Clone()
-	for v := range b.eqConsts {
-		bound = bound.Add(v)
+// closure runs the chase's binding closure from x without building a
+// plan: every ready fetch binds, whatever its N.
+func (b *chaseBuilder) closure(x uint64) uint64 {
+	bound := x | b.constBound
+	for i := range b.fetches {
+		b.fetches[i].used = false
 	}
-	used := make([]bool, len(b.fetches))
-	for {
-		progress := false
-		for _, ev := range b.eqVars {
-			if bound[ev[0]] != bound[ev[1]] {
-				bound = bound.Add(ev[0]).Add(ev[1])
+	for progress := true; progress; {
+		progress = false
+		for _, ev := range b.eqBits {
+			if (bound&ev[0] == 0) != (bound&ev[1] == 0) {
+				bound |= ev[0] | ev[1]
 				progress = true
 			}
 		}
-		for i, fs := range b.fetches {
-			if used[i] || !allArgsBoundOrConst(fs.Atom, fs.OnPos, bound) {
+		for i := range b.fetches {
+			fs := &b.fetches[i]
+			if fs.used || fs.on&^bound != 0 || fs.proj&^bound == 0 {
 				continue
 			}
-			binds := newVarsAt(fs.Atom, fs.ProjPos, bound)
-			if len(binds) == 0 {
-				continue
-			}
-			for _, v := range binds {
-				bound = bound.Add(v)
-			}
-			used[i] = true
+			bound |= fs.proj
+			fs.used = true
 			progress = true
 		}
-		if !progress {
-			return bound
-		}
 	}
+	return bound
 }

@@ -2,10 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"strings"
 
 	"repro/internal/access"
 	"repro/internal/query"
+	"repro/internal/relation"
 )
 
 // Rule names the controllability rule that produced a derivation node,
@@ -36,10 +39,22 @@ type Derivation struct {
 	OnPos    []int         // RuleAtom: positions (within the atom) of Entry.On
 	Children []*Derivation // rule-dependent subderivations
 	Chase    *ChasePlan    // RuleEmbedded
+
+	// ctrl and cost are Ctrl, as a mask over the analyzed formula's
+	// variable numbering, and CostOf(d), both computed when the analysis
+	// builds d; free is F's free variables, set when Analyze returns d.
+	ctrl uint64
+	cost Cost
+	free query.VarSet
 }
 
 // Free returns the free variables of the derived formula.
-func (d *Derivation) Free() query.VarSet { return d.F.FreeVars() }
+func (d *Derivation) Free() query.VarSet {
+	if d.free != nil {
+		return d.free
+	}
+	return d.F.FreeVars()
+}
 
 // Explain renders the derivation tree, one rule per line.
 func (d *Derivation) Explain() string {
@@ -122,15 +137,23 @@ func (r *Result) FullyControlled() bool {
 }
 
 // Analyze computes the family of minimal controlling sets for f, with a
-// derivation for each.
+// derivation for each. The analysis runs on bit masks: f's variables, free
+// and bound, are numbered once in sorted-name order, so f may have at most
+// 64 distinct variables; a wider formula fails with ErrInvalidQuery.
 func (a *Analyzer) Analyze(f query.Formula) (*Result, error) {
 	st := &analysisState{an: a, max: a.MaxSets}
 	if st.max <= 0 {
 		st.max = DefaultMaxSets
 	}
+	if err := st.number(f); err != nil {
+		return nil, err
+	}
 	ds, err := st.analyze(f, false)
 	if err != nil {
 		return nil, err
+	}
+	for _, d := range ds {
+		st.export(d)
 	}
 	return &Result{Formula: f, Derivs: ds, Truncated: st.truncated}, nil
 }
@@ -142,6 +165,196 @@ type analysisState struct {
 	an        *Analyzer
 	max       int
 	truncated bool
+	vars      query.VarBits            // the formula's variables, in sorted-name order
+	free      map[query.Formula]uint64 // free-variable mask of every subformula
+}
+
+// number numbers f's variables in sorted-name order and records every
+// subformula's free-variable mask.
+func (st *analysisState) number(f query.Formula) error {
+	names := make([]string, 0, 16)
+	collectVars(f, &names)
+	slices.Sort(names)
+	names = slices.Compact(names)
+	if len(names) > 64 {
+		return fmt.Errorf("core: %w: formula has %d distinct variables, the analysis handles at most 64", ErrInvalidQuery, len(names))
+	}
+	st.vars = query.NewVarBits(len(names))
+	for _, v := range names {
+		st.vars.Bit(v)
+	}
+	st.free = make(map[query.Formula]uint64)
+	st.freeMask(f)
+	return nil
+}
+
+// collectVars appends every variable name of f, free or bound, to names.
+func collectVars(f query.Formula, names *[]string) {
+	terms := func(ts ...query.Term) {
+		for _, t := range ts {
+			if t.IsVar() {
+				*names = append(*names, t.Name())
+			}
+		}
+	}
+	switch n := f.(type) {
+	case *query.Atom:
+		terms(n.Args...)
+	case *query.Eq:
+		terms(n.L, n.R)
+	case *query.Not:
+		collectVars(n.F, names)
+	case *query.And:
+		collectVars(n.L, names)
+		collectVars(n.R, names)
+	case *query.Or:
+		collectVars(n.L, names)
+		collectVars(n.R, names)
+	case *query.Implies:
+		collectVars(n.L, names)
+		collectVars(n.R, names)
+	case *query.Exists:
+		*names = append(*names, n.Vars...)
+		collectVars(n.Body, names)
+	case *query.Forall:
+		*names = append(*names, n.Vars...)
+		collectVars(n.Body, names)
+	}
+}
+
+// freeMask computes and records the free-variable mask of f and of each of
+// its subformulas.
+func (st *analysisState) freeMask(f query.Formula) uint64 {
+	var m uint64
+	switch n := f.(type) {
+	case *query.Atom:
+		for _, t := range n.Args {
+			if t.IsVar() {
+				m |= st.vars.Bit(t.Name())
+			}
+		}
+	case *query.Eq:
+		for _, t := range [2]query.Term{n.L, n.R} {
+			if t.IsVar() {
+				m |= st.vars.Bit(t.Name())
+			}
+		}
+	case *query.Not:
+		m = st.freeMask(n.F)
+	case *query.And:
+		m = st.freeMask(n.L) | st.freeMask(n.R)
+	case *query.Or:
+		m = st.freeMask(n.L) | st.freeMask(n.R)
+	case *query.Implies:
+		m = st.freeMask(n.L) | st.freeMask(n.R)
+	case *query.Exists:
+		m = st.freeMask(n.Body) &^ st.mask(n.Vars)
+	case *query.Forall:
+		m = st.freeMask(n.Body) &^ st.mask(n.Vars)
+	}
+	st.free[f] = m
+	return m
+}
+
+// mask returns the mask of the named variables.
+func (st *analysisState) mask(names []string) (m uint64) {
+	for _, v := range names {
+		m |= st.vars.Bit(v)
+	}
+	return m
+}
+
+// export fills in the variable sets of a derivation tree the analysis
+// returns: Ctrl, the free variables of a node with children (Compile's
+// operator output), and a chase plan's Free and per-step Binds. Subtrees
+// shared between derivations are filled once, and a node controlled by
+// the same set as a child shares the child's Ctrl.
+func (st *analysisState) export(d *Derivation) {
+	if d.Ctrl != nil {
+		return
+	}
+	for _, c := range d.Children {
+		st.export(c)
+		if c.ctrl == d.ctrl && d.Ctrl == nil {
+			d.Ctrl = c.Ctrl
+		}
+	}
+	if d.Ctrl == nil {
+		d.Ctrl = st.vars.VarSet(d.ctrl)
+	}
+	if len(d.Children) > 0 {
+		d.free = st.vars.VarSet(st.free[d.F])
+	}
+	if p := d.Chase; p != nil {
+		p.Free = st.vars.VarSet(st.free[d.F])
+		for i := range p.Steps {
+			p.Steps[i].Binds = st.vars.Names(p.Steps[i].binds)
+		}
+	}
+}
+
+// family collects one formula node's candidate derivations as an antichain
+// of controlling sets: for each minimal set, the first of the cheapest (by
+// Reads) derivations offered for it.
+type family []*Derivation
+
+// admit reports where a candidate controlled by ctrl, reading reads, goes:
+// -1 when a kept set is contained in ctrl (an equal one no more expensive),
+// otherwise the slot the caller fills. Kept sets that ctrl strictly
+// contains are dropped.
+func (fam *family) admit(ctrl uint64, reads int64) int {
+	for i, d := range *fam {
+		if d.ctrl&^ctrl == 0 {
+			if d.ctrl == ctrl && reads < d.cost.Reads {
+				return i
+			}
+			return -1
+		}
+	}
+	kept := (*fam)[:0]
+	for _, d := range *fam {
+		if ctrl&^d.ctrl != 0 {
+			kept = append(kept, d)
+		}
+	}
+	*fam = append(kept, nil)
+	return len(kept)
+}
+
+// offer admits a derivation of f by rule from at most two children, and
+// allocates it, together with its Children, only if it is kept.
+func (fam *family) offer(rule Rule, f query.Formula, ctrl uint64, cost Cost, children ...*Derivation) {
+	i := fam.admit(ctrl, cost.Reads)
+	if i < 0 {
+		return
+	}
+	n := new(struct {
+		d    Derivation
+		kids [2]*Derivation
+	})
+	n.d = Derivation{Rule: rule, F: f, ctrl: ctrl, cost: cost}
+	if k := copy(n.kids[:], children); k > 0 {
+		n.d.Children = n.kids[:k:k]
+	}
+	(*fam)[i] = &n.d
+}
+
+// compareSets orders controlling sets as normalizeFamily does: smaller
+// sets first, then by Key. Bits follow sorted variable names, so of two
+// sets of one size the one holding the lowest bit they differ in has the
+// smaller Key (variable names are identifiers, whose characters all sort
+// after Key's comma).
+func compareSets(a, b uint64) int {
+	if na, nb := bits.OnesCount64(a), bits.OnesCount64(b); na != nb {
+		return na - nb
+	}
+	if a == b {
+		return 0
+	}
+	if d := a ^ b; a&d&-d != 0 {
+		return -1
+	}
+	return 1
 }
 
 // analyze returns derivations for the minimal controlling sets of f.
@@ -150,54 +363,38 @@ type analysisState struct {
 // conjunctive node, which sees the whole flattened conjunction and is
 // insensitive to the binary rule's association order.
 func (st *analysisState) analyze(f query.Formula, parentConj bool) ([]*Derivation, error) {
-	var cands []*Derivation
+	var fam family
 
 	// conditions rule: any Boolean combination of equalities (no relation
 	// atoms, no quantifiers) is controlled by all its variables.
 	if isEqualityOnly(f) {
-		cands = append(cands, &Derivation{Rule: RuleConditions, F: f, Ctrl: f.FreeVars()})
+		fam.offer(RuleConditions, f, st.free[f], Cost{Candidates: 1, Reads: 0})
 	}
 
+	var err error
 	switch n := f.(type) {
 	case *query.Atom:
-		ds, err := st.atomDerivs(n)
-		if err != nil {
-			return nil, err
-		}
-		cands = append(cands, ds...)
+		err = st.atomDerivs(&fam, n)
 	case *query.Eq, *query.Truth:
 		// covered by the conditions rule above
 	case *query.Not:
 		// A bare negation has no rule (safe negation is recognized at the
 		// enclosing conjunction); equality-only case handled above.
 	case *query.And:
-		ds, err := st.conjDerivs(n)
-		if err != nil {
-			return nil, err
-		}
-		cands = append(cands, ds...)
+		err = st.conjDerivs(&fam, n)
 	case *query.Or:
-		ds, err := st.disjDerivs(n)
-		if err != nil {
-			return nil, err
-		}
-		cands = append(cands, ds...)
+		err = st.disjDerivs(&fam, n)
 	case *query.Implies:
 		// No rule outside ∀ȳ(Q → Q′); equality-only handled above.
 	case *query.Exists:
-		ds, err := st.existsDerivs(n)
-		if err != nil {
-			return nil, err
-		}
-		cands = append(cands, ds...)
+		err = st.existsDerivs(&fam, n)
 	case *query.Forall:
-		ds, err := st.forallDerivs(n)
-		if err != nil {
-			return nil, err
-		}
-		cands = append(cands, ds...)
+		err = st.forallDerivs(&fam, n)
 	default:
 		return nil, fmt.Errorf("core: unknown formula node %T", f)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	// Chase-based controllability for conjunctive shapes: plain entries
@@ -205,151 +402,117 @@ func (st *analysisState) analyze(f query.Formula, parentConj bool) ([]*Derivatio
 	// embedded entries realize Proposition 4.5. Runs only at the maximal
 	// conjunctive node.
 	if !parentConj {
-		eds, err := st.embeddedDerivs(f)
-		if err != nil {
+		if err := st.embeddedDerivs(&fam, f); err != nil {
 			return nil, err
 		}
-		cands = append(cands, eds...)
 	}
 
-	return st.minimalize(cands), nil
-}
-
-// minimalize keeps one (cheapest) derivation per minimal controlling set,
-// capped at max.
-func (st *analysisState) minimalize(cands []*Derivation) []*Derivation {
-	byCtrl := make(map[string]*Derivation)
-	var sets []query.VarSet
-	for _, d := range cands {
-		k := d.Ctrl.Key()
-		prev, ok := byCtrl[k]
-		if !ok {
-			byCtrl[k] = d
-			sets = append(sets, d.Ctrl)
-			continue
-		}
-		if CostOf(d).Reads < CostOf(prev).Reads {
-			byCtrl[k] = d
-		}
-	}
-	fam := normalizeFamily(sets)
+	slices.SortFunc(fam, func(a, b *Derivation) int { return compareSets(a.ctrl, b.ctrl) })
 	if len(fam) > st.max {
 		fam = fam[:st.max]
 		st.truncated = true
 	}
-	out := make([]*Derivation, len(fam))
-	for i, s := range fam {
-		out[i] = byCtrl[s.Key()]
-	}
-	return out
+	return fam, nil
 }
 
 // atomDerivs applies the atom rule: for each plain access entry
 // (R, X, N, T), the atom is controlled by its variables at the X positions.
 // Embedded entries do not control the full atom (their Y omits attributes)
 // and are used only by the chase.
-func (st *analysisState) atomDerivs(a *query.Atom) ([]*Derivation, error) {
+func (st *analysisState) atomDerivs(fam *family, a *query.Atom) error {
 	rs, ok := st.an.Acc.Relational().Rel(a.Rel)
 	if !ok {
-		return nil, fmt.Errorf("core: unknown relation %q in atom %s", a.Rel, a)
+		return fmt.Errorf("core: unknown relation %q in atom %s", a.Rel, a)
 	}
 	if len(a.Args) != rs.Arity() {
-		return nil, fmt.Errorf("core: atom %s has arity %d, relation %s has %d", a, len(a.Args), a.Rel, rs.Arity())
+		return fmt.Errorf("core: atom %s has arity %d, relation %s has %d", a, len(a.Args), a.Rel, rs.Arity())
 	}
-	var out []*Derivation
-	for _, e := range st.an.Acc.ForRel(a.Rel) {
+	entries := st.an.Acc.ForRel(a.Rel)
+	buf := make([]int, 0, len(entries)*rs.Arity())
+	for _, e := range entries {
 		if e.IsEmbedded() {
 			continue
 		}
-		pos, err := rs.Positions(e.On)
+		pos, err := positions(&buf, rs, e.On)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ctrl := make(query.VarSet)
-		for _, p := range pos {
-			if a.Args[p].IsVar() {
-				ctrl[a.Args[p].Name()] = true
-			}
+		ctrl, n := st.vars.At(a, pos), int64(e.N)
+		if i := fam.admit(ctrl, n); i >= 0 {
+			(*fam)[i] = &Derivation{Rule: RuleAtom, F: a, Entry: e, OnPos: pos, ctrl: ctrl, cost: Cost{Candidates: n, Reads: n}}
 		}
-		out = append(out, &Derivation{Rule: RuleAtom, F: a, Ctrl: ctrl, Entry: e, OnPos: pos})
 	}
-	return out, nil
+	return nil
+}
+
+// positions appends the positions of attrs in rs to *buf and returns them
+// as a slice of their own, so that one allocation holds the positions of
+// many entries.
+func positions(buf *[]int, rs relation.RelSchema, attrs []string) ([]int, error) {
+	start := len(*buf)
+	out, err := rs.AppendPositions(*buf, attrs)
+	if err != nil {
+		return nil, err
+	}
+	*buf = out
+	return out[start:len(out):len(out)], nil
 }
 
 // conjDerivs applies the conjunction rule and, when one side is a safe
 // negation of the other’s variables, the safe-negation rule.
-func (st *analysisState) conjDerivs(n *query.And) ([]*Derivation, error) {
+func (st *analysisState) conjDerivs(fam *family, n *query.And) error {
 	left, err := st.analyze(n.L, true)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	right, err := st.analyze(n.R, true)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	freeL, freeR := n.L.FreeVars(), n.R.FreeVars()
-	var out []*Derivation
+	freeL, freeR := st.free[n.L], st.free[n.R]
 	// Conjunction rule: Q1 ∧ Q2 is controlled by x̄1 ∪ (x̄2 − ȳ1) (evaluate
 	// Q1 first) and by x̄2 ∪ (x̄1 − ȳ2) (evaluate Q2 first), where ȳi are
 	// the other free variables of Qi.
 	for _, dl := range left {
 		for _, dr := range right {
-			out = append(out, &Derivation{
-				Rule: RuleConj, F: n,
-				Ctrl:     dl.Ctrl.Union(dr.Ctrl.Minus(freeL)),
-				Children: []*Derivation{dl, dr},
-			})
-			out = append(out, &Derivation{
-				Rule: RuleConj, F: n,
-				Ctrl:     dr.Ctrl.Union(dl.Ctrl.Minus(freeR)),
-				Children: []*Derivation{dr, dl},
-			})
+			fam.offer(RuleConj, n, dl.ctrl|dr.ctrl&^freeL, ruleCost(RuleConj, dl.cost, dr.cost), dl, dr)
+			fam.offer(RuleConj, n, dr.ctrl|dl.ctrl&^freeR, ruleCost(RuleConj, dr.cost, dl.cost), dr, dl)
 		}
 	}
 	// Safe negation: Q ∧ ¬Q′ with free(Q′) ⊆ free(Q), Q′ fully controlled.
 	// The second child derives the *inner* Q′ (the executor inverts it).
-	if neg, ok := n.R.(*query.Not); ok && neg.F.FreeVars().SubsetOf(freeL) {
-		inner, err := st.analyze(neg.F, false)
-		if err != nil {
-			return nil, err
-		}
-		if dn := fullyControlledDeriv(inner, neg.F); dn != nil {
-			for _, dl := range left {
-				out = append(out, &Derivation{
-					Rule: RuleSafeNeg, F: n, Ctrl: dl.Ctrl,
-					Children: []*Derivation{dl, dn},
-				})
-			}
-		}
+	if err := st.safeNegDerivs(fam, n, n.R, left, freeL); err != nil {
+		return err
 	}
-	if neg, ok := n.L.(*query.Not); ok && neg.F.FreeVars().SubsetOf(freeR) {
-		inner, err := st.analyze(neg.F, false)
-		if err != nil {
-			return nil, err
-		}
-		if dn := fullyControlledDeriv(inner, neg.F); dn != nil {
-			for _, dr := range right {
-				out = append(out, &Derivation{
-					Rule: RuleSafeNeg, F: n, Ctrl: dr.Ctrl,
-					Children: []*Derivation{dr, dn},
-				})
-			}
-		}
-	}
-	return out, nil
+	return st.safeNegDerivs(fam, n, n.L, right, freeR)
 }
 
-// fullyControlledDeriv picks a derivation showing f is controlled by all
-// its free variables, preferring cheap ones. The derivations in ds are for
-// f itself.
-func fullyControlledDeriv(ds []*Derivation, f query.Formula) *Derivation {
-	free := f.FreeVars()
+// safeNegDerivs applies the safe-negation rule to the conjunction n when
+// its conjunct neg is a negation whose variables the other conjunct, with
+// derivations pos and free variables freePos, binds.
+func (st *analysisState) safeNegDerivs(fam *family, n *query.And, neg query.Formula, pos []*Derivation, freePos uint64) error {
+	nf, ok := neg.(*query.Not)
+	if !ok || st.free[nf.F]&^freePos != 0 {
+		return nil
+	}
+	inner, err := st.analyze(nf.F, false)
+	if err != nil {
+		return err
+	}
+	if dn := cheapestWithin(inner, st.free[nf.F]); dn != nil {
+		for _, dp := range pos {
+			fam.offer(RuleSafeNeg, n, dp.ctrl, ruleCost(RuleSafeNeg, dp.cost, dn.cost), dp, dn)
+		}
+	}
+	return nil
+}
+
+// cheapestWithin picks the cheapest derivation whose controlling set is
+// contained in x (the first on ties), or nil.
+func cheapestWithin(ds []*Derivation, x uint64) *Derivation {
 	var best *Derivation
 	for _, d := range ds {
-		if !d.Ctrl.SubsetOf(free) {
-			continue
-		}
-		if best == nil || CostOf(d).Reads < CostOf(best).Reads {
+		if d.ctrl&^x == 0 && (best == nil || d.cost.Reads < best.cost.Reads) {
 			best = d
 		}
 	}
@@ -358,101 +521,75 @@ func fullyControlledDeriv(ds []*Derivation, f query.Formula) *Derivation {
 
 // disjDerivs applies the disjunction rule: both disjuncts must have the
 // same free variables; the result is controlled by x̄1 ∪ x̄2.
-func (st *analysisState) disjDerivs(n *query.Or) ([]*Derivation, error) {
-	if !n.L.FreeVars().Equal(n.R.FreeVars()) {
-		return nil, nil
+func (st *analysisState) disjDerivs(fam *family, n *query.Or) error {
+	if st.free[n.L] != st.free[n.R] {
+		return nil
 	}
 	left, err := st.analyze(n.L, false)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	right, err := st.analyze(n.R, false)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var out []*Derivation
 	for _, dl := range left {
 		for _, dr := range right {
-			out = append(out, &Derivation{
-				Rule: RuleDisj, F: n,
-				Ctrl:     dl.Ctrl.Union(dr.Ctrl),
-				Children: []*Derivation{dl, dr},
-			})
+			fam.offer(RuleDisj, n, dl.ctrl|dr.ctrl, ruleCost(RuleDisj, dl.cost, dr.cost), dl, dr)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // existsDerivs applies the existential rule: controlling sets of the body
 // that avoid the quantified variables carry over.
-func (st *analysisState) existsDerivs(n *query.Exists) ([]*Derivation, error) {
+func (st *analysisState) existsDerivs(fam *family, n *query.Exists) error {
 	body, err := st.analyze(n.Body, true)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	z := query.NewVarSet(n.Vars...)
-	var out []*Derivation
+	z := st.mask(n.Vars)
 	for _, d := range body {
-		if d.Ctrl.Disjoint(z) {
-			out = append(out, &Derivation{
-				Rule: RuleExists, F: n, Ctrl: d.Ctrl,
-				Children: []*Derivation{d},
-			})
+		if d.ctrl&z == 0 {
+			fam.offer(RuleExists, n, d.ctrl, d.cost, d)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // forallDerivs applies the universal rule to the shape ∀ȳ (Q → Q′): Q must
 // be controlled by its free variables outside ȳ, Q′ must be fully
 // controlled with free(Q′) ⊆ free(Q) ∪ ȳ; the result is controlled by
 // free(Q) − ȳ (and by nothing smaller — see Proposition 4.3).
-func (st *analysisState) forallDerivs(n *query.Forall) ([]*Derivation, error) {
+func (st *analysisState) forallDerivs(fam *family, n *query.Forall) error {
 	imp, ok := n.Body.(*query.Implies)
 	if !ok {
-		return nil, nil
+		return nil
 	}
-	y := query.NewVarSet(n.Vars...)
-	freeQ := imp.L.FreeVars()
-	if !imp.R.FreeVars().SubsetOf(freeQ.Union(y)) {
-		return nil, nil
+	y := st.mask(n.Vars)
+	freeQ, freeQp := st.free[imp.L], st.free[imp.R]
+	if freeQp&^(freeQ|y) != 0 {
+		return nil
 	}
-	x := freeQ.Minus(y)
+	x := freeQ &^ y
 	qDerivs, err := st.analyze(imp.L, false)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	dq := fullyControlledSubset(qDerivs, x)
+	dq := cheapestWithin(qDerivs, x)
 	if dq == nil {
-		return nil, nil
+		return nil
 	}
 	qpDerivs, err := st.analyze(imp.R, false)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	dqp := fullyControlledDeriv(qpDerivs, imp.R)
+	dqp := cheapestWithin(qpDerivs, freeQp)
 	if dqp == nil {
-		return nil, nil
+		return nil
 	}
-	return []*Derivation{{
-		Rule: RuleForall, F: n, Ctrl: x,
-		Children: []*Derivation{dq, dqp},
-	}}, nil
-}
-
-// fullyControlledSubset picks the cheapest derivation whose controlling set
-// is contained in x.
-func fullyControlledSubset(ds []*Derivation, x query.VarSet) *Derivation {
-	var best *Derivation
-	for _, d := range ds {
-		if !d.Ctrl.SubsetOf(x) {
-			continue
-		}
-		if best == nil || CostOf(d).Reads < CostOf(best).Reads {
-			best = d
-		}
-	}
-	return best
+	fam.offer(RuleForall, n, x, ruleCost(RuleForall, dq.cost, dqp.cost), dq, dqp)
+	return nil
 }
 
 // isEqualityOnly reports whether f mentions no relation atoms and no
@@ -476,16 +613,4 @@ func isEqualityOnly(f query.Formula) bool {
 	default:
 		return false
 	}
-}
-
-// allArgsBoundOrConst reports whether every argument at the given positions
-// is a constant or a variable in bound.
-func allArgsBoundOrConst(a *query.Atom, positions []int, bound query.VarSet) bool {
-	for _, p := range positions {
-		t := a.Args[p]
-		if t.IsVar() && !bound.Contains(t.Name()) {
-			return false
-		}
-	}
-	return true
 }

@@ -29,23 +29,23 @@ func Compile(d *Derivation) plan.Node {
 		return plan.NewSelect(d.F)
 	case RuleConj:
 		l, r := Compile(d.Children[0]), Compile(d.Children[1])
-		return plan.NewNLJoin(l, r, d.Ctrl, d.F.FreeVars())
+		return plan.NewNLJoin(l, r, d.Ctrl, d.Free())
 	case RuleDisj:
 		branches := make([]plan.Node, len(d.Children))
 		for i, c := range d.Children {
 			branches[i] = Compile(c)
 		}
-		return plan.NewStreamUnion(branches, d.Ctrl, d.F.FreeVars())
+		return plan.NewStreamUnion(branches, d.Ctrl, d.Free())
 	case RuleSafeNeg:
 		pos, neg := Compile(d.Children[0]), Compile(d.Children[1])
-		return plan.NewAntiProbe(pos, neg, d.Ctrl, d.F.FreeVars())
+		return plan.NewAntiProbe(pos, neg, d.Ctrl, d.Free())
 	case RuleExists:
 		ex := d.F.(*query.Exists)
-		return plan.NewProject(Compile(d.Children[0]), ex.Vars, d.Ctrl, d.F.FreeVars())
+		return plan.NewProject(Compile(d.Children[0]), ex.Vars, d.Ctrl, d.Free())
 	case RuleForall:
 		fa := d.F.(*query.Forall)
 		gen, test := Compile(d.Children[0]), Compile(d.Children[1])
-		return plan.NewForallCheck(gen, test, fa.Vars, d.Ctrl, d.F.FreeVars())
+		return plan.NewForallCheck(gen, test, fa.Vars, d.Ctrl, d.Free())
 	case RuleEmbedded:
 		return compileChase(d)
 	default:

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/access"
@@ -426,5 +428,55 @@ func TestMustInertRelationHelpers(t *testing.T) {
 	vals, err := plan.TupleForPositions(a, []int{1, 0}, query.Bindings{"x": relation.Int(7)})
 	if err != nil || vals[0] != relation.Int(3) || vals[1] != relation.Int(7) {
 		t.Errorf("TupleForPositions = %v, %v", vals, err)
+	}
+}
+
+// TestTruncatedOnlyWhenASetIsCutOff: over a bijection R, R(a, b) ∧ R(b, c)
+// is controlled by each of {a}, {b} and {c} and by nothing smaller. With
+// room for exactly those three sets the family is complete and must not be
+// reported truncated; with room for two the third is cut off.
+func TestTruncatedOnlyWhenASetIsCutOff(t *testing.T) {
+	cat := mustCatalog(t, `
+relation R(a, b)
+access R(a -> *) limit 1 time 1
+access R(b -> *) limit 1 time 1
+`)
+	f, err := parser.ParseFormula("R(a, b) and R(b, c)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		max       int
+		want      string
+		truncated bool
+	}{
+		{3, "[{a} {b} {c}]", false},
+		{2, "[{a} {b}]", true},
+	} {
+		res, err := (&Analyzer{Acc: cat.Access, MaxSets: tc.max}).Analyze(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(res.Family()); got != tc.want || res.Truncated != tc.truncated {
+			t.Errorf("MaxSets %d: family %s, truncated %v; want %s, truncated %v", tc.max, got, res.Truncated, tc.want, tc.truncated)
+		}
+	}
+}
+
+// TestAnalyzeRejectsWideFormula: the analysis numbers a formula's
+// variables as the bits of one word, so more than 64 of them are refused
+// as an invalid query rather than analyzed wrongly.
+func TestAnalyzeRejectsWideFormula(t *testing.T) {
+	cat := mustCatalog(t, "relation R(a, b)")
+	atoms := make([]query.Formula, 33)
+	for i := range atoms {
+		atoms[i] = query.NewAtom("R", query.Var(fmt.Sprintf("x%d", 2*i)), query.Var(fmt.Sprintf("x%d", 2*i+1)))
+	}
+	an := NewAnalyzer(cat.Access)
+	if _, err := an.Analyze(query.AndAll(atoms...)); !errors.Is(err, ErrInvalidQuery) {
+		t.Errorf("66 variables: err = %v, want ErrInvalidQuery", err)
+	}
+	if _, err := an.Analyze(query.AndAll(atoms[:32]...)); err != nil {
+		t.Errorf("64 variables: %v", err)
 	}
 }

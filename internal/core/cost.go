@@ -33,52 +33,70 @@ func CostOf(d *Derivation) Cost {
 		return Cost{Candidates: n, Reads: n}
 	case RuleConditions:
 		return Cost{Candidates: 1, Reads: 0}
-	case RuleConj:
-		c0, c1 := CostOf(d.Children[0]), CostOf(d.Children[1])
-		return Cost{
-			Candidates: plan.SatMul(c0.Candidates, c1.Candidates),
-			Reads:      plan.SatAdd(c0.Reads, plan.SatMul(c0.Candidates, c1.Reads)),
-		}
-	case RuleDisj:
-		c0, c1 := CostOf(d.Children[0]), CostOf(d.Children[1])
-		return Cost{
-			Candidates: plan.SatAdd(c0.Candidates, c1.Candidates),
-			Reads:      plan.SatAdd(c0.Reads, c1.Reads),
-		}
-	case RuleSafeNeg:
-		c0, c1 := CostOf(d.Children[0]), CostOf(d.Children[1])
-		return Cost{
-			Candidates: c0.Candidates,
-			Reads:      plan.SatAdd(c0.Reads, plan.SatMul(c0.Candidates, c1.Reads)),
-		}
 	case RuleExists:
 		return CostOf(d.Children[0])
-	case RuleForall:
-		c0, c1 := CostOf(d.Children[0]), CostOf(d.Children[1])
-		return Cost{
-			Candidates: 1,
-			Reads:      plan.SatAdd(c0.Reads, plan.SatMul(c0.Candidates, c1.Reads)),
-		}
 	case RuleEmbedded:
 		return chaseCost(d.Chase)
+	case RuleConj, RuleDisj, RuleSafeNeg, RuleForall:
+		return ruleCost(d.Rule, CostOf(d.Children[0]), CostOf(d.Children[1]))
 	default:
 		panic(fmt.Sprintf("core: CostOf unknown rule %q", d.Rule))
 	}
 }
 
-func chaseCost(p *ChasePlan) Cost {
-	cands, reads := int64(1), int64(0)
-	for _, s := range p.Steps {
-		if s.Atom == nil {
-			continue // equality propagation is free
+// ruleCost combines the costs of a two-child rule's children, in
+// execution order.
+func ruleCost(r Rule, c0, c1 Cost) Cost {
+	switch r {
+	case RuleConj:
+		return Cost{
+			Candidates: plan.SatMul(c0.Candidates, c1.Candidates),
+			Reads:      plan.SatAdd(c0.Reads, plan.SatMul(c0.Candidates, c1.Reads)),
 		}
-		n := int64(s.Entry.N)
-		reads = plan.SatAdd(reads, plan.SatMul(cands, n))
-		if len(s.Binds) > 0 {
-			cands = plan.SatMul(cands, n)
+	case RuleDisj:
+		return Cost{
+			Candidates: plan.SatAdd(c0.Candidates, c1.Candidates),
+			Reads:      plan.SatAdd(c0.Reads, c1.Reads),
+		}
+	case RuleSafeNeg:
+		return Cost{
+			Candidates: c0.Candidates,
+			Reads:      plan.SatAdd(c0.Reads, plan.SatMul(c0.Candidates, c1.Reads)),
+		}
+	case RuleForall:
+		return Cost{
+			Candidates: 1,
+			Reads:      plan.SatAdd(c0.Reads, plan.SatMul(c0.Candidates, c1.Reads)),
+		}
+	default:
+		panic(fmt.Sprintf("core: ruleCost of rule %q", r))
+	}
+}
+
+func chaseCost(p *ChasePlan) Cost {
+	c := Cost{Candidates: 1}
+	for _, s := range p.Steps {
+		if s.Atom != nil { // equality propagation is free
+			c = chaseFetchCost(c, s.Entry.N, len(s.Binds) > 0)
 		}
 	}
-	// One membership probe per candidate per membership-verified atom.
-	reads = plan.SatAdd(reads, plan.SatMul(cands, int64(len(p.MembershipAtoms))))
-	return Cost{Candidates: cands, Reads: reads}
+	return chaseProbeCost(c, len(p.MembershipAtoms))
+}
+
+// chaseFetchCost charges one fetch step through an entry of bound n to a
+// chase's running cost: n reads per candidate, and n times the candidates
+// when the step binds variables.
+func chaseFetchCost(c Cost, n int, binds bool) Cost {
+	c.Reads = plan.SatAdd(c.Reads, plan.SatMul(c.Candidates, int64(n)))
+	if binds {
+		c.Candidates = plan.SatMul(c.Candidates, int64(n))
+	}
+	return c
+}
+
+// chaseProbeCost charges one membership probe per candidate per
+// membership-verified atom.
+func chaseProbeCost(c Cost, probed int) Cost {
+	c.Reads = plan.SatAdd(c.Reads, plan.SatMul(c.Candidates, int64(probed)))
+	return c
 }

@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"strings"
 
 	"repro/internal/access"
@@ -53,6 +54,8 @@ type ChaseStep struct {
 	Verifies bool
 	// Equality-propagation step (Atom == nil): bind/check L = R.
 	EqL, EqR string
+
+	binds uint64 // Binds as a mask, until the analysis exports the plan
 }
 
 // String renders the step for Explain output.
@@ -75,382 +78,374 @@ const maxEmbeddedFreeVars = 12
 // shapes: plain entries alone already make the chase derive controlling
 // sets insensitively to conjunct order, and embedded entries realize
 // Proposition 4.5.
-func (st *analysisState) embeddedDerivs(f query.Formula) ([]*Derivation, error) {
-	rels := query.Relations(f)
-	if len(rels) == 0 {
-		return nil, nil
+func (st *analysisState) embeddedDerivs(fam *family, f query.Formula) error {
+	var atoms []*query.Atom
+	var eqs []*query.Eq
+	var quantified uint64
+	if !st.conjShape(f, &atoms, &eqs, &quantified) || len(atoms) == 0 {
+		return nil
 	}
-	atoms, eqs, quantified, ok := conjShape(f)
-	if !ok {
-		return nil, nil
+	free := st.free[f]
+	if bits.OnesCount64(free) > maxEmbeddedFreeVars {
+		return nil
 	}
-	free := f.FreeVars()
-	if free.Len() > maxEmbeddedFreeVars {
-		return nil, nil
+	b, err := st.newChaseBuilder(atoms, eqs, free, quantified)
+	if err != nil || b == nil {
+		return err
 	}
-	builder, err := newChaseBuilder(st.an.Acc, atoms, eqs, free, quantified)
-	if err != nil {
-		return nil, err
+	// Search minimal x̄ ⊆ free such that the chase succeeds, smallest first
+	// and in lexicographic order of the sorted free variables. A subset is
+	// a mask, so one the chase rejects allocates nothing.
+	var freeBits [maxEmbeddedFreeVars]uint64
+	n := 0
+	for m := free; m != 0; m &= m - 1 {
+		freeBits[n] = m & -m
+		n++
 	}
-	if builder == nil {
-		return nil, nil
-	}
-	// Search minimal x̄ ⊆ free such that the chase succeeds, smallest first.
-	freeVars := free.Sorted()
-	var found []query.VarSet
-	var derivs []*Derivation
-	for size := 0; size <= len(freeVars); size++ {
-		subsets(freeVars, size, func(sub []string) bool {
-			x := query.NewVarSet(sub...)
-			for _, m := range found {
-				if m.SubsetOf(x) {
-					return true // not minimal
+	var found []uint64
+	var idx [maxEmbeddedFreeVars]int
+search:
+	for size := 0; size <= n; size++ {
+		for i := 0; i < size; i++ {
+			idx[i] = i
+		}
+		for {
+			var x uint64
+			for _, i := range idx[:size] {
+				x |= freeBits[i]
+			}
+			if !containsAny(x, found) {
+				if cost, ok := b.chase(x); ok {
+					if len(found) == st.max {
+						st.truncated = true // a further minimal set is cut off
+						break search
+					}
+					found = append(found, x)
+					if i := fam.admit(x, cost.Reads); i >= 0 {
+						(*fam)[i] = &Derivation{Rule: RuleEmbedded, F: f, Chase: b.plan(), ctrl: x, cost: cost}
+					}
 				}
 			}
-			plan, ok := builder.build(x)
-			if !ok {
-				return true
+			if !nextSubset(idx[:size], n) {
+				break
 			}
-			found = append(found, x)
-			derivs = append(derivs, &Derivation{Rule: RuleEmbedded, F: f, Ctrl: x, Chase: plan})
-			return len(derivs) < st.max
-		})
-		if len(derivs) >= st.max {
-			st.truncated = true
-			break
 		}
 	}
-	return derivs, nil
+	return nil
 }
 
-// subsets enumerates size-k subsets of items in lexicographic order,
-// stopping when yield returns false.
-func subsets(items []string, k int, yield func([]string) bool) {
-	idx := make([]int, k)
-	var rec func(start, d int) bool
-	rec = func(start, d int) bool {
-		if d == k {
-			sub := make([]string, k)
-			for i, j := range idx {
-				sub[i] = items[j]
-			}
-			return yield(sub)
+// containsAny reports whether x contains one of the sets.
+func containsAny(x uint64, sets []uint64) bool {
+	for _, m := range sets {
+		if m&^x == 0 {
+			return true
 		}
-		for i := start; i < len(items); i++ {
-			idx[d] = i
-			if !rec(i+1, d+1) {
-				return false
-			}
-		}
-		return true
 	}
-	rec(0, 0)
+	return false
+}
+
+// nextSubset advances idx, a strictly increasing choice of indices below n,
+// to the next one in lexicographic order; false when idx was the last.
+func nextSubset(idx []int, n int) bool {
+	k := len(idx)
+	i := k - 1
+	for i >= 0 && idx[i] == n-k+i {
+		i--
+	}
+	if i < 0 {
+		return false
+	}
+	idx[i]++
+	for j := i + 1; j < k; j++ {
+		idx[j] = idx[j-1] + 1
+	}
+	return true
 }
 
 // conjShape decomposes ∃z̄ (conjunction of atoms and equalities), the
-// fragment embedded analysis handles. It returns the atoms, equalities and
-// quantified variables.
-func conjShape(f query.Formula) (atoms []*query.Atom, eqs []*query.Eq, quantified query.VarSet, ok bool) {
-	quantified = make(query.VarSet)
-	body := f
-	for {
-		e, isEx := body.(*query.Exists)
-		if !isEx {
-			break
-		}
-		for _, v := range e.Vars {
-			quantified[v] = true
-		}
-		body = e.Body
+// fragment embedded analysis handles, appending its atoms and equalities
+// and adding its quantified variables to quantified.
+func (st *analysisState) conjShape(g query.Formula, atoms *[]*query.Atom, eqs *[]*query.Eq, quantified *uint64) bool {
+	switch n := g.(type) {
+	case *query.Atom:
+		*atoms = append(*atoms, n)
+		return true
+	case *query.Eq:
+		*eqs = append(*eqs, n)
+		return true
+	case *query.Truth:
+		return n.Bool
+	case *query.And:
+		return st.conjShape(n.L, atoms, eqs, quantified) && st.conjShape(n.R, atoms, eqs, quantified)
+	case *query.Exists:
+		*quantified |= st.mask(n.Vars)
+		return st.conjShape(n.Body, atoms, eqs, quantified)
+	default:
+		return false
 	}
-	var walk func(query.Formula) bool
-	walk = func(g query.Formula) bool {
-		switch n := g.(type) {
-		case *query.Atom:
-			atoms = append(atoms, n)
-			return true
-		case *query.Eq:
-			eqs = append(eqs, n)
-			return true
-		case *query.Truth:
-			return n.Bool
-		case *query.And:
-			return walk(n.L) && walk(n.R)
-		case *query.Exists:
-			for _, v := range n.Vars {
-				quantified[v] = true
-			}
-			return walk(n.Body)
-		default:
-			return false
-		}
-	}
-	if !walk(body) || len(atoms) == 0 {
-		return nil, nil, nil, false
-	}
-	return atoms, eqs, quantified, true
 }
 
-// chaseBuilder precomputes the candidate fetch steps for a conjunction and
-// builds plans for specific controlling sets.
+// chaseBuilder precomputes the candidate fetch steps for a conjunction,
+// with their variables as masks, and chases specific controlling sets.
 type chaseBuilder struct {
-	acc        *access.Schema
 	atoms      []*query.Atom
-	allVars    query.VarSet
-	free       query.VarSet
-	quantified query.VarSet
+	atomVars   []uint64 // each atom's variables
+	probe      []bool   // each atom's fully bound tuples may be probed for membership
+	fetches    []chaseFetch
 	eqConsts   map[string]relation.Value
 	eqVars     [][2]string
-	// candidate fetch steps (unordered); build selects and orders them.
-	fetches []ChaseStep
-	// occurrence count of each variable across atoms (for projection
-	// verification: absorbable variables occur exactly once).
-	occurs map[string]int
+	eqBits     [][2]uint64 // eqVars as bits
+	constBound uint64      // variables equated to constants
+	free       uint64
+	// absorbable variables are quantified and occur exactly once among
+	// the atoms: a projection can leave them unbound.
+	absorbable uint64
+
+	// The last chase, for plan: its moves in order, the atoms it probes
+	// for membership, and the fetches it used.
+	moves  []chaseMove
+	probes []int
 }
 
-func newChaseBuilder(acc *access.Schema, atoms []*query.Atom, eqs []*query.Eq, free, quantified query.VarSet) (*chaseBuilder, error) {
+// chaseFetch is a candidate fetch step with its variables as masks.
+type chaseFetch struct {
+	step  ChaseStep
+	on    uint64 // variables at OnPos: the fetch is ready once they are bound
+	proj  uint64 // variables at ProjPos: what the fetch binds
+	loose uint64 // variables at positions outside OnPos ∪ ProjPos
+	// pinned marks a constant outside OnPos ∪ ProjPos: the fetch cannot
+	// verify its atom.
+	pinned bool
+	used   bool // by the current chase
+}
+
+// verifies reports whether the fetch's X ∪ Y covers every position of its
+// atom that does not hold an absorbable unbound variable.
+func (fs *chaseFetch) verifies(unbound uint64) bool { return !fs.pinned && fs.loose&^unbound == 0 }
+
+// chaseMove is one step of a chase: a fetch of fetches[fetch] binding
+// binds, or (fetch < 0) the propagation of equality eqVars[eq].
+type chaseMove struct {
+	fetch, eq int
+	binds     uint64
+	verifies  bool
+}
+
+func (st *analysisState) newChaseBuilder(atoms []*query.Atom, eqs []*query.Eq, free, quantified uint64) (*chaseBuilder, error) {
 	b := &chaseBuilder{
-		acc:        acc,
-		atoms:      atoms,
-		free:       free,
-		quantified: quantified,
-		allVars:    make(query.VarSet),
-		eqConsts:   make(map[string]relation.Value),
-		occurs:     make(map[string]int),
+		atoms:    atoms,
+		free:     free,
+		atomVars: make([]uint64, len(atoms)),
+		probe:    make([]bool, len(atoms)),
 	}
-	for _, a := range atoms {
+	var seen, twice uint64
+	for ai, a := range atoms {
 		for _, t := range a.Args {
 			if t.IsVar() {
-				b.allVars[t.Name()] = true
-				b.occurs[t.Name()]++
+				bit := st.vars.Bit(t.Name())
+				twice |= seen & bit
+				seen |= bit
+				b.atomVars[ai] |= bit
 			}
 		}
+	}
+	b.absorbable = quantified & seen &^ twice
+	bindConst := func(v string, val relation.Value) bool {
+		if prev, ok := b.eqConsts[v]; ok && prev != val {
+			return false // unsatisfiable; no embedded derivation
+		}
+		if b.eqConsts == nil {
+			b.eqConsts = make(map[string]relation.Value)
+		}
+		b.eqConsts[v] = val
+		b.constBound |= st.vars.Bit(v)
+		return true
 	}
 	for _, e := range eqs {
 		switch {
 		case e.L.IsVar() && e.R.IsVar():
 			b.eqVars = append(b.eqVars, [2]string{e.L.Name(), e.R.Name()})
-			b.allVars[e.L.Name()] = true
-			b.allVars[e.R.Name()] = true
+			b.eqBits = append(b.eqBits, [2]uint64{st.vars.Bit(e.L.Name()), st.vars.Bit(e.R.Name())})
 		case e.L.IsVar():
-			if prev, ok := b.eqConsts[e.L.Name()]; ok && prev != e.R.Value() {
-				return nil, nil // unsatisfiable; no embedded derivation
-			}
-			b.eqConsts[e.L.Name()] = e.R.Value()
-			b.allVars[e.L.Name()] = true
-		case e.R.IsVar():
-			if prev, ok := b.eqConsts[e.R.Name()]; ok && prev != e.L.Value() {
+			if !bindConst(e.L.Name(), e.R.Value()) {
 				return nil, nil
 			}
-			b.eqConsts[e.R.Name()] = e.L.Value()
-			b.allVars[e.R.Name()] = true
+		case e.R.IsVar():
+			if !bindConst(e.R.Name(), e.L.Value()) {
+				return nil, nil
+			}
 		default:
 			if e.L.Value() != e.R.Value() {
 				return nil, nil
 			}
 		}
 	}
-	rel := acc.Relational()
+	acc := st.an.Acc
+	rss := make([]relation.RelSchema, len(atoms))
+	npos := 0
 	for ai, a := range atoms {
-		rs, ok := rel.Rel(a.Rel)
+		rs, ok := acc.Relational().Rel(a.Rel)
 		if !ok {
 			return nil, fmt.Errorf("core: unknown relation %q in atom %s", a.Rel, a)
 		}
 		if len(a.Args) != rs.Arity() {
 			return nil, fmt.Errorf("core: atom %s arity mismatch with %s", a, rs)
 		}
+		rss[ai] = rs
+		npos += 2 * rs.Arity() * len(acc.ForRel(a.Rel))
+	}
+	buf := make([]int, 0, npos)
+	for ai, a := range atoms {
+		rs := rss[ai]
+		// A membership probe needs the implicit membership access method or
+		// an explicit whole-key entry.
+		b.probe[ai] = acc.ImplicitMembership
 		for _, e := range acc.ForRel(a.Rel) {
-			onPos, err := rs.Positions(e.On)
+			if len(e.On) == rs.Arity() {
+				// pure membership entry; handled at verification
+				b.probe[ai] = b.probe[ai] || !e.IsEmbedded()
+				continue
+			}
+			onPos, err := positions(&buf, rs, e.On)
 			if err != nil {
 				return nil, err
 			}
-			projPos, err := rs.Positions(e.ProjFor(rs))
+			projPos, err := positions(&buf, rs, e.ProjFor(rs))
 			if err != nil {
 				return nil, err
 			}
-			if len(onPos) == rs.Arity() {
-				continue // pure membership entry; handled at verification
+			fs := chaseFetch{
+				step: ChaseStep{Atom: a, AtomIdx: ai, Entry: e, OnPos: onPos, ProjPos: projPos},
+				on:   st.vars.At(a, onPos),
+				proj: st.vars.At(a, projPos),
 			}
-			b.fetches = append(b.fetches, ChaseStep{
-				Atom: a, AtomIdx: ai, Entry: e, OnPos: onPos, ProjPos: projPos,
-			})
+			for p, t := range a.Args {
+				if slices.Contains(onPos, p) || slices.Contains(projPos, p) {
+					continue
+				}
+				if t.IsVar() {
+					fs.loose |= st.vars.Bit(t.Name())
+				} else {
+					fs.pinned = true
+				}
+			}
+			b.fetches = append(b.fetches, fs)
 		}
 	}
+	b.moves = make([]chaseMove, 0, len(b.fetches)+len(b.eqBits)+len(atoms))
+	b.probes = make([]int, 0, len(atoms))
 	return b, nil
 }
 
-// build attempts a chase from the controlling set x; it returns the plan
-// and whether the chase covers the formula.
-func (b *chaseBuilder) build(x query.VarSet) (*ChasePlan, bool) {
-	if !x.SubsetOf(b.free) {
-		return nil, false
+// chase runs the chase from the controlling set x and reports the cost of
+// the plan it finds, or false when the chase does not cover the formula.
+// The plan itself stays in the builder's scratch until plan is called.
+func (b *chaseBuilder) chase(x uint64) (Cost, bool) {
+	bound := x | b.constBound
+	b.moves, b.probes = b.moves[:0], b.probes[:0]
+	for i := range b.fetches {
+		b.fetches[i].used = false
 	}
-	bound := x.Clone()
-	for v := range b.eqConsts {
-		bound = bound.Add(v)
-	}
-	var steps []ChaseStep
-	used := make([]bool, len(b.fetches))
-	for {
-		progress := false
+	for progress := true; progress; {
+		progress = false
 		// Equality propagation first: free.
-		for _, ev := range b.eqVars {
-			l, r := ev[0], ev[1]
-			if bound[l] != bound[r] {
-				steps = append(steps, ChaseStep{EqL: l, EqR: r})
-				bound = bound.Add(l).Add(r)
+		for i, ev := range b.eqBits {
+			if (bound&ev[0] == 0) != (bound&ev[1] == 0) {
+				b.moves = append(b.moves, chaseMove{fetch: -1, eq: i})
+				bound |= ev[0] | ev[1]
 				progress = true
 			}
 		}
 		// Pick the available fetch with the smallest N that binds new vars.
 		best := -1
-		for i, fs := range b.fetches {
-			if used[i] || !allArgsBoundOrConst(fs.Atom, fs.OnPos, bound) {
+		for i := range b.fetches {
+			fs := &b.fetches[i]
+			if fs.used || fs.on&^bound != 0 || fs.proj&^bound == 0 {
 				continue
 			}
-			binds := newVarsAt(fs.Atom, fs.ProjPos, bound)
-			if len(binds) == 0 {
-				continue
-			}
-			if best < 0 || b.fetches[i].Entry.N < b.fetches[best].Entry.N {
+			if best < 0 || fs.step.Entry.N < b.fetches[best].step.Entry.N {
 				best = i
 			}
 		}
 		if best >= 0 {
-			fs := b.fetches[best]
-			fs.Binds = newVarsAt(fs.Atom, fs.ProjPos, bound)
-			for _, v := range fs.Binds {
-				bound = bound.Add(v)
-			}
-			steps = append(steps, fs)
-			used[best] = true
+			fs := &b.fetches[best]
+			b.moves = append(b.moves, chaseMove{fetch: best, binds: fs.proj &^ bound})
+			bound |= fs.proj
+			fs.used = true
 			progress = true
 		}
-		if !progress {
-			break
-		}
 	}
-	if !b.free.SubsetOf(bound) {
-		return nil, false
+	if b.free&^bound != 0 {
+		return Cost{}, false
 	}
 	// Variables constrained by equalities cannot be absorbed by
 	// projections; they must be bound so the equality can be checked.
-	for _, ev := range b.eqVars {
-		if !bound[ev[0]] || !bound[ev[1]] {
-			return nil, false
+	for _, ev := range b.eqBits {
+		if bound&ev[0] == 0 || bound&ev[1] == 0 {
+			return Cost{}, false
 		}
 	}
 	// Verification: atoms with all variables bound get membership probes;
-	// others need a projection-verifying fetch step.
-	plan := &ChasePlan{
-		Atoms:    b.atoms,
-		Steps:    steps,
-		Free:     b.free.Clone(),
-		EqConsts: b.eqConsts,
-		EqVars:   b.eqVars,
-	}
-	for ai, a := range b.atoms {
-		unbound := a.FreeVars().Minus(bound)
-		if unbound.IsEmpty() {
-			// A membership probe needs the implicit membership access
-			// method or an explicit whole-key entry.
-			if !b.membershipAllowed(a.Rel) {
-				if !b.markVerifier(plan, ai, bound, unbound) {
-					return nil, false
-				}
-				continue
-			}
-			plan.MembershipAtoms = append(plan.MembershipAtoms, ai)
+	// others need a projection-verifying fetch step, and their unbound
+	// variables must be absorbable.
+	for ai, vars := range b.atomVars {
+		unbound := vars &^ bound
+		if unbound == 0 && b.probe[ai] {
+			b.probes = append(b.probes, ai)
 			continue
 		}
-		// Unbound variables must be absorbable: quantified and occurring
-		// exactly once.
-		for v := range unbound {
-			if !b.quantified[v] || b.occurs[v] != 1 {
-				return nil, false
-			}
-		}
-		if !b.markVerifier(plan, ai, bound, unbound) {
-			return nil, false
+		if unbound&^b.absorbable != 0 || !b.markVerifier(ai, bound, unbound) {
+			return Cost{}, false
 		}
 	}
-	return plan, true
+	c := Cost{Candidates: 1}
+	for _, m := range b.moves {
+		if m.fetch >= 0 {
+			c = chaseFetchCost(c, b.fetches[m.fetch].step.Entry.N, m.binds != 0)
+		}
+	}
+	return chaseProbeCost(c, len(b.probes)), true
 }
 
-// membershipAllowed reports whether fully-bound tuples of rel can be
-// probed for membership.
-func (b *chaseBuilder) membershipAllowed(rel string) bool {
-	if b.acc.ImplicitMembership {
-		return true
-	}
-	rs, ok := b.acc.Relational().Rel(rel)
-	if !ok {
-		return false
-	}
-	for _, e := range b.acc.ForRel(rel) { // explicit only: implicit membership is off
-		if !e.IsEmbedded() && len(e.On) == rs.Arity() {
-			return true
-		}
-	}
-	return false
-}
-
-// markVerifier finds (or appends) a fetch step on atom ai whose X ∪ Y
-// covers every position not holding an absorbable unbound variable, and
+// markVerifier finds (or appends) a fetch on atom ai that verifies it and
 // marks it as the atom's verifier.
-func (b *chaseBuilder) markVerifier(plan *ChasePlan, ai int, bound, unbound query.VarSet) bool {
-	qualifies := func(fs ChaseStep) bool {
-		covered := make(map[int]bool, len(fs.OnPos)+len(fs.ProjPos))
-		for _, p := range fs.OnPos {
-			covered[p] = true
-		}
-		for _, p := range fs.ProjPos {
-			covered[p] = true
-		}
-		for p, t := range fs.Atom.Args {
-			if covered[p] {
-				continue
-			}
-			if !t.IsVar() || !unbound[t.Name()] {
-				return false
-			}
-		}
-		return true
-	}
+func (b *chaseBuilder) markVerifier(ai int, bound, unbound uint64) bool {
 	// Prefer a step already in the plan.
-	for i := range plan.Steps {
-		fs := &plan.Steps[i]
-		if fs.Atom != nil && fs.AtomIdx == ai && qualifies(*fs) {
-			fs.Verifies = true
+	for i := range b.moves {
+		m := &b.moves[i]
+		if m.fetch >= 0 && b.fetches[m.fetch].step.AtomIdx == ai && b.fetches[m.fetch].verifies(unbound) {
+			m.verifies = true
 			return true
 		}
 	}
 	// Otherwise append a verify-only fetch (binds nothing new).
-	for _, fs := range b.fetches {
-		if fs.AtomIdx != ai || !allArgsBoundOrConst(fs.Atom, fs.OnPos, bound) || !qualifies(fs) {
-			continue
+	for i := range b.fetches {
+		fs := &b.fetches[i]
+		if fs.step.AtomIdx == ai && fs.on&^bound == 0 && fs.verifies(unbound) {
+			b.moves = append(b.moves, chaseMove{fetch: i, verifies: true})
+			return true
 		}
-		step := fs
-		step.Verifies = true
-		step.Binds = nil
-		plan.Steps = append(plan.Steps, step)
-		return true
 	}
 	return false
 }
 
-// newVarsAt lists the variables at positions not yet bound, deduplicated,
-// in position order.
-func newVarsAt(a *query.Atom, positions []int, bound query.VarSet) []string {
-	var out []string
-	seen := make(map[string]bool)
-	for _, p := range positions {
-		t := a.Args[p]
-		if t.IsVar() && !bound[t.Name()] && !seen[t.Name()] {
-			seen[t.Name()] = true
-			out = append(out, t.Name())
-		}
+// plan builds the ChasePlan of the last successful chase.
+func (b *chaseBuilder) plan() *ChasePlan {
+	p := &ChasePlan{Atoms: b.atoms, EqConsts: b.eqConsts, EqVars: b.eqVars}
+	if len(b.moves) > 0 {
+		p.Steps = make([]ChaseStep, len(b.moves))
 	}
-	sort.Strings(out)
-	return out
+	for i, m := range b.moves {
+		if m.fetch < 0 {
+			p.Steps[i] = ChaseStep{EqL: b.eqVars[m.eq][0], EqR: b.eqVars[m.eq][1]}
+			continue
+		}
+		s := b.fetches[m.fetch].step
+		s.binds, s.Verifies = m.binds, m.verifies
+		p.Steps[i] = s
+	}
+	if len(b.probes) > 0 {
+		p.MembershipAtoms = slices.Clone(b.probes)
+	}
+	return p
 }

@@ -7,11 +7,17 @@ package plan_test
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/access"
+	"repro/internal/backendtest"
 	"repro/internal/core"
+	"repro/internal/parser"
 	"repro/internal/query"
 	"repro/internal/relation"
+	"repro/internal/workload"
 )
 
 const q5Src = "Q5(p, rn) := exists f, rid, yy, mm, dd, city, rating (friend(p, f) and visit(f, rid, yy, mm, dd) and restr(rid, rn, city, rating) and not (exists fn (person(f, fn, 'NYC'))))"
@@ -43,6 +49,47 @@ func BenchmarkPrepareOptimized(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Prepare(q, query.NewVarSet("p")); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPrepareCold measures Prepare on a plan-cache miss as an ad-hoc
+// query stream pays it: renamed variants of Q1–Q7 in turn, with the VFol
+// view registered (so Q6 is rescued through it and the other CQs search
+// its rewritings too) and the plan cache disabled.
+func BenchmarkPrepareCold(b *testing.B) {
+	st := socialStore(b, 200, 0)
+	eng := core.NewEngine(st)
+	vfol, err := parser.ParseCQ(backendtest.VFolSrc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := eng.CreateView(vfol, access.Plain("VFol", []string{"p"}, workload.DefaultConfig().MaxFriends+64, 1)); err != nil {
+		b.Fatal(err)
+	}
+	eng.SetPlanCacheSize(0)
+	type variant struct {
+		q    *query.Query
+		ctrl query.VarSet
+	}
+	var vs []variant
+	for v := 0; v < 4; v++ {
+		for _, src := range []string{workload.Q1Src, workload.Q2Src, workload.Q3Src, backendtest.Q4Src, backendtest.Q5Src, backendtest.Q6Src, backendtest.Q7Src} {
+			name := src[:strings.Index(src, "(")]
+			q := mustQuery(b, strings.Replace(src, name+"(", fmt.Sprintf("%sv%d(", name, v), 1))
+			ctrl := query.NewVarSet("p")
+			if name == "Q3" {
+				ctrl = query.NewVarSet("p", "yy")
+			}
+			vs = append(vs, variant{q, ctrl})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := vs[i%len(vs)]
+		if _, err := eng.Prepare(v.q, v.ctrl); err != nil {
 			b.Fatal(err)
 		}
 	}

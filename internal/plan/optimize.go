@@ -324,42 +324,6 @@ type step struct {
 	cands  int64 // estimated candidate multiplier
 }
 
-// varBits numbers a chain's variables as bits of a uint64.
-type varBits struct {
-	ids  map[string]uint
-	full bool // a 65th variable was seen: the chain is not encodable
-}
-
-func (vb *varBits) bit(v string) uint64 {
-	id, ok := vb.ids[v]
-	if !ok {
-		if len(vb.ids) == 64 {
-			vb.full = true
-			return 0
-		}
-		id = uint(len(vb.ids))
-		vb.ids[v] = id
-	}
-	return 1 << id
-}
-
-func (vb *varBits) set(vs query.VarSet) (m uint64) {
-	for v := range vs {
-		m |= vb.bit(v)
-	}
-	return m
-}
-
-// at is the mask of the variables at the given atom positions.
-func (vb *varBits) at(a *query.Atom, positions []int) (m uint64) {
-	for _, p := range positions {
-		if t := a.Args[p]; t.IsVar() {
-			m |= vb.bit(t.Name())
-		}
-	}
-	return m
-}
-
 // encode numbers the chain's variables and encodes its members, pricing
 // every candidate entry once. It
 // returns false for a chain with more than 64 variables or members.
@@ -367,25 +331,25 @@ func (o *Optimizer) encode(members []member, ctrl query.VarSet) ([]chainMember, 
 	if len(members) > 64 {
 		return nil, 0, false
 	}
-	vb := varBits{ids: make(map[string]uint, 2*len(members))}
-	ctrlBits := vb.set(ctrl)
+	vb := query.NewVarBits(2 * len(members))
+	ctrlBits := vb.Set(ctrl)
 	cms := make([]chainMember, len(members))
 	for i, m := range members {
 		cm := &cms[i]
 		cm.member = m
-		cm.need, cm.out = vb.set(m.need), vb.set(m.out)
+		cm.need, cm.out = vb.Set(m.need), vb.Set(m.out)
 		if m.atom == nil {
 			continue
 		}
 		for _, t := range m.atom.Args {
 			if t.IsVar() {
-				cm.free |= vb.bit(t.Name())
+				cm.free |= vb.Bit(t.Name())
 			}
 		}
 		if m.entry.Rel == "" {
 			continue // a MembershipProbe member: no entry to fetch through
 		}
-		cm.opts = append(cm.opts, entryOpt{e: m.entry, onPos: m.onPos, on: vb.at(m.atom, m.onPos), n: int64(m.entry.N)})
+		cm.opts = append(cm.opts, entryOpt{e: m.entry, onPos: m.onPos, on: vb.At(m.atom, m.onPos), n: int64(m.entry.N)})
 		rs, ok := o.Acc.Relational().Rel(m.atom.Rel)
 		if !ok {
 			continue
@@ -400,10 +364,10 @@ func (o *Optimizer) encode(members []member, ctrl query.VarSet) ([]chainMember, 
 			if err != nil {
 				continue
 			}
-			cm.opts = append(cm.opts, entryOpt{e: e, onPos: onPos, on: vb.at(m.atom, onPos), n: int64(e.N)})
+			cm.opts = append(cm.opts, entryOpt{e: e, onPos: onPos, on: vb.At(m.atom, onPos), n: int64(e.N)})
 		}
 	}
-	return cms, ctrlBits, !vb.full
+	return cms, ctrlBits, !vb.Full()
 }
 
 // place makes the access decision for member i at a position where bound

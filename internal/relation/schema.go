@@ -70,15 +70,20 @@ func (rs RelSchema) AttrIndex(a string) int {
 // Positions maps a list of attribute names to their positions. It returns
 // an error naming the first unknown attribute.
 func (rs RelSchema) Positions(attrs []string) ([]int, error) {
-	out := make([]int, len(attrs))
-	for i, a := range attrs {
+	return rs.AppendPositions(make([]int, 0, len(attrs)), attrs)
+}
+
+// AppendPositions appends the positions of attrs to dst, as Positions
+// maps them.
+func (rs RelSchema) AppendPositions(dst []int, attrs []string) ([]int, error) {
+	for _, a := range attrs {
 		p := rs.AttrIndex(a)
 		if p < 0 {
 			return nil, fmt.Errorf("relation %s: unknown attribute %q", rs.Name, a)
 		}
-		out[i] = p
+		dst = append(dst, p)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // HasAttrs reports whether every name in attrs is an attribute of rs.
