@@ -153,8 +153,8 @@ func (e *Engine) CreateView(def *query.CQ, entries ...access.Entry) (ViewInfo, e
 // entries and indices are removed from the backend, the maintainer is
 // discarded, and the view epoch bumps so cached plans that read the view
 // become unreachable. In-flight executions holding such a plan may fail
-// their next fetch with an unknown-relation error — the DDL analogue of
-// dropping a table under a running query.
+// their next fetch with an error wrapping store.ErrUnknownRelation — the
+// DDL analogue of dropping a table under a running query.
 func (e *Engine) DropView(name string) error {
 	ddl, ok := e.DB.(store.DDL)
 	if !ok {

@@ -175,7 +175,7 @@ func (s *Store) PlanFetch(e access.Entry) store.FetchRoute {
 // cardinality checks are identical to FetchInto's.
 func (s *Store) FetchPlanned(es *store.ExecStats, e access.Entry, vals []relation.Value, r store.FetchRoute) ([]relation.Tuple, error) {
 	if _, ok := s.routeFor(e.Rel); !ok {
-		return nil, fmt.Errorf("shard: unknown relation %q", e.Rel)
+		return nil, fmt.Errorf("shard: %w %q", store.ErrUnknownRelation, e.Rel)
 	}
 	if len(vals) != len(e.On) {
 		return nil, fmt.Errorf("shard: fetch %s with %d values, want %d", e.Rel, len(vals), len(e.On))
@@ -303,7 +303,7 @@ func (s *Store) scatterFetchEmbedded(es *store.ExecStats, e access.Entry, vals [
 func (s *Store) MembershipInto(es *store.ExecStats, rel string, t relation.Tuple) (bool, error) {
 	rt, ok := s.routeFor(rel)
 	if !ok {
-		return false, fmt.Errorf("shard: unknown relation %q", rel)
+		return false, fmt.Errorf("shard: %w %q", store.ErrUnknownRelation, rel)
 	}
 	rs, _ := s.schema.Rel(rel)
 	if len(t) != rs.Arity() {
@@ -319,7 +319,7 @@ func (s *Store) MembershipInto(es *store.ExecStats, rel string, t relation.Tuple
 // shard.
 func (s *Store) ScanInto(es *store.ExecStats, rel string) ([]relation.Tuple, error) {
 	if _, ok := s.routeFor(rel); !ok {
-		return nil, fmt.Errorf("shard: unknown relation %q", rel)
+		return nil, fmt.Errorf("shard: %w %q", store.ErrUnknownRelation, rel)
 	}
 	if len(s.shards) == 1 {
 		return s.shards[0].ScanInto(es, rel)
@@ -435,7 +435,7 @@ func (s *Store) splitByRoute(u *relation.Update) ([]*relation.Update, error) {
 		for rel, ts := range m {
 			rt, ok := s.routeFor(rel)
 			if !ok {
-				return fmt.Errorf("shard: unknown relation %q", rel)
+				return fmt.Errorf("shard: %w %q", store.ErrUnknownRelation, rel)
 			}
 			rs, _ := s.schema.Rel(rel)
 			for _, t := range ts {

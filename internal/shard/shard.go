@@ -104,7 +104,7 @@ func Open(data *relation.Database, acc *access.Schema, n int, opts ...Option) (*
 	schema := data.Schema()
 	for rel := range o.routes {
 		if _, ok := schema.Rel(rel); !ok {
-			return nil, fmt.Errorf("shard: WithRoute names unknown relation %q", rel)
+			return nil, fmt.Errorf("shard: WithRoute names %w %q", store.ErrUnknownRelation, rel)
 		}
 	}
 	s := &Store{schema: schema, acc: acc, routes: make(map[string]route, schema.Len())}

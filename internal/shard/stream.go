@@ -21,7 +21,7 @@ var _ store.Streamer = (*Store)(nil)
 func (s *Store) ScanSeq(es *store.ExecStats, rel string) store.TupleSeq {
 	if _, ok := s.routeFor(rel); !ok {
 		return func(yield func(relation.Tuple, error) bool) {
-			yield(nil, fmt.Errorf("shard: unknown relation %q", rel))
+			yield(nil, fmt.Errorf("shard: %w %q", store.ErrUnknownRelation, rel))
 		}
 	}
 	if len(s.shards) == 1 {

@@ -41,6 +41,12 @@ var ErrBudgetExceeded = errors.New("read budget exceeded")
 // underlying ctx.Err().
 var ErrCanceled = errors.New("evaluation canceled")
 
+// ErrUnknownRelation is returned (wrapped) by a read, write or DDL call
+// that names a relation the backend does not hold — among them the
+// fetches of a plan still running after DropView removed the view it
+// reads.
+var ErrUnknownRelation = errors.New("unknown relation")
+
 // Counters accumulate the work performed against the store. JSON tags
 // are snake_case: Counters nest inside JSON-marshaled observability
 // structs (core.CommitResult, status snapshots), which use snake_case
@@ -495,7 +501,7 @@ func (db *DB) ensureEntryIndex(e access.Entry) error {
 	}
 	r := db.data.Rel(e.Rel)
 	if r == nil {
-		return fmt.Errorf("store: unknown relation %q", e.Rel)
+		return fmt.Errorf("store: %w %q", ErrUnknownRelation, e.Rel)
 	}
 	p := db.pathsFor(e.Rel)
 	if p.wideFor(e.On, e.Proj) != nil || p.projFor(e.On, e.Proj) != nil {
@@ -550,7 +556,7 @@ func (db *DB) pathsFor(rel string) *relPaths {
 func (db *DB) ensurePlainIndex(rel string, attrs []string) error {
 	r := db.data.Rel(rel)
 	if r == nil {
-		return fmt.Errorf("store: unknown relation %q", rel)
+		return fmt.Errorf("store: %w %q", ErrUnknownRelation, rel)
 	}
 	if rs := r.Schema(); slices.Equal(attrs, rs.Attrs) {
 		db.pathsFor(rel).fullKey = rs.Attrs
@@ -778,6 +784,9 @@ func (db *DB) fetch(e access.Entry, vals []relation.Value) ([]relation.Tuple, er
 			}
 		}
 	}
+	if db.data.Rel(e.Rel) == nil {
+		return nil, fmt.Errorf("store: %w %q", ErrUnknownRelation, e.Rel)
+	}
 	if e.IsEmbedded() {
 		return nil, fmt.Errorf("store: no projected index for %s", e.String())
 	}
@@ -807,7 +816,7 @@ func (db *DB) MembershipInto(es *ExecStats, rel string, t relation.Tuple) (bool,
 	defer db.mu.RUnlock()
 	r := db.data.Rel(rel)
 	if r == nil {
-		return false, fmt.Errorf("store: unknown relation %q", rel)
+		return false, fmt.Errorf("store: %w %q", ErrUnknownRelation, rel)
 	}
 	if !r.Contains(t) {
 		if err := es.ChargeTo(&db.counters, Counters{Memberships: 1, TimeUnits: 1}); err != nil {
@@ -832,7 +841,7 @@ func (db *DB) ScanInto(es *ExecStats, rel string) ([]relation.Tuple, error) {
 	r := db.data.Rel(rel)
 	if r == nil {
 		db.mu.RUnlock()
-		return nil, fmt.Errorf("store: unknown relation %q", rel)
+		return nil, fmt.Errorf("store: %w %q", ErrUnknownRelation, rel)
 	}
 	if err := es.ChargeTo(&db.counters, Counters{Scans: 1, TupleReads: int64(r.Len()), TimeUnits: int64(r.Len())}); err != nil {
 		db.mu.RUnlock()

@@ -60,7 +60,7 @@ func (db *DB) ScanSeq(es *ExecStats, rel string) TupleSeq {
 		r := db.data.Rel(rel)
 		if r == nil {
 			db.mu.RUnlock()
-			yield(nil, fmt.Errorf("store: unknown relation %q", rel))
+			yield(nil, fmt.Errorf("store: %w %q", ErrUnknownRelation, rel))
 			return
 		}
 		out := copyTuples(r.Tuples())
