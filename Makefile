@@ -1,15 +1,22 @@
 GO ?= go
 
-.PHONY: check build vet race staticcheck sivet fuzz-smoke bench-smoke bench-check overhead-gate
+.PHONY: check build vet test race staticcheck sivet fuzz-smoke bench-smoke bench-check overhead-gate
 
-## check: the CI gate — vet, build, and race-enabled tests.
-check: vet build race
+## check: the CI gate — vet, build, tests without and with the race
+## detector.
+check: vet build test race
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+## test: the tests without the race detector — the only run that includes
+## the `//go:build !race` gates (allocation pins, the per-tuple footprint),
+## which measure what the detector's instrumentation would distort.
+test:
+	$(GO) test -shuffle=on ./...
 
 race:
 	$(GO) test -race ./...
