@@ -42,7 +42,8 @@ type Derivation struct {
 
 	// ctrl and cost are Ctrl, as a mask over the analyzed formula's
 	// variable numbering, and CostOf(d), both computed when the analysis
-	// builds d; free is F's free variables, set when Analyze returns d.
+	// builds d; free is F's free variables, set on a node with children
+	// when Analyze returns it.
 	ctrl uint64
 	cost Cost
 	free query.VarSet
