@@ -281,8 +281,6 @@ func (st *analysisState) newChaseBuilder(atoms []*query.Atom, eqs []*query.Eq, f
 		}
 	}
 	acc := st.an.Acc
-	rss := make([]relation.RelSchema, len(atoms))
-	npos := 0
 	for ai, a := range atoms {
 		rs, ok := acc.Relational().Rel(a.Rel)
 		if !ok {
@@ -291,16 +289,12 @@ func (st *analysisState) newChaseBuilder(atoms []*query.Atom, eqs []*query.Eq, f
 		if len(a.Args) != rs.Arity() {
 			return nil, fmt.Errorf("core: atom %s arity mismatch with %s", a, rs)
 		}
-		rss[ai] = rs
-		npos += 2 * rs.Arity() * len(acc.ForRel(a.Rel))
-	}
-	buf := make([]int, 0, npos)
-	for ai, a := range atoms {
-		rs := rss[ai]
+		entries := acc.ForRel(a.Rel)
+		buf := make([]int, 0, 2*len(entries)*rs.Arity())
 		// A membership probe needs the implicit membership access method or
 		// an explicit whole-key entry.
 		b.probe[ai] = acc.ImplicitMembership
-		for _, e := range acc.ForRel(a.Rel) {
+		for _, e := range entries {
 			if len(e.On) == rs.Arity() {
 				// pure membership entry; handled at verification
 				b.probe[ai] = b.probe[ai] || !e.IsEmbedded()
