@@ -34,7 +34,7 @@ const (
 type Derivation struct {
 	Rule     Rule
 	F        query.Formula
-	Ctrl     query.VarSet
+	Ctrl     query.VarSet  // shared with other derivations: read-only
 	Entry    access.Entry  // RuleAtom: the access entry used
 	OnPos    []int         // RuleAtom: positions (within the atom) of Entry.On
 	Children []*Derivation // rule-dependent subderivations
@@ -49,7 +49,9 @@ type Derivation struct {
 	free query.VarSet
 }
 
-// Free returns the free variables of the derived formula.
+// Free returns the free variables of the derived formula. For a node with
+// children the set is built once by the analysis and shared with every
+// plan compiled from d, so callers must not modify it.
 func (d *Derivation) Free() query.VarSet {
 	if d.free != nil {
 		return d.free

@@ -22,27 +22,11 @@ func satMul(a, b int64) int64 { return plan.SatMul(a, b) }
 // before compilation.
 type Cost = plan.Cost
 
-// CostOf computes the static bound of a derivation by structural
-// induction, mirroring the proof of Theorem 4.2. It equals the Bound of
-// the derivation's 1:1 compiled operator plan (compile_test pins this);
-// an optimized plan may carry a tighter bound.
-func CostOf(d *Derivation) Cost {
-	switch d.Rule {
-	case RuleAtom:
-		n := int64(d.Entry.N)
-		return Cost{Candidates: n, Reads: n}
-	case RuleConditions:
-		return Cost{Candidates: 1, Reads: 0}
-	case RuleExists:
-		return CostOf(d.Children[0])
-	case RuleEmbedded:
-		return chaseCost(d.Chase)
-	case RuleConj, RuleDisj, RuleSafeNeg, RuleForall:
-		return ruleCost(d.Rule, CostOf(d.Children[0]), CostOf(d.Children[1]))
-	default:
-		panic(fmt.Sprintf("core: CostOf unknown rule %q", d.Rule))
-	}
-}
+// CostOf returns the static bound of a derivation, computed by structural
+// induction when the analysis builds it, mirroring the proof of Theorem
+// 4.2. It equals the Bound of the derivation's 1:1 compiled operator plan
+// (compile_test pins this); an optimized plan may carry a tighter bound.
+func CostOf(d *Derivation) Cost { return d.cost }
 
 // ruleCost combines the costs of a two-child rule's children, in
 // execution order.
@@ -71,16 +55,6 @@ func ruleCost(r Rule, c0, c1 Cost) Cost {
 	default:
 		panic(fmt.Sprintf("core: ruleCost of rule %q", r))
 	}
-}
-
-func chaseCost(p *ChasePlan) Cost {
-	c := Cost{Candidates: 1}
-	for _, s := range p.Steps {
-		if s.Atom != nil { // equality propagation is free
-			c = chaseFetchCost(c, s.Entry.N, len(s.Binds) > 0)
-		}
-	}
-	return chaseProbeCost(c, len(p.MembershipAtoms))
 }
 
 // chaseFetchCost charges one fetch step through an entry of bound n to a

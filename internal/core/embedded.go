@@ -281,11 +281,6 @@ func (st *analysisState) newChaseBuilder(atoms []*query.Atom, eqs []*query.Eq, f
 		}
 	}
 	acc := st.an.Acc
-	nfetch := 0
-	for _, a := range atoms {
-		nfetch += len(acc.ForRel(a.Rel))
-	}
-	b.fetches = make([]chaseFetch, 0, nfetch)
 	for ai, a := range atoms {
 		rs, ok := acc.Relational().Rel(a.Rel)
 		if !ok {

@@ -9,13 +9,13 @@ import "math/bits"
 // gets no bit and marks the numbering Full.
 type VarBits struct {
 	ids   map[string]uint
-	names []string // by id
+	names []string // by id, built by the first Names or VarSet after a Bit
 	full  bool
 }
 
 // NewVarBits returns an empty numbering with room for n variables.
 func NewVarBits(n int) VarBits {
-	return VarBits{ids: make(map[string]uint, n), names: make([]string, 0, n)}
+	return VarBits{ids: make(map[string]uint, n)}
 }
 
 // Bit returns v's bit, numbering v if it is new; 0 once 64 variables are
@@ -23,16 +23,15 @@ func NewVarBits(n int) VarBits {
 func (vb *VarBits) Bit(v string) uint64 {
 	id, ok := vb.ids[v]
 	if !ok {
-		if len(vb.names) == 64 {
+		if len(vb.ids) == 64 {
 			vb.full = true
 			return 0
 		}
 		if vb.ids == nil {
 			vb.ids = make(map[string]uint)
 		}
-		id = uint(len(vb.names))
+		id = uint(len(vb.ids))
 		vb.ids[v] = id
-		vb.names = append(vb.names, v)
 	}
 	return 1 << id
 }
@@ -63,18 +62,32 @@ func (vb *VarBits) Names(m uint64) []string {
 	if m == 0 {
 		return nil
 	}
+	names := vb.byID()
 	out := make([]string, 0, bits.OnesCount64(m))
 	for ; m != 0; m &= m - 1 {
-		out = append(out, vb.names[bits.TrailingZeros64(m)])
+		out = append(out, names[bits.TrailingZeros64(m)])
 	}
 	return out
 }
 
 // VarSet returns the variables of m as a set.
 func (vb *VarBits) VarSet(m uint64) VarSet {
+	names := vb.byID()
 	out := make(VarSet, bits.OnesCount64(m))
 	for ; m != 0; m &= m - 1 {
-		out[vb.names[bits.TrailingZeros64(m)]] = true
+		out[names[bits.TrailingZeros64(m)]] = true
 	}
 	return out
+}
+
+// byID returns the numbered variables by id. A numbering used only for
+// masks never builds the list.
+func (vb *VarBits) byID() []string {
+	if len(vb.names) != len(vb.ids) {
+		vb.names = make([]string, len(vb.ids))
+		for v, id := range vb.ids {
+			vb.names[id] = v
+		}
+	}
+	return vb.names
 }
