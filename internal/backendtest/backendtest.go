@@ -100,7 +100,6 @@ func Run(t *testing.T, open OpenFunc) {
 	t.Run("deadline", func(t *testing.T) { deadlineInterruption(t, cfg, engB, b) })
 	t.Run("updates", func(t *testing.T) { updateConformance(t, cfg, engRef, engB) })
 	t.Run("streaming", func(t *testing.T) { streamingConformance(t, cfg, engRef, engB) })
-	t.Run("scanseq", func(t *testing.T) { scanSeqConformance(t, b) })
 	t.Run("planequiv", func(t *testing.T) { planEquivalence(t, cfg, engRef.DB, b) })
 	t.Run("analyze", func(t *testing.T) { analyzeConformance(t, cfg, b) })
 	t.Run("livemaint", func(t *testing.T) { liveMaintenance(t, cfg, engRef, engB) })
@@ -260,56 +259,6 @@ func streamingConformance(t *testing.T, cfg workload.Config, engRef, engB *core.
 	}
 }
 
-// scanSeqConformance checks the streaming-scan contract on the backend
-// under test: a full drain of store.ScanSeq charges exactly what its own
-// ScanInto charges and yields the same tuple set; an abandoned stream
-// charges no more than the drain. (Cross-backend scan accounting is
-// covered by naiveConformance.)
-func scanSeqConformance(t *testing.T, b store.Backend) {
-	for _, rel := range []string{"friend", "person"} {
-		esScan := &store.ExecStats{Trace: store.NewTrace()}
-		want, err := b.ScanInto(esScan, rel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		esSeq := &store.ExecStats{Trace: store.NewTrace()}
-		got := relation.NewTupleSet(0)
-		for tu, err := range store.ScanSeq(b, esSeq, rel) {
-			if err != nil {
-				t.Fatal(err)
-			}
-			got.Add(tu)
-		}
-		wantSet := relation.NewTupleSet(len(want))
-		wantSet.AddAll(want)
-		if !got.Equal(wantSet) {
-			t.Fatalf("%s: ScanSeq yielded %d distinct tuples, ScanInto %d", rel, got.Len(), wantSet.Len())
-		}
-		if esSeq.Counters != esScan.Counters {
-			t.Fatalf("%s: ScanSeq charged %+v, ScanInto %+v", rel, esSeq.Counters, esScan.Counters)
-		}
-		if esSeq.Trace.Distinct() != esScan.Trace.Distinct() {
-			t.Fatalf("%s: ScanSeq witness %d, ScanInto %d", rel, esSeq.Trace.Distinct(), esScan.Trace.Distinct())
-		}
-		// Abandoning after one tuple charges at most one chunk (single-node)
-		// or one shard partial — never more than the full scan, and for the
-		// large experiment relation strictly less.
-		esPart := &store.ExecStats{}
-		for _, err := range store.ScanSeq(b, esPart, rel) {
-			if err != nil {
-				t.Fatal(err)
-			}
-			break
-		}
-		if esPart.Counters.TupleReads > esScan.Counters.TupleReads {
-			t.Fatalf("%s: abandoned stream charged %d reads, full scan %d", rel, esPart.Counters.TupleReads, esScan.Counters.TupleReads)
-		}
-		if rel == "friend" && esPart.Counters.TupleReads >= esScan.Counters.TupleReads {
-			t.Fatalf("%s: abandoned stream charged %d of %d reads — nothing was deferred", rel, esPart.Counters.TupleReads, esScan.Counters.TupleReads)
-		}
-	}
-}
-
 // boundedConformance proves the core property: for every experiment query
 // and many bindings, the backend under test returns the same answers,
 // charges the same TupleReads, and stays within the plan's static bound M.
@@ -422,7 +371,7 @@ func deadlineInterruption(t *testing.T, cfg workload.Config, engB *core.Engine, 
 
 // updateConformance commits the same ΔD through both engines' write
 // pipelines and re-checks answer and accounting identity, then undoes it.
-// The backend's commit-log sequence (store.Versioned) must advance
+// The backend's commit-log sequence (Backend.Version) must advance
 // identically on both.
 func updateConformance(t *testing.T, cfg workload.Config, engRef, engB *core.Engine) {
 	ctx := context.Background()
@@ -439,14 +388,9 @@ func updateConformance(t *testing.T, cfg workload.Config, engRef, engB *core.Eng
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The commit log is optional on the Backend contract; when the
-		// backend keeps one, the recorded LSN must be real and current.
-		if v, ok := eng.DB.(store.Versioned); ok {
-			if res.StoreSeq == 0 || res.StoreSeq != v.Version() {
-				t.Fatalf("commit recorded store LSN %d, backend reports %d", res.StoreSeq, v.Version())
-			}
-		} else if res.StoreSeq != 0 {
-			t.Fatalf("unversioned backend, but commit recorded store LSN %d", res.StoreSeq)
+		// The recorded LSN must be real and current.
+		if res.StoreSeq == 0 || res.StoreSeq != eng.DB.Version() {
+			t.Fatalf("commit recorded store LSN %d, backend reports %d", res.StoreSeq, eng.DB.Version())
 		}
 	}
 	q := mustQuery(t, workload.Q1Src)

@@ -270,9 +270,9 @@ func viewServe(t *testing.T, cfg workload.Config, engRef, engB *core.Engine) {
 			res  *core.CommitResult
 			eng  *core.Engine
 		}{{"reference", resRef, engRef}, {"backend", resB, engB}} {
-			if v, ok := en.eng.DB.(store.Versioned); ok && en.res.StoreSeq != v.Version() {
+			if v := en.eng.DB.Version(); en.res.StoreSeq != v {
 				t.Fatalf("commit %d on %s: store LSN %d recorded, backend reports %d — view maintenance advanced the commit log",
-					ci, en.name, en.res.StoreSeq, v.Version())
+					ci, en.name, en.res.StoreSeq, v)
 			}
 			for _, vi := range en.eng.Views() {
 				if vi.Broken != "" {

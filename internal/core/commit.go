@@ -19,9 +19,9 @@ type CommitResult struct {
 	// order every Live delta carries. Strictly monotonic, starting at 1.
 	Seq int64 `json:"seq"`
 	// StoreSeq is the storage backend's own log sequence number for this
-	// ΔD (store.Versioned), 0 when the backend is unversioned. On a
-	// sharded backend this is the merged commit number; per-shard LSNs
-	// advance underneath where the tuples land.
+	// ΔD (Backend.ApplyVersioned). On a sharded backend this is the merged
+	// commit number; per-shard LSNs advance underneath where the tuples
+	// land.
 	StoreSeq int64 `json:"store_seq"`
 	// Size is |ΔD|.
 	Size int `json:"size"`
@@ -46,13 +46,12 @@ type CommitResult struct {
 }
 
 // Commit is the engine's write path: it validates ΔD, applies it to the
-// storage backend (through the backend's versioned commit log when it
-// keeps one), assigns the commit a sequence number, tracks per-relation
-// committed update volume, and incrementally maintains every
-// registered Live subscription — deletion candidates are probed against
-// the pre-commit state, insertion candidates and re-verification against
-// the post-commit state, and each watcher receives one Delta carrying the
-// commit's sequence number.
+// storage backend through the backend's versioned commit log, assigns the
+// commit a sequence number, tracks per-relation committed update volume,
+// and incrementally maintains every registered Live subscription —
+// deletion candidates are probed against the pre-commit state, insertion
+// candidates and re-verification against the post-commit state, and each
+// watcher receives one Delta carrying the commit's sequence number.
 //
 // Commits are serialized: the pipeline runs under the engine's commit
 // lock, so sequence numbers, maintained answer sets and delta streams
@@ -64,9 +63,9 @@ type CommitResult struct {
 //
 // Validation failures wrap ErrInvalidUpdate and apply nothing. A
 // maintenance failure fails that watcher only (its Err reports the cause;
-// the commit itself stands). Writing through Backend.ApplyUpdate directly
-// bypasses this pipeline and leaves Live handles permanently stale —
-// mutate through Commit.
+// the commit itself stands). Writing through Backend.ApplyVersioned
+// directly bypasses this pipeline and leaves Live handles permanently
+// stale — mutate through Commit.
 func (e *Engine) Commit(ctx context.Context, u *relation.Update) (*CommitResult, error) {
 	if u == nil || u.Size() == 0 {
 		return nil, fmt.Errorf("core: empty ΔD: %w", ErrInvalidUpdate)
@@ -92,13 +91,12 @@ func (e *Engine) Commit(ctx context.Context, u *relation.Update) (*CommitResult,
 	}
 
 	// Phase 0 — validate before charging anyone: when watchers or
-	// materialized views will do maintenance work for this update and the
-	// backend can pre-check ΔD (both built-in backends implement
-	// store.Validator), an invalid commit is rejected here, before any
-	// maintenance reads run or a watcher can be failed — or a view frozen
-	// — on behalf of an update that will never apply. Maintenance-less
-	// commits skip straight to the apply, whose own validation is
-	// authoritative either way.
+	// materialized views will do maintenance work for this update, the
+	// backend pre-checks ΔD (Backend.ValidateUpdate) and an invalid commit
+	// is rejected here, before any maintenance reads run or a watcher can
+	// be failed — or a view frozen — on behalf of an update that will
+	// never apply. Maintenance-less commits skip straight to the apply,
+	// whose own validation is authoritative either way.
 	var touched []*Live
 	for _, l := range e.liveWatchers() {
 		if l.m.Touches(u) {
@@ -112,15 +110,13 @@ func (e *Engine) Commit(ctx context.Context, u *relation.Update) (*CommitResult,
 		}
 	}
 	if len(touched) > 0 || len(touchedViews) > 0 {
-		if v, ok := e.DB.(store.Validator); ok {
-			if err := v.ValidateUpdate(u); err != nil {
-				err = fmt.Errorf("core: %w: %w", ErrInvalidUpdate, err)
-				mark(&phases.Validate)
-				if o := e.telemetry(); o != nil {
-					o.observeCommit(CommitEvent{Size: u.Size(), Phases: phases, Err: err})
-				}
-				return nil, err
+		if err := e.DB.ValidateUpdate(u); err != nil {
+			err = fmt.Errorf("core: %w: %w", ErrInvalidUpdate, err)
+			mark(&phases.Validate)
+			if o := e.telemetry(); o != nil {
+				o.observeCommit(CommitEvent{Size: u.Size(), Phases: phases, Err: err})
 			}
+			return nil, err
 		}
 	}
 	mark(&phases.Validate)
@@ -176,20 +172,9 @@ func (e *Engine) Commit(ctx context.Context, u *relation.Update) (*CommitResult,
 	}
 	mark(&phases.Maintain)
 
-	// Phase 2 — apply, through the backend's commit log when it has one.
-	var storeSeq int64
-	if v, ok := e.DB.(store.Versioned); ok {
-		seq, err := v.ApplyVersioned(u)
-		if err != nil {
-			err = fmt.Errorf("core: %w: %w", ErrInvalidUpdate, err)
-			mark(&phases.Apply)
-			if o := e.telemetry(); o != nil {
-				o.observeCommit(CommitEvent{Size: u.Size(), Phases: phases, Err: err})
-			}
-			return nil, err
-		}
-		storeSeq = seq
-	} else if err := e.DB.ApplyUpdate(u); err != nil {
+	// Phase 2 — apply, through the backend's commit log.
+	storeSeq, err := e.DB.ApplyVersioned(u)
+	if err != nil {
 		err = fmt.Errorf("core: %w: %w", ErrInvalidUpdate, err)
 		mark(&phases.Apply)
 		if o := e.telemetry(); o != nil {
@@ -223,8 +208,7 @@ func (e *Engine) Commit(ctx context.Context, u *relation.Update) (*CommitResult,
 			for _, t := range del {
 				vu.Delete(vname, t)
 			}
-			// The type assertion cannot fail: CreateView requires store.DDL.
-			if err := e.DB.(store.DDL).ApplyDerived(vu); err != nil {
+			if err := e.DB.ApplyDerived(vu); err != nil {
 				e.breakView(w.mv, err)
 				continue
 			}

@@ -24,7 +24,7 @@ import (
 func Compile(d *Derivation) plan.Node {
 	switch d.Rule {
 	case RuleAtom:
-		return plan.NewIndexLookup(d.F.(*query.Atom), d.Entry, d.OnPos, d.Ctrl.Clone())
+		return plan.NewIndexLookup(d.F.(*query.Atom), d.Entry, d.OnPos, d.Ctrl)
 	case RuleConditions:
 		return plan.NewSelect(d.F)
 	case RuleConj:
@@ -57,7 +57,7 @@ func Compile(d *Derivation) plan.Node {
 // executable operator.
 func compileChase(d *Derivation) plan.Node {
 	cp := d.Chase
-	n := plan.NewChaseExec(d.Ctrl.Clone())
+	n := plan.NewChaseExec(d.Ctrl)
 	n.Atoms = cp.Atoms
 	n.MembershipAtoms = cp.MembershipAtoms
 	n.Free = cp.Free

@@ -1,7 +1,5 @@
 package core
 
-import "repro/internal/store"
-
 // EngineStats is the engine's unified observability snapshot: one struct
 // carrying everything a serving dashboard needs — plan-cache counters,
 // the write path's sequence numbers and committed volume, and the live
@@ -53,9 +51,7 @@ func (e *Engine) Stats() EngineStats {
 	}
 	if e.DB != nil {
 		s.Size = e.DB.Size()
-		if v, ok := e.DB.(store.Versioned); ok {
-			s.StoreSeq = v.Version()
-		}
+		s.StoreSeq = e.DB.Version()
 	}
 	return s
 }

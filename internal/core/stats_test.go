@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/query"
-	"repro/internal/store"
 )
 
 // TestEngineStatsSnapshot drives one of everything through the engine —
@@ -45,8 +44,8 @@ func TestEngineStatsSnapshot(t *testing.T) {
 	if s1.CommitSeq != 1 {
 		t.Fatalf("Stats.CommitSeq = %d after one commit, want 1", s1.CommitSeq)
 	}
-	if v, ok := eng.DB.(store.Versioned); ok && s1.StoreSeq != v.Version() {
-		t.Fatalf("Stats.StoreSeq = %d, backend reports %d", s1.StoreSeq, v.Version())
+	if v := eng.DB.Version(); s1.StoreSeq != v {
+		t.Fatalf("Stats.StoreSeq = %d, backend reports %d", s1.StoreSeq, v)
 	}
 	if s1.CommittedVolume["person"] != 1 || s1.CommittedVolume["friend"] != 1 {
 		t.Fatalf("Stats.CommittedVolume = %v, want person:1 friend:1", s1.CommittedVolume)

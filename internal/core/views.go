@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/relation"
-	"repro/internal/store"
 	"repro/internal/views"
 )
 
@@ -30,10 +28,6 @@ import (
 // exactly like base atoms: a rewriting plan is ordinary plan IR whose
 // IndexLookups happen to name a view relation. No special lowering
 // exists.
-
-// ErrNoViewDDL: the storage backend does not implement store.DDL, so
-// materialized views cannot be registered on this engine.
-var ErrNoViewDDL = errors.New("backend does not support view DDL")
 
 // matView is one registered materialized view. The maintainer is driven
 // exclusively under the engine's commit lock (CreateView and Commit both
@@ -77,8 +71,8 @@ type ViewInfo struct {
 //     variables: every per-atom remainder controlled by the atom's
 //     variables, deletions re-verified through the head);
 //   - the initial extent is computed and stored through the backend's DDL
-//     path (store.DDL) — on a sharded backend the view relation is hash-
-//     routed from its access entries like any base relation;
+//     path (Backend.AddRelation) — on a sharded backend the view relation
+//     is hash-routed from its access entries like any base relation;
 //   - access entries for the view are derived from the definition's own
 //     controllability (for each head variable x with an x̄={x}-controlled
 //     body, the candidate bound of that derivation bounds every σ_x=a(V)
@@ -90,17 +84,12 @@ type ViewInfo struct {
 //
 // Registration bumps the engine's view epoch: every cached plan (and
 // cached ErrNotControllable outcome) becomes unreachable, so the next
-// Prepare sees the new view. Fails with ErrNoViewDDL when the backend
-// cannot host view relations, and wraps ErrWatchNotMaintainable when the
+// Prepare sees the new view. Wraps ErrWatchNotMaintainable when the
 // definition cannot be incrementally maintained.
 func (e *Engine) CreateView(def *query.CQ, entries ...access.Entry) (ViewInfo, error) {
 	v, err := views.NewView(def)
 	if err != nil {
 		return ViewInfo{}, err
-	}
-	ddl, ok := e.DB.(store.DDL)
-	if !ok {
-		return ViewInfo{}, fmt.Errorf("core: %w (%T)", ErrNoViewDDL, e.DB)
 	}
 	e.commitMu.Lock()
 	defer e.commitMu.Unlock()
@@ -112,7 +101,7 @@ func (e *Engine) CreateView(def *query.CQ, entries ...access.Entry) (ViewInfo, e
 	// schema: schema objects are shared across shards (and across backends
 	// in test harnesses), so a declaration may outlive any one instance's
 	// relation.
-	if ddl.HasRelation(name) {
+	if e.DB.HasRelation(name) {
 		return ViewInfo{}, fmt.Errorf("core: %w: base relation %q", ErrViewExists, name)
 	}
 	m, err := NewMaintainer(e, def, nil)
@@ -133,7 +122,7 @@ func (e *Engine) CreateView(def *query.CQ, entries ...access.Entry) (ViewInfo, e
 		}
 	}
 	all := append(auto, entries...)
-	if err := ddl.AddRelation(v.Schema(), all, tuples); err != nil {
+	if err := e.DB.AddRelation(v.Schema(), all, tuples); err != nil {
 		return ViewInfo{}, fmt.Errorf("core: view %q: %w", name, err)
 	}
 	mv := &matView{view: v, def: def, m: m, entries: all, seq: e.commitSeq.Load()}
@@ -156,10 +145,6 @@ func (e *Engine) CreateView(def *query.CQ, entries ...access.Entry) (ViewInfo, e
 // their next fetch with an error wrapping store.ErrUnknownRelation — the
 // DDL analogue of dropping a table under a running query.
 func (e *Engine) DropView(name string) error {
-	ddl, ok := e.DB.(store.DDL)
-	if !ok {
-		return fmt.Errorf("core: %w (%T)", ErrNoViewDDL, e.DB)
-	}
 	e.commitMu.Lock()
 	defer e.commitMu.Unlock()
 	e.viewMu.Lock()
@@ -170,7 +155,7 @@ func (e *Engine) DropView(name string) error {
 	delete(e.viewReg, name)
 	e.viewMu.Unlock()
 	e.viewEpoch.Add(1)
-	return ddl.DropRelation(name)
+	return e.DB.DropRelation(name)
 }
 
 // Views snapshots the registered views in registration order.

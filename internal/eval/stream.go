@@ -5,8 +5,9 @@
 // full drains of these streams, so their answers and measured counters
 // are unchanged; a consumer that stops early (LIMIT serving, First,
 // cancellation) skips the scans of join branches it never reached. Over
-// the uncounted DBSource, inner scans are answered by key (dbRuntime);
-// counted sources keep the nested loop and its full-scan charges.
+// the uncounted DBSource, scans with known arguments are answered by key
+// (dbRuntime); counted sources keep the nested loop and its full-scan
+// charges.
 
 package eval
 
@@ -20,76 +21,6 @@ import (
 	"repro/internal/relation"
 	"repro/internal/store"
 )
-
-// SeqSource is optionally implemented by sources whose relation scans can
-// be delivered incrementally (e.g. StoreSource over a scatter-gathering
-// sharded backend, where partials stream in as each shard finishes). The
-// outermost loop of a CQ join consumes it, decoupling time-to-first-
-// answer from the slowest shard's full scan.
-type SeqSource interface {
-	Source
-	// TupleSeq streams all tuples of rel, charging the scan as it is
-	// consumed. A full drain charges exactly what Tuples charges.
-	TupleSeq(rel string) iter.Seq2[relation.Tuple, error]
-}
-
-// TupleSeq implements SeqSource: the scan streams through the backend's
-// incremental path (store.ScanSeq) and is charged chunk by chunk as the
-// join pulls it. A memoized snapshot, when present, replays with the
-// usual full-scan charge; a fully drained stream populates the snapshot
-// so later scans of the same relation skip the copy.
-func (s StoreSource) TupleSeq(rel string) iter.Seq2[relation.Tuple, error] {
-	return func(yield func(relation.Tuple, error) bool) {
-		if s.Snap != nil {
-			if ts, ok := s.Snap.m[rel]; ok {
-				if err := s.DB.ChargeScanned(s.Stats, len(ts)); err != nil {
-					yield(nil, err)
-					return
-				}
-				for _, t := range ts {
-					if !yield(t, nil) {
-						return
-					}
-				}
-				return
-			}
-		}
-		var collected []relation.Tuple
-		for t, err := range store.ScanSeq(s.DB, s.Stats, rel) {
-			if err != nil {
-				yield(nil, err)
-				return
-			}
-			collected = append(collected, t)
-			if !yield(t, nil) {
-				return // abandoned mid-scan: do not memoize a partial snapshot
-			}
-		}
-		if s.Snap != nil {
-			s.Snap.m[rel] = collected
-		}
-	}
-}
-
-// tupleStream scans rel as a lazy stream when the source supports it,
-// falling back to a materialized scan.
-func tupleStream(src Source, rel string) iter.Seq2[relation.Tuple, error] {
-	if ss, ok := src.(SeqSource); ok {
-		return ss.TupleSeq(rel)
-	}
-	return func(yield func(relation.Tuple, error) bool) {
-		ts, err := src.Tuples(rel)
-		if err != nil {
-			yield(nil, err)
-			return
-		}
-		for _, t := range ts {
-			if !yield(t, nil) {
-				return
-			}
-		}
-	}
-}
 
 // Stream returns the lazy, deduplicated answer stream of q with the head
 // variables in fixed bound: the cursor form of Answers. At most one
@@ -122,14 +53,10 @@ func (rt sourceRuntime) Member(_ int, rel string, t relation.Tuple) (bool, error
 	return rt.src.Contains(rel, t)
 }
 
-// Scan implements plan.Runtime: the streaming path (outermost scan of a
-// join) goes through SeqSource when available; inner scans read the
-// materialized (memoized) snapshot so a self-join sees one version of
+// Scan implements plan.Runtime: every scan reads the source's
+// materialized (memoized) snapshot, so a self-join sees one version of
 // the relation even under concurrent writers.
-func (rt sourceRuntime) Scan(_ int, rel string, stream bool) iter.Seq2[relation.Tuple, error] {
-	if stream {
-		return tupleStream(rt.src, rel)
-	}
+func (rt sourceRuntime) Scan(_ int, rel string) iter.Seq2[relation.Tuple, error] {
 	return func(yield func(relation.Tuple, error) bool) {
 		ts, err := rt.src.Tuples(rel)
 		if err != nil {
@@ -240,27 +167,12 @@ next:
 // compileCQ lowers a conjunctive query to its physical plan: one
 // NaiveScan leaf per atom in the greedy most-bound-first order, chained
 // by non-deduplicating NLJoins (the naive join deduplicates only at the
-// head, exactly like the reference backtracking evaluator). The
-// outermost scan is marked streaming when its relation is not joined
-// again further in: inner atoms read through the memoized snapshot, and
-// a self-join must see ONE version of the relation even under concurrent
-// writers — a suspended outer stream revisited after an ApplyUpdate
-// would not.
+// head, exactly like the reference backtracking evaluator).
 func compileCQ(atoms []*query.Atom, env query.Bindings) plan.Node {
-	order := atomOrder(atoms, env)
-	streamOuter := len(order) > 0
-	if streamOuter {
-		for _, a := range order[1:] {
-			if a.Rel == order[0].Rel {
-				streamOuter = false
-				break
-			}
-		}
-	}
 	var root plan.Node
 	out := env.Vars().Clone()
-	for i, a := range order {
-		leaf := plan.NewNaiveScan(a, i == 0 && streamOuter)
+	for _, a := range atomOrder(atoms, env) {
+		leaf := plan.NewNaiveScan(a)
 		if root == nil {
 			root = leaf
 			out = out.Union(leaf.Out())

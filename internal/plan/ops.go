@@ -591,18 +591,16 @@ func (n *ForallCheck) stream(rt Runtime, env query.Bindings) Seq {
 // NaiveScan is the naive evaluator's leaf: a full scan of the atom's
 // relation, each tuple unified against the atom under the current
 // environment. It has no bounded cost — it is never part of a bounded
-// plan — and reports a saturated read bound. StreamOK marks the outermost
-// scan of a join, which may be delivered incrementally by the runtime.
+// plan — and reports a saturated read bound.
 type NaiveScan struct {
 	opID
-	Atom     *query.Atom
-	StreamOK bool
-	free     query.VarSet
+	Atom *query.Atom
+	free query.VarSet
 }
 
 // NewNaiveScan builds the scan leaf.
-func NewNaiveScan(a *query.Atom, streamOK bool) *NaiveScan {
-	return &NaiveScan{Atom: a, StreamOK: streamOK, free: a.FreeVars()}
+func NewNaiveScan(a *query.Atom) *NaiveScan {
+	return &NaiveScan{Atom: a, free: a.FreeVars()}
 }
 
 // Out implements Node.
@@ -619,13 +617,7 @@ func (n *NaiveScan) Bound() Cost { return Cost{Candidates: costCap, Reads: costC
 func (n *NaiveScan) Children() []Node { return nil }
 
 // Describe implements Node.
-func (n *NaiveScan) Describe() string {
-	s := fmt.Sprintf("NaiveScan %s", n.Atom)
-	if n.StreamOK {
-		s += " [streaming]"
-	}
-	return s
-}
+func (n *NaiveScan) Describe() string { return fmt.Sprintf("NaiveScan %s", n.Atom) }
 
 // Stream implements Node: no deduplication — the naive join deduplicates
 // only at the head, exactly like the reference backtracking evaluator.
@@ -638,7 +630,7 @@ func (n *NaiveScan) stream(rt Runtime, env query.Bindings) Seq {
 		return failSeq(err)
 	}
 	return func(yield func(query.Bindings, error) bool) {
-		if ks, ok := rt.(KeyedScanner); ok && !n.StreamOK {
+		if ks, ok := rt.(KeyedScanner); ok {
 			if pos, vals := n.keyArgs(env); len(pos) > 0 {
 				ts, err := ks.ScanKeyed(n.id, n.Atom.Rel, pos, vals)
 				if err != nil {
@@ -654,7 +646,7 @@ func (n *NaiveScan) stream(rt Runtime, env query.Bindings) Seq {
 				return
 			}
 		}
-		for tu, err := range rt.Scan(n.id, n.Atom.Rel, n.StreamOK) {
+		for tu, err := range rt.Scan(n.id, n.Atom.Rel) {
 			if err != nil {
 				yield(nil, err)
 				return

@@ -561,7 +561,7 @@ func ResolveRoutes(n Node, b store.Backend) {
 		if planned {
 			return rp.PlanFetch(e)
 		}
-		return store.FetchRoute{Kind: store.RouteLocal}
+		return store.FetchRoute{}
 	}
 	var walk func(Node)
 	walk = func(n Node) {

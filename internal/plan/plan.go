@@ -66,15 +66,13 @@ type Seq = iter.Seq2[query.Bindings, error]
 // runtimes ignore it.
 type Runtime interface {
 	// Fetch performs the indexed retrieval licensed by e under the
-	// plan-time route r (RouteAuto lets the backend decide per call).
+	// plan-time route r (RouteLocal lets the backend decide per call).
 	Fetch(op int, e access.Entry, vals []relation.Value, r store.FetchRoute) ([]relation.Tuple, error)
 	// Member probes t ∈ rel.
 	Member(op int, rel string, t relation.Tuple) (bool, error)
-	// Scan streams all tuples of rel. When stream is true the runtime may
-	// deliver the scan incrementally (charged as consumed); otherwise it
-	// must materialize a coherent snapshot up front. Only NaiveScan calls
-	// it.
-	Scan(op int, rel string, stream bool) iter.Seq2[relation.Tuple, error]
+	// Scan streams all tuples of rel from a coherent snapshot taken, and
+	// charged, up front. Only NaiveScan calls it.
+	Scan(op int, rel string) iter.Seq2[relation.Tuple, error]
 	// Check fails fast once the call's context is canceled or past its
 	// deadline. Called at every operator boundary.
 	Check() error
@@ -85,12 +83,11 @@ type Runtime interface {
 }
 
 // KeyedScanner is optionally implemented by a Runtime that can answer a
-// non-streaming NaiveScan by key: ScanKeyed returns the tuples of rel
-// whose values at positions (ascending) equal vals, in the order Scan
-// would deliver them. A NaiveScan whose atom has constant or env-bound
-// arguments asks it instead of scanning the whole relation per outer
-// binding, so the naive join becomes a hash join with the nested-loop
-// output order. Only uncounted runtimes may implement it: a counted
+// NaiveScan by key: ScanKeyed returns the tuples of rel whose values at
+// positions (ascending) equal vals, in the order Scan would deliver them.
+// A NaiveScan whose atom has constant or env-bound arguments asks it
+// instead of scanning the whole relation per outer binding, so the naive
+// join becomes a hash join with the nested-loop output order. Only uncounted runtimes may implement it: a counted
 // runtime charges every naive scan in full.
 type KeyedScanner interface {
 	ScanKeyed(op int, rel string, positions []int, vals []relation.Value) ([]relation.Tuple, error)
@@ -136,28 +133,8 @@ func (rt BackendRuntime) Member(op int, rel string, t relation.Tuple) (bool, err
 	return rt.B.MembershipInto(rt.Es, rel, t)
 }
 
-// Scan implements Runtime: the streaming path charges chunk by chunk via
-// store.ScanSeq; the materialized path is one counted ScanInto.
-func (rt BackendRuntime) Scan(op int, rel string, stream bool) iter.Seq2[relation.Tuple, error] {
-	rt.pin(op)
-	if stream {
-		inner := store.ScanSeq(rt.B, rt.Es, rel)
-		if rt.Es == nil || rt.Es.Ops == nil {
-			return inner
-		}
-		// A streaming scan charges lazily, interleaved with whatever other
-		// operators run between pulls: re-pin attribution every time
-		// control returns to the scan so its deferred charges land on the
-		// scanning operator, not on whichever operator ran last.
-		return func(yield func(relation.Tuple, error) bool) {
-			rt.pin(op)
-			inner(func(t relation.Tuple, err error) bool {
-				ok := yield(t, err)
-				rt.pin(op)
-				return ok
-			})
-		}
-	}
+// Scan implements Runtime: one counted ScanInto.
+func (rt BackendRuntime) Scan(op int, rel string) iter.Seq2[relation.Tuple, error] {
 	return func(yield func(relation.Tuple, error) bool) {
 		rt.pin(op)
 		ts, err := rt.B.ScanInto(rt.Es, rel)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -151,9 +152,6 @@ func (m *metrics) delta(lag int64, folded int) {
 	}
 }
 
-// shardVersioned is the optional per-shard LSN surface (shard.Store).
-type shardVersioned interface{ ShardVersions() []int64 }
-
 // collect refreshes the scrape-time gauges from live engine state. Called
 // on every /metricsz scrape, under no locks beyond the engine's own.
 func (m *metrics) collect(eng *core.Engine) {
@@ -166,23 +164,8 @@ func (m *metrics) collect(eng *core.Engine) {
 	m.watchers.Set(float64(st.Watchers))
 	m.views.Set(float64(st.Views))
 	m.viewEpoch.Set(float64(st.ViewEpoch))
-	spread := int64(0)
-	if sv, ok := eng.DB.(shardVersioned); ok {
-		vs := sv.ShardVersions()
-		if len(vs) > 0 {
-			min, max := vs[0], vs[0]
-			for _, v := range vs[1:] {
-				if v < min {
-					min = v
-				}
-				if v > max {
-					max = v
-				}
-			}
-			spread = max - min
-		}
-	}
-	m.lsnSpread.Set(float64(spread))
+	vs := eng.DB.ShardVersions()
+	m.lsnSpread.Set(float64(slices.Max(vs) - slices.Min(vs)))
 }
 
 // handleMetricsz serves GET /metricsz: scrape-time gauges refreshed, then

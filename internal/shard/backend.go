@@ -11,11 +11,11 @@ import (
 	"repro/internal/store"
 )
 
-// Store implements store.Backend, with a merged commit log across shards.
+// Store implements store.Backend, with a merged commit log across shards,
+// and plans its fetch routes.
 var (
-	_ store.Backend   = (*Store)(nil)
-	_ store.Versioned = (*Store)(nil)
-	_ store.Validator = (*Store)(nil)
+	_ store.Backend      = (*Store)(nil)
+	_ store.RoutePlanner = (*Store)(nil)
 )
 
 // Schema returns the relational schema.
@@ -196,7 +196,7 @@ func (s *Store) FetchPlanned(es *store.ExecStats, e access.Entry, vals []relatio
 	return s.scatterFetchPlain(es, e, vals)
 }
 
-// MaxGroup implements the optional store.EntryStats interface: the sum of
+// MaxGroup reports the data statistics of an access entry: the sum of
 // the per-shard maxima is an upper bound on the size of any logical group
 // of e (a group not covered by the routing key may be split across
 // shards, but each fragment is bounded by its shard's maximum).
@@ -355,30 +355,23 @@ func (s *Store) ChargeScanned(es *store.ExecStats, n int) error {
 	})
 }
 
-// ApplyUpdate splits ΔD by routing key, pre-validates every per-shard
-// piece, then applies the pieces concurrently — writes to different
-// shards proceed in parallel under per-shard write locks instead of one
-// global lock. Validation failures are reported before anything is
-// applied; an apply-phase failure (possible only with concurrent writers
-// racing the validation) may leave other shards' pieces applied.
+// ApplyVersioned implements store.Backend: ΔD splits by routing key,
+// every per-shard piece is pre-validated, then the pieces apply
+// concurrently — writes to different shards proceed in parallel under
+// per-shard write locks instead of one global lock — through each
+// shard's own versioned log (per-shard LSNs advance where the tuples
+// land). One merged commit number is assigned to the whole ΔD after every
+// piece has applied: the merged notification point Engine.Commit records.
+// Validation failures are reported before anything is applied; an
+// apply-phase failure (possible only with concurrent writers racing the
+// validation) may leave other shards' pieces applied.
 //
 // Atomicity is per shard, not per update: a concurrent reader may
 // observe a multi-shard ΔD with some shards' pieces applied and others
 // not (the single-node backend, holding one exclusive lock, never
-// exposes such a state). Single-shard updates — the common single-entity
-// write — remain fully atomic.
-func (s *Store) ApplyUpdate(u *relation.Update) error {
-	_, err := s.ApplyVersioned(u)
-	return err
-}
-
-// ApplyVersioned implements store.Versioned: the per-shard pieces apply
-// through each shard's own versioned log (per-shard LSNs advance where
-// the tuples land), and one merged commit number is assigned to the whole
-// ΔD after every piece has applied — the merged notification point
-// Engine.Commit records. The merged number orders successful whole-backend
-// applies; it does not serialize against in-flight partial applies (see
-// the ApplyUpdate atomicity note).
+// exposes such a state), and the merged number does not serialize
+// against in-flight partial applies. Single-shard updates — the common
+// single-entity write — remain fully atomic.
 func (s *Store) ApplyVersioned(u *relation.Update) (int64, error) {
 	if err := s.applySharded(u); err != nil {
 		return 0, err
@@ -386,11 +379,11 @@ func (s *Store) ApplyVersioned(u *relation.Update) (int64, error) {
 	return s.commits.Add(1), nil
 }
 
-// Version implements store.Versioned: the merged commit count.
+// Version implements store.Backend: the merged commit count.
 func (s *Store) Version() int64 { return s.commits.Load() }
 
-// ShardVersions returns each shard's own storage LSN (advanced only when
-// a commit touched that shard).
+// ShardVersions implements store.Backend: each shard's own storage LSN
+// (advanced only when a commit touched that shard).
 func (s *Store) ShardVersions() []int64 {
 	out := make([]int64, len(s.shards))
 	for i, sh := range s.shards {
@@ -399,7 +392,7 @@ func (s *Store) ShardVersions() []int64 {
 	return out
 }
 
-// ValidateUpdate implements store.Validator: ΔD is split by routing key
+// ValidateUpdate implements store.Backend: ΔD is split by routing key
 // and every per-shard piece is checked under that shard's shared lock,
 // without applying anything. Advisory with concurrent writers (the apply
 // path re-validates under per-shard write locks), exact under a
@@ -461,8 +454,7 @@ func (s *Store) splitByRoute(u *relation.Update) ([]*relation.Update, error) {
 	return subs, nil
 }
 
-// applySharded is the split/validate/apply pipeline shared by ApplyUpdate
-// and ApplyVersioned.
+// applySharded is ApplyVersioned's split/validate/apply pipeline.
 func (s *Store) applySharded(u *relation.Update) error {
 	subs, err := s.splitByRoute(u)
 	if err != nil {

@@ -5,15 +5,10 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/relation"
-	"repro/internal/store"
 )
 
-// Store supports online relation DDL: materialized views register their
-// backing relation at runtime, routed like any base relation.
-var _ store.DDL = (*Store)(nil)
-
-// AddRelation implements store.DDL: the new relation gets a routing key
-// chosen from the supplied access entries (chooseRoute, same rule as
+// AddRelation implements store.Backend: the new relation gets a routing
+// key chosen from the supplied access entries (chooseRoute, same rule as
 // Open), the seed tuples are partitioned by it, and each shard registers
 // the relation through its own DDL path. All shards share one relational
 // schema and one access schema, so the declaration and entry registration
@@ -60,7 +55,7 @@ func (s *Store) AddRelation(rs relation.RelSchema, entries []access.Entry, tuple
 	return nil
 }
 
-// DropRelation implements store.DDL: the route is retracted first (new
+// DropRelation implements store.Backend: the route is retracted first (new
 // fetches fail fast as "unknown relation"), then every shard drops its
 // partition; the shared schema and access entries go with the first drop,
 // the rest repeat idempotently.
@@ -76,15 +71,15 @@ func (s *Store) DropRelation(name string) error {
 	return nil
 }
 
-// HasRelation implements store.DDL: whether this sharded store routes the
-// named relation (the shared schema's declarations may outlive it).
+// HasRelation implements store.Backend: whether this sharded store routes
+// the named relation (the shared schema's declarations may outlive it).
 func (s *Store) HasRelation(name string) bool {
 	_, ok := s.routeFor(name)
 	return ok
 }
 
-// ApplyDerived implements store.DDL: ΔD splits by routing key like
-// ApplyUpdate, every piece is pre-validated, and the pieces apply through
+// ApplyDerived implements store.Backend: ΔD splits by routing key like
+// ApplyVersioned, every piece is pre-validated, and the pieces apply through
 // each shard's unversioned derived-state path — neither the per-shard
 // LSNs nor the merged commit number advance, because a view delta is
 // state of the base commit that produced it.

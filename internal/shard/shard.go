@@ -17,9 +17,9 @@
 //     the single-node backend — in particular, TupleReads charged for a
 //     logical access are the same.
 //
-// Writes partition too: ApplyUpdate splits ΔD by routing key and applies
-// the per-shard pieces concurrently under per-shard write locks, so
-// updates to different shards no longer serialize behind one global
+// Writes partition too: ApplyVersioned splits ΔD by routing key and
+// applies the per-shard pieces concurrently under per-shard write locks,
+// so updates to different shards no longer serialize behind one global
 // RWMutex.
 package shard
 
@@ -43,7 +43,7 @@ type Store struct {
 	acc    *access.Schema
 	shards []*store.DB
 
-	// routes is guarded by routesMu: view DDL (store.DDL) registers and
+	// routes is guarded by routesMu: view DDL (AddRelation) registers and
 	// removes routes while fetches, membership probes and update
 	// splitting read them.
 	routesMu sync.RWMutex
@@ -56,7 +56,7 @@ type Store struct {
 
 	// commits is the merged commit-log sequence number: one increment per
 	// successful whole-backend apply, assigned after every per-shard piece
-	// has landed (store.Versioned).
+	// has landed (ApplyVersioned).
 	commits atomic.Int64
 }
 

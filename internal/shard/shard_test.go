@@ -238,7 +238,7 @@ func TestApplyUpdateRoutes(t *testing.T) {
 		u.Insert("friend", relation.Tuple{relation.Int(90001), relation.Int(i)})
 	}
 	for _, b := range []store.Backend{single, s} {
-		if err := b.ApplyUpdate(u); err != nil {
+		if _, err := b.ApplyVersioned(u); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -259,7 +259,7 @@ func TestApplyUpdateRoutes(t *testing.T) {
 		t.Fatalf("fetch after update: %v vs %v", want, got)
 	}
 	inv := u.Inverse()
-	if err := s.ApplyUpdate(inv); err != nil {
+	if _, err := s.ApplyVersioned(inv); err != nil {
 		t.Fatal(err)
 	}
 	if err := single.ApplyUpdate(inv); err != nil {
@@ -278,7 +278,7 @@ func TestApplyUpdateValidation(t *testing.T) {
 	u := relation.NewUpdate()
 	u.Insert("person", relation.Tuple{relation.Int(90002), relation.Str("aa"), relation.Str("LA")})
 	u.Delete("person", relation.Tuple{relation.Int(-77), relation.Str("no"), relation.Str("NYC")})
-	if err := s.ApplyUpdate(u); err == nil {
+	if _, err := s.ApplyVersioned(u); err == nil {
 		t.Fatal("invalid update applied without error")
 	}
 	if !s.CloneData().Equal(before) {

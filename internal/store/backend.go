@@ -5,11 +5,13 @@ import (
 	"repro/internal/relation"
 )
 
-// Backend is the storage interface the evaluators and the engine run
-// against: the read/update path of the original single-node *DB, extracted
-// so alternative backends (hash-sharded in internal/shard; disk-backed or
-// remote in the future) plug into the same engine, counters, witness
-// traces, read budgets and cancellation semantics.
+// Backend is the one storage interface the evaluators and the engine run
+// against: the charged read path, the commit log, online relation DDL
+// and the bookkeeping around them. The single-node *DB is the reference
+// implementation; the hash-sharded store in internal/shard plugs into
+// the same engine, counters, witness traces, read budgets and
+// cancellation semantics. The only capability the two differ on, plan-
+// time fetch routing, is the separate RoutePlanner.
 //
 // Contract, shared by every implementation:
 //
@@ -24,7 +26,7 @@ import (
 //     ErrBudgetExceeded) and its Ctx (failing with ErrCanceled), and
 //     record touched base tuples in its Trace.
 //   - Returned slices are snapshots: they stay valid after concurrent
-//     ApplyUpdate calls.
+//     ApplyVersioned and ApplyDerived calls.
 //   - TupleReads charged for the same logical access are identical across
 //     backends; bookkeeping counters that reflect physical topology
 //     (IndexLookups, Scans, TimeUnits under scatter-gather) may differ.
@@ -50,16 +52,54 @@ type Backend interface {
 	// touching data — for memoized scan-snapshot replays (eval.ScanSnapshot).
 	ChargeScanned(es *ExecStats, n int) error
 
-	// ApplyUpdate validates and applies ΔD, keeping indices in sync.
-	// Atomicity with respect to concurrent readers is per locking domain:
-	// the single-node DB applies ΔD under one exclusive lock, while a
-	// partitioned backend applies per-shard pieces under per-shard locks —
-	// a concurrent reader may observe an update to several shards
-	// partially applied. Each individual read still sees a coherent
-	// snapshot of every shard it touches.
-	ApplyUpdate(u *relation.Update) error
+	// ValidateUpdate checks ΔD against the current data without applying
+	// it. With concurrent writers the check is advisory — the apply path
+	// re-validates under its own locking — but it lets Engine.Commit
+	// reject an invalid ΔD before charging any watcher maintenance work
+	// (the commit pipeline's phase 0).
+	ValidateUpdate(u *relation.Update) error
+	// ApplyVersioned validates and applies ΔD, keeping indices in sync,
+	// and returns the log sequence number (LSN) assigned to it: strictly
+	// monotonic, starting at 1, advanced only by successful applies. It is
+	// the one write path; Engine.Commit calls it and records the LSN in
+	// its CommitResult. Atomicity with respect to concurrent readers is
+	// per locking domain: the single-node DB applies ΔD under one
+	// exclusive lock, while a partitioned backend applies per-shard pieces
+	// under per-shard locks — a concurrent reader may observe an update to
+	// several shards partially applied. Each individual read still sees a
+	// coherent snapshot of every shard it touches.
+	ApplyVersioned(u *relation.Update) (int64, error)
+	// Version returns the LSN of the last applied update (0 before the
+	// first). On a partitioned backend it is the merged (whole-backend)
+	// commit number.
+	Version() int64
+	// ShardVersions returns each partition's own LSN, advanced only by
+	// commits that touched it: at least one element, since a single-node
+	// backend is one partition.
+	ShardVersions() []int64
 	// EnsureIndex builds (or reuses) a plain index on attrs of rel.
 	EnsureIndex(rel string, attrs []string) error
+
+	// AddRelation declares rs, seeds it with tuples, registers the given
+	// access entries (each must name rs) and builds their indices. On a
+	// partitioned backend the new relation is routed from its entries
+	// like a base relation and the seed tuples are partitioned. The
+	// engine's materialized-view registry creates the relation backing a
+	// view through it.
+	AddRelation(rs relation.RelSchema, entries []access.Entry, tuples []relation.Tuple) error
+	// DropRelation removes the relation with its access entries and
+	// indices; dropping an absent relation is not an error.
+	DropRelation(name string) error
+	// ApplyDerived validates and applies ΔD like ApplyVersioned but
+	// WITHOUT advancing the LSN: a view delta is derived state of the base
+	// commit that produced it, not a commit of its own, so the LSN keeps
+	// counting base commits only.
+	ApplyDerived(u *relation.Update) error
+	// HasRelation reports whether THIS backend instance stores the named
+	// relation. Instances may share one *relation.Schema (shards; test
+	// harnesses opening reference and backend over one schema), so a
+	// schema declaration alone does not answer existence here.
+	HasRelation(name string) bool
 
 	// EntriesFor returns the access entries available for rel, most
 	// selective first (the planner consumes this).
@@ -80,41 +120,16 @@ type Backend interface {
 	ResetCounters() Counters
 }
 
-// Validator is implemented by backends that can check an update against
-// the current data without applying it. With concurrent writers the check
-// is advisory — the apply path re-validates under its own locking — but
-// it lets Engine.Commit reject an invalid ΔD before charging any watcher
-// maintenance work (the commit pipeline's phase 0).
-type Validator interface {
-	ValidateUpdate(u *relation.Update) error
-}
-
-// Versioned is implemented by backends that maintain a commit-log
-// sequence number over their update stream. ApplyVersioned is ApplyUpdate
-// returning the log sequence number (LSN) assigned to the applied ΔD:
-// strictly monotonic, starting at 1, advanced only by successful applies.
-// On a partitioned backend the returned LSN is the merged (whole-backend)
-// commit number; each shard additionally keeps its own per-shard LSN.
-//
-// Engine.Commit prefers this interface when the backend provides it and
-// records the LSN in its CommitResult, so the engine's notification order
-// and the storage log can be correlated.
-type Versioned interface {
-	ApplyVersioned(u *relation.Update) (int64, error)
-	Version() int64
-}
-
 // RouteKind classifies how a planned fetch reaches the data. The planner
 // resolves it once at plan-compile time; the per-call fetch path then
 // skips the routing decision entirely.
 type RouteKind uint8
 
 const (
-	// RouteAuto: unresolved — the backend decides per fetch (the pre-plan
-	// behavior, and the fallback for backends without a RoutePlanner).
-	RouteAuto RouteKind = iota
-	// RouteLocal: a single-node backend; there is nothing to route.
-	RouteLocal
+	// RouteLocal: nothing to route — a single-node backend, or a plan not
+	// yet resolved, whose fetches go through FetchInto and let the backend
+	// decide per call.
+	RouteLocal RouteKind = iota
 	// RouteSingle: the entry's bound attributes cover the relation's
 	// partitioning key — every fetch touches exactly one shard.
 	RouteSingle
@@ -125,14 +140,12 @@ const (
 // String renders the route for EXPLAIN output.
 func (k RouteKind) String() string {
 	switch k {
-	case RouteLocal:
-		return "local"
 	case RouteSingle:
 		return "single-shard"
 	case RouteScatter:
 		return "scatter"
 	default:
-		return "auto"
+		return "local"
 	}
 }
 
@@ -156,45 +169,5 @@ type RoutePlanner interface {
 	FetchPlanned(es *ExecStats, e access.Entry, vals []relation.Value, r FetchRoute) ([]relation.Tuple, error)
 }
 
-// DDL is implemented by backends that support online relation DDL: the
-// engine's materialized-view registry creates and drops the relation
-// backing a view at runtime and feeds it incremental maintenance deltas.
-//
-//   - AddRelation declares rs, seeds it with tuples, registers the given
-//     access entries (each must name rs) and builds their indices. On a
-//     partitioned backend the new relation is routed from its entries
-//     like a base relation and the seed tuples are partitioned.
-//   - DropRelation removes the relation with its access entries and
-//     indices; dropping an absent relation is not an error.
-//   - ApplyDerived validates and applies ΔD like ApplyUpdate but WITHOUT
-//     advancing the commit-log sequence number: a view delta is derived
-//     state of the base commit that produced it, not a commit of its
-//     own, so the LSN keeps counting base commits only.
-type DDL interface {
-	AddRelation(rs relation.RelSchema, entries []access.Entry, tuples []relation.Tuple) error
-	DropRelation(name string) error
-	ApplyDerived(u *relation.Update) error
-	// HasRelation reports whether THIS backend instance stores the named
-	// relation. Instances may share one *relation.Schema (shards; test
-	// harnesses opening reference and backend over one schema), so a
-	// schema declaration alone does not answer existence here.
-	HasRelation(name string) bool
-}
-
-// EntryStats is optionally implemented by backends that can report actual
-// data statistics for an access entry: MaxGroup returns an upper bound on
-// the current size of any σ_X=ā group served by e, with ok = false when
-// unknown. A data-dependent refinement of N for diagnostics; plan
-// ordering and static read bounds come from the access schema's N alone.
-type EntryStats interface {
-	MaxGroup(e access.Entry) (n int, ok bool)
-}
-
-// The single-node DB is the reference Backend; it is versioned and
-// pre-validates.
-var (
-	_ Backend   = (*DB)(nil)
-	_ Versioned = (*DB)(nil)
-	_ Validator = (*DB)(nil)
-	_ DDL       = (*DB)(nil)
-)
+// The single-node DB is the reference Backend.
+var _ Backend = (*DB)(nil)

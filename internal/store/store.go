@@ -13,7 +13,8 @@
 // evaluations without cross-talk. The DB additionally keeps global
 // counters (updated atomically) for whole-process accounting, and guards
 // the data and indices with an RWMutex: reads run concurrently,
-// ApplyUpdate and EnsureIndex are exclusive.
+// writes (ApplyVersioned, ApplyDerived, relation DDL) and EnsureIndex are
+// exclusive.
 package store
 
 import (
@@ -368,7 +369,7 @@ func (a *AtomicCounters) SwapZero() Counters {
 
 // DB is an instrumented database: data + access schema + indices. A DB is
 // safe for concurrent use: reads (FetchInto/MembershipInto/ScanInto) take
-// a shared lock, ApplyUpdate and EnsureIndex an exclusive one, and the
+// a shared lock, writes and EnsureIndex an exclusive one, and the
 // global counters are atomic.
 type DB struct {
 	mu   sync.RWMutex
@@ -415,15 +416,15 @@ func MustOpen(data *relation.Database, acc *access.Schema) *DB {
 }
 
 // Data returns the underlying database. Callers must not mutate it
-// directly (use ApplyUpdate) or the indices will go stale, and — unlike
+// directly (use ApplyVersioned) or the indices will go stale, and — unlike
 // the read methods — it is not synchronized: do not read through it
-// concurrently with ApplyUpdate.
+// concurrently with writes.
 //
 //sivet:ignore lockguard -- documented unsynchronized accessor for single-goroutine offline tooling
 func (db *DB) Data() *relation.Database { return db.data }
 
 // CloneData returns a consistent snapshot copy of the data, synchronized
-// against concurrent ApplyUpdate. Uncounted: for conformance checks and
+// against concurrent writes. Uncounted: for conformance checks and
 // offline tooling, not the query path.
 func (db *DB) CloneData() *relation.Database {
 	db.mu.RLock()
@@ -454,9 +455,9 @@ func (db *DB) Counters() Counters { return db.counters.Load() }
 // resetting and is immune to interleaved calls.
 func (db *DB) ResetCounters() Counters { return db.counters.SwapZero() }
 
-// MaxGroup implements the optional EntryStats interface: the size of the
-// largest group currently served by e's index — an exact, data-dependent
-// refinement of the entry's declared N. It never loosens anything: static
+// MaxGroup reports the data statistics of an access entry: the size of
+// the largest group currently served by e's index — an exact,
+// data-dependent refinement of the entry's declared N. It never loosens anything: static
 // read bounds always come from N.
 func (db *DB) MaxGroup(e access.Entry) (int, bool) {
 	db.mu.RLock()
@@ -589,12 +590,12 @@ func (db *DB) EnsureIndex(rel string, attrs []string) error {
 	return db.ensurePlainIndex(rel, attrs)
 }
 
-// AddRelation implements the optional DDL interface: it declares rs
-// (idempotently against a relational schema another instance already
-// extended — every shard of a sharded store shares one *Schema), creates
-// the relation seeded with tuples, registers the access entries
-// (idempotently, for the shared access schema), and builds their indexes
-// plus the implicit-membership path — all under the exclusive lock, so
+// AddRelation implements Backend: it declares rs (idempotently against a
+// relational schema another instance already extended — every shard of a
+// sharded store shares one *Schema), creates the relation seeded with
+// tuples, registers the access entries (idempotently, for the shared
+// access schema), and builds their indexes plus the implicit-membership
+// path — all under the exclusive lock, so
 // concurrent readers see the relation appear atomically.
 func (db *DB) AddRelation(rs relation.RelSchema, entries []access.Entry, tuples []relation.Tuple) error {
 	db.mu.Lock()
@@ -640,9 +641,8 @@ func (db *DB) AddRelation(rs relation.RelSchema, entries []access.Entry, tuples 
 	return nil
 }
 
-// DropRelation implements the optional DDL interface: it removes the
-// relation, its indexes, and its access entries. Idempotent, including
-// against shared relational/access schemas another shard already pruned.
+// DropRelation implements Backend: it removes the relation, its indexes,
+// and its access entries. Idempotent, including against shared relational/access schemas another shard already pruned.
 func (db *DB) DropRelation(name string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -655,9 +655,9 @@ func (db *DB) DropRelation(name string) error {
 	return nil
 }
 
-// HasRelation implements the optional DDL interface: whether this store
-// instance holds the named relation (instances may share a schema whose
-// declarations outlive any one instance's relations).
+// HasRelation implements Backend: whether this store instance holds the
+// named relation (instances may share a schema whose declarations outlive
+// any one instance's relations).
 func (db *DB) HasRelation(name string) bool {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -683,9 +683,8 @@ func declareFor(s *relation.Schema, rs relation.RelSchema) error {
 	return nil
 }
 
-// ApplyDerived implements the optional DDL interface: it validates and
-// applies u, keeping indexes in sync, without advancing the commit log —
-// derived (materialized-view) deltas ride the engine commit of the base
+// ApplyDerived implements Backend: it validates and applies u, keeping
+// indexes in sync, without advancing the commit log — derived (materialized-view) deltas ride the engine commit of the base
 // ΔD that caused them and must not consume an LSN of their own.
 func (db *DB) ApplyDerived(u *relation.Update) error {
 	db.mu.Lock()
@@ -795,7 +794,7 @@ func (db *DB) fetch(e access.Entry, vals []relation.Value) ([]relation.Tuple, er
 
 // copyTuples snapshots a result slice whose backing array belongs to a
 // live index bucket or relation: returned slices must stay valid after
-// the read lock is released, even if a concurrent ApplyUpdate mutates the
+// the read lock is released, even if a concurrent write mutates the
 // source in place (swap-remove moves tuples within the backing array, so
 // the copy stays load-bearing under the O(1)-delete design). Tuples
 // themselves are immutable, so a shallow copy suffices. It is the one
@@ -875,25 +874,26 @@ func (db *DB) ChargeScanned(es *ExecStats, n int) error {
 // ValidateUpdate checks u against the current data without applying it,
 // under a shared lock. A sharded backend pre-validates every per-shard
 // piece before applying any of them; with concurrent writers the check is
-// advisory (ApplyUpdate re-validates under its exclusive lock).
+// advisory (ApplyVersioned re-validates under its exclusive lock).
 func (db *DB) ValidateUpdate(u *relation.Update) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return u.Validate(db.data)
 }
 
-// ApplyUpdate validates and applies u to the data, keeping every index in
-// sync incrementally (cost proportional to |ΔD|, not |D|). It excludes
-// concurrent readers for the duration.
+// ApplyUpdate is ApplyVersioned without the LSN, for loaders, tests and
+// the per-shard pieces of a sharded apply.
 func (db *DB) ApplyUpdate(u *relation.Update) error {
 	_, err := db.ApplyVersioned(u)
 	return err
 }
 
-// ApplyVersioned implements store.Versioned: ApplyUpdate returning the
-// log sequence number assigned to this ΔD. The LSN is advanced under the
-// same exclusive lock that applies the data, so it totally orders the
-// update stream: a reader that observes LSN n has every apply ≤ n visible.
+// ApplyVersioned implements Backend: it validates and applies u to the
+// data, keeping every index in sync incrementally (cost proportional to
+// |ΔD|, not |D|), and excludes concurrent readers for the duration. The
+// LSN is advanced under the same exclusive lock that applies the data, so
+// it totally orders the update stream: a reader that observes LSN n has
+// every apply ≤ n visible.
 func (db *DB) ApplyVersioned(u *relation.Update) (int64, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -945,13 +945,16 @@ func (db *DB) syncIndexes(u *relation.Update) {
 	}
 }
 
-// Version implements store.Versioned: the LSN of the last applied update
-// (0 for a store that has never been written).
+// Version implements Backend: the LSN of the last applied update (0 for a
+// store that has never been written).
 func (db *DB) Version() int64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.version
 }
+
+// ShardVersions implements Backend: a single node is one partition.
+func (db *DB) ShardVersions() []int64 { return []int64{db.Version()} }
 
 // EntriesFor returns the access entries available for rel, most selective
 // (smallest N) first. The planner in internal/core consumes this.

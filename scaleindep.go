@@ -90,9 +90,9 @@
 //	_ = live.Snapshot()                       // current answers, any time
 //
 // Commit validates ΔD (failures wrap ErrInvalidUpdate and apply nothing),
-// applies it through the backend's commit log (store.Versioned: one LSN
-// per commit, per-shard LSNs plus a merged commit number on the sharded
-// backend), assigns the engine-wide sequence number every Delta carries,
+// applies it through the backend's commit log (Backend.ApplyVersioned:
+// one LSN per commit, per-shard LSNs plus a merged commit number on the
+// sharded backend), assigns the engine-wide sequence number every Delta carries,
 // and incrementally maintains each watched query through compiled
 // maintenance plans — per-occurrence remainders ordered by the same
 // cost-based optimizer, charged against an N-derived per-delta bound that
@@ -215,9 +215,6 @@ type (
 	EngineStats = core.EngineStats
 	// WatchOption configures a subscription: WithReexec, WithDeltaBuffer.
 	WatchOption = core.WatchOption
-	// Versioned is implemented by backends keeping a commit-log sequence
-	// number (both built-in backends do).
-	Versioned = store.Versioned
 )
 
 // Plan optimizer modes for Engine.SetOptimizer.
