@@ -21,9 +21,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-## bench-smoke: the CI benchmark gate — every benchmark runs once.
+## bench-smoke: the CI benchmark gate — every benchmark runs once, with
+## allocation reporting.
 bench-smoke:
-	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+	$(GO) test -run=NONE -bench=. -benchtime=1x -benchmem ./...
 
 ## bench-check: the CI gate for the repo's benchmark (sibm, BENCHMARK.json).
 ## benchmarks/ is a nested module, so `go test ./...` above never sees it:

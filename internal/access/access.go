@@ -182,6 +182,36 @@ type Schema struct {
 type relEntries struct {
 	all      []Entry // explicit entries, then (R, attr(R), 1, 1) if R was declared
 	explicit int     // how many leading entries of all are explicit
+	// located is all with attribute positions resolved against attrs, the
+	// declaration the snapshot was built from (nil if R was undeclared).
+	located []Located
+	attrs   []string
+}
+
+// Located is an access entry with its attribute positions resolved in its
+// relation's declaration.
+type Located struct {
+	Entry
+	OnPos   []int // positions of X
+	ProjPos []int // positions of Y: every position for a plain entry
+}
+
+// locate resolves the positions of entries in rs, dropping any entry that
+// names an attribute rs lacks.
+func locate(rs relation.RelSchema, entries []Entry) []Located {
+	out := make([]Located, 0, len(entries))
+	for _, e := range entries {
+		onPos, err := rs.Positions(e.On)
+		if err != nil {
+			continue
+		}
+		projPos, err := rs.Positions(e.ProjFor(rs))
+		if err != nil {
+			continue
+		}
+		out = append(out, Located{Entry: e, OnPos: onPos, ProjPos: projPos})
+	}
+	return out
 }
 
 // New returns an empty access schema over rel with implicit membership
@@ -221,7 +251,8 @@ func (a *Schema) snapshotLocked(rel string) {
 		}
 	}
 	s.explicit = len(s.all)
-	if rs, ok := a.rel.Rel(rel); ok {
+	rs, declared := a.rel.Rel(rel)
+	if declared {
 		s.all = append(s.all, Plain(rel, rs.Attrs, 1, 1))
 	}
 	if len(s.all) == 0 {
@@ -229,6 +260,9 @@ func (a *Schema) snapshotLocked(rel string) {
 		return
 	}
 	s.all = slices.Clip(s.all)
+	if declared {
+		s.located, s.attrs = locate(rs, s.all), rs.Attrs
+	}
 	a.byRel[rel] = s
 }
 
@@ -330,6 +364,29 @@ func (a *Schema) ForRel(rel string) []Entry {
 		return s.all
 	}
 	return append(explicit, Plain(rel, rs.Attrs, 1, 1))
+}
+
+// Locate returns ForRel(rel) with every entry's attribute positions, or
+// nil when rel is not declared. The positions are resolved once per entry
+// DDL, in the same snapshot ForRel serves, so planners read them without
+// resolving attribute names per call; like ForRel's, the slice is shared
+// and read-only.
+func (a *Schema) Locate(rel string) []Located {
+	a.mu.RLock()
+	s := a.byRel[rel]
+	a.mu.RUnlock()
+	rs, ok := a.rel.Rel(rel)
+	if !ok {
+		return nil
+	}
+	if !slices.Equal(s.attrs, rs.Attrs) {
+		// Declared or redeclared after the last entry DDL.
+		return locate(rs, a.ForRel(rel))
+	}
+	if !a.ImplicitMembership {
+		return s.located[: len(s.located)-1 : len(s.located)-1]
+	}
+	return s.located
 }
 
 // Clone returns an independent copy (sharing the relational schema).

@@ -115,6 +115,7 @@ func TestForRelSnapshot(t *testing.T) {
 			if !slices.EqualFunc(got, want, Entry.Equal) {
 				t.Fatalf("%s: ForRel(%s) = %v, want %v", step, rel, got, want)
 			}
+			checkLocate(t, step, a, rel, want)
 		}
 	}
 	check("empty")
@@ -146,6 +147,31 @@ func TestForRelSnapshot(t *testing.T) {
 	check("entry on the new relation")
 	if c := a.Clone(); !slices.EqualFunc(c.ForRel("cafe"), a.ForRel("cafe"), Entry.Equal) {
 		t.Fatal("Clone lost the snapshot")
+	}
+}
+
+// checkLocate pins Locate(rel) to its definition: the entries of
+// ForRel(rel) with their positions resolved by name, nil when rel is
+// undeclared.
+func checkLocate(t *testing.T, step string, a *Schema, rel string, want []Entry) {
+	t.Helper()
+	got := a.Locate(rel)
+	rs, ok := a.Relational().Rel(rel)
+	if !ok {
+		if got != nil {
+			t.Fatalf("%s: Locate(%s) = %v for an undeclared relation", step, rel, got)
+		}
+		return
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: Locate(%s) has %d entries, want %d", step, rel, len(got), len(want))
+	}
+	for i, l := range got {
+		onPos, _ := rs.Positions(want[i].On)
+		projPos, _ := rs.Positions(want[i].ProjFor(rs))
+		if !l.Entry.Equal(want[i]) || !slices.Equal(l.OnPos, onPos) || !slices.Equal(l.ProjPos, projPos) {
+			t.Fatalf("%s: Locate(%s)[%d] = %+v, want %s at %v[%v]", step, rel, i, l, want[i].String(), onPos, projPos)
+		}
 	}
 }
 

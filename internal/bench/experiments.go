@@ -314,7 +314,7 @@ func F1cViews(quick bool) ([]*Table, error) {
 	v1 := mustView("V1(rid, rn, rating) :- restr(rid, rn, 'NYC', rating)")
 	v2 := mustView("V2(id, rid) :- visit(id, rid, yy, mm, dd), person(id, pn, 'NYC')")
 	vs := []*views.View{v1, v2}
-	rws, err := views.FindRewritings(q2, vs, 0)
+	rws, err := views.FindRewritings(q2, vs, 0, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/query"
-	"repro/internal/relation"
 )
 
 // Rule names the controllability rule that produced a derivation node,
@@ -42,16 +41,15 @@ type Derivation struct {
 
 	// ctrl and cost are Ctrl, as a mask over the analyzed formula's
 	// variable numbering, and CostOf(d), both computed when the analysis
-	// builds d; free is F's free variables, set on a node with children
-	// when Analyze returns it.
+	// builds d; free is F's free variables, set when Analyze returns d.
 	ctrl uint64
 	cost Cost
 	free query.VarSet
 }
 
-// Free returns the free variables of the derived formula. For a node with
-// children the set is built once by the analysis and shared with every
-// plan compiled from d, so callers must not modify it.
+// Free returns the free variables of the derived formula. For a
+// derivation Analyze returned, the set is built once by the analysis and
+// shared with every plan compiled from d, so callers must not modify it.
 func (d *Derivation) Free() query.VarSet {
 	if d.free != nil {
 		return d.free
@@ -268,8 +266,8 @@ func (st *analysisState) mask(names []string) (m uint64) {
 }
 
 // export fills in the variable sets of a derivation tree the analysis
-// returns: Ctrl, the free variables of a node with children (Compile's
-// operator output), and a chase plan's Free and per-step Binds. Subtrees
+// returns: Ctrl, the free variables of every node (Compile's operator
+// output), and a chase plan's Free and per-step Binds. Subtrees
 // shared between derivations are filled once, and a node controlled by
 // the same set as a child shares the child's Ctrl.
 func (st *analysisState) export(d *Derivation) {
@@ -285,9 +283,7 @@ func (st *analysisState) export(d *Derivation) {
 	if d.Ctrl == nil {
 		d.Ctrl = st.vars.VarSet(d.ctrl)
 	}
-	if len(d.Children) > 0 {
-		d.free = st.vars.VarSet(st.free[d.F])
-	}
+	d.free = st.vars.VarSet(st.free[d.F])
 	if p := d.Chase; p != nil {
 		p.Free = st.vars.VarSet(st.free[d.F])
 		for i := range p.Steps {
@@ -430,35 +426,16 @@ func (st *analysisState) atomDerivs(fam *family, a *query.Atom) error {
 	if len(a.Args) != rs.Arity() {
 		return fmt.Errorf("core: atom %s has arity %d, relation %s has %d", a, len(a.Args), a.Rel, rs.Arity())
 	}
-	entries := st.an.Acc.ForRel(a.Rel)
-	buf := make([]int, 0, len(entries)*rs.Arity())
-	for _, e := range entries {
-		if e.IsEmbedded() {
+	for _, l := range st.an.Acc.Locate(a.Rel) {
+		if l.IsEmbedded() {
 			continue
 		}
-		pos, err := positions(&buf, rs, e.On)
-		if err != nil {
-			return err
-		}
-		ctrl, n := st.vars.At(a, pos), int64(e.N)
+		ctrl, n := st.vars.At(a, l.OnPos), int64(l.N)
 		if i := fam.admit(ctrl, n); i >= 0 {
-			(*fam)[i] = &Derivation{Rule: RuleAtom, F: a, Entry: e, OnPos: pos, ctrl: ctrl, cost: Cost{Candidates: n, Reads: n}}
+			(*fam)[i] = &Derivation{Rule: RuleAtom, F: a, Entry: l.Entry, OnPos: l.OnPos, ctrl: ctrl, cost: Cost{Candidates: n, Reads: n}}
 		}
 	}
 	return nil
-}
-
-// positions appends the positions of attrs in rs to *buf and returns them
-// as a slice of their own, so that one allocation holds the positions of
-// many entries.
-func positions(buf *[]int, rs relation.RelSchema, attrs []string) ([]int, error) {
-	start := len(*buf)
-	out, err := rs.AppendPositions(*buf, attrs)
-	if err != nil {
-		return nil, err
-	}
-	*buf = out
-	return out[start:len(out):len(out)], nil
 }
 
 // conjDerivs applies the conjunction rule and, when one side is a safe

@@ -153,7 +153,7 @@ func analysisGolden(t *testing.T) string {
 		if !ok {
 			t.Fatalf("%s is not a CQ", q.name)
 		}
-		rws, err := views.FindRewritings(cq, []*views.View{view}, 0)
+		rws, err := views.FindRewritings(cq, []*views.View{view}, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

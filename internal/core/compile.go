@@ -24,7 +24,7 @@ import (
 func Compile(d *Derivation) plan.Node {
 	switch d.Rule {
 	case RuleAtom:
-		return plan.NewIndexLookup(d.F.(*query.Atom), d.Entry, d.OnPos, d.Ctrl)
+		return plan.NewIndexLookup(d.F.(*query.Atom), d.Entry, d.OnPos, d.Ctrl, d.Free())
 	case RuleConditions:
 		return plan.NewSelect(d.F)
 	case RuleConj:

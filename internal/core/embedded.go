@@ -289,32 +289,22 @@ func (st *analysisState) newChaseBuilder(atoms []*query.Atom, eqs []*query.Eq, f
 		if len(a.Args) != rs.Arity() {
 			return nil, fmt.Errorf("core: atom %s arity mismatch with %s", a, rs)
 		}
-		entries := acc.ForRel(a.Rel)
-		buf := make([]int, 0, 2*len(entries)*rs.Arity())
 		// A membership probe needs the implicit membership access method or
 		// an explicit whole-key entry.
 		b.probe[ai] = acc.ImplicitMembership
-		for _, e := range entries {
-			if len(e.On) == rs.Arity() {
+		for _, l := range acc.Locate(a.Rel) {
+			if len(l.On) == rs.Arity() {
 				// pure membership entry; handled at verification
-				b.probe[ai] = b.probe[ai] || !e.IsEmbedded()
+				b.probe[ai] = b.probe[ai] || !l.IsEmbedded()
 				continue
 			}
-			onPos, err := positions(&buf, rs, e.On)
-			if err != nil {
-				return nil, err
-			}
-			projPos, err := positions(&buf, rs, e.ProjFor(rs))
-			if err != nil {
-				return nil, err
-			}
 			fs := chaseFetch{
-				step: ChaseStep{Atom: a, AtomIdx: ai, Entry: e, OnPos: onPos, ProjPos: projPos},
-				on:   st.vars.At(a, onPos),
-				proj: st.vars.At(a, projPos),
+				step: ChaseStep{Atom: a, AtomIdx: ai, Entry: l.Entry, OnPos: l.OnPos, ProjPos: l.ProjPos},
+				on:   st.vars.At(a, l.OnPos),
+				proj: st.vars.At(a, l.ProjPos),
 			}
 			for p, t := range a.Args {
-				if slices.Contains(onPos, p) || slices.Contains(projPos, p) {
+				if slices.Contains(l.OnPos, p) || slices.Contains(l.ProjPos, p) {
 					continue
 				}
 				if t.IsVar() {

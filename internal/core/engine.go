@@ -220,7 +220,11 @@ func (e *Engine) Controllable(q *query.Query, x query.VarSet) (*Derivation, erro
 //
 //   - a controllable base query switches to a rewriting plan only when
 //     its static read bound is strictly smaller (ties keep the base
-//     plan);
+//     plan). The base plan's bound is the incumbent every rewriting is
+//     priced against before it is built: a rewriting whose lower bound
+//     (plan.PriceBelow) cannot get below it is never expanded, analysed
+//     or compiled, so the bound a caller gets back costs no work on
+//     rewritings that cannot win;
 //   - a query that is NOT controllable over the base relations is
 //     rescued through a rewriting whose body is x̄-controlled under the
 //     view-extended access schema (Theorem 6.1), instead of failing with
@@ -238,7 +242,7 @@ func (e *Engine) Prepare(q *query.Query, x query.VarSet) (*PreparedQuery, error)
 	d, err := e.Controllable(q, x)
 	if err != nil {
 		if errors.Is(err, ErrNotControllable) {
-			if p, ok := e.viewRewritePlan(q, x, mode, true); ok {
+			if p, ok := e.viewRewritePlan(q, x, mode, nil); ok {
 				e.plans.put(key, q, p, nil)
 				return p, nil
 			}
@@ -250,7 +254,7 @@ func (e *Engine) Prepare(q *query.Query, x query.VarSet) (*PreparedQuery, error)
 		return nil, err
 	}
 	p := &PreparedQuery{eng: e, q: q, ctrl: x.Clone(), d: d, plan: compilePlan(d, e.DB, mode)}
-	if vp, ok := e.viewRewritePlan(q, x, mode, false); ok && vp.plan.Bound.Reads < p.plan.Bound.Reads {
+	if vp, ok := e.viewRewritePlan(q, x, mode, p.plan); ok {
 		p = vp
 	}
 	e.plans.put(key, q, p, nil)

@@ -4,3 +4,6 @@ package core
 
 // RandomSocialCQ is randomSocialCQ for the analysis golden test.
 var RandomSocialCQ = randomSocialCQ
+
+// CompilePlan is compilePlan for the rewrite-pricing test.
+var CompilePlan = compilePlan

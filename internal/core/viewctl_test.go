@@ -83,7 +83,7 @@ func vtDB(t testing.TB, nPersons, nRestr int, seed int64) *relation.Database {
 
 func vtPaperRewriting(t testing.TB) *views.Rewriting {
 	t.Helper()
-	rws, err := views.FindRewritings(vtQ2(t), vtViews(t), 0)
+	rws, err := views.FindRewritings(vtQ2(t), vtViews(t), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

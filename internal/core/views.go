@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -314,11 +313,21 @@ func checkEntryOnExtent(rs relation.RelSchema, en access.Entry, tuples []relatio
 // rewritings of q over the active views (views.FindRewritings — soundness
 // via expansion equivalence) whose bodies are x̄-controlled under the
 // view-extended access schema, compiled through the ordinary plan
-// pipeline. Returns the rewriting plan with the smallest static read
-// bound, annotated with the views it reads; rescued marks plans built for
-// a query that is not controllable over the base relations (the Theorem
-// 6.1 path: Q served from VSQ(V, M) with M = the plan's base read bound).
-func (e *Engine) viewRewritePlan(q *query.Query, x query.VarSet, mode OptimizerMode, rescued bool) (*PreparedQuery, bool) {
+// pipeline. It returns the first rewriting plan with the smallest static
+// read bound, annotated with the views it reads, provided that bound is
+// strictly below base's. With base nil, q is not controllable over the
+// base relations and any x̄-controlled rewriting rescues it (the Theorem
+// 6.1 path: q served from VSQ(V, M) with M = the plan's base read bound);
+// the plan is marked rescued.
+//
+// Candidates are priced before they are built. The incumbent is base's
+// bound, then the bound of the cheapest rewriting built so far; a
+// candidate is expanded, checked for equivalence, analysed and compiled
+// only when plan.PriceBelow says its body might cost fewer reads. The
+// price is a lower bound on every plan the analysis and the optimizer
+// can build, so the plan chosen is the one building every candidate would
+// choose. A rescue prices nothing until its first candidate is built.
+func (e *Engine) viewRewritePlan(q *query.Query, x query.VarSet, mode OptimizerMode, base *Plan) (*PreparedQuery, bool) {
 	active := e.activeViews()
 	if len(active) == 0 {
 		return nil, false
@@ -331,18 +340,37 @@ func (e *Engine) viewRewritePlan(q *query.Query, x query.VarSet, mode OptimizerM
 	for i, mv := range active {
 		vs[i] = mv.view
 	}
-	rws, err := views.FindRewritings(cqq, vs, 0)
+	acc := e.DB.Access()
+	var best *PreparedQuery
+	// incumbent is the bound a rewriting must undercut: the cheapest one
+	// built so far, else base's; a rescue has none before its first.
+	incumbent := func() (int64, bool) {
+		switch {
+		case best != nil:
+			return best.plan.Bound.Reads, true
+		case base != nil:
+			return base.Bound.Reads, true
+		}
+		return 0, false
+	}
+	mayWin := func(r *views.Rewriting) bool {
+		limit, ok := incumbent()
+		return !ok || plan.PriceBelow(acc, r.Body.Atoms, x, limit)
+	}
+	rws, err := views.FindRewritings(cqq, vs, 0, func(r *views.Rewriting) bool {
+		// A head reshaped by eq-elimination would not project back.
+		return sameHead(r.Body.Head, q.Head) && mayWin(r)
+	})
 	if err != nil {
 		return nil, false
 	}
-	var best *PreparedQuery
 	for _, r := range rws {
-		if len(r.ViewAtoms) == 0 {
-			continue // the trivial rewriting is the base plan
+		if best != nil && !mayWin(r) {
+			continue // priced against base, but a cheaper rewriting is built now
 		}
 		rq, err := r.Body.Query()
-		if err != nil || !slices.Equal(rq.Head, q.Head) {
-			continue // head reshaped by eq-elimination: bindings would not project back
+		if err != nil {
+			continue
 		}
 		res, err := e.An.AnalyzeQuery(rq)
 		if err != nil {
@@ -353,13 +381,30 @@ func (e *Engine) viewRewritePlan(q *query.Query, x query.VarSet, mode OptimizerM
 			continue
 		}
 		pl := compilePlan(d, e.DB, mode)
-		pl.Views = rewritingViews(r)
-		pl.Rescued = rescued
-		if best == nil || pl.Bound.Reads < best.plan.Bound.Reads {
-			best = &PreparedQuery{eng: e, q: q, ctrl: x.Clone(), d: d, plan: pl}
+		if limit, ok := incumbent(); ok && pl.Bound.Reads >= limit {
+			continue
 		}
+		pl.Views = rewritingViews(r)
+		pl.Rescued = base == nil
+		best = &PreparedQuery{eng: e, q: q, ctrl: x.Clone(), d: d, plan: pl}
 	}
 	return best, best != nil
+}
+
+// sameHead reports whether a rewriting's head, without its constants (as
+// CQ.Query drops them), is the variable list head.
+func sameHead(terms []query.Term, head []string) bool {
+	i := 0
+	for _, t := range terms {
+		if !t.IsVar() {
+			continue
+		}
+		if i == len(head) || t.Name() != head[i] {
+			return false
+		}
+		i++
+	}
+	return i == len(head)
 }
 
 // rewritingViews lists the distinct view relations a rewriting reads, in

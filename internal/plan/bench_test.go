@@ -59,6 +59,28 @@ func BenchmarkPrepareOptimized(b *testing.B) {
 // view registered (so Q6 is rescued through it and the other CQs search
 // its rewritings too) and the plan cache disabled.
 func BenchmarkPrepareCold(b *testing.B) {
+	eng := viewEngine(b, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	prepareCold(b, eng)
+}
+
+// BenchmarkPrepareViews is BenchmarkPrepareCold with more views to search:
+// VFol and VNYC (views=2), plus six generated views (views=8).
+func BenchmarkPrepareViews(b *testing.B) {
+	for _, n := range []int{2, 8} {
+		b.Run(fmt.Sprintf("views=%d", n), func(b *testing.B) {
+			eng := viewEngine(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			prepareCold(b, eng)
+		})
+	}
+}
+
+// viewEngine opens an engine over a small social store with the plan
+// cache off and n views registered: VFol, then VNYC, then generated ones.
+func viewEngine(b *testing.B, n int) *core.Engine {
 	st := socialStore(b, 200, 0)
 	eng := core.NewEngine(st)
 	vfol, err := parser.ParseCQ(backendtest.VFolSrc)
@@ -68,7 +90,26 @@ func BenchmarkPrepareCold(b *testing.B) {
 	if _, err := eng.CreateView(vfol, access.Plain("VFol", []string{"p"}, workload.DefaultConfig().MaxFriends+64, 1)); err != nil {
 		b.Fatal(err)
 	}
+	if n >= 2 {
+		vnyc, err := parser.ParseCQ(backendtest.VNYCSrc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.CreateView(vnyc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if n > 2 {
+		if _, err := backendtest.CreateGenViews(eng, n-2, 39); err != nil {
+			b.Fatal(err)
+		}
+	}
 	eng.SetPlanCacheSize(0)
+	return eng
+}
+
+// prepareCold prepares b.N renamed variants of Q1–Q7 in turn.
+func prepareCold(b *testing.B, eng *core.Engine) {
 	type variant struct {
 		q    *query.Query
 		ctrl query.VarSet
@@ -85,7 +126,6 @@ func BenchmarkPrepareCold(b *testing.B) {
 			vs = append(vs, variant{q, ctrl})
 		}
 	}
-	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v := vs[i%len(vs)]

@@ -34,9 +34,10 @@ type IndexLookup struct {
 }
 
 // NewIndexLookup builds the lookup operator; ctrl is the controlling set
-// it was compiled for (the variables at the entry's On positions).
-func NewIndexLookup(a *query.Atom, e access.Entry, onPos []int, ctrl query.VarSet) *IndexLookup {
-	return &IndexLookup{Atom: a, Entry: e, OnPos: onPos, ctrl: ctrl, free: a.FreeVars()}
+// it was compiled for (the variables at the entry's On positions), free
+// the atom's variables (a.FreeVars(), which callers already hold).
+func NewIndexLookup(a *query.Atom, e access.Entry, onPos []int, ctrl, free query.VarSet) *IndexLookup {
+	return &IndexLookup{Atom: a, Entry: e, OnPos: onPos, ctrl: ctrl, free: free}
 }
 
 // Out implements Node.

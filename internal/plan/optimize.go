@@ -350,21 +350,13 @@ func (o *Optimizer) encode(members []member, ctrl query.VarSet) ([]chainMember, 
 			continue // a MembershipProbe member: no entry to fetch through
 		}
 		cm.opts = append(cm.opts, entryOpt{e: m.entry, onPos: m.onPos, on: vb.At(m.atom, m.onPos), n: int64(m.entry.N)})
-		rs, ok := o.Acc.Relational().Rel(m.atom.Rel)
-		if !ok {
-			continue
-		}
-		for _, e := range o.Acc.ForRel(m.atom.Rel) {
+		for _, l := range o.Acc.Locate(m.atom.Rel) {
 			// A whole-key entry is usable only where every variable is
 			// bound, and there the atom is probed instead.
-			if e.IsEmbedded() || len(e.On) == len(m.atom.Args) {
+			if l.IsEmbedded() || len(l.On) == len(m.atom.Args) {
 				continue
 			}
-			onPos, err := rs.Positions(e.On)
-			if err != nil {
-				continue
-			}
-			cm.opts = append(cm.opts, entryOpt{e: e, onPos: onPos, on: vb.At(m.atom, onPos), n: int64(e.N)})
+			cm.opts = append(cm.opts, entryOpt{e: l.Entry, onPos: l.OnPos, on: vb.At(m.atom, l.OnPos), n: int64(l.N)})
 		}
 	}
 	return cms, ctrlBits, !vb.Full()
@@ -506,6 +498,125 @@ func (s *orderSearch) dfs(depth int, bound, used uint64, cands, total int64, scr
 	}
 }
 
+// priceMove is one way to touch an atom in PriceBelow's search: a fetch
+// through an access entry, usable once need is bound, binding binds at n
+// reads per candidate — or a membership probe, with need = binds = the
+// atom's variables and n = 1.
+type priceMove struct {
+	atom        int
+	need, binds uint64
+	n           int64
+	probe       bool
+}
+
+// priceSearch is PriceBelow's depth-first branch and bound.
+type priceSearch struct {
+	moves  []priceMove
+	all    uint64 // every atom touched
+	limit  int64  // a sequence must cost strictly less
+	budget int    // moves left to try; once spent, the search gives up
+	// probeFirst: no move has N = 0, so candidates never shrink along a
+	// sequence and an atom whose variables are all bound is best probed
+	// at once.
+	probeFirst bool
+}
+
+// PriceBelow reports whether a conjunction of atoms, evaluated with the
+// variables of ctrl bound, might cost fewer than limit reads under acc: a
+// lower bound on the Bound.Reads of every plan the controllability
+// analysis and the optimizer can build for it, checked against limit
+// before any of them is built.
+//
+// The bound is the cheapest sequence of moves touching every atom at
+// least once. A fetch through any entry of acc (plain, embedded or the
+// implicit membership entry) whose X positions are bound or constant
+// costs N per candidate and binds the variables at X∪Y; it multiplies the
+// candidates by N only when it binds a new variable (by min(N, 1)
+// otherwise). A probe of an atom whose variables are all bound costs one
+// read per candidate. Lookups, membership probes, nested-loop joins and
+// chases all price in this sequential form with candidate multipliers at
+// least as large, so no plan costs less than the cheapest sequence.
+//
+// The search stops at the first sequence under limit. It answers true
+// when it cannot decide — more than 64 atoms or variables, or its budget
+// spent — so a caller skipping a candidate on false never skips one that
+// could have won.
+func PriceBelow(acc *access.Schema, atoms []*query.Atom, ctrl query.VarSet, limit int64) bool {
+	if len(atoms) > 64 {
+		return true
+	}
+	vb := query.NewVarBits(2 * len(atoms))
+	bound := vb.Set(ctrl)
+	moves := make([]priceMove, 0, 4*len(atoms))
+	for i, a := range atoms {
+		var free uint64
+		for _, t := range a.Args {
+			if t.IsVar() {
+				free |= vb.Bit(t.Name())
+			}
+		}
+		moves = append(moves, priceMove{atom: i, need: free, binds: free, n: 1, probe: true})
+		for _, l := range acc.Locate(a.Rel) {
+			if len(l.OnPos) == len(a.Args) && l.N >= 1 {
+				continue // a whole-key fetch prices as the probe, or higher
+			}
+			moves = append(moves, priceMove{atom: i, need: vb.At(a, l.OnPos), binds: vb.At(a, l.ProjPos), n: int64(l.N)})
+		}
+	}
+	if vb.Full() {
+		return true
+	}
+	ps := &priceSearch{moves: moves, all: 1<<len(atoms) - 1, limit: limit, budget: searchBudget, probeFirst: true}
+	for _, m := range moves {
+		ps.probeFirst = ps.probeFirst && m.n > 0
+	}
+	return ps.dfs(bound, 0, 1, 0)
+}
+
+// dfs extends a sequence that bound the variables bound, touched the
+// atoms touched, emits cands candidates and costs cost < limit.
+func (ps *priceSearch) dfs(bound, touched uint64, cands, cost int64) bool {
+	if touched == ps.all {
+		return true
+	}
+	// An untouched atom whose variables are all bound is touched at some
+	// point by a move that binds nothing, at N ≥ 1 reads per candidate
+	// then; probing it now costs no more and changes no other move's
+	// price, so it is the only branch.
+	moves := ps.moves
+	if ps.probeFirst {
+		for i, m := range moves {
+			if m.probe && touched&(1<<m.atom) == 0 && m.need&^bound == 0 {
+				moves = moves[i : i+1]
+				break
+			}
+		}
+	}
+	for _, m := range moves {
+		if ps.budget--; ps.budget < 0 {
+			return true
+		}
+		fresh := m.binds &^ bound
+		if m.need&^bound != 0 || touched&(1<<m.atom) != 0 && fresh == 0 {
+			continue // not runnable, or a second touch that binds nothing
+		}
+		c := SatAdd(cost, SatMul(cands, m.n))
+		if c >= ps.limit {
+			continue
+		}
+		next := cands
+		if fresh != 0 {
+			next = SatMul(cands, m.n)
+		} else if m.n < 1 {
+			next = 0
+		}
+		if ps.dfs(bound|m.binds, touched|1<<m.atom, next, c) {
+			return true
+		}
+	}
+	return false
+}
+
 // rebuild materializes an order as a left-deep operator chain, restoring
 // the original output variable set with a final projection when the
 // chain's is wider.
@@ -524,7 +635,7 @@ func rebuild(cms []chainMember, order []step, ctrl, out query.VarSet) Node {
 			opNode = NewMembershipProbe(m.atom)
 		default:
 			e := m.opts[st.opt]
-			opNode = NewIndexLookup(m.atom, e.e, e.onPos, varsAt(m.atom, e.onPos))
+			opNode = NewIndexLookup(m.atom, e.e, e.onPos, varsAt(m.atom, e.onPos), m.member.out)
 		}
 		if chainNode == nil {
 			chainNode = opNode

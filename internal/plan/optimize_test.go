@@ -209,7 +209,7 @@ func randomChain(rng *rand.Rand, members, vars int) (*Optimizer, Node) {
 			if err != nil {
 				panic(err)
 			}
-			op = NewIndexLookup(a, e, onPos, varsAt(a, onPos))
+			op = NewIndexLookup(a, e, onPos, varsAt(a, onPos), a.FreeVars())
 		}
 		if root == nil {
 			root = op

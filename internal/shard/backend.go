@@ -462,19 +462,23 @@ func (s *Store) applySharded(u *relation.Update) error {
 	}
 	touched := make([]int, 0, len(s.shards))
 	for i, su := range subs {
-		if su == nil {
-			continue
+		if su != nil {
+			touched = append(touched, i)
 		}
-		if err := s.shards[i].ValidateUpdate(su); err != nil {
-			return err
-		}
-		touched = append(touched, i)
 	}
 	// The common serving write — one entity's tuples — lands on one shard:
-	// apply inline, contending only that shard's lock.
+	// apply inline, contending only that shard's lock. The shard validates
+	// its piece under that lock and applies nothing if it is invalid, so
+	// no separate validation pass precedes it.
 	if len(touched) == 1 {
 		i := touched[0]
 		return s.shards[i].ApplyUpdate(subs[i])
+	}
+	// Several shards: validate every piece before applying any.
+	for _, i := range touched {
+		if err := s.shards[i].ValidateUpdate(subs[i]); err != nil {
+			return err
+		}
 	}
 	errs := make([]error, len(s.shards))
 	var wg sync.WaitGroup

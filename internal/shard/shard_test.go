@@ -286,6 +286,44 @@ func TestApplyUpdateValidation(t *testing.T) {
 	}
 }
 
+// An invalid ΔD whose tuples all land on one shard skips the sharded
+// pre-validation and is rejected by the shard's own validation under its
+// write lock: with the error the single-node store and ValidateUpdate
+// give, and with nothing applied and no version advanced.
+func TestApplyVersionedSingleShardInvalid(t *testing.T) {
+	for _, n := range []int{1, 2, 4} {
+		single, s := openPair(t, n)
+		u := relation.NewUpdate()
+		u.Insert("person", relation.Tuple{relation.Int(90003), relation.Str("aa"), relation.Str("LA")})
+		u.Delete("person", relation.Tuple{relation.Int(90003), relation.Str("no"), relation.Str("NYC")})
+		subs, err := s.splitByRoute(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pieces := 0
+		for _, su := range subs {
+			if su != nil {
+				pieces++
+			}
+		}
+		if pieces != 1 {
+			t.Fatalf("shards=%d: ΔD split into %d pieces, want one", n, pieces)
+		}
+		before, version, lsns := s.CloneData(), s.Version(), s.ShardVersions()
+		_, err = s.ApplyVersioned(u)
+		if err == nil {
+			t.Fatalf("shards=%d: invalid update applied without error", n)
+		}
+		_, want := single.ApplyVersioned(u)
+		if verr := s.ValidateUpdate(u); want == nil || verr == nil || err.Error() != want.Error() || verr.Error() != want.Error() {
+			t.Fatalf("shards=%d: ApplyVersioned error %q, ValidateUpdate %v, single node %v", n, err, verr, want)
+		}
+		if !s.CloneData().Equal(before) || s.Version() != version || !reflect.DeepEqual(s.ShardVersions(), lsns) {
+			t.Fatalf("shards=%d: rejected update changed the store", n)
+		}
+	}
+}
+
 func pickEntry(t *testing.T, b store.Backend, rel string, on []string) access.Entry {
 	t.Helper()
 	for _, e := range b.EntriesFor(rel) {

@@ -240,9 +240,16 @@ func (r *Rewriting) Expansion(views map[string]*View) (*query.CQ, error) {
 // FindRewritings enumerates rewritings of q using the views: subsets of
 // view applications whose view atoms, together with the uncovered base
 // atoms, are equivalent to q (checked via expansion and CQ containment
-// both ways). The trivial rewriting (no views) is included. The search is
-// capped; cap ≤ 0 means DefaultRewritingCap.
-func FindRewritings(q *query.CQ, views []*View, cap int) ([]*Rewriting, error) {
+// both ways). The search is capped; cap ≤ 0 means DefaultRewritingCap.
+//
+// With admit nil, the trivial rewriting (no views) is included. With
+// admit set, FindRewritings serves a caller that already holds the base
+// plan: it returns nothing when no view applies, never builds the trivial
+// rewriting, and offers every other candidate to admit before checking
+// it — only candidates admit accepts are expanded, checked for
+// equivalence and counted against the cap. Candidates reach admit with
+// Q, Body, BaseAtoms and ViewAtoms set.
+func FindRewritings(q *query.CQ, views []*View, cap int, admit func(*Rewriting) bool) ([]*Rewriting, error) {
 	if cap <= 0 {
 		cap = DefaultRewritingCap
 	}
@@ -250,11 +257,18 @@ func FindRewritings(q *query.CQ, views []*View, cap int) ([]*Rewriting, error) {
 	if !ok {
 		return nil, fmt.Errorf("views: query %s is unsatisfiable", q.Name)
 	}
+	apps := findApplications(qq, views, 32)
+	first := 0
+	if admit != nil {
+		if len(apps) == 0 {
+			return nil, nil
+		}
+		first = 1 // the trivial rewriting is the caller's base plan
+	}
 	byName := make(map[string]*View, len(views))
 	for _, v := range views {
 		byName[v.Name()] = v
 	}
-	apps := findApplications(qq, views, 32)
 	var out []*Rewriting
 	// Subsets of applications, small first.
 	n := len(apps)
@@ -262,7 +276,7 @@ func FindRewritings(q *query.CQ, views []*View, cap int) ([]*Rewriting, error) {
 	if n > 12 {
 		total = 1 << 12
 	}
-	for mask := 0; mask < total && len(out) < cap; mask++ {
+	for mask := first; mask < total && len(out) < cap; mask++ {
 		covered := make(map[int]bool)
 		var viewAtoms []*query.Atom
 		seenAtom := make(map[string]bool)
@@ -294,6 +308,9 @@ func FindRewritings(q *query.CQ, views []*View, cap int) ([]*Rewriting, error) {
 			continue
 		}
 		r := &Rewriting{Q: qq, Body: body, BaseAtoms: baseAtoms, ViewAtoms: viewAtoms}
+		if admit != nil && !admit(r) {
+			continue
+		}
 		exp, err := r.Expansion(byName)
 		if err != nil {
 			continue
@@ -305,7 +322,9 @@ func FindRewritings(q *query.CQ, views []*View, cap int) ([]*Rewriting, error) {
 	return out, nil
 }
 
-// DefaultRewritingCap bounds the number of rewritings returned.
+// DefaultRewritingCap bounds the number of rewritings returned (with an
+// admit callback: of admitted candidates that passed the equivalence
+// check).
 const DefaultRewritingCap = 64
 
 // UnconstrainedVars returns the distinguished variables of the rewriting
@@ -367,7 +386,7 @@ type VQSIDecision struct {
 // rewriting Q′ has (a) every distinguished variable constrained and (b)
 // ‖Q′b‖ ≤ M; for Boolean queries condition (b) alone.
 func DecideVQSI(q *query.CQ, views []*View, m int, cap int) (*VQSIDecision, error) {
-	rws, err := FindRewritings(q, views, cap)
+	rws, err := FindRewritings(q, views, cap, nil)
 	if err != nil {
 		return nil, err
 	}

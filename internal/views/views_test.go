@@ -107,7 +107,7 @@ func TestMaterialize(t *testing.T) {
 }
 
 func TestFindRewritingsQ2(t *testing.T) {
-	rws, err := FindRewritings(q2(t), exampleViews(t), 0)
+	rws, err := FindRewritings(q2(t), exampleViews(t), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestFindRewritingsQ2(t *testing.T) {
 // Every returned rewriting must compute exactly Q over random databases.
 func TestRewritingsSemanticsQuick(t *testing.T) {
 	views := exampleViews(t)
-	rws, err := FindRewritings(q2(t), views, 0)
+	rws, err := FindRewritings(q2(t), views, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestRewritingsSemanticsQuick(t *testing.T) {
 
 func TestUnconstrainedVars(t *testing.T) {
 	views := exampleViews(t)
-	rws, err := FindRewritings(q2(t), views, 0)
+	rws, err := FindRewritings(q2(t), views, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
