@@ -32,15 +32,22 @@ var goldenPath = filepath.Join("testdata", "analysis.golden")
 // view-extended schema, the per-atom remainder bodies a Q2 maintainer
 // analyzes, and seeded random conjunctive queries and FO formulas.
 func TestAnalysisGolden(t *testing.T) {
-	got := analysisGolden(t)
-	want, err := os.ReadFile(goldenPath)
+	checkGolden(t, goldenPath, analysisGolden(t))
+}
+
+// checkGolden compares got with the golden file at path. On a mismatch it
+// writes got next to the golden with a .got suffix and fails at the first
+// differing line.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got == string(want) {
 		return
 	}
-	if err := os.WriteFile(goldenPath+".got", []byte(got), 0o644); err != nil {
+	if err := os.WriteFile(path+".got", []byte(got), 0o644); err != nil {
 		t.Error(err)
 	}
 	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
@@ -53,7 +60,7 @@ func TestAnalysisGolden(t *testing.T) {
 			w = wl[i]
 		}
 		if g != w {
-			t.Fatalf("analysis differs from %s at line %d:\n got: %s\nwant: %s\n(full output in %s.got)", goldenPath, i+1, g, w, goldenPath)
+			t.Fatalf("output differs from %s at line %d:\n got: %s\nwant: %s\n(full output in %s.got)", path, i+1, g, w, path)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -28,30 +27,7 @@ var viewPlanGoldenPath = filepath.Join("testdata", "viewplan.golden")
 // controlling set of its base analysis, and for 150 seeded random CQs
 // spread over the same view sets.
 func TestViewPlanGolden(t *testing.T) {
-	got := viewPlanGolden(t)
-	want, err := os.ReadFile(viewPlanGoldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got == string(want) {
-		return
-	}
-	if err := os.WriteFile(viewPlanGoldenPath+".got", []byte(got), 0o644); err != nil {
-		t.Error(err)
-	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) || i < len(wl); i++ {
-		var g, w string
-		if i < len(gl) {
-			g = gl[i]
-		}
-		if i < len(wl) {
-			w = wl[i]
-		}
-		if g != w {
-			t.Fatalf("prepared plans differ from %s at line %d:\n got: %s\nwant: %s\n(full output in %s.got)", viewPlanGoldenPath, i+1, g, w, viewPlanGoldenPath)
-		}
-	}
+	checkGolden(t, viewPlanGoldenPath, viewPlanGolden(t))
 }
 
 func viewPlanGolden(t *testing.T) string {
