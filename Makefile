@@ -2,9 +2,10 @@ GO ?= go
 
 .PHONY: check build vet test race staticcheck sivet fuzz-smoke bench-smoke bench-check overhead-gate
 
-## check: the CI gate — vet, build, tests without and with the race
-## detector.
-check: vet build test race
+## check: the one-command local gate — vet, the project-invariant
+## analyzers (sivet), build, tests without and with the race detector.
+## CI runs the same steps, sivet as a step of its own.
+check: vet sivet build test race
 
 build:
 	$(GO) build ./...

@@ -83,7 +83,7 @@ func analyzeConformance(t *testing.T, cfg workload.Config, b store.Backend) {
 			}
 			for rows.Next() {
 			}
-			if rows.OpCharges() != nil || rows.OpTrace() != nil {
+			if rows.OpCharges() != nil {
 				t.Fatalf("%s [%v]: un-analyzed cursor carries trace state", qc.name, mode)
 			}
 		}
@@ -94,11 +94,11 @@ func analyzeConformance(t *testing.T, cfg workload.Config, b store.Backend) {
 	// are allocated once at cursor open, never per charge.
 	c := store.Counters{TupleReads: 1, IndexLookups: 1}
 	esOff := &store.ExecStats{}
-	if a := testing.AllocsPerRun(1000, func() { esOff.ChargeTo(nil, c) }); a != 0 {
+	if a := testing.AllocsPerRun(1000, func() { esOff.ChargeTo(c) }); a != 0 {
 		t.Fatalf("ChargeTo with attribution off: %v allocs/op, want 0", a)
 	}
 	esOn := &store.ExecStats{Ops: make([]store.OpCharge, 8), CurOp: 3}
-	if a := testing.AllocsPerRun(1000, func() { esOn.ChargeTo(nil, c) }); a != 0 {
+	if a := testing.AllocsPerRun(1000, func() { esOn.ChargeTo(c) }); a != 0 {
 		t.Fatalf("ChargeTo with attribution on: %v allocs/op, want 0", a)
 	}
 }

@@ -216,17 +216,15 @@ func F1aBoundedVsNaive(quick bool) ([]*Table, error) {
 		}
 		fixed := query.Bindings{"p": relation.Int(7)}
 
-		st.ResetCounters()
+		var naiveES store.ExecStats
 		start := time.Now()
-		naive, err := eval.Answers(eval.NewStoreSource(st, nil), q, fixed)
+		naive, err := eval.Answers(eval.NewStoreSource(st, &naiveES), q, fixed)
 		if err != nil {
 			return nil, err
 		}
 		naiveTime := time.Since(start)
-		naiveReads := st.Counters().TupleReads
 
 		eng := core.NewEngine(st)
-		st.ResetCounters()
 		start = time.Now()
 		ans, err := eng.Answer(q, fixed)
 		if err != nil {
@@ -236,7 +234,7 @@ func F1aBoundedVsNaive(quick bool) ([]*Table, error) {
 		if !ans.Tuples.Equal(naive) {
 			return nil, fmt.Errorf("F1a: bounded and naive answers differ at n=%d", n)
 		}
-		t.Row(n, st.Size(), naiveReads, naiveTime, ans.Cost.TupleReads, ans.DQ.Distinct(), boundedTime, ans.Plan.Bound.Reads)
+		t.Row(n, st.Size(), naiveES.Counters.TupleReads, naiveTime, ans.Cost.TupleReads, ans.DQ.Distinct(), boundedTime, ans.Plan.Bound.Reads)
 	}
 	t.Notes = "bounded reads and |D_Q| are flat in |D|; naive reads grow linearly. Answers identical."
 	return []*Table{t}, nil
@@ -285,16 +283,15 @@ func F1bIncremental(quick bool) ([]*Table, error) {
 			live.Close()
 
 			// Recompute baseline on the updated data.
-			st.ResetCounters()
-			want, err := eval.Answers(eval.NewStoreSource(st, nil), q2q, fixed)
+			var recompute store.ExecStats
+			want, err := eval.Answers(eval.NewStoreSource(st, &recompute), q2q, fixed)
 			if err != nil {
 				return nil, err
 			}
-			recompute := st.Counters().TupleReads
 			if !live.Snapshot().Equal(want) {
 				return nil, fmt.Errorf("F1b: maintained and recomputed answers differ at n=%d, |ΔD|=%d", n, batch)
 			}
-			t.Row(n, st.Size(), batch, incReads, recompute)
+			t.Row(n, st.Size(), batch, incReads, recompute.Counters.TupleReads)
 		}
 	}
 	t.Notes = "maintenance cost scales with |ΔD| (≤ 3 fetches per inserted tuple, often 1: a failed friend(p₀,id) probe short-circuits), not with |D|; recomputation scans everything. Live snapshot identical to recomputation."
@@ -334,16 +331,16 @@ func F1cViews(quick bool) ([]*Table, error) {
 		}
 		fixed := query.Bindings{"p": relation.Int(7)}
 
-		st.ResetCounters()
 		q2q, err := q2.Query()
 		if err != nil {
 			return nil, err
 		}
-		naive, err := eval.Answers(eval.NewStoreSource(st, nil), q2q, fixed)
+		var naiveES store.ExecStats
+		naive, err := eval.Answers(eval.NewStoreSource(st, &naiveES), q2q, fixed)
 		if err != nil {
 			return nil, err
 		}
-		naiveReads := st.Counters().TupleReads
+		naiveReads := naiveES.Counters.TupleReads
 
 		combined, err := views.Materialize(st.Data(), vs)
 		if err != nil {

@@ -160,10 +160,10 @@ func WithoutTrace() ExecOption { return func(o *execOpts) { o.noTrace = true } }
 
 // WithAnalyze enables per-operator runtime tracing for the call: each
 // plan operator accumulates rows produced, tuple reads charged, wall
-// time and shard fan-out, rendered by Rows.Analyze (EXPLAIN ANALYZE).
-// Tracing costs one trace and one per-operator charge array per call
-// plus a timestamp per pulled row; without this option the trace
-// machinery allocates nothing.
+// time and shard fan-out in its slot of the call's ExecStats.Ops,
+// rendered by Rows.Analyze (EXPLAIN ANALYZE). Tracing costs one
+// per-operator array per call plus a timestamp per pulled row; without
+// this option the trace machinery allocates nothing.
 func WithAnalyze() ExecOption { return func(o *execOpts) { o.analyze = true } }
 
 // WithRequestID tags the call with an end-to-end request identifier: it

@@ -21,8 +21,8 @@ import (
 
 // Exec evaluates a controllability derivation against the store, given
 // values (env) for a superset of the derivation's controlling set. It is
-// ExecContext with a background context and no per-call stats: only the
-// store-global counters are charged.
+// ExecContext with a background context and no per-call stats: the
+// evaluation is uncounted.
 func Exec(st store.Backend, d *Derivation, env query.Bindings) ([]query.Bindings, error) {
 	return ExecContext(context.Background(), st, d, env, nil)
 }
@@ -30,7 +30,7 @@ func Exec(st store.Backend, d *Derivation, env query.Bindings) ([]query.Bindings
 // ExecContext evaluates a derivation under ctx, charging the work (and
 // recording the witness set) into es. It returns the satisfying bindings,
 // each defined on exactly the free variables of the derived formula. A nil
-// es charges only the store-global counters; a nil ctx is treated as
+// es leaves the evaluation uncounted; a nil ctx is treated as
 // context.Background().
 //
 // The derivation is compiled 1:1 (analysis order; no cost-based

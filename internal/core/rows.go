@@ -45,10 +45,6 @@ type Rows struct {
 	limit  int
 	closed bool
 
-	// tr is the per-operator runtime trace, non-nil only under
-	// WithAnalyze; rendered by Analyze.
-	tr *plan.Trace
-
 	// Telemetry (observe.go): obs is the engine snapshot captured at open
 	// (nil when telemetry is off — then start is never read), qname the
 	// query name for the event, start the open timestamp.
@@ -235,26 +231,23 @@ func (r *Rows) Explain() string { return r.plan.Explain() }
 // WithAnalyze; meaningful after consumption (the counters grow as the
 // cursor is pulled, like Cost).
 func (r *Rows) Analyze() string {
-	if r.tr == nil {
+	if r.es.Ops == nil {
 		return "analyze: cursor was not opened with WithAnalyze\n"
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "physical plan (%s, optimizer %s)\n", r.plan.Bound, r.plan.Mode)
 	fmt.Fprintf(&b, "order: %s\n", strings.Join(plan.AtomOrder(r.plan.Root), ", "))
-	b.WriteString(plan.ExplainAnalyze(r.plan.Root, r.tr, r.es.Ops))
+	b.WriteString(plan.ExplainAnalyze(r.plan.Root, r.es.Ops))
 	fmt.Fprintf(&b, "actual: answers=%d %s (bound reads=%d)\n", r.n, r.es.Counters.String(), r.plan.Bound.Reads)
 	return b.String()
 }
 
-// OpCharges returns the per-operator charge breakdown accumulated so far
-// (indexed by pre-order operator ID), nil unless the cursor was opened
-// with WithAnalyze. The sum of the per-operator counters equals Cost()
-// bit-identically — every charge is attributed to exactly one operator.
+// OpCharges returns the per-operator record accumulated so far — charges,
+// fan-out, rows and wall time, indexed by pre-order operator ID — nil
+// unless the cursor was opened with WithAnalyze. The sum of the
+// per-operator counters equals Cost() bit-identically — every charge is
+// attributed to exactly one operator.
 func (r *Rows) OpCharges() []store.OpCharge { return r.es.Ops }
-
-// OpTrace returns the runtime rows/wall trace accumulated so far, nil
-// unless the cursor was opened with WithAnalyze.
-func (r *Rows) OpTrace() *plan.Trace { return r.tr }
 
 // Cost returns the work charged to this cursor so far. It grows as the
 // cursor is pulled; after exhaustion it equals the cost Exec would have
@@ -358,13 +351,10 @@ func (p *PreparedQuery) query(ctx context.Context, fixed query.Bindings, o execO
 	if !o.noTrace {
 		es.Trace = store.NewTrace()
 	}
-	rt := plan.BackendRuntime{Ctx: ctx, B: p.eng.DB, Es: es}
-	var tr *plan.Trace
 	if o.analyze {
-		tr = plan.NewTrace(p.plan.NumOps)
 		es.Ops = make([]store.OpCharge, p.plan.NumOps)
-		rt.Tr = tr
 	}
+	rt := plan.BackendRuntime{Ctx: ctx, B: p.eng.DB, Es: es}
 	head := remainingHead(p.q.Head, fixed)
 	r := &Rows{
 		head:  head,
@@ -372,7 +362,6 @@ func (p *PreparedQuery) query(ctx context.Context, fixed query.Bindings, o execO
 		es:    es,
 		seq:   projectSeq(p.plan.Root.Stream(rt, fixed), head, nil, p.q.Name),
 		limit: o.limit, // <= 0: unlimited
-		tr:    tr,
 		qname: p.q.Name,
 	}
 	if obs := p.eng.telemetry(); obs != nil {

@@ -119,7 +119,8 @@ func alignHead(d *query.CQ, head []string, idx int) (*query.CQ, error) {
 
 // ExecUCQ evaluates the union under a fixed binding of a controlling set
 // of the union: the bounded union of the disjuncts' bounded answers. It
-// is a full drain of StreamUCQ.
+// is a full drain of StreamUCQ with no per-call stats, so it is
+// uncounted.
 func ExecUCQ(st store.Backend, res *UCQResult, x query.Bindings) (*relation.TupleSet, error) {
 	seq, err := StreamUCQ(context.Background(), st, res, x, nil)
 	if err != nil {
@@ -141,8 +142,7 @@ func ExecUCQ(st store.Backend, res *UCQResult, x query.Bindings) (*relation.Tupl
 // their answers are deduplicated on the fly across disjuncts, so the
 // union's answer set streams out without materializing any disjunct —
 // and an early-terminating consumer never opens the cursors of later
-// disjuncts at all. Work is charged to es (nil charges only the
-// backend-global counters). The resulting tuple set and, for a full
+// disjuncts at all. Work is charged to es (nil leaves it uncounted). The resulting tuple set and, for a full
 // drain, the charged TupleReads are identical to ExecUCQ's:
 // deduplication is at answer level and every disjunct's plan still runs
 // in full once pulled.

@@ -171,33 +171,6 @@ func Equivalent(q1, q2 *query.CQ) bool {
 	return Contained(q1, q2) && Contained(q2, q1)
 }
 
-// ContainedInUCQ reports q ⊆ u for a CQ q and UCQ u: by Sagiv–Yannakakis,
-// q ⊆ ∪ᵢ qᵢ iff q ⊆ qᵢ for some i.
-func ContainedInUCQ(q *query.CQ, u *query.UCQ) bool {
-	for _, d := range u.Disjunct {
-		if Contained(q, d) {
-			return true
-		}
-	}
-	return false
-}
-
-// UCQContained reports u1 ⊆ u2 for UCQs: every disjunct of u1 contained in
-// u2.
-func UCQContained(u1, u2 *query.UCQ) bool {
-	for _, d := range u1.Disjunct {
-		if !ContainedInUCQ(d, u2) {
-			return false
-		}
-	}
-	return true
-}
-
-// UCQEquivalent reports u1 ≡ u2.
-func UCQEquivalent(u1, u2 *query.UCQ) bool {
-	return UCQContained(u1, u2) && UCQContained(u2, u1)
-}
-
 // Minimize computes the core of q: an equivalent subquery with a minimal
 // set of atoms. The input must be satisfiable; equality atoms are
 // eliminated first. The result is a fresh CQ.

@@ -67,11 +67,11 @@ func (s DBSource) Contains(rel string, t relation.Tuple) (bool, error) {
 }
 
 // StoreSource adapts an instrumented storage backend (single-node
-// store.DB, sharded shard.Store, ...): scans and probes are counted
-// against the backend's counters, so naive evaluation's data appetite is
-// measured. When Stats is non-nil, the work (and witness trace, if its
-// Trace is set) is additionally charged to that call — the per-call
-// protocol of store.ExecStats, immune to interleaved evaluations.
+// store.DB, sharded shard.Store, ...): every scan and probe is charged to
+// Stats — the per-call protocol of store.ExecStats, immune to
+// interleaved evaluations — so naive evaluation's data appetite is
+// measured, with the witness trace when Stats.Trace is set. A nil Stats
+// leaves the evaluation uncounted.
 type StoreSource struct {
 	DB    store.Backend
 	Stats *store.ExecStats
@@ -92,9 +92,9 @@ func NewScanSnapshot() *ScanSnapshot {
 }
 
 // NewStoreSource builds the source for one measured naive evaluation:
-// per-call stats (nil is allowed: global counters only) and a fresh scan
-// snapshot, so repeated scans are charged but copied once. Build a new
-// one per evaluation.
+// per-call stats (nil is allowed: the evaluation is uncounted) and a
+// fresh scan snapshot, so repeated scans are charged but copied once.
+// Build a new one per evaluation.
 func NewStoreSource(db store.Backend, stats *store.ExecStats) StoreSource {
 	return StoreSource{DB: db, Stats: stats, Snap: NewScanSnapshot()}
 }

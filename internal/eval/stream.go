@@ -75,10 +75,6 @@ func (rt sourceRuntime) Scan(_ int, rel string) iter.Seq2[relation.Tuple, error]
 // store accesses themselves (ExecStats.Ctx), as before the IR rewrite.
 func (rt sourceRuntime) Check() error { return nil }
 
-// Trace implements plan.Runtime: the naive evaluator never traces
-// per-operator statistics.
-func (rt sourceRuntime) Trace() *plan.Trace { return nil }
-
 // runtimeFor picks the runtime of one evaluation over src. The uncounted
 // DBSource gets keyed inner scans (dbRuntime); counted sources keep the
 // nested loop, so every naive scan is charged in full.

@@ -8,7 +8,6 @@ package index
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/relation"
@@ -186,17 +185,6 @@ func (ix *Index) Len() int {
 		n += len(b.ts)
 	}
 	return n
-}
-
-// GroupSizes returns the multiset of bucket sizes in descending order;
-// useful for conformance diagnostics.
-func (ix *Index) GroupSizes() []int {
-	out := make([]int, 0, len(ix.buckets))
-	for _, b := range ix.buckets {
-		out = append(out, len(b.ts))
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
 }
 
 // String describes the index.

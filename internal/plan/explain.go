@@ -36,27 +36,22 @@ func explain(b *strings.Builder, n Node, depth int) {
 // the storage layer, so reads appear on the data-access operators that
 // caused them and sum exactly to the call's TupleReads), wall time inside
 // the operator's cursor (inclusive of children), and scatter fan-out where
-// any. tr and ops come from the execution's plan.Trace and
-// store.ExecStats.Ops; either may be nil/short, rendering zeros.
-func ExplainAnalyze(n Node, tr *Trace, ops []store.OpCharge) string {
+// any. ops is the execution's per-operator record, store.ExecStats.Ops;
+// it may be nil or short, rendering zeros.
+func ExplainAnalyze(n Node, ops []store.OpCharge) string {
 	var b strings.Builder
-	explainAnalyze(&b, n, tr, ops, 0)
+	explainAnalyze(&b, n, ops, 0)
 	return b.String()
 }
 
-func explainAnalyze(b *strings.Builder, n Node, tr *Trace, ops []store.OpCharge, depth int) {
+func explainAnalyze(b *strings.Builder, n Node, ops []store.OpCharge, depth int) {
 	indent := strings.Repeat("  ", depth)
-	id := n.OpID()
-	var st OpStat
-	if tr != nil && id >= 0 && id < len(tr.Ops) {
-		st = tr.Ops[id]
-	}
 	var oc store.OpCharge
-	if id >= 0 && id < len(ops) {
+	if id := n.OpID(); id >= 0 && id < len(ops) {
 		oc = ops[id]
 	}
 	fmt.Fprintf(b, "%s%s — %s | actual: rows=%d reads=%d wall=%s",
-		indent, n.Describe(), n.Bound(), st.Rows, oc.Counters.TupleReads, st.Wall.Round(time.Microsecond))
+		indent, n.Describe(), n.Bound(), oc.Rows, oc.Counters.TupleReads, oc.Wall.Round(time.Microsecond))
 	if oc.Forks > 0 {
 		fmt.Fprintf(b, " fan-out=%d", oc.Forks)
 	}
@@ -67,7 +62,7 @@ func explainAnalyze(b *strings.Builder, n Node, tr *Trace, ops []store.OpCharge,
 		}
 	}
 	for _, c := range n.Children() {
-		explainAnalyze(b, c, tr, ops, depth+1)
+		explainAnalyze(b, c, ops, depth+1)
 	}
 }
 

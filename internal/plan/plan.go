@@ -76,10 +76,6 @@ type Runtime interface {
 	// Check fails fast once the call's context is canceled or past its
 	// deadline. Called at every operator boundary.
 	Check() error
-	// Trace returns the per-operator runtime trace this execution fills,
-	// or nil when ANALYZE is off — the branch every operator takes on the
-	// untraced hot path.
-	Trace() *Trace
 }
 
 // KeyedScanner is optionally implemented by a Runtime that can answer a
@@ -94,16 +90,14 @@ type KeyedScanner interface {
 }
 
 // BackendRuntime runs plans against a store.Backend with per-call stats:
-// the engine's runtime.
+// the engine's runtime. A non-nil Es.Ops (one slot per operator) turns
+// ANALYZE on: operators record rows and wall time into it, and data
+// accesses pin Es.CurOp so the storage layer attributes every charge to
+// the operator that caused it.
 type BackendRuntime struct {
 	Ctx context.Context
 	B   store.Backend
 	Es  *store.ExecStats
-	// Tr, when non-nil, turns ANALYZE on: operators record rows and wall
-	// time into it, and data accesses pin Es.CurOp so the storage layer
-	// attributes every charge to the operator that caused it. Allocate it
-	// (NewTrace) together with Es.Ops, one slot per operator.
-	Tr *Trace
 }
 
 // pin attributes subsequent charges on the call's ExecStats to operator
@@ -161,9 +155,6 @@ func (rt BackendRuntime) Check() error {
 	}
 	return nil
 }
-
-// Trace implements Runtime.
-func (rt BackendRuntime) Trace() *Trace { return rt.Tr }
 
 // Cost is the static bound an operator guarantees, expressed in the
 // N-values of the access schema (Theorem 4.2's "time that depends only on
@@ -312,16 +303,6 @@ func Restrict(env query.Bindings, vars query.VarSet) query.Bindings {
 		}
 	}
 	return out
-}
-
-// BindingKey canonically encodes a binding over the given sorted variable
-// list for deduplication.
-func BindingKey(b query.Bindings, sortedVars []string) string {
-	t := make(relation.Tuple, len(sortedVars))
-	for i, v := range sortedVars {
-		t[i] = b[v]
-	}
-	return t.Key()
 }
 
 // restrictMerged builds the binding over vars, taking each variable from

@@ -7,11 +7,11 @@ import (
 )
 
 // This file is the ANALYZE half of EXPLAIN: operator identity (stable
-// plan-wide ids), the per-execution runtime trace accumulated against
-// those ids, and the stream instrumentation that fills it. Everything here
-// is strictly pay-as-you-go: with tracing off, traced() returns the
-// operator's stream unchanged and the only cost is one nil check per
-// cursor open.
+// plan-wide ids) and the stream instrumentation that fills each
+// operator's rows and wall time into the call's per-operator record,
+// store.ExecStats.Ops. Everything here is strictly pay-as-you-go: with
+// ANALYZE off, traced() returns the operator's stream unchanged and the
+// only cost is one type check per cursor open.
 
 // opID carries an operator's plan-wide id. Embedding it implements the
 // identity (and sealing) part of Node for every operator in this package.
@@ -29,7 +29,7 @@ func (o *opID) setOpID(i int) { o.id = i }
 // the operator count. The compiler calls it once per plan, after
 // optimization and route resolution have settled the final tree shape, so
 // ids are stable for the plan's lifetime and index the per-operator slots
-// of store.ExecStats.Ops and plan.Trace.Ops.
+// of store.ExecStats.Ops.
 func AssignOpIDs(root Node) int {
 	n := 0
 	var walk func(Node)
@@ -44,37 +44,17 @@ func AssignOpIDs(root Node) int {
 	return n
 }
 
-// Trace accumulates per-operator runtime statistics for one execution —
-// rows yielded and wall time per operator, indexed by OpID. The read-side
-// counters (tuple reads, lookups, fan-out) live in store.ExecStats.Ops,
-// charged by the storage layer itself so per-operator sums equal the
-// call's totals bit-identically. A Trace belongs to a single execution
-// and is not safe for concurrent use.
-type Trace struct {
-	Ops []OpStat
-}
-
-// NewTrace returns a trace with one slot per operator.
-func NewTrace(numOps int) *Trace { return &Trace{Ops: make([]OpStat, numOps)} }
-
-// OpStat is one operator's runtime tally.
-type OpStat struct {
-	// Rows counts the bindings the operator yielded to its consumer.
-	Rows int64
-	// Wall is the time spent inside the operator's cursor, inclusive of
-	// its children, exclusive of the consumer's work between pulls.
-	Wall time.Duration
-}
-
 // traced wraps an operator's binding stream with row counting and wall
-// timing when the runtime carries a trace; with tracing off it returns s
-// unchanged, so the untraced hot path allocates nothing extra.
+// timing into the operator's slot of the call's per-operator record
+// (store.ExecStats.Ops) when the execution runs under ANALYZE; otherwise
+// it returns s unchanged, so the untraced hot path allocates nothing
+// extra. Only a BackendRuntime carries that record.
 func traced(rt Runtime, op int, s Seq) Seq {
-	tr := rt.Trace()
-	if tr == nil || op < 0 || op >= len(tr.Ops) {
+	br, ok := rt.(BackendRuntime)
+	if !ok || br.Es == nil || op < 0 || op >= len(br.Es.Ops) {
 		return s
 	}
-	st := &tr.Ops[op]
+	st := &br.Es.Ops[op]
 	return func(yield func(b query.Bindings, err error) bool) {
 		start := time.Now()
 		s(func(b query.Bindings, err error) bool {

@@ -141,22 +141,6 @@ type Or struct {
 // NewOr builds a disjunction.
 func NewOr(l, r Formula) *Or { return &Or{L: l, R: r} }
 
-// OrAll folds disjuncts left-associatively; it returns False for no
-// arguments.
-func OrAll(fs ...Formula) Formula {
-	switch len(fs) {
-	case 0:
-		return False
-	case 1:
-		return fs[0]
-	}
-	out := fs[0]
-	for _, f := range fs[1:] {
-		out = NewOr(out, f)
-	}
-	return out
-}
-
 func (o *Or) isFormula()      {}
 func (o *Or) precedence() int { return 70 }
 

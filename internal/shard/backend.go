@@ -51,37 +51,6 @@ func (s *Store) ShardSizes() []int {
 	return out
 }
 
-// ShardCounters returns each shard's accumulated global counters. Work
-// charged at merge level (scatter-gathered fetches, scan replays) belongs
-// to no shard and appears only in Counters().
-func (s *Store) ShardCounters() []store.Counters {
-	out := make([]store.Counters, len(s.shards))
-	for i, sh := range s.shards {
-		out[i] = sh.Counters()
-	}
-	return out
-}
-
-// Counters returns the backend-global counters: per-shard totals plus
-// merge-level charges.
-func (s *Store) Counters() store.Counters {
-	c := s.extra.Load()
-	for _, sh := range s.shards {
-		c.Add(sh.Counters())
-	}
-	return c
-}
-
-// ResetCounters zeroes every shard's counters and the merge-level
-// accumulator, returning the previous merged value.
-func (s *Store) ResetCounters() store.Counters {
-	c := s.extra.SwapZero()
-	for _, sh := range s.shards {
-		c.Add(sh.ResetCounters())
-	}
-	return c
-}
-
 // EntriesFor returns the access entries available for rel, most selective
 // first. Every shard shares the access schema, so shard 0 answers.
 func (s *Store) EntriesFor(rel string) []access.Entry { return s.shards[0].EntriesFor(rel) }
@@ -236,7 +205,7 @@ func (s *Store) scatterFetchPlain(es *store.ExecStats, e access.Entry, vals []re
 	if total > e.N {
 		return nil, fmt.Errorf("shard: %s violated: group has %d > %d tuples across shards", e.String(), total, e.N)
 	}
-	if err := es.ChargeTo(&s.extra, store.Counters{
+	if err := es.ChargeTo(store.Counters{
 		TupleReads:   int64(total),
 		IndexLookups: int64(len(s.shards)),
 		TimeUnits:    int64(len(s.shards)) * int64(e.T),
@@ -287,7 +256,7 @@ func (s *Store) scatterFetchEmbedded(es *store.ExecStats, e access.Entry, vals [
 	if len(out) > e.N {
 		return nil, fmt.Errorf("shard: %s violated: group has %d > %d tuples across shards", e.String(), len(out), e.N)
 	}
-	if err := es.ChargeTo(&s.extra, store.Counters{
+	if err := es.ChargeTo(store.Counters{
 		TupleReads:   int64(len(out)),
 		IndexLookups: int64(n),
 		TimeUnits:    int64(n) * int64(e.T),
@@ -346,9 +315,9 @@ func (s *Store) ScanInto(es *store.ExecStats, rel string) ([]relation.Tuple, err
 
 // ChargeScanned charges the counters of a replayed full scan of n tuples:
 // what ScanInto would charge for the same data, one partial scan per
-// shard, booked at merge level.
+// shard.
 func (s *Store) ChargeScanned(es *store.ExecStats, n int) error {
-	return es.ChargeTo(&s.extra, store.Counters{
+	return es.ChargeTo(store.Counters{
 		Scans:      int64(len(s.shards)),
 		TupleReads: int64(n),
 		TimeUnits:  int64(n),

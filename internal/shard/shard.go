@@ -49,11 +49,6 @@ type Store struct {
 	routesMu sync.RWMutex
 	routes   map[string]route // guarded by routesMu
 
-	// extra accumulates merge-level charges that belong to no single shard
-	// (deduplicated embedded scatter fetches, scan-snapshot replays);
-	// Counters() folds it into the per-shard totals.
-	extra store.AtomicCounters
-
 	// commits is the merged commit-log sequence number: one increment per
 	// successful whole-backend apply, assigned after every per-shard piece
 	// has landed (ApplyVersioned).

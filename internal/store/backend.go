@@ -21,10 +21,11 @@ import (
 //   - MembershipInto is one probe: one membership charged, plus one tuple
 //     read when present.
 //   - ScanInto returns all of R, charging |R| tuple reads.
-//   - All three charge the per-call *ExecStats (nil allowed: global
-//     counters only), honor its MaxReads budget (failing with
+//   - All three charge the per-call *ExecStats (nil allowed: the read is
+//     uncounted), honor its MaxReads budget (failing with
 //     ErrBudgetExceeded) and its Ctx (failing with ErrCanceled), and
-//     record touched base tuples in its Trace.
+//     record touched base tuples in its Trace. The ExecStats is the only
+//     record of the work: a Backend keeps no counters of its own.
 //   - Returned slices are snapshots: they stay valid after concurrent
 //     ApplyVersioned and ApplyDerived calls.
 //   - TupleReads charged for the same logical access are identical across
@@ -112,12 +113,6 @@ type Backend interface {
 	// Conforms checks cardinality conformance of the data to the access
 	// schema.
 	Conforms() error
-
-	// Counters returns the accumulated backend-global counters.
-	Counters() Counters
-	// ResetCounters zeroes the global counters, returning their previous
-	// value.
-	ResetCounters() Counters
 }
 
 // RouteKind classifies how a planned fetch reaches the data. The planner

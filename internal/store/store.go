@@ -10,11 +10,9 @@
 // Instrumentation is per call: each evaluation passes its own *ExecStats
 // down the read path (FetchInto, MembershipInto, ScanInto) and gets back
 // its own counters and witness trace, so a single DB can serve concurrent
-// evaluations without cross-talk. The DB additionally keeps global
-// counters (updated atomically) for whole-process accounting, and guards
-// the data and indices with an RWMutex: reads run concurrently,
-// writes (ApplyVersioned, ApplyDerived, relation DDL) and EnsureIndex are
-// exclusive.
+// evaluations without cross-talk. The DB guards the data and indices with
+// an RWMutex: reads run concurrently, writes (ApplyVersioned,
+// ApplyDerived, relation DDL) and EnsureIndex are exclusive.
 package store
 
 import (
@@ -24,7 +22,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
+	"time"
 
 	"repro/internal/access"
 	"repro/internal/index"
@@ -76,9 +74,10 @@ func (c Counters) String() string {
 }
 
 // ExecStats is the per-call execution context threaded through the read
-// path: one evaluation's own counters, its optional witness trace, and an
-// optional runtime read budget. A nil *ExecStats is valid everywhere and
-// means "charge only the store-global counters".
+// path: one evaluation's own counters, its optional witness trace and
+// per-operator record, and an optional runtime read budget. It is the
+// only record of what a call did. A nil *ExecStats is valid everywhere
+// and means "uncounted".
 //
 // An ExecStats must not be shared between concurrent evaluations; each
 // call gets a fresh one.
@@ -98,13 +97,14 @@ type ExecStats struct {
 	// single unbounded scan on the naive path.
 	Ctx context.Context
 
-	// Ops, when non-nil, attributes every charge to the plan operator
-	// current (CurOp) at the moment it happened — one slot per operator id.
-	// The plan executor allocates it (length = operator count) when running
-	// under ANALYZE; nil skips attribution entirely, so the hot path pays
-	// one nil check per charge. Because ChargeTo is the single charging
-	// primitive for every backend, the sum over Ops equals Counters
-	// bit-identically by construction.
+	// Ops, when non-nil, is the per-operator record of the call — one slot
+	// per operator id: every charge is attributed to the plan operator
+	// current (CurOp) at the moment it happened, and the plan executor
+	// adds each operator's rows and wall time. The executor allocates it
+	// (length = operator count) when running under ANALYZE; nil skips
+	// attribution entirely, so the hot path pays one nil check per charge.
+	// Because ChargeTo is the single charging primitive for every backend,
+	// the sum over Ops equals Counters bit-identically by construction.
 	Ops []OpCharge
 	// CurOp is the operator id charges are attributed to while Ops is
 	// non-nil. The plan runtime pins it at each data access.
@@ -119,13 +119,19 @@ type ExecStats struct {
 	exhausted bool
 }
 
-// OpCharge is the per-operator slice of one evaluation's counters: while
+// OpCharge is one operator's record of one evaluation: while
 // ExecStats.Ops is non-nil, every ChargeTo is additionally attributed to
 // Ops[CurOp]. Forks counts scatter-gather branches forked while the
 // operator was current — the shard fan-out degree EXPLAIN ANALYZE reports.
+// Rows and Wall are filled by the plan executor.
 type OpCharge struct {
 	Counters Counters
 	Forks    int64
+	// Rows counts the bindings the operator yielded to its consumer.
+	Rows int64
+	// Wall is the time spent inside the operator's cursor, inclusive of
+	// its children, exclusive of the consumer's work between pulls.
+	Wall time.Duration
 }
 
 // ctxErr reports the call's cancellation state.
@@ -139,15 +145,10 @@ func (es *ExecStats) ctxErr() error {
 	return nil
 }
 
-// ChargeTo adds c to the global accumulator g (when non-nil) and to the
-// per-call counters (when es is non-nil), enforcing the call's read budget
-// and deadline. This is the one charging primitive every backend uses: the
-// single-node DB passes its own counters, the sharded backend its
-// merge-level accumulator.
-func (es *ExecStats) ChargeTo(g *AtomicCounters, c Counters) error {
-	if g != nil {
-		g.Add(c)
-	}
+// ChargeTo adds c to the per-call counters (a nil es is uncounted),
+// enforcing the call's read budget and deadline. This is the one charging
+// primitive every backend uses.
+func (es *ExecStats) ChargeTo(c Counters) error {
 	if es == nil {
 		return nil
 	}
@@ -178,9 +179,9 @@ func (es *ExecStats) checkBudget() error {
 
 // Fork returns per-call stats for one branch of a scatter-gather fan-out:
 // it shares the parent's context, carries its own trace when the parent
-// traces, and inherits the parent's remaining read budget. Branches charge
-// their own shard's global counters as they go; the per-call view is
-// reassembled by Join. A nil parent forks to nil (uncounted branch).
+// traces, and inherits the parent's remaining read budget. The per-call
+// view is reassembled by Join. A nil parent forks to nil: an uncounted
+// call has uncounted branches.
 //
 // Each branch gets the full remaining budget, so under parallel fan-out
 // the first over-budget branch fails with ErrBudgetExceeded while sibling
@@ -217,9 +218,8 @@ func (es *ExecStats) Fork() *ExecStats {
 
 // Join merges a forked branch back into the parent: counters accumulate,
 // traces union, and the merged total is checked against the parent's
-// budget and deadline. Globals are not re-charged — the branch already
-// charged them where the work happened. Join calls must not race each
-// other; gather branches first, then join sequentially.
+// budget and deadline. Join calls must not race each other; gather
+// branches first, then join sequentially.
 func (es *ExecStats) Join(child *ExecStats) error {
 	if es == nil || child == nil {
 		return nil
@@ -316,61 +316,9 @@ func (tr *Trace) Database(schema *relation.Schema) *relation.Database {
 	return db
 }
 
-// AtomicCounters is a backend-global accumulator, safe for concurrent
-// charging. The zero value is ready to use.
-type AtomicCounters struct {
-	tupleReads   atomic.Int64
-	indexLookups atomic.Int64
-	scans        atomic.Int64
-	memberships  atomic.Int64
-	timeUnits    atomic.Int64
-}
-
-// Add accumulates c.
-func (a *AtomicCounters) Add(c Counters) {
-	if c.TupleReads != 0 {
-		a.tupleReads.Add(c.TupleReads)
-	}
-	if c.IndexLookups != 0 {
-		a.indexLookups.Add(c.IndexLookups)
-	}
-	if c.Scans != 0 {
-		a.scans.Add(c.Scans)
-	}
-	if c.Memberships != 0 {
-		a.memberships.Add(c.Memberships)
-	}
-	if c.TimeUnits != 0 {
-		a.timeUnits.Add(c.TimeUnits)
-	}
-}
-
-// Load returns a snapshot of the accumulated counters.
-func (a *AtomicCounters) Load() Counters {
-	return Counters{
-		TupleReads:   a.tupleReads.Load(),
-		IndexLookups: a.indexLookups.Load(),
-		Scans:        a.scans.Load(),
-		Memberships:  a.memberships.Load(),
-		TimeUnits:    a.timeUnits.Load(),
-	}
-}
-
-// SwapZero zeroes the counters, returning their previous value.
-func (a *AtomicCounters) SwapZero() Counters {
-	return Counters{
-		TupleReads:   a.tupleReads.Swap(0),
-		IndexLookups: a.indexLookups.Swap(0),
-		Scans:        a.scans.Swap(0),
-		Memberships:  a.memberships.Swap(0),
-		TimeUnits:    a.timeUnits.Swap(0),
-	}
-}
-
 // DB is an instrumented database: data + access schema + indices. A DB is
 // safe for concurrent use: reads (FetchInto/MembershipInto/ScanInto) take
-// a shared lock, writes and EnsureIndex an exclusive one, and the
-// global counters are atomic.
+// a shared lock, writes and EnsureIndex an exclusive one.
 type DB struct {
 	mu   sync.RWMutex
 	data *relation.Database // guarded by mu
@@ -382,8 +330,6 @@ type DB struct {
 	// version is the commit-log sequence number of the last applied update,
 	// guarded by mu (writes hold the exclusive lock).
 	version int64
-
-	counters AtomicCounters
 }
 
 // Open wraps data with the given access schema, validating every entry and
@@ -446,14 +392,6 @@ func (db *DB) Size() int {
 	defer db.mu.RUnlock()
 	return db.data.Size()
 }
-
-// Counters returns the accumulated global counters.
-func (db *DB) Counters() Counters { return db.counters.Load() }
-
-// ResetCounters zeroes the global counters and returns their previous
-// value. Per-call accounting should prefer ExecStats, which needs no
-// resetting and is immune to interleaved calls.
-func (db *DB) ResetCounters() Counters { return db.counters.SwapZero() }
 
 // MaxGroup reports the data statistics of an access entry: the size of
 // the largest group currently served by e's index — an exact,
@@ -700,8 +638,7 @@ func (db *DB) ApplyDerived(u *relation.Update) error {
 }
 
 // FetchInto performs the indexed retrieval licensed by entry e with the
-// given values for e.On, in order, charging the work to es (and the global
-// counters). It returns:
+// given values for e.On, in order, charging the work to es. It returns:
 //
 //   - for a plain entry, the base tuples σ_X=ā(R);
 //   - for an embedded entry, the projected tuples π_Y(σ_X=ā(R)) (over the
@@ -724,7 +661,7 @@ func (db *DB) FetchInto(es *ExecStats, e access.Entry, vals []relation.Value) ([
 	if len(out) > e.N {
 		return nil, fmt.Errorf("store: %s violated: group has %d > %d tuples", e.String(), len(out), e.N)
 	}
-	if err := es.ChargeTo(&db.counters, Counters{TupleReads: int64(len(out)), IndexLookups: 1, TimeUnits: int64(e.T)}); err != nil {
+	if err := es.ChargeTo(Counters{TupleReads: int64(len(out)), IndexLookups: 1, TimeUnits: int64(e.T)}); err != nil {
 		return nil, err
 	}
 	// Embedded fetches do not touch identifiable base tuples (a covering
@@ -818,12 +755,12 @@ func (db *DB) MembershipInto(es *ExecStats, rel string, t relation.Tuple) (bool,
 		return false, fmt.Errorf("store: %w %q", ErrUnknownRelation, rel)
 	}
 	if !r.Contains(t) {
-		if err := es.ChargeTo(&db.counters, Counters{Memberships: 1, TimeUnits: 1}); err != nil {
+		if err := es.ChargeTo(Counters{Memberships: 1, TimeUnits: 1}); err != nil {
 			return false, err
 		}
 		return false, nil
 	}
-	if err := es.ChargeTo(&db.counters, Counters{Memberships: 1, TimeUnits: 1, TupleReads: 1}); err != nil {
+	if err := es.ChargeTo(Counters{Memberships: 1, TimeUnits: 1, TupleReads: 1}); err != nil {
 		return false, err
 	}
 	es.record(rel, t)
@@ -842,7 +779,7 @@ func (db *DB) ScanInto(es *ExecStats, rel string) ([]relation.Tuple, error) {
 		db.mu.RUnlock()
 		return nil, fmt.Errorf("store: %w %q", ErrUnknownRelation, rel)
 	}
-	if err := es.ChargeTo(&db.counters, Counters{Scans: 1, TupleReads: int64(r.Len()), TimeUnits: int64(r.Len())}); err != nil {
+	if err := es.ChargeTo(Counters{Scans: 1, TupleReads: int64(r.Len()), TimeUnits: int64(r.Len())}); err != nil {
 		db.mu.RUnlock()
 		return nil, err
 	}
@@ -868,7 +805,7 @@ func (db *DB) ScanInto(es *ExecStats, rel string) ([]relation.Tuple, error) {
 // (eval.ScanSnapshot), keeping measurements identical while skipping the
 // O(|R|) copy.
 func (db *DB) ChargeScanned(es *ExecStats, n int) error {
-	return es.ChargeTo(&db.counters, Counters{Scans: 1, TupleReads: int64(n), TimeUnits: int64(n)})
+	return es.ChargeTo(Counters{Scans: 1, TupleReads: int64(n), TimeUnits: int64(n)})
 }
 
 // ValidateUpdate checks u against the current data without applying it,

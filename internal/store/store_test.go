@@ -52,15 +52,15 @@ func testDBWith(t *testing.T, extra ...access.Entry) *DB {
 func TestFetchPlain(t *testing.T) {
 	db := testDB(t)
 	e := access.Plain("friend", []string{"id1"}, 5000, 1)
-	got, err := db.FetchInto(nil, e, []relation.Value{relation.Int(1)})
+	es := &ExecStats{}
+	got, err := db.FetchInto(es, e, []relation.Value{relation.Int(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 {
 		t.Fatalf("Fetch = %v", got)
 	}
-	c := db.Counters()
-	if c.TupleReads != 2 || c.IndexLookups != 1 || c.TimeUnits != 1 {
+	if c := es.Counters; c.TupleReads != 2 || c.IndexLookups != 1 || c.TimeUnits != 1 {
 		t.Errorf("counters = %s", c)
 	}
 	if _, err := db.FetchInto(nil, e, nil); err == nil {
@@ -112,7 +112,7 @@ func TestTraceCollectsDQ(t *testing.T) {
 		t.Errorf("DQ = %v", dq)
 	}
 	// Per-call counters saw exactly this call's work (6 reads: 2+2 friend
-	// fetches + 2 person fetches), independent of the global counters.
+	// fetches + 2 person fetches).
 	if es.Counters.TupleReads != 6 || es.Counters.IndexLookups != 4 {
 		t.Errorf("per-call counters = %s", es.Counters)
 	}
@@ -185,24 +185,24 @@ func TestConcurrentReads(t *testing.T) {
 
 func TestMembershipAndScan(t *testing.T) {
 	db := testDB(t)
-	ok, err := db.MembershipInto(nil, "friend", relation.Ints(1, 2))
+	es := &ExecStats{}
+	ok, err := db.MembershipInto(es, "friend", relation.Ints(1, 2))
 	if err != nil || !ok {
 		t.Fatalf("Membership: %v %v", ok, err)
 	}
-	ok, err = db.MembershipInto(nil, "friend", relation.Ints(9, 9))
+	ok, err = db.MembershipInto(es, "friend", relation.Ints(9, 9))
 	if err != nil || ok {
 		t.Fatalf("Membership absent: %v %v", ok, err)
 	}
-	c := db.ResetCounters()
-	if c.Memberships != 2 || c.TupleReads != 1 {
+	if c := es.Counters; c.Memberships != 2 || c.TupleReads != 1 {
 		t.Errorf("membership counters = %s", c)
 	}
-	ts, err := db.ScanInto(nil, "friend")
+	es = &ExecStats{}
+	ts, err := db.ScanInto(es, "friend")
 	if err != nil || len(ts) != 3 {
 		t.Fatalf("Scan: %v %v", ts, err)
 	}
-	c = db.Counters()
-	if c.Scans != 1 || c.TupleReads != 3 {
+	if c := es.Counters; c.Scans != 1 || c.TupleReads != 3 {
 		t.Errorf("scan counters = %s", c)
 	}
 }

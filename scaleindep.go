@@ -169,7 +169,10 @@ type (
 	Answer = core.Answer
 	// Derivation is a controllability proof, compilable to a bounded plan.
 	Derivation = core.Derivation
-	// ExecStats is a per-call execution context for direct store access.
+	// ExecStats is a per-call execution context for direct store access,
+	// and the only record of what that call read: its Counters, witness
+	// trace and, under WithAnalyze, one record per plan operator. A
+	// backend keeps no counters of its own; a nil *ExecStats is uncounted.
 	ExecStats = store.ExecStats
 	// Catalog is a parsed schema + access schema.
 	Catalog = parser.Catalog
@@ -185,7 +188,9 @@ type (
 	ShardedStore = shard.Store
 	// ShardOption configures OpenSharded (e.g. WithRoute).
 	ShardOption = shard.Option
-	// Counters are accumulated access-path work measurements.
+	// Counters are the access-path work one call performed (tuple reads,
+	// lookups, scans, probes, time units): ExecStats.Counters, Answer.Cost,
+	// Rows.Cost. Sum them across calls with Add.
 	Counters = store.Counters
 	// OptimizerMode selects how Prepare compiles derivations into physical
 	// plans: OptimizerOff (analysis order) or OptimizerOn (cost-based
@@ -261,8 +266,9 @@ var (
 	WithMaxReads = core.WithMaxReads
 	// WithoutTrace skips witness-set (D_Q) bookkeeping on the hot path.
 	WithoutTrace = core.WithoutTrace
-	// WithAnalyze records per-operator runtime counters (rows, reads,
-	// wall time, shard fan-out) for Rows.Analyze / EXPLAIN ANALYZE.
+	// WithAnalyze records one entry per plan operator (rows, reads, wall
+	// time, shard fan-out) in the call's ExecStats, which Rows.OpCharges
+	// returns and Rows.Analyze renders as EXPLAIN ANALYZE.
 	WithAnalyze = core.WithAnalyze
 	// WithRequestID tags the execution for slow-query log lines; the
 	// serving tier propagates it from the X-SI-Request-ID header.
