@@ -63,7 +63,7 @@ import (
 const rescueHint = `(no bounded plan for the fixed variables; rescue the query through a view (Theorem 6.1): re-run with -view "V(...) :- ..." naming a view the query is controlled through; core.Advise suggests the access entries it needs)`
 
 func main() {
-	dataDir := flag.String("data", "", "directory with catalog.txt and per-relation CSVs (from sigen)")
+	dataDir := flag.String("data", "", "directory with catalog.txt and one <relation>.csv per relation, each with a header row of its attribute names")
 	persons := flag.Int("persons", 5000, "generate a social graph of this size when -data is not given")
 	seed := flag.Int64("seed", 1, "generation seed")
 	querySrc := flag.String("query", workload.Q1Src, "query text")

@@ -1,10 +1,10 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/eval"
-	"repro/internal/parser"
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/store"
@@ -138,58 +138,71 @@ func TestAdviseNoopWhenAlreadyControlled(t *testing.T) {
 	}
 }
 
-func TestAnalyzeUCQ(t *testing.T) {
+// TestAnalyzeUnion: the disjunction rule controls a union only by sets
+// that control every disjunct, and the prepared union agrees with naive
+// evaluation.
+func TestAnalyzeUnion(t *testing.T) {
 	cat := mustCatalog(t, `
 relation R(a, b)
 relation S(a, b)
 access R(a -> *) limit 5 time 1
 access S(a -> *) limit 5 time 1
 `)
-	u, err := parser.ParseUCQ("Q(x, y) :- R(x, y) union Q(x, y) :- S(x, y)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	an := NewAnalyzer(cat.Access)
-	res, err := an.AnalyzeUCQ(u)
+	q := mustQ(t, "Q(x, y) := R(x, y) or S(x, y)")
+	res, err := NewAnalyzer(cat.Access).AnalyzeQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Both disjuncts keyed on the first head var: the union is controlled
-	// by {u_h0}.
-	if !res.Family().Controls(query.NewVarSet(res.Head[0])) {
+	// by {x}.
+	if !res.Family().Controls(query.NewVarSet("x")) {
 		t.Fatalf("union family = %v", res.Family())
 	}
-	// Execution agrees with naive UCQ evaluation.
+	// Execution agrees with naive evaluation.
 	db := relation.NewDatabase(cat.Relational)
 	db.MustInsert("R", relation.Ints(1, 10))
 	db.MustInsert("R", relation.Ints(2, 20))
 	db.MustInsert("S", relation.Ints(1, 30))
-	st := store.MustOpen(db, cat.Access)
-	got, err := ExecUCQ(st, res, query.Bindings{res.Head[0]: relation.Int(1)})
+	prep, err := NewEngine(store.MustOpen(db, cat.Access)).Prepare(q, query.NewVarSet("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed := query.Bindings{"x": relation.Int(1)}
+	ans, err := prep.Exec(context.Background(), fixed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := relation.NewTupleSet(0)
-	want.Add(relation.Ints(1, 10))
-	want.Add(relation.Ints(1, 30))
-	if !got.Equal(want) {
-		t.Fatalf("ExecUCQ = %v", got.Tuples())
+	want.Add(relation.Ints(10))
+	want.Add(relation.Ints(30))
+	if !ans.Tuples.Equal(want) {
+		t.Fatalf("union answers = %v", ans.Tuples.Tuples())
 	}
-	// A disjunct keyed differently kills the {u_h0} control.
+	naive, err := eval.Answers(eval.DBSource{DB: db}, q, fixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ans.Tuples.Equal(naive) {
+		t.Fatalf("bounded %v vs naive %v", ans.Tuples.Tuples(), naive.Tuples())
+	}
+	// A disjunct keyed differently kills the {x} control.
 	cat2 := mustCatalog(t, `
 relation R(a, b)
 relation S(a, b)
 access R(a -> *) limit 5 time 1
 access S(b -> *) limit 5 time 1
 `)
-	res2, err := NewAnalyzer(cat2.Access).AnalyzeUCQ(u)
+	res2, err := NewAnalyzer(cat2.Access).AnalyzeQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Family().Controls(query.NewVarSet(res2.Head[0])) {
+	if fam := res2.Family(); len(fam) != 1 || !fam[0].Equal(query.NewVarSet("x", "y")) {
+		t.Fatalf("union family = %v, want [{x, y}]", fam)
+	}
+	if res2.Family().Controls(query.NewVarSet("x")) {
 		t.Fatalf("union should need both head vars; family %v", res2.Family())
 	}
-	if !res2.Family().Controls(query.NewVarSet(res2.Head...)) {
+	if !res2.Family().Controls(query.NewVarSet("x", "y")) {
 		t.Fatalf("union should be controlled by the full head; family %v", res2.Family())
 	}
 }

@@ -131,12 +131,6 @@ func (r *Result) Controls(x query.VarSet) *Derivation {
 	return nil
 }
 
-// FullyControlled reports whether the formula is controlled by all of its
-// free variables (the paper's "Q′ is controlled under A").
-func (r *Result) FullyControlled() bool {
-	return r.Controls(r.Formula.FreeVars()) != nil
-}
-
 // Analyze computes the family of minimal controlling sets for f, with a
 // derivation for each. The analysis runs on bit masks: f's variables, free
 // and bound, are numbered once in sorted-name order, so f may have at most
@@ -338,7 +332,7 @@ func (fam *family) offer(rule Rule, f query.Formula, ctrl uint64, cost Cost, chi
 	(*fam)[i] = &n.d
 }
 
-// compareSets orders controlling sets as normalizeFamily does: smaller
+// compareSets orders controlling sets as a Family lists them: smaller
 // sets first, then by Key. Bits follow sorted variable names, so of two
 // sets of one size the one holding the lowest bit they differ in has the
 // smaller Key (variable names are identifiers, whose characters all sort

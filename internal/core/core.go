@@ -12,18 +12,15 @@
 //     set, and from which access schema entries);
 //   - embedded controllability (x̄[ȳ]-controlled, Proposition 4.5) for
 //     conjunctive formulas via a chase over embedded entries;
-//   - Exec: evaluates a derivation against an instrumented store.DB,
-//     producing both the answer and (through the store's trace) the witness
-//     set D_Q;
+//   - Engine.Prepare: compiles a derivation into a cost-optimized,
+//     cached physical plan; PreparedQuery.Query/Exec run it against a
+//     store.Backend under per-call stats, producing both the answer and
+//     (through the stats' trace) the witness set D_Q;
 //   - static cost bounds (the M derivable from the N values of A);
 //   - the decision problems QCntl and QCntl_min of Theorem 4.4.
 package core
 
-import (
-	"sort"
-
-	"repro/internal/query"
-)
+import "repro/internal/query"
 
 // Family is an antichain of minimal controlling variable sets: Q is
 // x̄-controlled iff some member is a subset of x̄ (the expansion rule is
@@ -53,39 +50,4 @@ func (f Family) MinSize() int {
 		}
 	}
 	return min
-}
-
-// normalizeFamily reduces a list of sets to a sorted antichain of minimal
-// elements.
-func normalizeFamily(sets []query.VarSet) Family {
-	var out Family
-	for i, s := range sets {
-		minimal := true
-		for j, t := range sets {
-			if i == j {
-				continue
-			}
-			if t.SubsetOf(s) {
-				if !s.SubsetOf(t) {
-					minimal = false // t strictly smaller
-					break
-				}
-				// Equal sets: keep only the first occurrence.
-				if j < i {
-					minimal = false
-					break
-				}
-			}
-		}
-		if minimal {
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Len() != out[j].Len() {
-			return out[i].Len() < out[j].Len()
-		}
-		return out[i].Key() < out[j].Key()
-	})
-	return out
 }

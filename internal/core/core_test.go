@@ -294,7 +294,7 @@ fd visit: id, yy, mm, dd -> rid time 1
 		t.Errorf("expected an embedded chase in the derivation:\n%s", d.Explain())
 	}
 	c := CostOf(d)
-	if c.Reads <= 0 || c.Reads >= costCap {
+	if c.Reads <= 0 || c.Reads >= plan.CostCap {
 		t.Errorf("embedded bound should be finite: %v", c)
 	}
 }
@@ -359,21 +359,27 @@ func TestImplicitMembershipToggle(t *testing.T) {
 	}
 }
 
+// TestFamilyNormalization: the analyzer reports its family as a sorted
+// antichain of minimal sets — the membership set {a, b, c} is subsumed by
+// both keyed entries' sets — and a Family answers Controls and MinSize.
 func TestFamilyNormalization(t *testing.T) {
-	sets := []query.VarSet{
-		query.NewVarSet("a", "b"),
-		query.NewVarSet("a"),
-		query.NewVarSet("a"),
-		query.NewVarSet("b", "c"),
-		query.NewVarSet("a", "b", "c"),
+	cat := mustCatalog(t, `
+relation T(a, b, c)
+access T(a -> *) limit 5 time 1
+access T(b, c -> *) limit 5 time 1
+`)
+	f, err := parser.ParseFormula("T(a, b, c)")
+	if err != nil {
+		t.Fatal(err)
 	}
-	fam := normalizeFamily(sets)
-	if len(fam) != 2 {
-		t.Fatalf("normalized family = %v", fam)
+	res, err := NewAnalyzer(cat.Access).Analyze(f)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !fam[0].Equal(query.NewVarSet("a")) || !fam[1].Equal(query.NewVarSet("b", "c")) {
-		t.Errorf("family = %v", fam)
+	if fam := res.Family(); len(fam) != 2 || !fam[0].Equal(query.NewVarSet("a")) || !fam[1].Equal(query.NewVarSet("b", "c")) {
+		t.Fatalf("normalized family = %v, want [{a} {b, c}]", fam)
 	}
+	fam := Family{query.NewVarSet("a"), query.NewVarSet("b", "c")}
 	if !fam.Controls(query.NewVarSet("a", "z")) {
 		t.Error("Controls via subset failed")
 	}
@@ -390,10 +396,10 @@ func TestFamilyNormalization(t *testing.T) {
 }
 
 func TestCostArithmeticSaturates(t *testing.T) {
-	if satMul(costCap, 2) != costCap || satAdd(costCap, costCap) != costCap {
+	if plan.SatMul(plan.CostCap, 2) != plan.CostCap || plan.SatAdd(plan.CostCap, plan.CostCap) != plan.CostCap {
 		t.Error("saturation broken")
 	}
-	if satMul(0, 5) != 0 || satMul(3, 4) != 12 || satAdd(3, 4) != 7 {
+	if plan.SatMul(0, 5) != 0 || plan.SatMul(3, 4) != 12 || plan.SatAdd(3, 4) != 7 {
 		t.Error("basic arithmetic broken")
 	}
 }

@@ -6,12 +6,9 @@ import (
 	"repro/internal/plan"
 )
 
-// Saturating cost arithmetic lives with the operator IR; the analyzer
-// shares it so derivation costs and plan bounds never diverge.
-const costCap = plan.CostCap
-
-func satAdd(a, b int64) int64 { return plan.SatAdd(a, b) }
-func satMul(a, b int64) int64 { return plan.SatMul(a, b) }
+// Saturating cost arithmetic (plan.SatAdd, plan.SatMul) lives with the
+// operator IR; the analyzer shares it so derivation costs and plan bounds
+// never diverge.
 
 // Cost is the static bound a derivation (or its compiled physical plan)
 // guarantees, expressed in the N-values of the access schema (Theorem

@@ -284,15 +284,6 @@ func (e *Engine) AnswerContext(ctx context.Context, q *query.Query, fixed query.
 	return p.exec(ctx, fixed, o)
 }
 
-// AnswerWith evaluates using a previously obtained derivation (e.g. from
-// Controllable or a cached analysis), bypassing the plan cache. The
-// derivation is compiled as-is (analysis order), with routing resolved
-// against the engine's backend.
-func (e *Engine) AnswerWith(q *query.Query, fixed query.Bindings, d *Derivation) (*Answer, error) {
-	p := &PreparedQuery{eng: e, q: q, ctrl: d.Ctrl, d: d, plan: compilePlan(d, e.DB, OptimizerOff)}
-	return p.exec(context.Background(), fixed, execOpts{})
-}
-
 // QCntl decides the problem of Theorem 4.4: is there x̄ with |x̄| ≤ K such
 // that Q is x̄-controlled? It returns the smallest witnessing set.
 func QCntl(an *Analyzer, q *query.Query, k int) (query.VarSet, bool, error) {

@@ -1,59 +1,21 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
 
 	"repro/internal/plan"
 	"repro/internal/query"
-	"repro/internal/store"
 )
 
-// Execution is delegated to the physical operator layer: a derivation
-// compiles (compile.go) into an internal/plan operator tree, and the
-// entry points here are drains over its streaming interpreter. Work —
-// store fetches, membership probes, and therefore TupleReads, budget
-// consumption and witness recording — is charged only as answers are
-// pulled, so a consumer that stops early (Rows with WithLimit, First, a
-// canceled context) stops charging.
-
-// Exec evaluates a controllability derivation against the store, given
-// values (env) for a superset of the derivation's controlling set. It is
-// ExecContext with a background context and no per-call stats: the
-// evaluation is uncounted.
-func Exec(st store.Backend, d *Derivation, env query.Bindings) ([]query.Bindings, error) {
-	return ExecContext(context.Background(), st, d, env, nil)
-}
-
-// ExecContext evaluates a derivation under ctx, charging the work (and
-// recording the witness set) into es. It returns the satisfying bindings,
-// each defined on exactly the free variables of the derived formula. A nil
-// es leaves the evaluation uncounted; a nil ctx is treated as
-// context.Background().
-//
-// The derivation is compiled 1:1 (analysis order; no cost-based
-// reordering) and drained. Callers that can consume answers incrementally
-// (or stop early) should prefer the cursor API (PreparedQuery.Query,
-// Engine.QueryContext), which also caches the compiled — and, by default,
-// cost-optimized — plan instead of recompiling per call.
-func ExecContext(ctx context.Context, st store.Backend, d *Derivation, env query.Bindings, es *store.ExecStats) ([]query.Bindings, error) {
-	if missing := d.Ctrl.Minus(env.Vars()); !missing.IsEmpty() {
-		return nil, fmt.Errorf("core: %w: exec needs values for controlling variables %s", ErrInvalidQuery, missing)
-	}
-	root := Compile(d)
-	plan.ResolveRoutes(root, st)
-	rt := plan.BackendRuntime{Ctx: ctx, B: st, Es: es}
-	var out []query.Bindings
-	for b, err := range root.Stream(rt, env) {
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, b)
-	}
-	return out, nil
-}
+// Execution is delegated to the physical operator layer: Engine.Prepare
+// compiles a derivation (compile.go) into an internal/plan operator tree,
+// and PreparedQuery.Query/Exec pull answers from its streaming
+// interpreter (rows.go). Work — store fetches, membership probes, and
+// therefore TupleReads, budget consumption and witness recording — is
+// charged only as answers are pulled, so a consumer that stops early
+// (Rows with WithLimit, First, a canceled context) stops charging.
 
 // Plan is a compiled bounded evaluation: the controllability derivation
 // it was compiled from, the physical operator tree that executes it, and
@@ -77,14 +39,6 @@ type Plan struct {
 	// through a view rewriting instead (Theorem 6.1).
 	Views   []string
 	Rescued bool
-}
-
-// NewPlan compiles a derivation 1:1 into an executable plan (analysis
-// order, no backend-specific routing). The engine's Prepare path builds
-// optimized, route-resolved plans instead.
-func NewPlan(d *Derivation) *Plan {
-	root := Compile(d)
-	return &Plan{Derivation: d, Bound: root.Bound(), Root: root, Mode: OptimizerOff, NumOps: plan.AssignOpIDs(root)}
 }
 
 // Explain renders the physical operator tree with per-operator static

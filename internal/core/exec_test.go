@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -250,13 +252,14 @@ func TestExecRequiresControllingValues(t *testing.T) {
 	if _, err := eng.Answer(q, query.Bindings{"name": relation.Str("p1")}); err == nil {
 		t.Fatal("Answer without controlling values accepted")
 	}
-	// Exec directly with missing controlling variable must fail loudly.
-	d, err := eng.Controllable(q, query.NewVarSet("p"))
+	// A prepared plan executed without its controlling value must fail
+	// loudly.
+	prep, err := eng.Prepare(q, query.NewVarSet("p"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Exec(st, d, query.Bindings{}); err == nil {
-		t.Fatal("Exec without controlling binding accepted")
+	if _, err := prep.Exec(context.Background(), query.Bindings{}); !errors.Is(err, ErrInvalidQuery) {
+		t.Fatalf("Exec without controlling binding: err = %v, want ErrInvalidQuery", err)
 	}
 }
 
@@ -311,12 +314,13 @@ func TestPlanDescribe(t *testing.T) {
 	cat := mustCatalog(t, facebookCatalog)
 	st := buildSocial(t, cat, 10, 2, 3, 9)
 	eng := NewEngine(st)
+	eng.SetOptimizer(OptimizerOff)
 	q := mustQ(t, "Q1(p, name) := exists id (friend(p, id) and person(id, name, 'NYC'))")
-	d, err := eng.Controllable(q, query.NewVarSet("p"))
+	prep, err := eng.Prepare(q, query.NewVarSet("p"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	desc := NewPlan(d).Describe()
+	desc := prep.Plan().Describe()
 	if len(desc) == 0 {
 		t.Fatal("empty plan description")
 	}

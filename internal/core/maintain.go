@@ -414,7 +414,7 @@ func (m *Maintainer) resync(ctx context.Context, es *store.ExecStats) (ins, del 
 		head[i] = h.Name()
 	}
 	got := relation.NewTupleSet(m.answers.Len())
-	for t, err := range projectSeq(m.reexec.plan.Root.Stream(rt, m.fixed), head, m.fixed, m.reexec.q.Name) {
+	for t, err := range projectSeq(m.reexec.plan.Root.Stream(rt, m.fixed), head, m.reexec.q.Name) {
 		if err != nil {
 			return nil, nil, err
 		}

@@ -289,10 +289,8 @@ func (r *Rows) drain() (*Answer, error) {
 
 // projectSeq maps a binding stream to the deduplicated answer-tuple
 // stream over head: the streaming equivalent of building Answer.Tuples.
-// Head variables missing from a binding are looked up in fallback (nil
-// allowed — e.g. the caller-fixed x̄ values a disjunct's plan did not
-// re-derive); a variable found in neither fails with ErrUnboundHead.
-func projectSeq(bs plan.Seq, head []string, fallback query.Bindings, qname string) tupleSeq {
+// A head variable missing from a binding fails with ErrUnboundHead.
+func projectSeq(bs plan.Seq, head []string, qname string) tupleSeq {
 	return func(yield func(relation.Tuple, error) bool) {
 		seen := make(map[string]bool)
 		for b, err := range bs {
@@ -304,9 +302,6 @@ func projectSeq(bs plan.Seq, head []string, fallback query.Bindings, qname strin
 			ok := true
 			for i, h := range head {
 				v, bound := b[h]
-				if !bound {
-					v, bound = fallback[h]
-				}
 				if !bound {
 					ok = false
 					break
@@ -360,7 +355,7 @@ func (p *PreparedQuery) query(ctx context.Context, fixed query.Bindings, o execO
 		head:  head,
 		plan:  p.plan,
 		es:    es,
-		seq:   projectSeq(p.plan.Root.Stream(rt, fixed), head, nil, p.q.Name),
+		seq:   projectSeq(p.plan.Root.Stream(rt, fixed), head, p.q.Name),
 		limit: o.limit, // <= 0: unlimited
 		qname: p.q.Name,
 	}

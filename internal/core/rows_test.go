@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/parser"
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/store"
@@ -293,10 +292,10 @@ func TestRowsBudgetMidStream(t *testing.T) {
 	t.Fatal("no suitable binding found; workload too small")
 }
 
-// TestStreamUCQDedupOrderIndependence: the union's streaming answer set
-// is duplicate-free and independent of disjunct order, even when the
-// disjuncts overlap.
-func TestStreamUCQDedupOrderIndependence(t *testing.T) {
+// TestUnionDedupOrderIndependence: a prepared disjunction streams a
+// duplicate-free answer set that is independent of disjunct order, even
+// when the disjuncts overlap.
+func TestUnionDedupOrderIndependence(t *testing.T) {
 	cat := mustCatalog(t, `
 relation R(a, b)
 relation S(a, b)
@@ -305,44 +304,39 @@ access S(a -> *) limit 8 time 1
 `)
 	db := relation.NewDatabase(cat.Relational)
 	// Overlap: (1,10) is in both relations, (1,20) only in R, (1,30) only
-	// in S.
+	// in S. Answers project out the fixed x, leaving y.
 	db.MustInsert("R", relation.Ints(1, 10))
 	db.MustInsert("R", relation.Ints(1, 20))
 	db.MustInsert("S", relation.Ints(1, 10))
 	db.MustInsert("S", relation.Ints(1, 30))
-	st := store.MustOpen(db, cat.Access)
-	an := NewAnalyzer(cat.Access)
+	eng := NewEngine(store.MustOpen(db, cat.Access))
 
 	want := relation.NewTupleSet(0)
-	want.Add(relation.Ints(1, 10))
-	want.Add(relation.Ints(1, 20))
-	want.Add(relation.Ints(1, 30))
+	want.Add(relation.Ints(10))
+	want.Add(relation.Ints(20))
+	want.Add(relation.Ints(30))
 
 	for _, src := range []string{
-		"Q(x, y) :- R(x, y) union Q(x, y) :- S(x, y)",
-		"Q(x, y) :- S(x, y) union Q(x, y) :- R(x, y)",
+		"Q(x, y) := R(x, y) or S(x, y)",
+		"Q(x, y) := S(x, y) or R(x, y)",
 	} {
-		u, err := parser.ParseUCQ(src)
+		prep, err := eng.Prepare(mustQ(t, src), query.NewVarSet("x"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := an.AnalyzeUCQ(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		es := &store.ExecStats{}
-		seq, err := StreamUCQ(context.Background(), st, res, query.Bindings{res.Head[0]: relation.Int(1)}, es)
+		fixed := query.Bindings{"x": relation.Int(1)}
+		rows, err := prep.Query(context.Background(), fixed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var streamed []relation.Tuple
 		got := relation.NewTupleSet(0)
-		for tu, err := range seq {
-			if err != nil {
-				t.Fatal(err)
-			}
-			streamed = append(streamed, tu)
-			got.Add(tu)
+		for rows.Next() {
+			streamed = append(streamed, rows.Tuple())
+			got.Add(rows.Tuple())
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
 		}
 		if len(streamed) != got.Len() {
 			t.Fatalf("%s: stream yielded %d tuples, %d distinct — cross-disjunct dedup failed", src, len(streamed), got.Len())
@@ -351,23 +345,23 @@ access S(a -> *) limit 8 time 1
 			t.Fatalf("%s: stream = %v, want %v", src, streamed, want.Tuples())
 		}
 		// Both orders drain both disjuncts fully: identical reads.
-		if es.Counters.TupleReads != 4 {
-			t.Fatalf("%s: charged %d reads, want 4", src, es.Counters.TupleReads)
+		if n := rows.Cost().TupleReads; n != 4 {
+			t.Fatalf("%s: charged %d reads, want 4", src, n)
 		}
-		// The drained stream matches the eager union.
-		eager, err := ExecUCQ(st, res, query.Bindings{res.Head[0]: relation.Int(1)})
+		// The drained stream matches the materialized answer.
+		ans, err := prep.Exec(context.Background(), fixed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.Equal(eager) {
-			t.Fatalf("%s: stream %v, ExecUCQ %v", src, streamed, eager.Tuples())
+		if !got.Equal(ans.Tuples) {
+			t.Fatalf("%s: stream %v, Exec %v", src, streamed, ans.Tuples.Tuples())
 		}
 	}
 }
 
-// TestStreamUCQEarlyTermination: a consumer that stops after the first
-// disjunct's answers never opens the second disjunct's cursor.
-func TestStreamUCQEarlyTermination(t *testing.T) {
+// TestUnionEarlyTermination: a consumer that stops after the first
+// disjunct's answer never opens the second disjunct's cursor.
+func TestUnionEarlyTermination(t *testing.T) {
 	cat := mustCatalog(t, `
 relation R(a, b)
 relation S(a, b)
@@ -377,25 +371,21 @@ access S(a -> *) limit 8 time 1
 	db := relation.NewDatabase(cat.Relational)
 	db.MustInsert("R", relation.Ints(1, 10))
 	db.MustInsert("S", relation.Ints(1, 30))
-	st := store.MustOpen(db, cat.Access)
-	u, err := parser.ParseUCQ("Q(x, y) :- R(x, y) union Q(x, y) :- S(x, y)")
+	eng := NewEngine(store.MustOpen(db, cat.Access))
+	prep, err := eng.Prepare(mustQ(t, "Q(x, y) := R(x, y) or S(x, y)"), query.NewVarSet("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewAnalyzer(cat.Access).AnalyzeUCQ(u)
+	rows, err := prep.Query(context.Background(), query.Bindings{"x": relation.Int(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	es := &store.ExecStats{}
-	seq, err := StreamUCQ(context.Background(), st, res, query.Bindings{res.Head[0]: relation.Int(1)}, es)
-	if err != nil {
-		t.Fatal(err)
+	defer rows.Close()
+	if !rows.Next() {
+		t.Fatalf("no first answer: %v", rows.Err())
 	}
-	for range seq {
-		break // stop after the first answer
-	}
-	if es.Counters.TupleReads != 1 {
-		t.Fatalf("early-terminated union charged %d reads, want 1 (second disjunct must not run)", es.Counters.TupleReads)
+	if n := rows.Cost().TupleReads; n != 1 {
+		t.Fatalf("early-terminated union charged %d reads, want 1 (second disjunct must not run)", n)
 	}
 }
 
