@@ -3,11 +3,17 @@ package core_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/access"
 	"repro/internal/backendtest"
 	"repro/internal/core"
+	"repro/internal/eval"
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/shard"
@@ -55,6 +61,109 @@ func TestDropViewUnderPreparedPlan(t *testing.T) {
 			_, err = prep.Exec(context.Background(), query.Bindings{"p": relation.Int(7)})
 			if !errors.Is(err, store.ErrUnknownRelation) {
 				t.Fatalf("Exec after DropView: err = %v, want store.ErrUnknownRelation", err)
+			}
+		})
+	}
+}
+
+// TestDropViewUnderConcurrentReaders: readers loop a plan prepared through
+// a view while DropView retracts it. Every call either returns the
+// correct answer or fails with an error that wraps
+// store.ErrUnknownRelation — never a partial answer or another error —
+// every reader sees the failure once the drop has returned, and no
+// goroutine outlives the readers; on the single-node and the sharded
+// backend.
+func TestDropViewUnderConcurrentReaders(t *testing.T) {
+	cfg := workload.DefaultConfig()
+	cfg.Persons = 60
+	data, err := workload.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := goldenQuery(t, backendtest.Q6Src)
+	const readers, probes = 4, 8
+	want := make([]*relation.TupleSet, probes)
+	for p := range want {
+		if want[p], err = eval.Answers(eval.DBSource{DB: data}, q, query.Bindings{"p": relation.Int(int64(p))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		open func() (store.Backend, error)
+	}{
+		{"store", func() (store.Backend, error) { return store.Open(data.Clone(), workload.Access(cfg)) }},
+		{"shard", func() (store.Backend, error) { return shard.Open(data.Clone(), workload.Access(cfg), 2) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			b, err := tc.open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := core.NewEngine(b)
+			if _, err := eng.CreateView(goldenCQ(t, backendtest.VFolSrc), access.Plain("VFol", []string{"p"}, cfg.MaxFriends+64, 1)); err != nil {
+				t.Fatal(err)
+			}
+			prep, err := eng.Prepare(q, query.NewVarSet("p"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !prep.Plan().Rescued {
+				t.Fatalf("Q6 is not served through VFol:\n%s", prep.Explain())
+			}
+			var dropped atomic.Bool
+			var started, wg sync.WaitGroup
+			errCh := make(chan error, readers)
+			started.Add(readers)
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; ; i++ {
+						after := dropped.Load()
+						p := (r + i) % probes
+						ans, err := prep.Exec(context.Background(), query.Bindings{"p": relation.Int(int64(p))})
+						if i == 0 {
+							started.Done()
+						}
+						switch {
+						case err == nil && after:
+							errCh <- fmt.Errorf("reader %d: Exec after DropView returned answers", r)
+							return
+						case err == nil && !ans.Tuples.Equal(want[p]):
+							errCh <- fmt.Errorf("reader %d p=%d: answers %v, want %v", r, p, ans.Tuples.Tuples(), want[p].Tuples())
+							return
+						case err == nil:
+						case errors.Is(err, store.ErrUnknownRelation):
+							if after {
+								return
+							}
+						default:
+							errCh <- fmt.Errorf("reader %d p=%d: err = %v, want nil or store.ErrUnknownRelation", r, p, err)
+							return
+						}
+					}
+				}()
+			}
+			started.Wait() // every reader is mid-loop before the drop
+			if err := eng.DropView("VFol"); err != nil {
+				t.Fatal(err)
+			}
+			dropped.Store(true)
+			wg.Wait()
+			close(errCh)
+			for err := range errCh {
+				t.Error(err)
+			}
+			// Shard workers wind down asynchronously; give them 3 s to
+			// return the count to its baseline exactly, so one leak fails.
+			deadline := time.Now().Add(3 * time.Second)
+			for n := runtime.NumGoroutine(); n > baseline; n = runtime.NumGoroutine() {
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutine leak: %d running after the readers returned, baseline %d", n, baseline)
+				}
+				time.Sleep(20 * time.Millisecond)
 			}
 		})
 	}
