@@ -160,7 +160,7 @@ func WithoutTrace() ExecOption { return func(o *execOpts) { o.noTrace = true } }
 
 // WithAnalyze enables per-operator runtime tracing for the call: each
 // plan operator accumulates rows produced, tuple reads charged, wall
-// time and shard fan-out in its slot of the call's ExecStats.Ops,
+// time and scatter branches in its slot of the call's ExecStats.Ops,
 // rendered by Rows.Analyze (EXPLAIN ANALYZE). Tracing costs one
 // per-operator array per call plus a timestamp per pulled row; without
 // this option the trace machinery allocates nothing.

@@ -29,7 +29,7 @@ var wallColumn = regexp.MustCompile(`wall=\S+`)
 
 // TestExplainAnalyzeGolden pins the per-operator actuals of EXPLAIN
 // ANALYZE byte for byte, wall times masked: rows yielded, tuple reads
-// attributed and scatter fan-out of every operator, for Q1–Q4 at several
+// attributed and scatter branches of every operator, for Q1–Q4 at several
 // bindings on the single-node store and on four hash shards, routed by
 // default and with visit routed off the person key.
 func TestExplainAnalyzeGolden(t *testing.T) {
@@ -53,7 +53,7 @@ func explainAnalyzeGolden(t *testing.T) string {
 		{"store", func(d *relation.Database, a *access.Schema) (store.Backend, error) { return store.Open(d, a) }},
 		{"shard4", func(d *relation.Database, a *access.Schema) (store.Backend, error) { return shard.Open(d, a, 4) }},
 		// visit routed on rid: its lookups by person scatter, so the
-		// golden pins fan-out too.
+		// golden pins branches= too.
 		{"shard4-visit-by-rid", func(d *relation.Database, a *access.Schema) (store.Backend, error) {
 			return shard.Open(d, a, 4, shard.WithRoute("visit", "rid"))
 		}},

@@ -226,7 +226,7 @@ func (r *Rows) Explain() string { return r.plan.Explain() }
 
 // Analyze renders the EXPLAIN ANALYZE view of the cursor: the physical
 // plan annotated per operator with the static bound next to the measured
-// rows produced, tuple reads charged, wall time and shard fan-out, plus
+// rows produced, tuple reads charged, wall time and scatter branches, plus
 // actual totals against the plan bound. Valid on a cursor opened with
 // WithAnalyze; meaningful after consumption (the counters grow as the
 // cursor is pulled, like Cost).
@@ -243,7 +243,7 @@ func (r *Rows) Analyze() string {
 }
 
 // OpCharges returns the per-operator record accumulated so far — charges,
-// fan-out, rows and wall time, indexed by pre-order operator ID — nil
+// scatter branches, rows and wall time, indexed by pre-order operator ID — nil
 // unless the cursor was opened with WithAnalyze. The sum of the
 // per-operator counters equals Cost() bit-identically — every charge is
 // attributed to exactly one operator.

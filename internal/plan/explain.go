@@ -35,8 +35,8 @@ func explain(b *strings.Builder, n Node, depth int) {
 // yielded to the consumer, tuple reads charged (attributed per operator by
 // the storage layer, so reads appear on the data-access operators that
 // caused them and sum exactly to the call's TupleReads), wall time inside
-// the operator's cursor (inclusive of children), and scatter fan-out where
-// any. ops is the execution's per-operator record, store.ExecStats.Ops;
+// the operator's cursor (inclusive of children), and the scatter-gather
+// branches it forked, summed over the call, where any. ops is the execution's per-operator record, store.ExecStats.Ops;
 // it may be nil or short, rendering zeros.
 func ExplainAnalyze(n Node, ops []store.OpCharge) string {
 	var b strings.Builder
@@ -53,7 +53,7 @@ func explainAnalyze(b *strings.Builder, n Node, ops []store.OpCharge, depth int)
 	fmt.Fprintf(b, "%s%s — %s | actual: rows=%d reads=%d wall=%s",
 		indent, n.Describe(), n.Bound(), oc.Rows, oc.Counters.TupleReads, oc.Wall.Round(time.Microsecond))
 	if oc.Forks > 0 {
-		fmt.Fprintf(b, " fan-out=%d", oc.Forks)
+		fmt.Fprintf(b, " branches=%d", oc.Forks)
 	}
 	b.WriteByte('\n')
 	if ch, ok := n.(*ChaseExec); ok {

@@ -121,8 +121,10 @@ type ExecStats struct {
 
 // OpCharge is one operator's record of one evaluation: while
 // ExecStats.Ops is non-nil, every ChargeTo is additionally attributed to
-// Ops[CurOp]. Forks counts scatter-gather branches forked while the
-// operator was current — the shard fan-out degree EXPLAIN ANALYZE reports.
+// Ops[CurOp]. Forks counts the scatter-gather branches forked while the
+// operator was current, one per branch, summed over the call — not the
+// fan-out degree: six lookups over four shards count 24. EXPLAIN ANALYZE
+// reports it as branches=.
 // Rows and Wall are filled by the plan executor.
 type OpCharge struct {
 	Counters Counters
@@ -197,8 +199,8 @@ func (es *ExecStats) Fork() *ExecStats {
 	}
 	if es.Ops != nil {
 		// The branch keeps attributing to the operator that forked it; its
-		// per-op charges are folded back elementwise by Join. The fork
-		// itself is recorded as fan-out on the current operator.
+		// per-op charges are folded back elementwise by Join. The branch
+		// itself is counted on the current operator.
 		child.Ops = make([]OpCharge, len(es.Ops))
 		child.CurOp = es.CurOp
 		if op := es.CurOp; op >= 0 && op < len(es.Ops) {

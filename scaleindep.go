@@ -267,7 +267,7 @@ var (
 	// WithoutTrace skips witness-set (D_Q) bookkeeping on the hot path.
 	WithoutTrace = core.WithoutTrace
 	// WithAnalyze records one entry per plan operator (rows, reads, wall
-	// time, shard fan-out) in the call's ExecStats, which Rows.OpCharges
+	// time, scatter branches) in the call's ExecStats, which Rows.OpCharges
 	// returns and Rows.Analyze renders as EXPLAIN ANALYZE.
 	WithAnalyze = core.WithAnalyze
 	// WithRequestID tags the execution for slow-query log lines; the
