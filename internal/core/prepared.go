@@ -73,8 +73,8 @@ func (p *PreparedQuery) Explain() string {
 // Analyze executes the prepared plan once with per-operator runtime
 // tracing (WithAnalyze implied) and returns the EXPLAIN ANALYZE
 // rendering alongside the answer: static bound vs measured rows, reads,
-// wall time and scatter branches per operator. The EXPLAIN ANALYZE of the serving
-// API (surfaced by sirun -analyze).
+// wall time and scatter branches per operator. The EXPLAIN ANALYZE of
+// the serving API (surfaced by sirun -analyze).
 func (p *PreparedQuery) Analyze(ctx context.Context, fixed query.Bindings, opts ...ExecOption) (string, *Answer, error) {
 	var o execOpts
 	for _, f := range opts {

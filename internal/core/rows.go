@@ -242,11 +242,11 @@ func (r *Rows) Analyze() string {
 	return b.String()
 }
 
-// OpCharges returns the per-operator record accumulated so far — charges,
-// scatter branches, rows and wall time, indexed by pre-order operator ID — nil
-// unless the cursor was opened with WithAnalyze. The sum of the
-// per-operator counters equals Cost() bit-identically — every charge is
-// attributed to exactly one operator.
+// OpCharges returns the per-operator record accumulated so far —
+// charges, scatter branches, rows and wall time, indexed by pre-order
+// operator ID — nil unless the cursor was opened with WithAnalyze. The
+// sum of the per-operator counters equals Cost() bit-identically — every
+// charge is attributed to exactly one operator.
 func (r *Rows) OpCharges() []store.OpCharge { return r.es.Ops }
 
 // Cost returns the work charged to this cursor so far. It grows as the

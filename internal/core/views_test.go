@@ -148,7 +148,7 @@ func TestDropViewUnderConcurrentReaders(t *testing.T) {
 			}
 			started.Wait() // every reader is mid-loop before the drop
 			if err := eng.DropView("VFol"); err != nil {
-				t.Fatal(err)
+				t.Error(err) // not Fatal: the readers stop only once dropped is set
 			}
 			dropped.Store(true)
 			wg.Wait()
