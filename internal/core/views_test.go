@@ -21,26 +21,27 @@ import (
 	"repro/internal/workload"
 )
 
-// TestDropViewUnderPreparedPlan: a plan prepared through a view keeps
-// reading it after DropView retracts it; its next fetch fails with an
-// error that wraps store.ErrUnknownRelation, on the single-node and the
-// sharded backend.
-func TestDropViewUnderPreparedPlan(t *testing.T) {
+// viewServedQ6 opens one backend over a fresh copy of the DropView tests'
+// graph, creates VFol on it and prepares Q6 through the view.
+type viewServedQ6 struct {
+	name string
+	open func(t *testing.T) (*core.Engine, *core.PreparedQuery)
+}
+
+// q6ThroughVFol generates the 60-person graph the DropView tests share and
+// returns it with an opener for the single-node and the two-shard backend.
+func q6ThroughVFol(t *testing.T) (*relation.Database, []viewServedQ6) {
+	t.Helper()
 	cfg := workload.DefaultConfig()
 	cfg.Persons = 60
 	data, err := workload.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name string
-		open func() (store.Backend, error)
-	}{
-		{"store", func() (store.Backend, error) { return store.Open(data.Clone(), workload.Access(cfg)) }},
-		{"shard", func() (store.Backend, error) { return shard.Open(data.Clone(), workload.Access(cfg), 2) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			b, err := tc.open()
+	opener := func(open func() (store.Backend, error)) func(*testing.T) (*core.Engine, *core.PreparedQuery) {
+		return func(t *testing.T) (*core.Engine, *core.PreparedQuery) {
+			t.Helper()
+			b, err := open()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,10 +56,28 @@ func TestDropViewUnderPreparedPlan(t *testing.T) {
 			if !prep.Plan().Rescued {
 				t.Fatalf("Q6 is not served through VFol:\n%s", prep.Explain())
 			}
+			return eng, prep
+		}
+	}
+	return data, []viewServedQ6{
+		{"store", opener(func() (store.Backend, error) { return store.Open(data.Clone(), workload.Access(cfg)) })},
+		{"shard", opener(func() (store.Backend, error) { return shard.Open(data.Clone(), workload.Access(cfg), 2) })},
+	}
+}
+
+// TestDropViewUnderPreparedPlan: a plan prepared through a view keeps
+// reading it after DropView retracts it; its next fetch fails with an
+// error that wraps store.ErrUnknownRelation, on the single-node and the
+// sharded backend.
+func TestDropViewUnderPreparedPlan(t *testing.T) {
+	_, cases := q6ThroughVFol(t)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, prep := tc.open(t)
 			if err := eng.DropView("VFol"); err != nil {
 				t.Fatal(err)
 			}
-			_, err = prep.Exec(context.Background(), query.Bindings{"p": relation.Int(7)})
+			_, err := prep.Exec(context.Background(), query.Bindings{"p": relation.Int(7)})
 			if !errors.Is(err, store.ErrUnknownRelation) {
 				t.Fatalf("Exec after DropView: err = %v, want store.ErrUnknownRelation", err)
 			}
@@ -74,44 +93,20 @@ func TestDropViewUnderPreparedPlan(t *testing.T) {
 // goroutine outlives the readers; on the single-node and the sharded
 // backend.
 func TestDropViewUnderConcurrentReaders(t *testing.T) {
-	cfg := workload.DefaultConfig()
-	cfg.Persons = 60
-	data, err := workload.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data, cases := q6ThroughVFol(t)
 	q := goldenQuery(t, backendtest.Q6Src)
 	const readers, probes = 4, 8
 	want := make([]*relation.TupleSet, probes)
 	for p := range want {
+		var err error
 		if want[p], err = eval.Answers(eval.DBSource{DB: data}, q, query.Bindings{"p": relation.Int(int64(p))}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, tc := range []struct {
-		name string
-		open func() (store.Backend, error)
-	}{
-		{"store", func() (store.Backend, error) { return store.Open(data.Clone(), workload.Access(cfg)) }},
-		{"shard", func() (store.Backend, error) { return shard.Open(data.Clone(), workload.Access(cfg), 2) }},
-	} {
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
-			b, err := tc.open()
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng := core.NewEngine(b)
-			if _, err := eng.CreateView(goldenCQ(t, backendtest.VFolSrc), access.Plain("VFol", []string{"p"}, cfg.MaxFriends+64, 1)); err != nil {
-				t.Fatal(err)
-			}
-			prep, err := eng.Prepare(q, query.NewVarSet("p"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !prep.Plan().Rescued {
-				t.Fatalf("Q6 is not served through VFol:\n%s", prep.Explain())
-			}
+			eng, prep := tc.open(t)
 			var dropped atomic.Bool
 			var started, wg sync.WaitGroup
 			errCh := make(chan error, readers)
