@@ -390,8 +390,13 @@ func (a *Schema) Locate(rel string) []Located {
 }
 
 // Clone returns an independent copy (sharing the relational schema).
-func (a *Schema) Clone() *Schema {
-	c := &Schema{rel: a.rel, ImplicitMembership: a.ImplicitMembership}
+func (a *Schema) Clone() *Schema { return a.CloneOver(a.rel) }
+
+// CloneOver returns an independent copy whose entries range over rel
+// instead of a's relational schema. The caller asserts every entry is
+// valid over rel.
+func (a *Schema) CloneOver(rel *relation.Schema) *Schema {
+	c := &Schema{rel: rel, ImplicitMembership: a.ImplicitMembership}
 	c.entries = a.Explicit()
 	c.mu.Lock()
 	c.snapshotAllLocked()

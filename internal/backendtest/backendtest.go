@@ -423,14 +423,7 @@ func updateConformance(t *testing.T, cfg workload.Config, engRef, engB *core.Eng
 
 func mustQuery(t *testing.T, src string) *query.Query {
 	t.Helper()
-	if cq, err := parser.ParseCQ(src); err == nil {
-		q, err := cq.Query()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return q
-	}
-	q, err := parser.ParseQuery(src)
+	q, err := parser.ParseServing(src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -233,6 +233,11 @@ func (e *Engine) Controllable(q *query.Query, x query.VarSet) (*Derivation, erro
 // Either way the resulting Plan names the views it reads (Plan.Views) and
 // marks the rescue case (Plan.Rescued); cache keys embed the view epoch,
 // so view DDL transparently re-plans.
+//
+// q must not be modified after Prepare. The plan cache keeps q: a later
+// Prepare with the same pointer hits without looking at the query, and
+// one with a different query object of the same name is compared with
+// q's text as it is then.
 func (e *Engine) Prepare(q *query.Query, x query.VarSet) (*PreparedQuery, error) {
 	mode := e.Optimizer() // one atomic read: key and compiled plan agree
 	key := e.planKey(q, x, mode)

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -102,7 +103,15 @@ func (p *PreparedQuery) Analyze(ctx context.Context, fixed query.Bindings, opts 
 // cached ErrNotControllable outcome a new view could rescue), so
 // CreateView/DropView/a frozen view must age the whole cache.
 func (e *Engine) planKey(q *query.Query, x query.VarSet, mode OptimizerMode) string {
-	return fmt.Sprintf("%d\x00%d\x00%s\x00%s", mode, e.viewEpoch.Load(), q.Name, x.Key())
+	var buf [64]byte
+	b := strconv.AppendInt(buf[:0], int64(mode), 10)
+	b = append(b, 0)
+	b = strconv.AppendInt(b, e.viewEpoch.Load(), 10)
+	b = append(b, 0)
+	b = append(b, q.Name...)
+	b = append(b, 0)
+	b = append(b, x.Key()...)
+	return string(b)
 }
 
 // PlanCacheStats are the engine plan cache's lifetime counters: cache
@@ -136,11 +145,14 @@ type planCache struct {
 }
 
 type planEntry struct {
-	key         string
-	q           *query.Query   // the exact query object last validated
-	fingerprint string         // q.String(): textual identity guard
-	p           *PreparedQuery // nil for a negative entry
-	err         error          // non-nil for a negative entry
+	key string
+	q   *query.Query   // the exact query object last validated
+	p   *PreparedQuery // nil for a negative entry
+	err error          // non-nil for a negative entry
+
+	// fingerprint is q.String(), the textual identity guard. It is
+	// rendered on the first hit by a different query object, not on put.
+	fingerprint string
 }
 
 func newPlanCache(capacity int) *planCache {
@@ -176,8 +188,9 @@ func (c *planCache) len() int {
 // get returns the cached outcome for the key, with ok = false on a miss.
 // Hits are validated against q: pointer identity is the fast path (no
 // serialization on the hot loop); a different object with the same name
-// and controlling set is compared by query text, and a textual mismatch
-// evicts the stale entry. A nil cache (an Engine built as a struct
+// and controlling set is compared by query text with the entry's query
+// (rendered the first time this happens), and a textual mismatch evicts
+// the stale entry. A nil cache (an Engine built as a struct
 // literal rather than via NewEngine) always misses.
 func (c *planCache) get(key string, q *query.Query) (p *PreparedQuery, err error, ok bool) {
 	if c == nil {
@@ -192,6 +205,9 @@ func (c *planCache) get(key string, q *query.Query) (p *PreparedQuery, err error
 	}
 	en := el.Value.(*planEntry)
 	if en.q != q {
+		if en.fingerprint == "" {
+			en.fingerprint = en.q.String()
+		}
 		if en.fingerprint != q.String() {
 			c.ll.Remove(el)
 			delete(c.m, key)
@@ -229,7 +245,7 @@ func (c *planCache) put(key string, q *query.Query, p *PreparedQuery, err error)
 	if c.cap <= 0 {
 		return
 	}
-	en := &planEntry{key: key, q: q, fingerprint: q.String(), p: p, err: err}
+	en := &planEntry{key: key, q: q, p: p, err: err}
 	if el, ok := c.m[key]; ok {
 		el.Value = en
 		c.ll.MoveToFront(el)

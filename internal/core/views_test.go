@@ -163,3 +163,49 @@ func TestDropViewUnderConcurrentReaders(t *testing.T) {
 		})
 	}
 }
+
+// TestCreateViewLeavesSourceSchemas: CreateView on a store opened over a
+// clone of the data declares the view only in the store's own schemas.
+// The original database's schema and the access schema the store was
+// opened with keep their relations and entries, whether that access
+// schema ranges over a schema of its own or over the data's, and the
+// data can be opened again afterwards, sharded.
+func TestCreateViewLeavesSourceSchemas(t *testing.T) {
+	cfg := workload.DefaultConfig()
+	cfg.Persons = 60
+	data, err := workload.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accs := map[string]*access.Schema{
+		"own schema":  workload.Access(cfg),
+		"data schema": workload.Access(cfg).CloneOver(data.Schema()),
+	}
+	for name, acc := range accs {
+		t.Run(name, func(t *testing.T) {
+			names := fmt.Sprint(data.Schema().Names())
+			accNames := fmt.Sprint(acc.Relational().Names())
+			accEntries := acc.String()
+			st, err := store.Open(data.Clone(), acc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := core.NewEngine(st)
+			if _, err := eng.CreateView(goldenCQ(t, backendtest.VFolSrc), access.Plain("VFol", []string{"p"}, cfg.MaxFriends+64, 1)); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprint(data.Schema().Names()); got != names {
+				t.Errorf("source schema after CreateView: %s, want %s", got, names)
+			}
+			if got := fmt.Sprint(acc.Relational().Names()); got != accNames {
+				t.Errorf("access schema's relations after CreateView: %s, want %s", got, accNames)
+			}
+			if got := acc.String(); got != accEntries {
+				t.Errorf("access schema after CreateView:\n%s\nwant\n%s", got, accEntries)
+			}
+			if _, err := shard.Open(data.Clone(), acc, 2); err != nil {
+				t.Fatalf("shard.Open after CreateView: %v", err)
+			}
+		})
+	}
+}

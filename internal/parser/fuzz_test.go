@@ -1,15 +1,18 @@
-package parser
+package parser_test
 
 import (
 	"regexp"
 	"testing"
+
+	"repro/internal/parser"
+	"repro/internal/query"
 )
 
 // posRe matches the "line:col: " prefix positioned parser errors carry.
 var posRe = regexp.MustCompile(`^(\d+):(\d+): `)
 
 // FuzzDSLParser throws arbitrary bytes at every entry point of the query
-// DSL. Three properties must hold on any input:
+// DSL. Four properties must hold on any input:
 //
 //  1. no entry point panics — a malformed query over the wire must come
 //     back as a 400, never take the serving tier down;
@@ -19,16 +22,18 @@ var posRe = regexp.MustCompile(`^(\d+):(\d+): `)
 //     query re-parses from its own String() form, and the re-parse
 //     prints identically. Answering from the printed form is how EXPLAIN
 //     and the view catalog persist queries, so print→parse must not
-//     drift.
+//     drift;
+//  4. ParseServing agrees with trying ParseCQ (then CQ.Query) first and
+//     ParseQuery second: it succeeds exactly when that order does, and
+//     its query prints identically.
+//
+// The seeds are the original hand-written ones, then the serving pack
+// Q1–Q7, the showcase views and a catalog, so a run starts from the
+// shapes the server parses.
 func FuzzDSLParser(f *testing.F) {
-	f.Add("Q(x) := E(x, y) and y = 3")
-	f.Add("Q(x, y) :- E(x, z), E(z, y), z = \"a\"")
-	f.Add("Q(x) := exists y (E(x, y) implies not F(y))")
-	f.Add("Q(x) := A(x) or (B(x) and forall z (C(z)))")
-	f.Add("Q(x) :- E(x, y); Q(x) :- F(y, x)")
-	f.Add("rel E(src, dst); access E(src) -> 5, 1")
-	f.Add("Q(x) :- E(x, x), x != 0")
-	f.Add(":= and or not ( \x00 \xff")
+	for _, src := range concat(fuzzSeeds, servingTexts, []string{catalogSrc}) {
+		f.Add(src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<12 {
 			t.Skip("long inputs add nothing over short ones here")
@@ -45,11 +50,11 @@ func FuzzDSLParser(f *testing.F) {
 				t.Fatalf("zero-based error position %q for %q", msg, src)
 			}
 		}
-		if fm, err := ParseFormula(src); err != nil {
+		if fm, err := parser.ParseFormula(src); err != nil {
 			checkErr(err)
 		} else {
 			printed := fm.String()
-			again, err := ParseFormula(printed)
+			again, err := parser.ParseFormula(printed)
 			if err != nil {
 				t.Fatalf("formula round-trip: %q parsed, but its print %q does not: %v", src, printed, err)
 			}
@@ -57,19 +62,39 @@ func FuzzDSLParser(f *testing.F) {
 				t.Fatalf("formula print not a fixpoint: %q, then %q", printed, got)
 			}
 		}
-		if q, err := ParseQuery(src); err != nil {
+		if q, err := parser.ParseQuery(src); err != nil {
 			checkErr(err)
 		} else {
 			printed := q.String()
-			if _, err := ParseQuery(printed); err != nil {
+			if _, err := parser.ParseQuery(printed); err != nil {
 				t.Fatalf("query round-trip: %q parsed, but its print %q does not: %v", src, printed, err)
 			}
 		}
-		_, err := ParseCQ(src)
+		_, err := parser.ParseCQ(src)
 		checkErr(err)
-		_, err = ParseUCQ(src)
+		_, err = parser.ParseUCQ(src)
 		checkErr(err)
-		_, err = ParseCatalog(src)
+		_, err = parser.ParseCatalog(src)
 		checkErr(err)
+
+		got, err := parser.ParseServing(src)
+		checkErr(err)
+		want, wantErr := parseTwoStep(src)
+		switch {
+		case (err == nil) != (wantErr == nil):
+			t.Fatalf("ParseServing(%q) error %v, ParseCQ-then-ParseQuery error %v", src, err, wantErr)
+		case err == nil && got.String() != want.String():
+			t.Fatalf("ParseServing(%q) = %s, ParseCQ-then-ParseQuery = %s", src, got, want)
+		}
 	})
+}
+
+// parseTwoStep parses a serving query the way callers did before
+// ParseServing: the rule form (or a conjunctive := body) through ParseCQ
+// first, the formula form through ParseQuery second.
+func parseTwoStep(src string) (*query.Query, error) {
+	if cq, err := parser.ParseCQ(src); err == nil {
+		return cq.Query()
+	}
+	return parser.ParseQuery(src)
 }

@@ -34,10 +34,8 @@ fd visit: id, yy, mm, dd -> rid time 1
 fd restr: rid -> name
 `
 
-// corpus is the parser's pinned input set: the serving pack Q1–Q7, the
-// two showcase views, a catalog, FuzzDSLParser's original seeds and
-// malformed inputs that reach each error the lexer and parser build.
-var corpus = []string{
+// servingTexts are the serving pack Q1–Q7 and the two showcase views.
+var servingTexts = []string{
 	workload.Q1Src,
 	workload.Q2Src,
 	workload.Q3Src,
@@ -47,8 +45,10 @@ var corpus = []string{
 	backendtest.Q7Src,
 	backendtest.VFolSrc,
 	backendtest.VNYCSrc,
-	catalogSrc,
+}
 
+// fuzzSeeds are FuzzDSLParser's original seeds, in their original order.
+var fuzzSeeds = []string{
 	"Q(x) := E(x, y) and y = 3",
 	"Q(x, y) :- E(x, z), E(z, y), z = \"a\"",
 	"Q(x) := exists y (E(x, y) implies not F(y))",
@@ -57,7 +57,12 @@ var corpus = []string{
 	"rel E(src, dst); access E(src) -> 5, 1",
 	"Q(x) :- E(x, x), x != 0",
 	":= and or not ( \x00 \xff",
+}
 
+// corpus is the parser's pinned input set: the serving texts, a catalog,
+// FuzzDSLParser's original seeds, and well-formed and malformed inputs
+// that reach each result and error the lexer and parser build.
+var corpus = concat(servingTexts, []string{catalogSrc}, fuzzSeeds, []string{
 	"# a comment\nQ(x) := R(x) # trailing\n\n",
 	"Q() :- R(x, y), R(y, z)",
 	"Q(x) :- R(x, -5, 0007, '')",
@@ -98,6 +103,14 @@ var corpus = []string{
 	"relation R(a, b)\naccess R(a -> *) limit x time 1",
 	"relation R(a, b)\naccess R(a -> b) limit 3 time 1\nfd R a -> b",
 	"relation R(a, a)",
+})
+
+func concat(parts ...[]string) []string {
+	var out []string
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
 }
 
 // TestParseGolden pins the parser's observable behaviour byte for byte:

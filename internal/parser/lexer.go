@@ -22,12 +22,13 @@ package parser
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"unicode"
 )
 
-type tokKind int
+type tokKind uint8
 
 const (
 	tokEOF tokKind = iota
@@ -84,185 +85,152 @@ func (k tokKind) String() string {
 	}
 }
 
-type token struct {
-	kind tokKind
-	text string
-	line int
-	col  int
+// tok is one lexeme: its kind and its [begin, end) byte offsets in the
+// source. A token holds no string of its own; text slices the source, and
+// line:col is computed from begin only when an error message needs it.
+type tok struct {
+	kind       tokKind
+	begin, end uint32
 }
 
-func (t token) String() string {
-	if t.text != "" {
-		return fmt.Sprintf("%s %q", t.kind, t.text)
+// text returns the token's text as a substring of src: the identifier,
+// the numeral (with its sign), or the contents of a quoted string. It is
+// empty for punctuation, newlines and the end of input.
+func (t tok) text(src string) string {
+	switch t.kind {
+	case tokIdent, tokNumber:
+		return src[t.begin:t.end]
+	case tokString:
+		return src[t.begin+1 : t.end-1]
+	}
+	return ""
+}
+
+// describe renders the token for an error message: its kind, and its
+// text when it has one.
+func (t tok) describe(src string) string {
+	if s := t.text(src); s != "" {
+		return fmt.Sprintf("%s %q", t.kind, s)
 	}
 	return t.kind.String()
 }
 
-// lexer tokenizes input. Newlines are emitted as tokens (collapsed runs)
-// because the catalog format is line-oriented; the formula parser skips
-// them.
-type lexer struct {
-	src  string
-	pos  int
-	line int
-	col  int
+// position returns the 1-based line and column (in bytes) of offset off.
+func position(src string, off uint32) (line, col int) {
+	before := src[:off]
+	return 1 + strings.Count(before, "\n"), int(off) - strings.LastIndexByte(before, '\n')
 }
 
-func newLexer(src string) *lexer { return &lexer{src: src, line: 1, col: 1} }
-
-func (lx *lexer) errorf(line, col int, format string, args ...any) error {
+// errorAt builds an error positioned at offset off of src.
+func errorAt(src string, off uint32, format string, args ...any) error {
+	line, col := position(src, off)
 	return fmt.Errorf("%d:%d: %s", line, col, fmt.Sprintf(format, args...))
 }
 
-func (lx *lexer) peekByte() (byte, bool) {
-	if lx.pos >= len(lx.src) {
-		return 0, false
+// lex tokenizes the whole input into one slice, ending with tokEOF.
+// Newlines are emitted as tokens (one per run of blank lines) because the
+// catalog format is line-oriented; the formula parser skips them.
+func lex(src string) ([]tok, error) {
+	if len(src) > math.MaxUint32 {
+		return nil, fmt.Errorf("input of %d bytes is too long", len(src))
 	}
-	return lx.src[lx.pos], true
-}
-
-func (lx *lexer) advance() byte {
-	c := lx.src[lx.pos]
-	lx.pos++
-	if c == '\n' {
-		lx.line++
-		lx.col = 1
-	} else {
-		lx.col++
+	toks := make([]tok, 0, len(src)/2+2)
+	i := 0
+	emit := func(k tokKind, begin int) {
+		toks = append(toks, tok{kind: k, begin: uint32(begin), end: uint32(i)})
 	}
-	return c
-}
-
-// next returns the next token.
-func (lx *lexer) next() (token, error) {
-	for {
-		c, ok := lx.peekByte()
-		if !ok {
-			return token{kind: tokEOF, line: lx.line, col: lx.col}, nil
-		}
-		switch {
-		case c == '\n':
-			tk := token{kind: tokNewline, line: lx.line, col: lx.col}
-			for {
-				c, ok := lx.peekByte()
-				if !ok || (c != '\n' && c != '\r' && c != ' ' && c != '\t') {
-					break
-				}
-				if c == '\r' || c == ' ' || c == '\t' {
-					lx.advance()
-					continue
-				}
-				lx.advance()
+	for i < len(src) {
+		c := src[i]
+		start := i
+		i++
+		switch c {
+		case ' ', '\t', '\r':
+		case '\n':
+			for i < len(src) && (src[i] == '\n' || src[i] == '\r' || src[i] == ' ' || src[i] == '\t') {
+				i++
 			}
-			return tk, nil
-		case c == ' ' || c == '\t' || c == '\r':
-			lx.advance()
-		case c == '#':
-			for {
-				c, ok := lx.peekByte()
-				if !ok || c == '\n' {
-					break
-				}
-				lx.advance()
+			emit(tokNewline, start)
+		case '#':
+			for i < len(src) && src[i] != '\n' {
+				i++
 			}
+		case '(':
+			emit(tokLParen, start)
+		case ')':
+			emit(tokRParen, start)
+		case ',':
+			emit(tokComma, start)
+		case '*':
+			emit(tokStar, start)
+		case '=':
+			emit(tokEq, start)
+		case '!':
+			if i == len(src) || src[i] != '=' {
+				return nil, errorAt(src, uint32(start), "unexpected '!'")
+			}
+			i++
+			emit(tokNeq, start)
+		case '-':
+			switch {
+			case i < len(src) && src[i] == '>':
+				i++
+				emit(tokArrow, start)
+			case i < len(src) && isDigit(src[i]):
+				i = skipDigits(src, i)
+				emit(tokNumber, start)
+			default:
+				return nil, errorAt(src, uint32(start), "unexpected '-'")
+			}
+		case ':':
+			k := tokColon
+			if i < len(src) && src[i] == '=' {
+				k = tokAssign
+			} else if i < len(src) && src[i] == '-' {
+				k = tokRuleDef
+			}
+			if k != tokColon {
+				i++
+			}
+			emit(k, start)
+		case '\'':
+			for i < len(src) && src[i] != '\'' && src[i] != '\n' {
+				i++
+			}
+			if i == len(src) || src[i] == '\n' {
+				return nil, errorAt(src, uint32(start), "unterminated string literal")
+			}
+			i++
+			emit(tokString, start)
 		default:
-			return lx.lexToken()
+			switch {
+			case isDigit(c):
+				i = skipDigits(src, i)
+				emit(tokNumber, start)
+			case isIdentStart(rune(c)):
+				for i < len(src) && isIdentPart(rune(src[i])) {
+					i++
+				}
+				emit(tokIdent, start)
+			default:
+				return nil, errorAt(src, uint32(start), "unexpected character %q", string(rune(c)))
+			}
 		}
 	}
+	emit(tokEOF, i)
+	return toks, nil
 }
 
-func (lx *lexer) lexToken() (token, error) {
-	line, col := lx.line, lx.col
-	c := lx.advance()
-	mk := func(k tokKind, text string) token {
-		return token{kind: k, text: text, line: line, col: col}
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+
+func skipDigits(src string, i int) int {
+	for i < len(src) && isDigit(src[i]) {
+		i++
 	}
-	switch c {
-	case '(':
-		return mk(tokLParen, ""), nil
-	case ')':
-		return mk(tokRParen, ""), nil
-	case ',':
-		return mk(tokComma, ""), nil
-	case '*':
-		return mk(tokStar, ""), nil
-	case '=':
-		return mk(tokEq, ""), nil
-	case '!':
-		if n, ok := lx.peekByte(); ok && n == '=' {
-			lx.advance()
-			return mk(tokNeq, ""), nil
-		}
-		return token{}, lx.errorf(line, col, "unexpected '!'")
-	case '-':
-		if n, ok := lx.peekByte(); ok && n == '>' {
-			lx.advance()
-			return mk(tokArrow, ""), nil
-		}
-		// negative number literal
-		if n, ok := lx.peekByte(); ok && n >= '0' && n <= '9' {
-			num := lx.lexNumber()
-			return mk(tokNumber, "-"+num), nil
-		}
-		return token{}, lx.errorf(line, col, "unexpected '-'")
-	case ':':
-		if n, ok := lx.peekByte(); ok {
-			switch n {
-			case '=':
-				lx.advance()
-				return mk(tokAssign, ""), nil
-			case '-':
-				lx.advance()
-				return mk(tokRuleDef, ""), nil
-			}
-		}
-		return mk(tokColon, ""), nil
-	case '\'':
-		var b strings.Builder
-		for {
-			c, ok := lx.peekByte()
-			if !ok || c == '\n' {
-				return token{}, lx.errorf(line, col, "unterminated string literal")
-			}
-			lx.advance()
-			if c == '\'' {
-				return mk(tokString, b.String()), nil
-			}
-			b.WriteByte(c)
-		}
-	}
-	if c >= '0' && c <= '9' {
-		lx.pos--
-		lx.col--
-		return mk(tokNumber, lx.lexNumber()), nil
-	}
-	if isIdentStart(rune(c)) {
-		var b strings.Builder
-		b.WriteByte(c)
-		for {
-			n, ok := lx.peekByte()
-			if !ok || !isIdentPart(rune(n)) {
-				break
-			}
-			b.WriteByte(lx.advance())
-		}
-		return mk(tokIdent, b.String()), nil
-	}
-	return token{}, lx.errorf(line, col, "unexpected character %q", string(c))
+	return i
 }
 
-func (lx *lexer) lexNumber() string {
-	var b strings.Builder
-	for {
-		c, ok := lx.peekByte()
-		if !ok || c < '0' || c > '9' {
-			break
-		}
-		b.WriteByte(lx.advance())
-	}
-	return b.String()
-}
-
+// isIdentStart and isIdentPart classify one byte of the source, read as
+// the rune of the same value.
 func isIdentStart(r rune) bool {
 	return r == '_' || unicode.IsLetter(r)
 }
@@ -271,27 +239,11 @@ func isIdentPart(r rune) bool {
 	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
 }
 
-// tokens lexes the whole input.
-func tokens(src string) ([]token, error) {
-	lx := newLexer(src)
-	var out []token
-	for {
-		tk, err := lx.next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tk)
-		if tk.kind == tokEOF {
-			return out, nil
-		}
-	}
-}
-
-// mustParseInt converts a numeric token's text.
-func mustParseInt(t token) (int64, error) {
-	n, err := strconv.ParseInt(t.text, 10, 64)
+// parseInt converts a numeric token's text.
+func parseInt(src string, t tok) (int64, error) {
+	n, err := strconv.ParseInt(t.text(src), 10, 64)
 	if err != nil {
-		return 0, fmt.Errorf("%d:%d: bad number %q", t.line, t.col, t.text)
+		return 0, errorAt(src, t.begin, "bad number %q", t.text(src))
 	}
 	return n, nil
 }

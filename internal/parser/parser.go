@@ -8,23 +8,32 @@ import (
 	"repro/internal/relation"
 )
 
-// parser is a recursive-descent parser over a token stream.
+// parser is a recursive-descent parser over the token slice of one
+// source text. Token texts are substrings of src.
 type parser struct {
-	toks []token
+	src  string
+	toks []tok
 	pos  int
+
+	// scratch collects one argument list before it is copied out at its
+	// exact length; buf backs it for the common short lists.
+	scratch []query.Term
+	buf     [8]query.Term
 }
 
 func newParser(src string) (*parser, error) {
-	toks, err := tokens(src)
+	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
-	return &parser{toks: toks}, nil
+	p := &parser{src: src, toks: toks}
+	p.scratch = p.buf[:0]
+	return p, nil
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
+func (p *parser) peek() tok { return p.toks[p.pos] }
 
-func (p *parser) peekSkipNL() token {
+func (p *parser) peekSkipNL() tok {
 	i := p.pos
 	for p.toks[i].kind == tokNewline {
 		i++
@@ -32,7 +41,7 @@ func (p *parser) peekSkipNL() token {
 	return p.toks[i]
 }
 
-func (p *parser) advance() token {
+func (p *parser) advance() tok {
 	t := p.toks[p.pos]
 	if t.kind != tokEOF {
 		p.pos++
@@ -47,37 +56,55 @@ func (p *parser) skipNewlines() {
 }
 
 // nextNoNL advances past newlines and returns the next significant token.
-func (p *parser) nextNoNL() token {
+func (p *parser) nextNoNL() tok {
 	p.skipNewlines()
 	return p.advance()
 }
 
-func (p *parser) expect(k tokKind) (token, error) {
+func (p *parser) text(t tok) string { return t.text(p.src) }
+
+// errorf builds an error positioned at token t.
+func (p *parser) errorf(t tok, format string, args ...any) error {
+	return errorAt(p.src, t.begin, format, args...)
+}
+
+func (p *parser) expect(k tokKind) (tok, error) {
 	t := p.nextNoNL()
 	if t.kind != k {
-		return t, fmt.Errorf("%d:%d: expected %s, got %s", t.line, t.col, k, t)
+		return t, p.errorf(t, "expected %s, got %s", k, t.describe(p.src))
 	}
 	return t, nil
 }
 
 func (p *parser) expectKeyword(kw string) error {
 	t := p.nextNoNL()
-	if t.kind != tokIdent || t.text != kw {
-		return fmt.Errorf("%d:%d: expected %q, got %s", t.line, t.col, kw, t)
+	if t.kind != tokIdent || p.text(t) != kw {
+		return p.errorf(t, "expected %q, got %s", kw, t.describe(p.src))
 	}
 	return nil
 }
 
 func (p *parser) atKeyword(kw string) bool {
 	t := p.peekSkipNL()
-	return t.kind == tokIdent && t.text == kw
+	return t.kind == tokIdent && p.text(t) == kw
 }
 
-// reserved words that cannot be variables or relation names in formulas.
-var reserved = map[string]bool{
-	"and": true, "or": true, "not": true, "implies": true,
-	"exists": true, "forall": true, "true": true, "false": true,
-	"union": true,
+// expectEOF fails unless only newlines remain.
+func (p *parser) expectEOF() error {
+	if t := p.nextNoNL(); t.kind != tokEOF {
+		return p.errorf(t, "trailing input at %s", t.describe(p.src))
+	}
+	return nil
+}
+
+// isReserved reports the words that cannot be variables or relation
+// names in formulas.
+func isReserved(s string) bool {
+	switch s {
+	case "and", "or", "not", "implies", "exists", "forall", "true", "false", "union":
+		return true
+	}
+	return false
 }
 
 // ParseFormula parses an FO formula.
@@ -90,8 +117,8 @@ func ParseFormula(src string) (query.Formula, error) {
 	if err != nil {
 		return nil, err
 	}
-	if t := p.nextNoNL(); t.kind != tokEOF {
-		return nil, fmt.Errorf("%d:%d: trailing input at %s", t.line, t.col, t)
+	if err := p.expectEOF(); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
@@ -102,19 +129,33 @@ func ParseQuery(src string) (*query.Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	q, err := p.parseQueryDecl()
+	name, head, err := p.parseHead()
 	if err != nil {
 		return nil, err
 	}
-	if t := p.nextNoNL(); t.kind != tokEOF {
-		return nil, fmt.Errorf("%d:%d: trailing input at %s", t.line, t.col, t)
+	if _, err := p.expect(tokAssign); err != nil {
+		return nil, err
+	}
+	f, err := p.parseFormula()
+	if err != nil {
+		return nil, err
+	}
+	q, err := formulaQuery(name, head, f)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.expectEOF(); err != nil {
+		return nil, err
 	}
 	return q, nil
 }
 
 // ParseCQ parses a conjunctive query in rule form
 // "Name(t1, ..., tk) :- atom, ..., atom" (equalities allowed among the
-// atoms). It also accepts ":=" bodies that happen to be conjunctive.
+// atoms). It also accepts ":=" bodies that happen to be conjunctive; a
+// ":=" body holding a word or operator no conjunctive query has (not, or,
+// implies, forall, false, !=) is rejected at that token, before anything
+// is built.
 func ParseCQ(src string) (*query.CQ, error) {
 	p, err := newParser(src)
 	if err != nil {
@@ -127,21 +168,21 @@ func ParseCQ(src string) (*query.CQ, error) {
 	def := p.nextNoNL()
 	switch def.kind {
 	case tokRuleDef:
-		atoms, eqs, err := p.parseRuleBody()
-		if err != nil {
-			return nil, err
-		}
-		if t := p.nextNoNL(); t.kind != tokEOF {
-			return nil, fmt.Errorf("%d:%d: trailing input at %s", t.line, t.col, t)
-		}
-		return query.NewCQ(name, head, atoms, eqs)
+		return p.parseRule(name, head)
 	case tokAssign:
+		if t, found := p.findNonConjunctive(); found {
+			word := p.text(t)
+			if t.kind == tokNeq {
+				word = "!="
+			}
+			return nil, p.errorf(t, "query %s is not conjunctive: %q", name, word)
+		}
 		f, err := p.parseFormula()
 		if err != nil {
 			return nil, err
 		}
-		if t := p.nextNoNL(); t.kind != tokEOF {
-			return nil, fmt.Errorf("%d:%d: trailing input at %s", t.line, t.col, t)
+		if err := p.expectEOF(); err != nil {
+			return nil, err
 		}
 		q := &query.Query{Name: name, Head: varNames(head), Body: f}
 		if err := q.Validate(); err != nil {
@@ -153,8 +194,73 @@ func ParseCQ(src string) (*query.CQ, error) {
 		}
 		return cq, nil
 	default:
-		return nil, fmt.Errorf("%d:%d: expected ':-' or ':=', got %s", def.line, def.col, def)
+		return nil, p.errorf(def, "expected ':-' or ':=', got %s", def.describe(p.src))
 	}
+}
+
+// ParseServing parses a serving query in either syntax with one lex and
+// one parse, choosing the form from the separator after the head. Rule
+// form ":-", and ":=" text whose body is conjunctive, yield exactly what
+// ParseCQ followed by CQ.Query yields; any other ":=" text yields exactly
+// what ParseQuery yields. So it succeeds on the same inputs as trying
+// ParseCQ first and ParseQuery second, with the same result.
+func ParseServing(src string) (*query.Query, error) {
+	p, err := newParser(src)
+	if err != nil {
+		return nil, err
+	}
+	name, head, err := p.parseHead()
+	if err != nil {
+		return nil, err
+	}
+	def := p.nextNoNL()
+	switch def.kind {
+	case tokRuleDef:
+		cq, err := p.parseRule(name, head)
+		if err != nil {
+			return nil, err
+		}
+		return cq.Query()
+	case tokAssign:
+		_, nonConj := p.findNonConjunctive()
+		f, err := p.parseFormula()
+		if err != nil {
+			return nil, err
+		}
+		if err := p.expectEOF(); err != nil {
+			return nil, err
+		}
+		if !nonConj {
+			q := &query.Query{Name: name, Head: varNames(head), Body: f}
+			if q.Validate() == nil {
+				if cq, ok := query.AsCQ(q); ok {
+					return cq.Query()
+				}
+			}
+		}
+		return formulaQuery(name, head, f)
+	default:
+		return nil, p.errorf(def, "expected ':-' or ':=', got %s", def.describe(p.src))
+	}
+}
+
+// findNonConjunctive returns the first token from the current position on
+// that no conjunctive body can hold: not, or, implies, forall, false, or
+// '!='. Every one of them parses to a node AsCQ rejects, or fails to
+// parse.
+func (p *parser) findNonConjunctive() (tok, bool) {
+	for _, t := range p.toks[p.pos:] {
+		switch t.kind {
+		case tokNeq:
+			return t, true
+		case tokIdent:
+			switch p.text(t) {
+			case "not", "or", "implies", "forall", "false":
+				return t, true
+			}
+		}
+	}
+	return tok{}, false
 }
 
 // ParseUCQ parses "cq union cq union ...".
@@ -186,34 +292,28 @@ func ParseUCQ(src string) (*query.UCQ, error) {
 		}
 		p.nextNoNL() // consume 'union'
 	}
-	if t := p.nextNoNL(); t.kind != tokEOF {
-		return nil, fmt.Errorf("%d:%d: trailing input at %s", t.line, t.col, t)
+	if err := p.expectEOF(); err != nil {
+		return nil, err
 	}
 	return query.NewUCQ(disjuncts[0].Name, disjuncts...)
 }
 
-func varNames(terms []query.Term) []string {
-	var out []string
-	for _, t := range terms {
-		if t.IsVar() {
-			out = append(out, t.Name())
-		}
+// parseRule parses the body of a rule-form query, after its ":-", to the
+// end of the input.
+func (p *parser) parseRule(name string, head []query.Term) (*query.CQ, error) {
+	atoms, eqs, err := p.parseRuleBody()
+	if err != nil {
+		return nil, err
 	}
-	return out
+	if err := p.expectEOF(); err != nil {
+		return nil, err
+	}
+	return query.NewCQ(name, head, atoms, eqs)
 }
 
-func (p *parser) parseQueryDecl() (*query.Query, error) {
-	name, head, err := p.parseHead()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokAssign); err != nil {
-		return nil, err
-	}
-	f, err := p.parseFormula()
-	if err != nil {
-		return nil, err
-	}
+// formulaQuery builds the FO query Name(head) := f; FO heads hold
+// variables only.
+func formulaQuery(name string, head []query.Term, f query.Formula) (*query.Query, error) {
 	for _, t := range head {
 		if !t.IsVar() {
 			return nil, fmt.Errorf("query %s: constant %s in FO head", name, t)
@@ -222,36 +322,70 @@ func (p *parser) parseQueryDecl() (*query.Query, error) {
 	return query.NewQuery(name, varNames(head), f)
 }
 
+func varNames(terms []query.Term) []string {
+	n := 0
+	for _, t := range terms {
+		if t.IsVar() {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, 0, n)
+	for _, t := range terms {
+		if t.IsVar() {
+			out = append(out, t.Name())
+		}
+	}
+	return out
+}
+
 // parseHead parses Name(term, ..., term).
 func (p *parser) parseHead() (string, []query.Term, error) {
 	nameTok, err := p.expect(tokIdent)
 	if err != nil {
 		return "", nil, err
 	}
-	if reserved[nameTok.text] {
-		return "", nil, fmt.Errorf("%d:%d: reserved word %q as query name", nameTok.line, nameTok.col, nameTok.text)
+	name := p.text(nameTok)
+	if isReserved(name) {
+		return "", nil, p.errorf(nameTok, "reserved word %q as query name", name)
 	}
 	if _, err := p.expect(tokLParen); err != nil {
 		return "", nil, err
 	}
-	var head []query.Term
+	head, err := p.parseArgs()
+	if err != nil {
+		return "", nil, err
+	}
+	return name, head, nil
+}
+
+// parseArgs parses "term, ..., term)" after an opening parenthesis, into
+// a slice of exactly that length (nil for none).
+func (p *parser) parseArgs() ([]query.Term, error) {
+	args := p.scratch[:0]
 	if p.peekSkipNL().kind != tokRParen {
 		for {
 			t, err := p.parseTerm()
 			if err != nil {
-				return "", nil, err
+				return nil, err
 			}
-			head = append(head, t)
+			args = append(args, t)
 			if p.peekSkipNL().kind != tokComma {
 				break
 			}
 			p.nextNoNL()
 		}
 	}
+	p.scratch = args
 	if _, err := p.expect(tokRParen); err != nil {
-		return "", nil, err
+		return nil, err
 	}
-	return nameTok.text, head, nil
+	if len(args) == 0 {
+		return nil, nil
+	}
+	return append([]query.Term(nil), args...), nil
 }
 
 func (p *parser) parseRuleBody() (atoms []*query.Atom, eqs []*query.Eq, err error) {
@@ -336,7 +470,7 @@ func (p *parser) parseUnary() (query.Formula, error) {
 		}
 		return query.NewNot(f), nil
 	case p.atKeyword("exists"), p.atKeyword("forall"):
-		kw := p.nextNoNL().text
+		kw := p.text(p.nextNoNL())
 		vars, err := p.parseVarList()
 		if err != nil {
 			return nil, err
@@ -360,22 +494,31 @@ func (p *parser) parseUnary() (query.Formula, error) {
 	}
 }
 
+// parseVarList parses "v, ..., v" into a slice of exactly that length.
 func (p *parser) parseVarList() ([]string, error) {
-	var vars []string
+	start := p.pos
+	n := 0
 	for {
 		t, err := p.expect(tokIdent)
 		if err != nil {
 			return nil, err
 		}
-		if reserved[t.text] {
-			return nil, fmt.Errorf("%d:%d: reserved word %q as variable", t.line, t.col, t.text)
+		if name := p.text(t); isReserved(name) {
+			return nil, p.errorf(t, "reserved word %q as variable", name)
 		}
-		vars = append(vars, t.text)
+		n++
 		if p.peekSkipNL().kind != tokComma {
-			return vars, nil
+			break
 		}
 		p.nextNoNL()
 	}
+	vars := make([]string, 0, n)
+	for _, t := range p.toks[start:p.pos] {
+		if t.kind == tokIdent {
+			vars = append(vars, p.text(t))
+		}
+	}
+	return vars, nil
 }
 
 func (p *parser) parsePrimary() (query.Formula, error) {
@@ -391,11 +534,11 @@ func (p *parser) parsePrimary() (query.Formula, error) {
 		}
 		return f, nil
 	}
-	if t.kind == tokIdent && t.text == "true" {
+	if t.kind == tokIdent && p.text(t) == "true" {
 		p.nextNoNL()
 		return query.True, nil
 	}
-	if t.kind == tokIdent && t.text == "false" {
+	if t.kind == tokIdent && p.text(t) == "false" {
 		p.nextNoNL()
 		return query.False, nil
 	}
@@ -406,30 +549,17 @@ func (p *parser) parsePrimary() (query.Formula, error) {
 // t = t / t != t.
 func (p *parser) parseAtomic() (query.Formula, error) {
 	t := p.peekSkipNL()
-	if t.kind == tokIdent && !reserved[t.text] {
+	if t.kind == tokIdent && !isReserved(p.text(t)) {
 		// Lookahead: ident '(' is an atom; otherwise a term in an equality.
 		save := p.pos
 		p.nextNoNL()
 		if p.peekSkipNL().kind == tokLParen {
 			p.nextNoNL()
-			var args []query.Term
-			if p.peekSkipNL().kind != tokRParen {
-				for {
-					a, err := p.parseTerm()
-					if err != nil {
-						return nil, err
-					}
-					args = append(args, a)
-					if p.peekSkipNL().kind != tokComma {
-						break
-					}
-					p.nextNoNL()
-				}
-			}
-			if _, err := p.expect(tokRParen); err != nil {
+			args, err := p.parseArgs()
+			if err != nil {
 				return nil, err
 			}
-			return query.NewAtom(t.text, args...), nil
+			return query.NewAtom(p.text(t), args...), nil
 		}
 		p.pos = save
 	}
@@ -452,7 +582,7 @@ func (p *parser) parseAtomic() (query.Formula, error) {
 		}
 		return query.NewNot(query.NewEq(l, r)), nil
 	default:
-		return nil, fmt.Errorf("%d:%d: expected '=' or '!=', got %s", op.line, op.col, op)
+		return nil, p.errorf(op, "expected '=' or '!=', got %s", op.describe(p.src))
 	}
 }
 
@@ -460,20 +590,21 @@ func (p *parser) parseTerm() (query.Term, error) {
 	t := p.nextNoNL()
 	switch t.kind {
 	case tokIdent:
-		if reserved[t.text] {
-			return query.Term{}, fmt.Errorf("%d:%d: reserved word %q as term", t.line, t.col, t.text)
+		name := p.text(t)
+		if isReserved(name) {
+			return query.Term{}, p.errorf(t, "reserved word %q as term", name)
 		}
-		return query.Var(t.text), nil
+		return query.Var(name), nil
 	case tokNumber:
-		n, err := mustParseInt(t)
+		n, err := parseInt(p.src, t)
 		if err != nil {
 			return query.Term{}, err
 		}
 		return query.ConstInt(n), nil
 	case tokString:
-		return query.ConstStr(t.text), nil
+		return query.ConstStr(p.text(t)), nil
 	default:
-		return query.Term{}, fmt.Errorf("%d:%d: expected term, got %s", t.line, t.col, t)
+		return query.Term{}, p.errorf(t, "expected term, got %s", t.describe(p.src))
 	}
 }
 
@@ -505,9 +636,9 @@ func ParseCatalog(src string) (*Catalog, error) {
 			break
 		}
 		if t.kind != tokIdent {
-			return nil, fmt.Errorf("%d:%d: expected declaration, got %s", t.line, t.col, t)
+			return nil, p.errorf(t, "expected declaration, got %s", t.describe(p.src))
 		}
-		switch t.text {
+		switch p.text(t) {
 		case "relation":
 			p.advance()
 			rs, err := p.parseRelationDecl()
@@ -532,7 +663,7 @@ func ParseCatalog(src string) (*Catalog, error) {
 			}
 			pendingAccess = append(pendingAccess, e)
 		default:
-			return nil, fmt.Errorf("%d:%d: unknown declaration %q", t.line, t.col, t.text)
+			return nil, p.errorf(t, "unknown declaration %q", p.text(t))
 		}
 	}
 	acc := access.New(rel)
@@ -559,7 +690,7 @@ func (p *parser) parseRelationDecl() (relation.RelSchema, error) {
 	if _, err := p.expect(tokRParen); err != nil {
 		return relation.RelSchema{}, err
 	}
-	return relation.NewRelSchema(name.text, attrs...)
+	return relation.NewRelSchema(p.text(name), attrs...)
 }
 
 func (p *parser) parseIdentList() ([]string, error) {
@@ -569,7 +700,7 @@ func (p *parser) parseIdentList() ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, t.text)
+		out = append(out, p.text(t))
 		if p.peekSkipNL().kind != tokComma {
 			return out, nil
 		}
@@ -618,7 +749,7 @@ func (p *parser) parseAccessDecl() (access.Entry, error) {
 	if err != nil {
 		return access.Entry{}, err
 	}
-	n, err := mustParseInt(nTok)
+	n, err := parseInt(p.src, nTok)
 	if err != nil {
 		return access.Entry{}, err
 	}
@@ -629,14 +760,14 @@ func (p *parser) parseAccessDecl() (access.Entry, error) {
 	if err != nil {
 		return access.Entry{}, err
 	}
-	tv, err := mustParseInt(tTok)
+	tv, err := parseInt(p.src, tTok)
 	if err != nil {
 		return access.Entry{}, err
 	}
 	if isStar {
-		return access.Plain(name.text, on, int(n), int(tv)), nil
+		return access.Plain(p.text(name), on, int(n), int(tv)), nil
 	}
-	return access.Embedded(name.text, on, proj, int(n), int(tv)), nil
+	return access.Embedded(p.text(name), on, proj, int(n), int(tv)), nil
 }
 
 // parseFDDecl parses: fd R: x1, ..., xk -> y1, ..., ym time T.
@@ -666,10 +797,10 @@ func (p *parser) parseFDDecl() (access.Entry, error) {
 		if err != nil {
 			return access.Entry{}, err
 		}
-		tv, err = mustParseInt(tTok)
+		tv, err = parseInt(p.src, tTok)
 		if err != nil {
 			return access.Entry{}, err
 		}
 	}
-	return access.FD(name.text, x, y, int(tv)), nil
+	return access.FD(p.text(name), x, y, int(tv)), nil
 }

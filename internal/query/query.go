@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -32,23 +33,73 @@ func MustQuery(name string, head []string, body Formula) *Query {
 	return q
 }
 
-// Validate checks head/body consistency.
+// Validate checks head/body consistency: the head variables are distinct
+// and are exactly the free variables of the body. It walks the body once,
+// keeping the quantified variables on a stack and the free ones in a
+// small slice; only a mismatch builds the sets its message prints.
 func (q *Query) Validate() error {
 	if q.Name == "" {
 		return fmt.Errorf("query: empty name")
 	}
-	hs := make(VarSet, len(q.Head))
-	for _, v := range q.Head {
-		if hs[v] {
+	for i, v := range q.Head {
+		if contains(q.Head[:i], v) {
 			return fmt.Errorf("query %s: duplicate head variable %q", q.Name, v)
 		}
-		hs[v] = true
 	}
-	fv := q.Body.FreeVars()
-	if !fv.Equal(hs) {
-		return fmt.Errorf("query %s: head %v but free variables %v", q.Name, hs, fv)
+	var freeBuf, boundBuf [8]string
+	free := appendFree(freeBuf[:0], boundBuf[:0], q.Body)
+	if len(free) != len(q.Head) || !containsAll(free, q.Head) {
+		return fmt.Errorf("query %s: head %v but free variables %v", q.Name, NewVarSet(q.Head...), q.Body.FreeVars())
 	}
 	return nil
+}
+
+// appendFree appends to free, in order of first occurrence, the
+// variables of f that are neither in bound (the quantified variables in
+// scope) nor already in free. It builds no set per node.
+func appendFree(free, bound []string, f Formula) []string {
+	switch n := f.(type) {
+	case *Atom:
+		for _, t := range n.Args {
+			free = appendFreeTerm(free, bound, t)
+		}
+	case *Eq:
+		free = appendFreeTerm(free, bound, n.L)
+		free = appendFreeTerm(free, bound, n.R)
+	case *Truth:
+	case *Not:
+		free = appendFree(free, bound, n.F)
+	case *And:
+		free = appendFree(appendFree(free, bound, n.L), bound, n.R)
+	case *Or:
+		free = appendFree(appendFree(free, bound, n.L), bound, n.R)
+	case *Implies:
+		free = appendFree(appendFree(free, bound, n.L), bound, n.R)
+	case *Exists:
+		free = appendFree(free, append(bound, n.Vars...), n.Body)
+	case *Forall:
+		free = appendFree(free, append(bound, n.Vars...), n.Body)
+	default:
+		panic(fmt.Sprintf("query: unknown formula node %T", f))
+	}
+	return free
+}
+
+func appendFreeTerm(free, bound []string, t Term) []string {
+	if t.isVar && !contains(bound, t.name) && !contains(free, t.name) {
+		free = append(free, t.name)
+	}
+	return free
+}
+
+// containsAll reports whether every element of ys is in xs.
+func containsAll(xs, ys []string) bool {
+	for _, y := range ys {
+		if !contains(xs, y) {
+			return false
+		}
+	}
+	return true
 }
 
 // IsBoolean reports whether the query is a sentence.
@@ -164,16 +215,59 @@ func (q *CQ) ExistVars() VarSet { return q.BodyVars().Minus(q.HeadVars()) }
 // (Section 3 of the paper).
 func (q *CQ) Size() int { return len(q.Atoms) }
 
-// Formula converts the CQ to an FO formula ∃ z̄ (conjunction).
+// Formula converts the CQ to an FO formula ∃ z̄ (conjunction): the atoms,
+// then the equalities, folded left as AndAll folds them, under the body
+// variables that are not in the head, sorted.
 func (q *CQ) Formula() Formula {
-	conj := make([]Formula, 0, len(q.Atoms)+len(q.Eqs))
+	var body Formula
+	var buf [16]string
+	exist := buf[:0]
 	for _, a := range q.Atoms {
-		conj = append(conj, a)
+		body = conjoin(body, a)
+		for _, t := range a.Args {
+			exist = q.appendExist(exist, t)
+		}
 	}
 	for _, e := range q.Eqs {
-		conj = append(conj, e)
+		body = conjoin(body, e)
+		exist = q.appendExist(exist, e.L)
+		exist = q.appendExist(exist, e.R)
 	}
-	return NewExists(q.ExistVars().Sorted(), AndAll(conj...))
+	if body == nil {
+		return True
+	}
+	if len(exist) == 0 {
+		return body
+	}
+	slices.Sort(exist)
+	return NewExists(slices.Clone(exist), body)
+}
+
+// conjoin returns body ∧ f, or f alone when body is nil.
+func conjoin(body, f Formula) Formula {
+	if body == nil {
+		return f
+	}
+	return NewAnd(body, f)
+}
+
+// appendExist appends t to exist if it is a variable not in the head and
+// not yet in exist.
+func (q *CQ) appendExist(exist []string, t Term) []string {
+	if t.isVar && !contains(exist, t.name) && !termsHaveVar(q.Head, t.name) {
+		exist = append(exist, t.name)
+	}
+	return exist
+}
+
+// termsHaveVar reports whether variable v occurs among ts.
+func termsHaveVar(ts []Term, v string) bool {
+	for _, t := range ts {
+		if t.isVar && t.name == v {
+			return true
+		}
+	}
+	return false
 }
 
 // Query converts the CQ to a Query. Constant head terms are not
@@ -321,55 +415,62 @@ func (u *UCQ) String() string {
 // relation atoms and equalities with ∧ and ∃ only. It returns ok=false for
 // anything else.
 func AsCQ(q *Query) (*CQ, bool) {
-	atoms, eqs, ok := flattenConj(stripExists(q.Body))
-	if !ok {
+	var n conjCount
+	if !n.count(q.Body) {
 		return nil, false
 	}
-	cq := &CQ{Name: q.Name, Head: Vars(q.Head...), Atoms: atoms, Eqs: eqs}
+	cq := &CQ{Name: q.Name, Head: Vars(q.Head...)}
+	if n.atoms > 0 {
+		cq.Atoms = make([]*Atom, 0, n.atoms)
+	}
+	if n.eqs > 0 {
+		cq.Eqs = make([]*Eq, 0, n.eqs)
+	}
+	cq.flatten(q.Body)
 	if cq.Validate() != nil {
 		return nil, false
 	}
 	return cq, true
 }
 
-func stripExists(f Formula) Formula {
-	for {
-		e, ok := f.(*Exists)
-		if !ok {
-			return f
-		}
-		f = e.Body
+// conjCount counts the atoms and equalities of a conjunctive body.
+type conjCount struct{ atoms, eqs int }
+
+// count reports whether f is conjunctive: atoms, equalities and true
+// under ∧ and ∃. Inner existentials are fine: their variables are not in
+// the head, and flattening preserves semantics as long as names are
+// unique (callers standardize apart first if needed).
+func (n *conjCount) count(f Formula) bool {
+	switch f := f.(type) {
+	case *Atom:
+		n.atoms++
+		return true
+	case *Eq:
+		n.eqs++
+		return true
+	case *Truth:
+		return f.Bool
+	case *And:
+		return n.count(f.L) && n.count(f.R)
+	case *Exists:
+		return n.count(f.Body)
+	default:
+		return false
 	}
 }
 
-func flattenConj(f Formula) (atoms []*Atom, eqs []*Eq, ok bool) {
-	switch n := f.(type) {
+// flatten appends the atoms and equalities of a body count accepted, in
+// syntactic order.
+func (q *CQ) flatten(f Formula) {
+	switch f := f.(type) {
 	case *Atom:
-		return []*Atom{n}, nil, true
+		q.Atoms = append(q.Atoms, f)
 	case *Eq:
-		return nil, []*Eq{n}, true
-	case *Truth:
-		if n.Bool {
-			return nil, nil, true
-		}
-		return nil, nil, false
+		q.Eqs = append(q.Eqs, f)
 	case *And:
-		la, le, lok := flattenConj(n.L)
-		if !lok {
-			return nil, nil, false
-		}
-		ra, re, rok := flattenConj(n.R)
-		if !rok {
-			return nil, nil, false
-		}
-		return append(la, ra...), append(le, re...), true
+		q.flatten(f.L)
+		q.flatten(f.R)
 	case *Exists:
-		// Inner existentials are fine: the variables are already not in the
-		// head, flattening preserves semantics as long as names are unique.
-		// Callers standardize apart first if needed; we accept the common
-		// prenex case.
-		return flattenConj(n.Body)
-	default:
-		return nil, nil, false
+		q.flatten(f.Body)
 	}
 }

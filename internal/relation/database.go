@@ -134,9 +134,11 @@ func (db *Database) SeedFromSet(rel string, s *TupleSet) {
 	r.set = *s.Clone()
 }
 
-// Clone returns an independent copy of the database.
+// Clone returns an independent copy of the database, schema included: a
+// relation added to or dropped from the copy (view DDL on a store opened
+// over it) does not change the original's schema.
 func (db *Database) Clone() *Database {
-	c := &Database{schema: db.schema, rels: make(map[string]*Relation, len(db.rels))}
+	c := &Database{schema: db.schema.Clone(), rels: make(map[string]*Relation, len(db.rels))}
 	for name, r := range db.rels {
 		c.rels[name] = r.Clone()
 	}

@@ -169,6 +169,18 @@ func (s *Schema) Remove(name string) {
 	}
 }
 
+// Clone returns an independent copy: relations added to or removed from
+// either afterwards do not reach the other.
+func (s *Schema) Clone() *Schema {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	c := &Schema{rels: append([]RelSchema(nil), s.rels...), byName: make(map[string]int, len(s.byName))}
+	for name, i := range s.byName {
+		c.byName[name] = i
+	}
+	return c
+}
+
 // Rel looks up a relation schema by name.
 func (s *Schema) Rel(name string) (RelSchema, bool) {
 	s.mu.RLock()

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/parser"
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/store"
@@ -180,7 +181,7 @@ const goldenStream = `{"head":["v","w"],"bound":2200}
 // the hand-written codec replaced — for the same execution in process.
 func TestQueryStreamGolden(t *testing.T) {
 	srv, eng := streamServer(t)
-	q, err := parseServing(streamQuery)
+	q, err := parser.ParseServing(streamQuery)
 	if err != nil {
 		t.Fatal(err)
 	}

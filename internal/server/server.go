@@ -249,15 +249,6 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// parseServing parses a serving query in either syntax: the rule form
-// "Q(x) :- atoms" first, then the formula form "Q(x) := body".
-func parseServing(src string) (*query.Query, error) {
-	if cq, err := parser.ParseCQ(src); err == nil {
-		return cq.Query()
-	}
-	return parser.ParseQuery(src)
-}
-
 // handlePrepare compiles a query for a controlling set, runs the
 // prepare-time SLA check (reject if the static bound exceeds the tenant's
 // MaxBound — the success-tolerant gate), registers a plan handle, and
@@ -269,7 +260,7 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		writeError(w, &ErrorBody{Code: CodeBadRequest, Message: "prepare: " + err.Error()})
 		return
 	}
-	q, err := parseServing(req.Query)
+	q, err := parser.ParseServing(req.Query)
 	if err != nil {
 		writeError(w, &ErrorBody{Code: CodeBadRequest, Message: err.Error()})
 		return

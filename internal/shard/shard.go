@@ -97,6 +97,11 @@ func Open(data *relation.Database, acc *access.Schema, n int, opts ...Option) (*
 		f(&o)
 	}
 	schema := data.Schema()
+	if acc.Relational() != schema {
+		// One access schema over the one relational schema every shard
+		// shares, as store.Open would make for a single store.
+		acc = acc.CloneOver(schema)
+	}
 	for rel := range o.routes {
 		if _, ok := schema.Rel(rel); !ok {
 			return nil, fmt.Errorf("shard: WithRoute names %w %q", store.ErrUnknownRelation, rel)

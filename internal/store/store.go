@@ -337,7 +337,16 @@ type DB struct {
 // Open wraps data with the given access schema, validating every entry and
 // registering the access path each one needs (see relPaths). It does not
 // check cardinality conformance; call Conforms for that.
+//
+// The store's access schema ranges over the data's own relational schema,
+// so view DDL (AddRelation) declares relations in one schema, the one it
+// owns. When acc ranges over another schema, the store works on a copy of
+// acc over the data's, and DDL reaches neither the caller's access schema
+// nor its relational schema.
 func Open(data *relation.Database, acc *access.Schema) (*DB, error) {
+	if acc.Relational() != data.Schema() {
+		acc = acc.CloneOver(data.Schema())
+	}
 	db := &DB{
 		data:  data,
 		acc:   acc,
@@ -547,13 +556,6 @@ func (db *DB) AddRelation(rs relation.RelSchema, entries []access.Entry, tuples 
 		db.data.DropRelation(rs.Name)
 		return err
 	}
-	// The access schema validates entries against its own relational
-	// schema, which need not be the data's object: declare rs there too.
-	if as := db.acc.Relational(); as != db.data.Schema() {
-		if err := declareFor(as, rs); err != nil {
-			return abort(err)
-		}
-	}
 	for _, t := range tuples {
 		if len(t) != rs.Arity() {
 			return abort(fmt.Errorf("store: %s: seed tuple %v has arity %d", rs, t, len(t)))
@@ -588,9 +590,6 @@ func (db *DB) DropRelation(name string) error {
 	defer db.mu.Unlock()
 	delete(db.paths, name)
 	db.acc.RemoveRel(name)
-	if as := db.acc.Relational(); as != db.data.Schema() {
-		as.Remove(name)
-	}
 	db.data.DropRelation(name)
 	return nil
 }
@@ -602,25 +601,6 @@ func (db *DB) HasRelation(name string) bool {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.data.Rel(name) != nil
-}
-
-// declareFor declares rs in an auxiliary relational schema, idempotently:
-// an identical existing declaration (another instance sharing the schema
-// got there first) is fine, a conflicting one is an error.
-func declareFor(s *relation.Schema, rs relation.RelSchema) error {
-	if prev, ok := s.Rel(rs.Name); ok {
-		if !slices.Equal(prev.Attrs, rs.Attrs) {
-			return fmt.Errorf("store: relation %q already declared as %s", rs.Name, prev)
-		}
-		return nil
-	}
-	if err := s.Add(rs); err != nil {
-		if prev, ok := s.Rel(rs.Name); ok && slices.Equal(prev.Attrs, rs.Attrs) {
-			return nil // lost a benign race to an identical declaration
-		}
-		return err
-	}
-	return nil
 }
 
 // ApplyDerived implements Backend: it validates and applies u, keeping
