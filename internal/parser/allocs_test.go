@@ -15,7 +15,7 @@ import (
 // race detector, whose instrumentation allocates.)
 func TestParseAllocs(t *testing.T) {
 	caps := map[string]float64{
-		"Q1": 20, "Q2": 23, "Q3": 29, "Q4": 20, "Q5": 21, "Q6": 16, "Q7": 20,
+		"Q1": 18, "Q2": 15, "Q3": 23, "Q4": 18, "Q5": 15, "Q6": 13, "Q7": 18,
 	}
 	for i, src := range servingTexts[:7] {
 		name := []string{"Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7"}[i]

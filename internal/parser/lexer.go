@@ -136,53 +136,53 @@ func lex(src string) ([]tok, error) {
 	}
 	toks := make([]tok, 0, len(src)/2+2)
 	i := 0
-	emit := func(k tokKind, begin int) {
-		toks = append(toks, tok{kind: k, begin: uint32(begin), end: uint32(i)})
-	}
 	for i < len(src) {
 		c := src[i]
 		start := i
 		i++
+		var k tokKind
 		switch c {
 		case ' ', '\t', '\r':
+			continue
 		case '\n':
 			for i < len(src) && (src[i] == '\n' || src[i] == '\r' || src[i] == ' ' || src[i] == '\t') {
 				i++
 			}
-			emit(tokNewline, start)
+			k = tokNewline
 		case '#':
 			for i < len(src) && src[i] != '\n' {
 				i++
 			}
+			continue
 		case '(':
-			emit(tokLParen, start)
+			k = tokLParen
 		case ')':
-			emit(tokRParen, start)
+			k = tokRParen
 		case ',':
-			emit(tokComma, start)
+			k = tokComma
 		case '*':
-			emit(tokStar, start)
+			k = tokStar
 		case '=':
-			emit(tokEq, start)
+			k = tokEq
 		case '!':
 			if i == len(src) || src[i] != '=' {
 				return nil, errorAt(src, uint32(start), "unexpected '!'")
 			}
 			i++
-			emit(tokNeq, start)
+			k = tokNeq
 		case '-':
 			switch {
 			case i < len(src) && src[i] == '>':
 				i++
-				emit(tokArrow, start)
+				k = tokArrow
 			case i < len(src) && isDigit(src[i]):
 				i = skipDigits(src, i)
-				emit(tokNumber, start)
+				k = tokNumber
 			default:
 				return nil, errorAt(src, uint32(start), "unexpected '-'")
 			}
 		case ':':
-			k := tokColon
+			k = tokColon
 			if i < len(src) && src[i] == '=' {
 				k = tokAssign
 			} else if i < len(src) && src[i] == '-' {
@@ -191,7 +191,6 @@ func lex(src string) ([]tok, error) {
 			if k != tokColon {
 				i++
 			}
-			emit(k, start)
 		case '\'':
 			for i < len(src) && src[i] != '\'' && src[i] != '\n' {
 				i++
@@ -200,23 +199,24 @@ func lex(src string) ([]tok, error) {
 				return nil, errorAt(src, uint32(start), "unterminated string literal")
 			}
 			i++
-			emit(tokString, start)
+			k = tokString
 		default:
 			switch {
 			case isDigit(c):
 				i = skipDigits(src, i)
-				emit(tokNumber, start)
-			case isIdentStart(rune(c)):
-				for i < len(src) && isIdentPart(rune(src[i])) {
+				k = tokNumber
+			case identByte[c]&identStart != 0:
+				for i < len(src) && identByte[src[i]]&identPart != 0 {
 					i++
 				}
-				emit(tokIdent, start)
+				k = tokIdent
 			default:
 				return nil, errorAt(src, uint32(start), "unexpected character %q", string(rune(c)))
 			}
 		}
+		toks = append(toks, tok{kind: k, begin: uint32(start), end: uint32(i)})
 	}
-	emit(tokEOF, i)
+	toks = append(toks, tok{kind: tokEOF, begin: uint32(i), end: uint32(i)})
 	return toks, nil
 }
 
@@ -229,15 +229,26 @@ func skipDigits(src string, i int) int {
 	return i
 }
 
-// isIdentStart and isIdentPart classify one byte of the source, read as
-// the rune of the same value.
-func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
-}
+// identByte classifies each byte value for identifiers, reading the byte
+// as the rune of the same value: a start byte is '_' or a letter, a part
+// byte also a digit.
+var identByte = func() (t [256]uint8) {
+	for c := range t {
+		r := rune(c)
+		if r == '_' || unicode.IsLetter(r) {
+			t[c] |= identStart | identPart
+		}
+		if unicode.IsDigit(r) {
+			t[c] |= identPart
+		}
+	}
+	return t
+}()
 
-func isIdentPart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
-}
+const (
+	identStart = 1 << iota
+	identPart
+)
 
 // parseInt converts a numeric token's text.
 func parseInt(src string, t tok) (int64, error) {

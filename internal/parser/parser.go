@@ -15,10 +15,15 @@ type parser struct {
 	toks []tok
 	pos  int
 
-	// scratch collects one argument list before it is copied out at its
-	// exact length; buf backs it for the common short lists.
+	// scratch collects one argument list; buf backs it for the common
+	// short lists.
 	scratch []query.Term
 	buf     [8]query.Term
+	// atoms and terms back the relation atoms of one parse and their
+	// argument lists: each atom is an element of atoms and its list a
+	// capped window of terms, so a query's atoms cost two allocations.
+	atoms []query.Atom
+	terms []query.Term
 }
 
 func newParser(src string) (*parser, error) {
@@ -354,15 +359,19 @@ func (p *parser) parseHead() (string, []query.Term, error) {
 	if _, err := p.expect(tokLParen); err != nil {
 		return "", nil, err
 	}
-	head, err := p.parseArgs()
+	args, err := p.parseArgs()
 	if err != nil {
 		return "", nil, err
+	}
+	var head []query.Term
+	if len(args) > 0 {
+		head = append(head, args...)
 	}
 	return name, head, nil
 }
 
-// parseArgs parses "term, ..., term)" after an opening parenthesis, into
-// a slice of exactly that length (nil for none).
+// parseArgs parses "term, ..., term)" after an opening parenthesis. The
+// list it returns is scratch space, valid until the next call.
 func (p *parser) parseArgs() ([]query.Term, error) {
 	args := p.scratch[:0]
 	if p.peekSkipNL().kind != tokRParen {
@@ -382,13 +391,45 @@ func (p *parser) parseArgs() ([]query.Term, error) {
 	if _, err := p.expect(tokRParen); err != nil {
 		return nil, err
 	}
-	if len(args) == 0 {
-		return nil, nil
+	return args, nil
+}
+
+// newAtom builds the relation atom rel(args...) in the parse's atom and
+// term slabs. A slab that runs out is replaced by one sized from the
+// tokens left: every atom still to come has a '(', and every argument is
+// followed by a ',' or a ')'.
+func (p *parser) newAtom(rel string, args []query.Term) *query.Atom {
+	if len(p.atoms) == cap(p.atoms) {
+		p.atoms = make([]query.Atom, 0, 1+p.countLeft(tokLParen))
 	}
-	return append([]query.Term(nil), args...), nil
+	a := query.Atom{Rel: rel}
+	if len(args) > 0 {
+		if cap(p.terms)-len(p.terms) < len(args) {
+			p.terms = make([]query.Term, 0, len(args)+p.countLeft(tokComma)+p.countLeft(tokRParen))
+		}
+		start := len(p.terms)
+		p.terms = append(p.terms, args...)
+		a.Args = p.terms[start:len(p.terms):len(p.terms)]
+	}
+	p.atoms = append(p.atoms, a)
+	return &p.atoms[len(p.atoms)-1]
+}
+
+// countLeft counts the tokens of kind k from the current position on.
+func (p *parser) countLeft(k tokKind) int {
+	n := 0
+	for _, t := range p.toks[p.pos:] {
+		if t.kind == k {
+			n++
+		}
+	}
+	return n
 }
 
 func (p *parser) parseRuleBody() (atoms []*query.Atom, eqs []*query.Eq, err error) {
+	if n := p.countLeft(tokLParen); n > 0 {
+		atoms = make([]*query.Atom, 0, n)
+	}
 	for {
 		f, err := p.parseAtomic()
 		if err != nil {
@@ -559,7 +600,7 @@ func (p *parser) parseAtomic() (query.Formula, error) {
 			if err != nil {
 				return nil, err
 			}
-			return query.NewAtom(p.text(t), args...), nil
+			return p.newAtom(p.text(t), args), nil
 		}
 		p.pos = save
 	}

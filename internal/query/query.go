@@ -165,26 +165,38 @@ func (q *CQ) Validate() error {
 	if q.Name == "" {
 		return fmt.Errorf("cq: empty name")
 	}
-	body := make(VarSet)
-	for _, a := range q.Atoms {
-		for v := range a.FreeVars() {
-			body[v] = true
-		}
-	}
-	for _, e := range q.Eqs {
-		if e.L.IsVar() && !e.R.IsVar() {
-			body[e.L.Name()] = true
-		}
-		if e.R.IsVar() && !e.L.IsVar() {
-			body[e.R.Name()] = true
-		}
-	}
 	for _, t := range q.Head {
-		if t.IsVar() && !body[t.Name()] {
-			return fmt.Errorf("cq %s: unsafe head variable %q", q.Name, t.Name())
+		if t.isVar && !q.bodyBinds(t.name) {
+			return fmt.Errorf("cq %s: unsafe head variable %q", q.Name, t.name)
 		}
 	}
 	return nil
+}
+
+// bodyBinds reports whether variable v occurs in a relation atom or in an
+// equality with a constant.
+func (q *CQ) bodyBinds(v string) bool {
+	for _, a := range q.Atoms {
+		if termsHaveVar(a.Args, v) {
+			return true
+		}
+	}
+	for _, e := range q.Eqs {
+		if e.L.isVar != e.R.isVar && (e.L.name == v || e.R.name == v) {
+			return true
+		}
+	}
+	return false
+}
+
+// termsHaveVar reports whether variable v occurs among ts.
+func termsHaveVar(ts []Term, v string) bool {
+	for _, t := range ts {
+		if t.isVar && t.name == v {
+			return true
+		}
+	}
+	return false
 }
 
 // HeadVars returns the set of variables in the head.
@@ -220,22 +232,23 @@ func (q *CQ) Size() int { return len(q.Atoms) }
 // variables that are not in the head, sorted.
 func (q *CQ) Formula() Formula {
 	var body Formula
-	var buf [16]string
-	exist := buf[:0]
 	for _, a := range q.Atoms {
 		body = conjoin(body, a)
-		for _, t := range a.Args {
-			exist = q.appendExist(exist, t)
-		}
 	}
 	for _, e := range q.Eqs {
 		body = conjoin(body, e)
-		exist = q.appendExist(exist, e.L)
-		exist = q.appendExist(exist, e.R)
 	}
 	if body == nil {
 		return True
 	}
+	var headBuf, existBuf [8]string
+	head := headBuf[:0]
+	for _, t := range q.Head {
+		if t.isVar {
+			head = append(head, t.name)
+		}
+	}
+	exist := appendFree(existBuf[:0], head, body)
 	if len(exist) == 0 {
 		return body
 	}
@@ -249,25 +262,6 @@ func conjoin(body, f Formula) Formula {
 		return f
 	}
 	return NewAnd(body, f)
-}
-
-// appendExist appends t to exist if it is a variable not in the head and
-// not yet in exist.
-func (q *CQ) appendExist(exist []string, t Term) []string {
-	if t.isVar && !contains(exist, t.name) && !termsHaveVar(q.Head, t.name) {
-		exist = append(exist, t.name)
-	}
-	return exist
-}
-
-// termsHaveVar reports whether variable v occurs among ts.
-func termsHaveVar(ts []Term, v string) bool {
-	for _, t := range ts {
-		if t.isVar && t.name == v {
-			return true
-		}
-	}
-	return false
 }
 
 // Query converts the CQ to a Query. Constant head terms are not
