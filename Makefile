@@ -49,7 +49,9 @@ sivet:
 
 ## fuzz-smoke: the CI fuzz gate — each native fuzz target gets a 10s
 ## coverage-guided run: the DSL parser (no panics, positioned errors,
-## print→parse fixpoint), the Prometheus exporter against its own strict
+## print→parse fixpoint, ParseServing agreeing with ParseCQ-then-ParseQuery;
+## seeded with the serving pack Q1–Q7, the showcase views and a catalog),
+## the Prometheus exporter against its own strict
 ## parser, the injective tuple-key encoding every index rides on, the
 ## TupleSet hash table against a map under random operation sequences,
 ## and the /query row codec against encoding/json from both ends.

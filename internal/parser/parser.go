@@ -189,15 +189,7 @@ func ParseCQ(src string) (*query.CQ, error) {
 		if err := p.expectEOF(); err != nil {
 			return nil, err
 		}
-		q := &query.Query{Name: name, Head: varNames(head), Body: f}
-		if err := q.Validate(); err != nil {
-			return nil, err
-		}
-		cq, ok := query.AsCQ(q)
-		if !ok {
-			return nil, fmt.Errorf("query %s is not conjunctive", name)
-		}
-		return cq, nil
+		return conjunctive(name, head, f)
 	default:
 		return nil, p.errorf(def, "expected ':-' or ':=', got %s", def.describe(p.src))
 	}
@@ -236,11 +228,8 @@ func ParseServing(src string) (*query.Query, error) {
 			return nil, err
 		}
 		if !nonConj {
-			q := &query.Query{Name: name, Head: varNames(head), Body: f}
-			if q.Validate() == nil {
-				if cq, ok := query.AsCQ(q); ok {
-					return cq.Query()
-				}
+			if cq, err := conjunctive(name, head, f); err == nil {
+				return cq.Query()
 			}
 		}
 		return formulaQuery(name, head, f)
@@ -314,6 +303,20 @@ func (p *parser) parseRule(name string, head []query.Term) (*query.CQ, error) {
 		return nil, err
 	}
 	return query.NewCQ(name, head, atoms, eqs)
+}
+
+// conjunctive views "Name(head) := f" as a CQ. Constant head terms are
+// dropped, as CQ.Query drops them.
+func conjunctive(name string, head []query.Term, f query.Formula) (*query.CQ, error) {
+	q := &query.Query{Name: name, Head: varNames(head), Body: f}
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	cq, ok := query.AsCQ(q)
+	if !ok {
+		return nil, fmt.Errorf("query %s is not conjunctive", name)
+	}
+	return cq, nil
 }
 
 // formulaQuery builds the FO query Name(head) := f; FO heads hold
