@@ -14,19 +14,19 @@ import (
 // per-token or per-node allocation shows here first. (Skipped under the
 // race detector, whose instrumentation allocates.)
 func TestParseAllocs(t *testing.T) {
-	caps := map[string]float64{
-		"Q1": 18, "Q2": 15, "Q3": 23, "Q4": 18, "Q5": 15, "Q6": 13, "Q7": 18,
-	}
-	for i, src := range servingTexts[:7] {
-		name := []string{"Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7"}[i]
+	caps := []struct {
+		name string
+		max  float64
+	}{{"Q1", 18}, {"Q2", 15}, {"Q3", 23}, {"Q4", 18}, {"Q5", 15}, {"Q6", 13}, {"Q7", 18}}
+	for i, c := range caps {
+		src := servingTexts[i]
 		got := testing.AllocsPerRun(100, func() {
 			if _, err := parser.ParseServing(src); err != nil {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%s: %v allocs", name, got)
-		if got > caps[name] {
-			t.Errorf("%s: ParseServing allocates %v times, cap %v", name, got, caps[name])
+		if got > c.max {
+			t.Errorf("%s: ParseServing allocates %v times, cap %v", c.name, got, c.max)
 		}
 	}
 }
