@@ -39,16 +39,14 @@ func Advise(acc *access.Schema, q *query.Query, x query.VarSet, data *relation.D
 	if err := st.number(q.Body); err != nil {
 		return nil, err
 	}
-	var atoms []*query.Atom
-	var eqs []*query.Eq
-	var quantified uint64
-	if !st.conjShape(q.Body, &atoms, &eqs, &quantified) || len(atoms) == 0 {
+	var c conjunction
+	if !st.conjShape(q.Body, 0, &c) || len(c.atoms) == 0 {
 		return nil, fmt.Errorf("core: %w: Advise handles conjunctive queries; %s is not one", ErrInvalidQuery, q.Name)
 	}
 	if !x.SubsetOf(q.Body.FreeVars()) {
 		return nil, fmt.Errorf("core: %w: %s is not a subset of the free variables of %s", ErrInvalidQuery, x, q.Name)
 	}
-	free, xBits := st.free[q.Body], st.vars.Set(x)
+	atoms, free, xBits := c.atoms, st.vars.Free(0), st.vars.Mask(x)
 	var proposed []access.Entry
 	rel := acc.Relational()
 
@@ -64,7 +62,7 @@ func Advise(acc *access.Schema, q *query.Query, x query.VarSet, data *relation.D
 		// Re-run the chase's closure with the current entries to find what
 		// is reachable from x̄, then propose an entry for an atom with
 		// unbound variables, keyed on its currently bound positions.
-		builder, err := st.newChaseBuilder(atoms, eqs, free, free&^xBits)
+		builder, err := st.newChaseBuilder(&c, free, free&^xBits)
 		if err != nil {
 			return nil, fmt.Errorf("core: cannot analyze conjunction for advice: %w", err)
 		}
@@ -72,16 +70,16 @@ func Advise(acc *access.Schema, q *query.Query, x query.VarSet, data *relation.D
 			return nil, fmt.Errorf("core: %w: conjunction yields no chase for advice", ErrInvalidQuery)
 		}
 		bound := builder.closure(xBits)
-		isBound := func(t query.Term) bool { return !t.IsVar() || bound&st.vars.Bit(t.Name()) != 0 }
+		isBound := func(id int8) bool { return id < 0 || bound&(1<<id) != 0 }
 		best, bestScore := -1, -1
-		for ai, a := range atoms {
+		for ai, args := range c.atomArgs {
 			if builder.atomVars[ai]&^bound == 0 {
 				continue
 			}
 			// Prefer atoms with many bound positions (more selective keys).
 			score := 0
-			for _, t := range a.Args {
-				if isBound(t) {
+			for _, id := range args {
+				if isBound(id) {
 					score++
 				}
 			}
@@ -98,8 +96,8 @@ func Advise(acc *access.Schema, q *query.Query, x query.VarSet, data *relation.D
 			return nil, fmt.Errorf("core: %w: unknown relation %q", ErrInvalidQuery, a.Rel)
 		}
 		var key []string
-		for p, t := range a.Args {
-			if isBound(t) {
+		for p, id := range c.atomArgs[best] {
+			if isBound(id) {
 				key = append(key, rs.Attrs[p])
 			}
 		}

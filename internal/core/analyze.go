@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
 	"strings"
 
 	"repro/internal/access"
+	"repro/internal/plan"
 	"repro/internal/query"
 )
 
@@ -31,30 +33,23 @@ const (
 // plan. Children are stored in execution order: for a conjunction,
 // Children[0] runs first and Children[1] runs once per candidate binding.
 type Derivation struct {
-	Rule     Rule
-	F        query.Formula
-	Ctrl     query.VarSet  // shared with other derivations: read-only
+	Rule Rule
+	F    query.Formula
+	// Ctrl is the controlling set of a derivation Result.Derivs lists
+	// (nil on the derivations below it).
+	Ctrl     query.VarSet
 	Entry    access.Entry  // RuleAtom: the access entry used
 	OnPos    []int         // RuleAtom: positions (within the atom) of Entry.On
 	Children []*Derivation // rule-dependent subderivations
 	Chase    *ChasePlan    // RuleEmbedded
 
-	// ctrl and cost are Ctrl, as a mask over the analyzed formula's
-	// variable numbering, and CostOf(d), both computed when the analysis
-	// builds d; free is F's free variables, set when Analyze returns d.
+	// vars numbers the analyzed formula's variables, pos is F's pre-order
+	// position in it, and ctrl and cost are the controlling set as a mask
+	// over vars and CostOf(d), all set when the analysis builds d.
+	vars *plan.Vars
+	pos  int
 	ctrl uint64
 	cost Cost
-	free query.VarSet
-}
-
-// Free returns the free variables of the derived formula. For a
-// derivation Analyze returned, the set is built once by the analysis and
-// shared with every plan compiled from d, so callers must not modify it.
-func (d *Derivation) Free() query.VarSet {
-	if d.free != nil {
-		return d.free
-	}
-	return d.F.FreeVars()
 }
 
 // Explain renders the derivation tree, one rule per line.
@@ -66,7 +61,7 @@ func (d *Derivation) Explain() string {
 
 func (d *Derivation) explain(b *strings.Builder, depth int) {
 	indent := strings.Repeat("  ", depth)
-	fmt.Fprintf(b, "%s[%s] %s controlled by %s", indent, d.Rule, d.F, d.Ctrl)
+	fmt.Fprintf(b, "%s[%s] %s controlled by %s", indent, d.Rule, d.F, d.vars.Format(d.ctrl))
 	switch d.Rule {
 	case RuleAtom:
 		fmt.Fprintf(b, " via %s", d.Entry.String())
@@ -133,8 +128,10 @@ func (r *Result) Controls(x query.VarSet) *Derivation {
 
 // Analyze computes the family of minimal controlling sets for f, with a
 // derivation for each. The analysis runs on bit masks: f's variables, free
-// and bound, are numbered once in sorted-name order, so f may have at most
-// 64 distinct variables; a wider formula fails with ErrInvalidQuery.
+// and bound, are numbered once in sorted-name order (plan.NumberFormula),
+// so f may have at most 64 distinct variables; a wider formula fails with
+// ErrInvalidQuery. The derivations share the numbering with every plan
+// compiled from them.
 func (a *Analyzer) Analyze(f query.Formula) (*Result, error) {
 	st := &analysisState{an: a, max: a.MaxSets}
 	if st.max <= 0 {
@@ -143,12 +140,12 @@ func (a *Analyzer) Analyze(f query.Formula) (*Result, error) {
 	if err := st.number(f); err != nil {
 		return nil, err
 	}
-	ds, err := st.analyze(f, false)
+	ds, err := st.analyze(f, 0, false)
 	if err != nil {
 		return nil, err
 	}
 	for _, d := range ds {
-		st.export(d)
+		d.Ctrl = st.vars.Set(d.ctrl)
 	}
 	return &Result{Formula: f, Derivs: ds, Truncated: st.truncated}, nil
 }
@@ -160,130 +157,17 @@ type analysisState struct {
 	an        *Analyzer
 	max       int
 	truncated bool
-	vars      query.VarBits            // the formula's variables, in sorted-name order
-	free      map[query.Formula]uint64 // free-variable mask of every subformula
+	vars      *plan.Vars // the formula's variables, in sorted-name order
 }
 
-// number numbers f's variables in sorted-name order and records every
-// subformula's free-variable mask.
+// number numbers f's variables.
 func (st *analysisState) number(f query.Formula) error {
-	names := make([]string, 0, 16)
-	collectVars(f, &names)
-	slices.Sort(names)
-	names = slices.Compact(names)
-	if len(names) > 64 {
-		return fmt.Errorf("core: %w: formula has %d distinct variables, the analysis handles at most 64", ErrInvalidQuery, len(names))
+	vars, err := plan.NumberFormula(f)
+	if errors.Is(err, plan.ErrTooManyVars) {
+		return fmt.Errorf("core: %w: formula has more than 64 distinct variables, the analysis handles at most 64", ErrInvalidQuery)
 	}
-	st.vars = query.NewVarBits(len(names))
-	for _, v := range names {
-		st.vars.Bit(v)
-	}
-	st.free = make(map[query.Formula]uint64)
-	st.freeMask(f)
-	return nil
-}
-
-// collectVars appends every variable name of f, free or bound, to names.
-func collectVars(f query.Formula, names *[]string) {
-	terms := func(ts ...query.Term) {
-		for _, t := range ts {
-			if t.IsVar() {
-				*names = append(*names, t.Name())
-			}
-		}
-	}
-	switch n := f.(type) {
-	case *query.Atom:
-		terms(n.Args...)
-	case *query.Eq:
-		terms(n.L, n.R)
-	case *query.Not:
-		collectVars(n.F, names)
-	case *query.And:
-		collectVars(n.L, names)
-		collectVars(n.R, names)
-	case *query.Or:
-		collectVars(n.L, names)
-		collectVars(n.R, names)
-	case *query.Implies:
-		collectVars(n.L, names)
-		collectVars(n.R, names)
-	case *query.Exists:
-		*names = append(*names, n.Vars...)
-		collectVars(n.Body, names)
-	case *query.Forall:
-		*names = append(*names, n.Vars...)
-		collectVars(n.Body, names)
-	}
-}
-
-// freeMask computes and records the free-variable mask of f and of each of
-// its subformulas.
-func (st *analysisState) freeMask(f query.Formula) uint64 {
-	var m uint64
-	switch n := f.(type) {
-	case *query.Atom:
-		for _, t := range n.Args {
-			if t.IsVar() {
-				m |= st.vars.Bit(t.Name())
-			}
-		}
-	case *query.Eq:
-		for _, t := range [2]query.Term{n.L, n.R} {
-			if t.IsVar() {
-				m |= st.vars.Bit(t.Name())
-			}
-		}
-	case *query.Not:
-		m = st.freeMask(n.F)
-	case *query.And:
-		m = st.freeMask(n.L) | st.freeMask(n.R)
-	case *query.Or:
-		m = st.freeMask(n.L) | st.freeMask(n.R)
-	case *query.Implies:
-		m = st.freeMask(n.L) | st.freeMask(n.R)
-	case *query.Exists:
-		m = st.freeMask(n.Body) &^ st.mask(n.Vars)
-	case *query.Forall:
-		m = st.freeMask(n.Body) &^ st.mask(n.Vars)
-	}
-	st.free[f] = m
-	return m
-}
-
-// mask returns the mask of the named variables.
-func (st *analysisState) mask(names []string) (m uint64) {
-	for _, v := range names {
-		m |= st.vars.Bit(v)
-	}
-	return m
-}
-
-// export fills in the variable sets of a derivation tree the analysis
-// returns: Ctrl, the free variables of every node (Compile's operator
-// output), and a chase plan's Free and per-step Binds. Subtrees
-// shared between derivations are filled once, and a node controlled by
-// the same set as a child shares the child's Ctrl.
-func (st *analysisState) export(d *Derivation) {
-	if d.Ctrl != nil {
-		return
-	}
-	for _, c := range d.Children {
-		st.export(c)
-		if c.ctrl == d.ctrl && d.Ctrl == nil {
-			d.Ctrl = c.Ctrl
-		}
-	}
-	if d.Ctrl == nil {
-		d.Ctrl = st.vars.VarSet(d.ctrl)
-	}
-	d.free = st.vars.VarSet(st.free[d.F])
-	if p := d.Chase; p != nil {
-		p.Free = st.vars.VarSet(st.free[d.F])
-		for i := range p.Steps {
-			p.Steps[i].Binds = st.vars.Names(p.Steps[i].binds)
-		}
-	}
+	st.vars = vars
+	return err
 }
 
 // family collects one formula node's candidate derivations as an antichain
@@ -314,9 +198,10 @@ func (fam *family) admit(ctrl uint64, reads int64) int {
 	return len(kept)
 }
 
-// offer admits a derivation of f by rule from at most two children, and
-// allocates it, together with its Children, only if it is kept.
-func (fam *family) offer(rule Rule, f query.Formula, ctrl uint64, cost Cost, children ...*Derivation) {
+// offer admits a derivation by rule of f, at pre-order position pos, from
+// at most two children, and allocates it, together with its Children, only
+// if it is kept.
+func (st *analysisState) offer(fam *family, rule Rule, f query.Formula, pos int, ctrl uint64, cost Cost, children ...*Derivation) {
 	i := fam.admit(ctrl, cost.Reads)
 	if i < 0 {
 		return
@@ -325,7 +210,7 @@ func (fam *family) offer(rule Rule, f query.Formula, ctrl uint64, cost Cost, chi
 		d    Derivation
 		kids [2]*Derivation
 	})
-	n.d = Derivation{Rule: rule, F: f, ctrl: ctrl, cost: cost}
+	n.d = Derivation{Rule: rule, F: f, vars: st.vars, pos: pos, ctrl: ctrl, cost: cost}
 	if k := copy(n.kids[:], children); k > 0 {
 		n.d.Children = n.kids[:k:k]
 	}
@@ -350,39 +235,39 @@ func compareSets(a, b uint64) int {
 	return 1
 }
 
-// analyze returns derivations for the minimal controlling sets of f.
-// parentConj marks nodes analyzed as direct constituents of an enclosing
+// analyze returns derivations for the minimal controlling sets of f, the
+// node at pre-order position pos. parentConj marks nodes analyzed as direct constituents of an enclosing
 // conjunctive shape (And or Exists): the chase runs only at the maximal
 // conjunctive node, which sees the whole flattened conjunction and is
 // insensitive to the binary rule's association order.
-func (st *analysisState) analyze(f query.Formula, parentConj bool) ([]*Derivation, error) {
+func (st *analysisState) analyze(f query.Formula, pos int, parentConj bool) ([]*Derivation, error) {
 	var fam family
 
 	// conditions rule: any Boolean combination of equalities (no relation
 	// atoms, no quantifiers) is controlled by all its variables.
 	if isEqualityOnly(f) {
-		fam.offer(RuleConditions, f, st.free[f], Cost{Candidates: 1, Reads: 0})
+		st.offer(&fam, RuleConditions, f, pos, st.vars.Free(pos), Cost{Candidates: 1, Reads: 0})
 	}
 
 	var err error
 	switch n := f.(type) {
 	case *query.Atom:
-		err = st.atomDerivs(&fam, n)
+		err = st.atomDerivs(&fam, n, pos)
 	case *query.Eq, *query.Truth:
 		// covered by the conditions rule above
 	case *query.Not:
 		// A bare negation has no rule (safe negation is recognized at the
 		// enclosing conjunction); equality-only case handled above.
 	case *query.And:
-		err = st.conjDerivs(&fam, n)
+		err = st.conjDerivs(&fam, n, pos)
 	case *query.Or:
-		err = st.disjDerivs(&fam, n)
+		err = st.disjDerivs(&fam, n, pos)
 	case *query.Implies:
 		// No rule outside ∀ȳ(Q → Q′); equality-only handled above.
 	case *query.Exists:
-		err = st.existsDerivs(&fam, n)
+		err = st.existsDerivs(&fam, n, pos)
 	case *query.Forall:
-		err = st.forallDerivs(&fam, n)
+		err = st.forallDerivs(&fam, n, pos)
 	default:
 		return nil, fmt.Errorf("core: unknown formula node %T", f)
 	}
@@ -395,7 +280,7 @@ func (st *analysisState) analyze(f query.Formula, parentConj bool) ([]*Derivatio
 	// embedded entries realize Proposition 4.5. Runs only at the maximal
 	// conjunctive node.
 	if !parentConj {
-		if err := st.embeddedDerivs(&fam, f); err != nil {
+		if err := st.embeddedDerivs(&fam, f, pos); err != nil {
 			return nil, err
 		}
 	}
@@ -412,7 +297,7 @@ func (st *analysisState) analyze(f query.Formula, parentConj bool) ([]*Derivatio
 // (R, X, N, T), the atom is controlled by its variables at the X positions.
 // Embedded entries do not control the full atom (their Y omits attributes)
 // and are used only by the chase.
-func (st *analysisState) atomDerivs(fam *family, a *query.Atom) error {
+func (st *analysisState) atomDerivs(fam *family, a *query.Atom, pos int) error {
 	rs, ok := st.an.Acc.Relational().Rel(a.Rel)
 	if !ok {
 		return fmt.Errorf("core: unknown relation %q in atom %s", a.Rel, a)
@@ -420,13 +305,14 @@ func (st *analysisState) atomDerivs(fam *family, a *query.Atom) error {
 	if len(a.Args) != rs.Arity() {
 		return fmt.Errorf("core: atom %s has arity %d, relation %s has %d", a, len(a.Args), a.Rel, rs.Arity())
 	}
+	args := st.vars.Args(pos)
 	for _, l := range st.an.Acc.Locate(a.Rel) {
 		if l.IsEmbedded() {
 			continue
 		}
-		ctrl, n := st.vars.At(a, l.OnPos), int64(l.N)
+		ctrl, n := plan.ArgMask(args, l.OnPos), int64(l.N)
 		if i := fam.admit(ctrl, n); i >= 0 {
-			(*fam)[i] = &Derivation{Rule: RuleAtom, F: a, Entry: l.Entry, OnPos: l.OnPos, ctrl: ctrl, cost: Cost{Candidates: n, Reads: n}}
+			(*fam)[i] = &Derivation{Rule: RuleAtom, F: a, Entry: l.Entry, OnPos: l.OnPos, vars: st.vars, pos: pos, ctrl: ctrl, cost: Cost{Candidates: n, Reads: n}}
 		}
 	}
 	return nil
@@ -434,48 +320,51 @@ func (st *analysisState) atomDerivs(fam *family, a *query.Atom) error {
 
 // conjDerivs applies the conjunction rule and, when one side is a safe
 // negation of the other’s variables, the safe-negation rule.
-func (st *analysisState) conjDerivs(fam *family, n *query.And) error {
-	left, err := st.analyze(n.L, true)
+func (st *analysisState) conjDerivs(fam *family, n *query.And, pos int) error {
+	lPos, rPos := pos+1, st.vars.Right(pos)
+	left, err := st.analyze(n.L, lPos, true)
 	if err != nil {
 		return err
 	}
-	right, err := st.analyze(n.R, true)
+	right, err := st.analyze(n.R, rPos, true)
 	if err != nil {
 		return err
 	}
-	freeL, freeR := st.free[n.L], st.free[n.R]
+	freeL, freeR := st.vars.Free(lPos), st.vars.Free(rPos)
 	// Conjunction rule: Q1 ∧ Q2 is controlled by x̄1 ∪ (x̄2 − ȳ1) (evaluate
 	// Q1 first) and by x̄2 ∪ (x̄1 − ȳ2) (evaluate Q2 first), where ȳi are
 	// the other free variables of Qi.
 	for _, dl := range left {
 		for _, dr := range right {
-			fam.offer(RuleConj, n, dl.ctrl|dr.ctrl&^freeL, ruleCost(RuleConj, dl.cost, dr.cost), dl, dr)
-			fam.offer(RuleConj, n, dr.ctrl|dl.ctrl&^freeR, ruleCost(RuleConj, dr.cost, dl.cost), dr, dl)
+			st.offer(fam, RuleConj, n, pos, dl.ctrl|dr.ctrl&^freeL, ruleCost(RuleConj, dl.cost, dr.cost), dl, dr)
+			st.offer(fam, RuleConj, n, pos, dr.ctrl|dl.ctrl&^freeR, ruleCost(RuleConj, dr.cost, dl.cost), dr, dl)
 		}
 	}
 	// Safe negation: Q ∧ ¬Q′ with free(Q′) ⊆ free(Q), Q′ fully controlled.
 	// The second child derives the *inner* Q′ (the executor inverts it).
-	if err := st.safeNegDerivs(fam, n, n.R, left, freeL); err != nil {
+	if err := st.safeNegDerivs(fam, n, pos, n.R, rPos, left, freeL); err != nil {
 		return err
 	}
-	return st.safeNegDerivs(fam, n, n.L, right, freeR)
+	return st.safeNegDerivs(fam, n, pos, n.L, lPos, right, freeR)
 }
 
-// safeNegDerivs applies the safe-negation rule to the conjunction n when
-// its conjunct neg is a negation whose variables the other conjunct, with
-// derivations pos and free variables freePos, binds.
-func (st *analysisState) safeNegDerivs(fam *family, n *query.And, neg query.Formula, pos []*Derivation, freePos uint64) error {
+// safeNegDerivs applies the safe-negation rule to the conjunction n at pos
+// when its conjunct neg, at negPos, is a negation whose variables the
+// other conjunct, with derivations other and free variables freeOther,
+// binds.
+func (st *analysisState) safeNegDerivs(fam *family, n *query.And, pos int, neg query.Formula, negPos int, other []*Derivation, freeOther uint64) error {
 	nf, ok := neg.(*query.Not)
-	if !ok || st.free[nf.F]&^freePos != 0 {
+	innerFree := st.vars.Free(negPos) // ¬Q′ and Q′ have the same free variables
+	if !ok || innerFree&^freeOther != 0 {
 		return nil
 	}
-	inner, err := st.analyze(nf.F, false)
+	inner, err := st.analyze(nf.F, negPos+1, false)
 	if err != nil {
 		return err
 	}
-	if dn := cheapestWithin(inner, st.free[nf.F]); dn != nil {
-		for _, dp := range pos {
-			fam.offer(RuleSafeNeg, n, dp.ctrl, ruleCost(RuleSafeNeg, dp.cost, dn.cost), dp, dn)
+	if dn := cheapestWithin(inner, innerFree); dn != nil {
+		for _, dp := range other {
+			st.offer(fam, RuleSafeNeg, n, pos, dp.ctrl, ruleCost(RuleSafeNeg, dp.cost, dn.cost), dp, dn)
 		}
 	}
 	return nil
@@ -495,21 +384,22 @@ func cheapestWithin(ds []*Derivation, x uint64) *Derivation {
 
 // disjDerivs applies the disjunction rule: both disjuncts must have the
 // same free variables; the result is controlled by x̄1 ∪ x̄2.
-func (st *analysisState) disjDerivs(fam *family, n *query.Or) error {
-	if st.free[n.L] != st.free[n.R] {
+func (st *analysisState) disjDerivs(fam *family, n *query.Or, pos int) error {
+	lPos, rPos := pos+1, st.vars.Right(pos)
+	if st.vars.Free(lPos) != st.vars.Free(rPos) {
 		return nil
 	}
-	left, err := st.analyze(n.L, false)
+	left, err := st.analyze(n.L, lPos, false)
 	if err != nil {
 		return err
 	}
-	right, err := st.analyze(n.R, false)
+	right, err := st.analyze(n.R, rPos, false)
 	if err != nil {
 		return err
 	}
 	for _, dl := range left {
 		for _, dr := range right {
-			fam.offer(RuleDisj, n, dl.ctrl|dr.ctrl, ruleCost(RuleDisj, dl.cost, dr.cost), dl, dr)
+			st.offer(fam, RuleDisj, n, pos, dl.ctrl|dr.ctrl, ruleCost(RuleDisj, dl.cost, dr.cost), dl, dr)
 		}
 	}
 	return nil
@@ -517,15 +407,17 @@ func (st *analysisState) disjDerivs(fam *family, n *query.Or) error {
 
 // existsDerivs applies the existential rule: controlling sets of the body
 // that avoid the quantified variables carry over.
-func (st *analysisState) existsDerivs(fam *family, n *query.Exists) error {
-	body, err := st.analyze(n.Body, true)
+func (st *analysisState) existsDerivs(fam *family, n *query.Exists, pos int) error {
+	body, err := st.analyze(n.Body, pos+1, true)
 	if err != nil {
 		return err
 	}
-	z := st.mask(n.Vars)
+	// The quantified variables that occur free in the body: a body
+	// derivation's controlling set holds only those.
+	z := st.vars.Free(pos+1) &^ st.vars.Free(pos)
 	for _, d := range body {
 		if d.ctrl&z == 0 {
-			fam.offer(RuleExists, n, d.ctrl, d.cost, d)
+			st.offer(fam, RuleExists, n, pos, d.ctrl, d.cost, d)
 		}
 	}
 	return nil
@@ -535,18 +427,22 @@ func (st *analysisState) existsDerivs(fam *family, n *query.Exists) error {
 // be controlled by its free variables outside ȳ, Q′ must be fully
 // controlled with free(Q′) ⊆ free(Q) ∪ ȳ; the result is controlled by
 // free(Q) − ȳ (and by nothing smaller — see Proposition 4.3).
-func (st *analysisState) forallDerivs(fam *family, n *query.Forall) error {
+func (st *analysisState) forallDerivs(fam *family, n *query.Forall, pos int) error {
 	imp, ok := n.Body.(*query.Implies)
 	if !ok {
 		return nil
 	}
-	y := st.mask(n.Vars)
-	freeQ, freeQp := st.free[imp.L], st.free[imp.R]
+	// The quantified variables that occur free in the body: no other
+	// variable of Q or Q′ could be among ȳ.
+	impPos := pos + 1
+	qPos, qpPos := impPos+1, st.vars.Right(impPos)
+	y := st.vars.Free(impPos) &^ st.vars.Free(pos)
+	freeQ, freeQp := st.vars.Free(qPos), st.vars.Free(qpPos)
 	if freeQp&^(freeQ|y) != 0 {
 		return nil
 	}
 	x := freeQ &^ y
-	qDerivs, err := st.analyze(imp.L, false)
+	qDerivs, err := st.analyze(imp.L, qPos, false)
 	if err != nil {
 		return err
 	}
@@ -554,7 +450,7 @@ func (st *analysisState) forallDerivs(fam *family, n *query.Forall) error {
 	if dq == nil {
 		return nil
 	}
-	qpDerivs, err := st.analyze(imp.R, false)
+	qpDerivs, err := st.analyze(imp.R, qpPos, false)
 	if err != nil {
 		return err
 	}
@@ -562,7 +458,7 @@ func (st *analysisState) forallDerivs(fam *family, n *query.Forall) error {
 	if dqp == nil {
 		return nil
 	}
-	fam.offer(RuleForall, n, x, ruleCost(RuleForall, dq.cost, dqp.cost), dq, dqp)
+	st.offer(fam, RuleForall, n, pos, x, ruleCost(RuleForall, dq.cost, dqp.cost), dq, dqp)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/plan"
 	"repro/internal/query"
@@ -20,32 +21,34 @@ import (
 
 // Compile translates a derivation into its 1:1 operator plan (analysis
 // order, analysis-chosen entries, routing unresolved). The plan's Bound
-// equals CostOf(d).
+// equals CostOf(d). Its operators' variable sets are masks over the
+// analysis numbering d carries.
 func Compile(d *Derivation) plan.Node {
+	vt, free := d.vars, d.vars.Free(d.pos)
 	switch d.Rule {
 	case RuleAtom:
-		return plan.NewIndexLookup(d.F.(*query.Atom), d.Entry, d.OnPos, d.Ctrl, d.Free())
+		return plan.NewIndexLookup(vt, d.F.(*query.Atom), vt.Args(d.pos), d.Entry, d.OnPos)
 	case RuleConditions:
-		return plan.NewSelect(d.F)
+		return plan.NewSelect(vt, d.F, free)
 	case RuleConj:
 		l, r := Compile(d.Children[0]), Compile(d.Children[1])
-		return plan.NewNLJoin(l, r, d.Ctrl, d.Free())
+		return plan.NewNLJoin(vt, l, r, d.ctrl, free)
 	case RuleDisj:
 		branches := make([]plan.Node, len(d.Children))
 		for i, c := range d.Children {
 			branches[i] = Compile(c)
 		}
-		return plan.NewStreamUnion(branches, d.Ctrl, d.Free())
+		return plan.NewStreamUnion(vt, branches, d.ctrl, free)
 	case RuleSafeNeg:
 		pos, neg := Compile(d.Children[0]), Compile(d.Children[1])
-		return plan.NewAntiProbe(pos, neg, d.Ctrl, d.Free())
+		return plan.NewAntiProbe(vt, pos, neg, d.ctrl, free)
 	case RuleExists:
 		ex := d.F.(*query.Exists)
-		return plan.NewProject(Compile(d.Children[0]), ex.Vars, d.Ctrl, d.Free())
+		return plan.NewProject(vt, Compile(d.Children[0]), ex.Vars, d.ctrl, free)
 	case RuleForall:
 		fa := d.F.(*query.Forall)
 		gen, test := Compile(d.Children[0]), Compile(d.Children[1])
-		return plan.NewForallCheck(gen, test, fa.Vars, d.Ctrl, d.Free())
+		return plan.NewForallCheck(vt, gen, test, fa.Vars, d.ctrl, free)
 	case RuleEmbedded:
 		return compileChase(d)
 	default:
@@ -54,29 +57,17 @@ func Compile(d *Derivation) plan.Node {
 }
 
 // compileChase translates an embedded-controllability chase plan into its
-// executable operator.
+// executable operator. The steps are copied: routing and the optimizer
+// rewrite the operator's, never the derivation's.
 func compileChase(d *Derivation) plan.Node {
 	cp := d.Chase
-	n := plan.NewChaseExec(d.Ctrl)
+	n := plan.NewChaseExec(d.vars, d.ctrl, cp.free)
 	n.Atoms = cp.Atoms
 	n.MembershipAtoms = cp.MembershipAtoms
-	n.Free = cp.Free
 	n.EqConsts = cp.EqConsts
 	n.EqVars = cp.EqVars
-	n.Steps = make([]plan.ChaseStep, len(cp.Steps))
-	for i, s := range cp.Steps {
-		n.Steps[i] = plan.ChaseStep{
-			Atom:     s.Atom,
-			AtomIdx:  s.AtomIdx,
-			Entry:    s.Entry,
-			OnPos:    s.OnPos,
-			ProjPos:  s.ProjPos,
-			Binds:    s.Binds,
-			Verifies: s.Verifies,
-			EqL:      s.EqL,
-			EqR:      s.EqR,
-		}
-	}
+	n.EqBound = cp.constBound
+	n.Steps = slices.Clone(cp.Steps)
 	return n
 }
 
@@ -86,12 +77,12 @@ func compileChase(d *Derivation) plan.Node {
 func compilePlan(d *Derivation, b store.Backend, mode OptimizerMode) *Plan {
 	root := Compile(d)
 	if mode != OptimizerOff && b != nil {
-		root = (&plan.Optimizer{Acc: b.Access()}).Optimize(root)
+		root = (&plan.Optimizer{Acc: b.Access(), Vars: d.vars}).Optimize(root)
 	}
 	if b != nil {
 		plan.ResolveRoutes(root, b)
 	}
 	// Operator IDs are assigned after optimization and routing, so the
 	// numbering matches the tree EXPLAIN (and EXPLAIN ANALYZE) renders.
-	return &Plan{Derivation: d, Bound: root.Bound(), Root: root, Mode: mode, NumOps: plan.AssignOpIDs(root)}
+	return &Plan{Derivation: d, Bound: root.Bound(), Root: root, Vars: d.vars, Mode: mode, NumOps: plan.AssignOpIDs(root)}
 }

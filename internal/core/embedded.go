@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"strings"
 
 	"repro/internal/access"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
@@ -30,45 +30,20 @@ type ChasePlan struct {
 	Steps []ChaseStep
 	// MembershipAtoms indexes Atoms that require a final membership probe.
 	MembershipAtoms []int
-	// Free is the set of variables whose values the plan outputs.
-	Free query.VarSet
 	// EqConsts binds variables equated to constants before execution.
 	EqConsts map[string]relation.Value
 	// EqVars are variable equalities checked on every candidate after the
 	// steps run (propagation steps bind, these verify).
 	EqVars [][2]string
+
+	// free is the variables whose values the plan outputs, and constBound
+	// those EqConsts binds, as masks over the analysis numbering.
+	free, constBound uint64
 }
 
-// ChaseStep is one bounded action of a chase plan.
-type ChaseStep struct {
-	// Fetch step (Atom != nil): retrieve via Entry with values for the
-	// variables/constants at OnPos; unify fetched tuples with ProjPos.
-	Atom    *query.Atom
-	AtomIdx int
-	Entry   access.Entry
-	OnPos   []int // positions (within the atom) of Entry.On
-	ProjPos []int // positions of Entry's effective Y
-	Binds   []string
-	// Verifies marks a fetch that fully verifies its atom (no membership
-	// probe needed).
-	Verifies bool
-	// Equality-propagation step (Atom == nil): bind/check L = R.
-	EqL, EqR string
-
-	binds uint64 // Binds as a mask, until the analysis exports the plan
-}
-
-// String renders the step for Explain output.
-func (s ChaseStep) String() string {
-	if s.Atom == nil {
-		return fmt.Sprintf("propagate %s = %s", s.EqL, s.EqR)
-	}
-	verb := "fetch"
-	if s.Verifies {
-		verb = "fetch+verify"
-	}
-	return fmt.Sprintf("%s %s via %s (binds %s)", verb, s.Atom, s.Entry.String(), strings.Join(s.Binds, ","))
-}
+// ChaseStep is one bounded action of a chase plan: the operator's step,
+// with its route left unresolved until the plan is compiled.
+type ChaseStep = plan.ChaseStep
 
 // maxEmbeddedFreeVars bounds the subset search for minimal controlling
 // sets; embedded analysis is skipped for wider formulas.
@@ -78,18 +53,16 @@ const maxEmbeddedFreeVars = 12
 // shapes: plain entries alone already make the chase derive controlling
 // sets insensitively to conjunct order, and embedded entries realize
 // Proposition 4.5.
-func (st *analysisState) embeddedDerivs(fam *family, f query.Formula) error {
-	var atoms []*query.Atom
-	var eqs []*query.Eq
-	var quantified uint64
-	if !st.conjShape(f, &atoms, &eqs, &quantified) || len(atoms) == 0 {
+func (st *analysisState) embeddedDerivs(fam *family, f query.Formula, pos int) error {
+	var c conjunction
+	if !st.conjShape(f, pos, &c) || len(c.atoms) == 0 {
 		return nil
 	}
-	free := st.free[f]
+	free := st.vars.Free(pos)
 	if bits.OnesCount64(free) > maxEmbeddedFreeVars {
 		return nil
 	}
-	b, err := st.newChaseBuilder(atoms, eqs, free, quantified)
+	b, err := st.newChaseBuilder(&c, free, c.quantified)
 	if err != nil || b == nil {
 		return err
 	}
@@ -122,7 +95,7 @@ search:
 					}
 					found = append(found, x)
 					if i := fam.admit(x, cost.Reads); i >= 0 {
-						(*fam)[i] = &Derivation{Rule: RuleEmbedded, F: f, Chase: b.plan(), ctrl: x, cost: cost}
+						(*fam)[i] = &Derivation{Rule: RuleEmbedded, F: f, Chase: b.plan(), vars: st.vars, pos: pos, ctrl: x, cost: cost}
 					}
 				}
 			}
@@ -162,24 +135,42 @@ func nextSubset(idx []int, n int) bool {
 	return true
 }
 
-// conjShape decomposes ∃z̄ (conjunction of atoms and equalities), the
-// fragment embedded analysis handles, appending its atoms and equalities
-// and adding its quantified variables to quantified.
-func (st *analysisState) conjShape(g query.Formula, atoms *[]*query.Atom, eqs *[]*query.Eq, quantified *uint64) bool {
+// conjunction is a formula of the shape ∃z̄ (conjunction of atoms and
+// equalities), the fragment embedded analysis handles, taken apart.
+type conjunction struct {
+	atoms      []*query.Atom
+	atomArgs   [][]int8 // each atom's argument ids
+	eqs        []*query.Eq
+	eqArgs     [][]int8 // each equality's argument ids
+	quantified uint64   // the variables z̄ quantifies that occur in the body
+
+	// Inline backing for conjunctions of up to eight atoms.
+	atomBuf [8]*query.Atom
+	argsBuf [8][]int8
+}
+
+// conjShape decomposes g, the node at pre-order position pos, into c when
+// it has the shape of a conjunction.
+func (st *analysisState) conjShape(g query.Formula, pos int, c *conjunction) bool {
 	switch n := g.(type) {
 	case *query.Atom:
-		*atoms = append(*atoms, n)
+		if c.atoms == nil {
+			c.atoms, c.atomArgs = c.atomBuf[:0], c.argsBuf[:0]
+		}
+		c.atoms = append(c.atoms, n)
+		c.atomArgs = append(c.atomArgs, st.vars.Args(pos))
 		return true
 	case *query.Eq:
-		*eqs = append(*eqs, n)
+		c.eqs = append(c.eqs, n)
+		c.eqArgs = append(c.eqArgs, st.vars.Args(pos))
 		return true
 	case *query.Truth:
 		return n.Bool
 	case *query.And:
-		return st.conjShape(n.L, atoms, eqs, quantified) && st.conjShape(n.R, atoms, eqs, quantified)
+		return st.conjShape(n.L, pos+1, c) && st.conjShape(n.R, st.vars.Right(pos), c)
 	case *query.Exists:
-		*quantified |= st.mask(n.Vars)
-		return st.conjShape(n.Body, atoms, eqs, quantified)
+		c.quantified |= st.vars.Free(pos+1) &^ st.vars.Free(pos)
+		return st.conjShape(n.Body, pos+1, c)
 	default:
 		return false
 	}
@@ -188,6 +179,7 @@ func (st *analysisState) conjShape(g query.Formula, atoms *[]*query.Atom, eqs *[
 // chaseBuilder precomputes the candidate fetch steps for a conjunction,
 // with their variables as masks, and chases specific controlling sets.
 type chaseBuilder struct {
+	vars       *plan.Vars
 	atoms      []*query.Atom
 	atomVars   []uint64 // each atom's variables
 	probe      []bool   // each atom's fully bound tuples may be probed for membership
@@ -205,11 +197,27 @@ type chaseBuilder struct {
 	// for membership, and the fetches it used.
 	moves  []chaseMove
 	probes []int
+
+	// Inline backing for conjunctions of up to eight atoms.
+	atomVarsBuf [8]uint64
+	probeBuf    [8]bool
+	probesBuf   [8]int
 }
 
-// chaseFetch is a candidate fetch step with its variables as masks.
+// backed returns buf[:n], or a new slice of length n when buf is too
+// short.
+func backed[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]T, n)
+}
+
+// chaseFetch is a candidate fetch step: atom atom through the entry at
+// loc, with its variables as masks.
 type chaseFetch struct {
-	step  ChaseStep
+	loc   *access.Located
+	atom  int
 	on    uint64 // variables at OnPos: the fetch is ready once they are bound
 	proj  uint64 // variables at ProjPos: what the fetch binds
 	loose uint64 // variables at positions outside OnPos ∪ ProjPos
@@ -231,18 +239,15 @@ type chaseMove struct {
 	verifies  bool
 }
 
-func (st *analysisState) newChaseBuilder(atoms []*query.Atom, eqs []*query.Eq, free, quantified uint64) (*chaseBuilder, error) {
-	b := &chaseBuilder{
-		atoms:    atoms,
-		free:     free,
-		atomVars: make([]uint64, len(atoms)),
-		probe:    make([]bool, len(atoms)),
-	}
+func (st *analysisState) newChaseBuilder(c *conjunction, free, quantified uint64) (*chaseBuilder, error) {
+	atoms := c.atoms
+	b := &chaseBuilder{vars: st.vars, atoms: atoms, free: free}
+	b.atomVars, b.probe = backed(b.atomVarsBuf[:], len(atoms)), backed(b.probeBuf[:], len(atoms))
 	var seen, twice uint64
-	for ai, a := range atoms {
-		for _, t := range a.Args {
-			if t.IsVar() {
-				bit := st.vars.Bit(t.Name())
+	for ai, args := range c.atomArgs {
+		for _, id := range args {
+			if id >= 0 {
+				bit := uint64(1) << id
 				twice |= seen & bit
 				seen |= bit
 				b.atomVars[ai] |= bit
@@ -250,7 +255,7 @@ func (st *analysisState) newChaseBuilder(atoms []*query.Atom, eqs []*query.Eq, f
 		}
 	}
 	b.absorbable = quantified & seen &^ twice
-	bindConst := func(v string, val relation.Value) bool {
+	bindConst := func(v string, id int8, val relation.Value) bool {
 		if prev, ok := b.eqConsts[v]; ok && prev != val {
 			return false // unsatisfiable; no embedded derivation
 		}
@@ -258,20 +263,21 @@ func (st *analysisState) newChaseBuilder(atoms []*query.Atom, eqs []*query.Eq, f
 			b.eqConsts = make(map[string]relation.Value)
 		}
 		b.eqConsts[v] = val
-		b.constBound |= st.vars.Bit(v)
+		b.constBound |= 1 << id
 		return true
 	}
-	for _, e := range eqs {
+	for i, e := range c.eqs {
+		l, r := c.eqArgs[i][0], c.eqArgs[i][1]
 		switch {
 		case e.L.IsVar() && e.R.IsVar():
 			b.eqVars = append(b.eqVars, [2]string{e.L.Name(), e.R.Name()})
-			b.eqBits = append(b.eqBits, [2]uint64{st.vars.Bit(e.L.Name()), st.vars.Bit(e.R.Name())})
+			b.eqBits = append(b.eqBits, [2]uint64{1 << l, 1 << r})
 		case e.L.IsVar():
-			if !bindConst(e.L.Name(), e.R.Value()) {
+			if !bindConst(e.L.Name(), l, e.R.Value()) {
 				return nil, nil
 			}
 		case e.R.IsVar():
-			if !bindConst(e.R.Name(), e.L.Value()) {
+			if !bindConst(e.R.Name(), r, e.L.Value()) {
 				return nil, nil
 			}
 		default:
@@ -281,7 +287,13 @@ func (st *analysisState) newChaseBuilder(atoms []*query.Atom, eqs []*query.Eq, f
 		}
 	}
 	acc := st.an.Acc
+	n := 0
+	for _, a := range atoms {
+		n += len(acc.Locate(a.Rel))
+	}
+	b.fetches = make([]chaseFetch, 0, n)
 	for ai, a := range atoms {
+		locs := acc.Locate(a.Rel)
 		rs, ok := acc.Relational().Rel(a.Rel)
 		if !ok {
 			return nil, fmt.Errorf("core: unknown relation %q in atom %s", a.Rel, a)
@@ -292,23 +304,21 @@ func (st *analysisState) newChaseBuilder(atoms []*query.Atom, eqs []*query.Eq, f
 		// A membership probe needs the implicit membership access method or
 		// an explicit whole-key entry.
 		b.probe[ai] = acc.ImplicitMembership
-		for _, l := range acc.Locate(a.Rel) {
+		for li := range locs {
+			l := &locs[li]
 			if len(l.On) == rs.Arity() {
 				// pure membership entry; handled at verification
 				b.probe[ai] = b.probe[ai] || !l.IsEmbedded()
 				continue
 			}
-			fs := chaseFetch{
-				step: ChaseStep{Atom: a, AtomIdx: ai, Entry: l.Entry, OnPos: l.OnPos, ProjPos: l.ProjPos},
-				on:   st.vars.At(a, l.OnPos),
-				proj: st.vars.At(a, l.ProjPos),
-			}
-			for p, t := range a.Args {
+			args := c.atomArgs[ai]
+			fs := chaseFetch{loc: l, atom: ai, on: plan.ArgMask(args, l.OnPos), proj: plan.ArgMask(args, l.ProjPos)}
+			for p, id := range args {
 				if slices.Contains(l.OnPos, p) || slices.Contains(l.ProjPos, p) {
 					continue
 				}
-				if t.IsVar() {
-					fs.loose |= st.vars.Bit(t.Name())
+				if id >= 0 {
+					fs.loose |= 1 << id
 				} else {
 					fs.pinned = true
 				}
@@ -317,7 +327,7 @@ func (st *analysisState) newChaseBuilder(atoms []*query.Atom, eqs []*query.Eq, f
 		}
 	}
 	b.moves = make([]chaseMove, 0, len(b.fetches)+len(b.eqBits)+len(atoms))
-	b.probes = make([]int, 0, len(atoms))
+	b.probes = backed(b.probesBuf[:], len(atoms))[:0]
 	return b, nil
 }
 
@@ -347,7 +357,7 @@ func (b *chaseBuilder) chase(x uint64) (Cost, bool) {
 			if fs.used || fs.on&^bound != 0 || fs.proj&^bound == 0 {
 				continue
 			}
-			if best < 0 || fs.step.Entry.N < b.fetches[best].step.Entry.N {
+			if best < 0 || fs.loc.N < b.fetches[best].loc.N {
 				best = i
 			}
 		}
@@ -385,7 +395,7 @@ func (b *chaseBuilder) chase(x uint64) (Cost, bool) {
 	c := Cost{Candidates: 1}
 	for _, m := range b.moves {
 		if m.fetch >= 0 {
-			c = chaseFetchCost(c, b.fetches[m.fetch].step.Entry.N, m.binds != 0)
+			c = chaseFetchCost(c, b.fetches[m.fetch].loc.N, m.binds != 0)
 		}
 	}
 	return chaseProbeCost(c, len(b.probes)), true
@@ -397,7 +407,7 @@ func (b *chaseBuilder) markVerifier(ai int, bound, unbound uint64) bool {
 	// Prefer a step already in the plan.
 	for i := range b.moves {
 		m := &b.moves[i]
-		if m.fetch >= 0 && b.fetches[m.fetch].step.AtomIdx == ai && b.fetches[m.fetch].verifies(unbound) {
+		if m.fetch >= 0 && b.fetches[m.fetch].atom == ai && b.fetches[m.fetch].verifies(unbound) {
 			m.verifies = true
 			return true
 		}
@@ -405,7 +415,7 @@ func (b *chaseBuilder) markVerifier(ai int, bound, unbound uint64) bool {
 	// Otherwise append a verify-only fetch (binds nothing new).
 	for i := range b.fetches {
 		fs := &b.fetches[i]
-		if fs.step.AtomIdx == ai && fs.on&^bound == 0 && fs.verifies(unbound) {
+		if fs.atom == ai && fs.on&^bound == 0 && fs.verifies(unbound) {
 			b.moves = append(b.moves, chaseMove{fetch: i, verifies: true})
 			return true
 		}
@@ -415,18 +425,21 @@ func (b *chaseBuilder) markVerifier(ai int, bound, unbound uint64) bool {
 
 // plan builds the ChasePlan of the last successful chase.
 func (b *chaseBuilder) plan() *ChasePlan {
-	p := &ChasePlan{Atoms: b.atoms, EqConsts: b.eqConsts, EqVars: b.eqVars}
+	p := &ChasePlan{Atoms: b.atoms, EqConsts: b.eqConsts, EqVars: b.eqVars, free: b.free, constBound: b.constBound}
 	if len(b.moves) > 0 {
 		p.Steps = make([]ChaseStep, len(b.moves))
 	}
 	for i, m := range b.moves {
 		if m.fetch < 0 {
-			p.Steps[i] = ChaseStep{EqL: b.eqVars[m.eq][0], EqR: b.eqVars[m.eq][1]}
+			ev := b.eqBits[m.eq]
+			p.Steps[i] = ChaseStep{EqL: b.eqVars[m.eq][0], EqR: b.eqVars[m.eq][1], Proj: ev[0] | ev[1]}
 			continue
 		}
-		s := b.fetches[m.fetch].step
-		s.binds, s.Verifies = m.binds, m.verifies
-		p.Steps[i] = s
+		fs := &b.fetches[m.fetch]
+		p.Steps[i] = ChaseStep{
+			Atom: b.atoms[fs.atom], AtomIdx: fs.atom, Entry: fs.loc.Entry, OnPos: fs.loc.OnPos, ProjPos: fs.loc.ProjPos,
+			Binds: b.vars.Names(m.binds), Verifies: m.verifies, On: fs.on, Proj: fs.proj,
+		}
 	}
 	if len(b.probes) > 0 {
 		p.MembershipAtoms = slices.Clone(b.probes)

@@ -236,8 +236,8 @@ func (e *Engine) Controllable(q *query.Query, x query.VarSet) (*Derivation, erro
 //
 // q must not be modified after Prepare. The plan cache keeps q: a later
 // Prepare with the same pointer hits without looking at the query, and
-// one with a different query object of the same name is compared with
-// q's text as it is then.
+// one with a different query object of the same name is compared with q,
+// node by node, as it is then.
 func (e *Engine) Prepare(q *query.Query, x query.VarSet) (*PreparedQuery, error) {
 	mode := e.Optimizer() // one atomic read: key and compiled plan agree
 	key := e.planKey(q, x, mode)

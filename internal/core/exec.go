@@ -28,6 +28,9 @@ type Plan struct {
 	Bound      Cost
 	// Root is the physical operator tree the executor interprets.
 	Root plan.Node
+	// Vars numbers the query's variables: Root's operators keep their
+	// variable sets (Out, Need) as masks over it.
+	Vars *plan.Vars
 	// Mode records how Root was produced (analysis order vs cost-based).
 	Mode OptimizerMode
 	// NumOps is the number of operators in Root (pre-order IDs 0..NumOps-1),

@@ -118,8 +118,8 @@ func (e *Engine) planKey(q *query.Query, x query.VarSet, mode OptimizerMode) str
 // observability for serving dashboards (sibm reports them as
 // core.plan_cache_hit_rate and core.plan_cache_evictions).
 // Hits include negative entries (cached ErrNotControllable outcomes);
-// evictions count both LRU pressure and fingerprint-mismatch
-// invalidations.
+// evictions count both LRU pressure and invalidations by a different
+// query of the same name.
 type PlanCacheStats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
@@ -150,9 +150,6 @@ type planEntry struct {
 	p   *PreparedQuery // nil for a negative entry
 	err error          // non-nil for a negative entry
 
-	// fingerprint is q.String(), the textual identity guard. It is
-	// rendered on the first hit by a different query object, not on put.
-	fingerprint string
 }
 
 func newPlanCache(capacity int) *planCache {
@@ -186,12 +183,11 @@ func (c *planCache) len() int {
 }
 
 // get returns the cached outcome for the key, with ok = false on a miss.
-// Hits are validated against q: pointer identity is the fast path (no
-// serialization on the hot loop); a different object with the same name
-// and controlling set is compared by query text with the entry's query
-// (rendered the first time this happens), and a textual mismatch evicts
-// the stale entry. A nil cache (an Engine built as a struct
-// literal rather than via NewEngine) always misses.
+// Hits are validated against q: pointer identity is the fast path; a
+// different object with the same name and controlling set is compared
+// with the entry's query node by node (query.Query.Equal, which renders
+// nothing), and a mismatch evicts the stale entry. A nil cache (an Engine
+// built as a struct literal rather than via NewEngine) always misses.
 func (c *planCache) get(key string, q *query.Query) (p *PreparedQuery, err error, ok bool) {
 	if c == nil {
 		return nil, nil, false
@@ -205,17 +201,14 @@ func (c *planCache) get(key string, q *query.Query) (p *PreparedQuery, err error
 	}
 	en := el.Value.(*planEntry)
 	if en.q != q {
-		if en.fingerprint == "" {
-			en.fingerprint = en.q.String()
-		}
-		if en.fingerprint != q.String() {
+		if !en.q.Equal(q) {
 			c.ll.Remove(el)
 			delete(c.m, key)
 			c.evictions.Add(1)
 			c.misses.Add(1)
 			return nil, nil, false
 		}
-		en.q = q // textually identical: adopt the pointer for future fast hits
+		en.q = q // structurally equal: adopt the pointer for future fast hits
 	}
 	c.ll.MoveToFront(el)
 	c.hits.Add(1)

@@ -52,7 +52,7 @@ func TestPreparedExecMatchesAnswer(t *testing.T) {
 }
 
 // The plan cache returns the same prepared query for the same (name,
-// controlling set), evicts on fingerprint mismatch, and can be disabled.
+// controlling set), evicts on a query mismatch, and can be disabled.
 func TestPlanCache(t *testing.T) {
 	cat := mustCatalog(t, facebookCatalog)
 	st := buildSocial(t, cat, 30, 4, 5, 4)
@@ -82,7 +82,7 @@ func TestPlanCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	if p3 == p1 {
-		t.Error("fingerprint guard failed: different query reused a stale plan")
+		t.Error("query guard failed: different query reused a stale plan")
 	}
 
 	// Answer goes through the cache too.
@@ -105,8 +105,8 @@ func TestPlanCache(t *testing.T) {
 }
 
 // The LRU evicts the least recently used plan at capacity, validates
-// hits by pointer identity (fast path) or query text, and evicts on a
-// textual mismatch.
+// hits by pointer identity (fast path) or structural equality, and
+// evicts on a mismatch.
 func TestPlanCacheLRUEviction(t *testing.T) {
 	c := newPlanCache(2)
 	qa, qb, qc := mustQ(t, "A(x) := R(x)"), mustQ(t, "B(x) := R(x)"), mustQ(t, "C(x) := R(x)")
@@ -125,11 +125,11 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	if !okA || pA != pa || !okC || pC != pc {
 		t.Error("a and c should survive")
 	}
-	// A different object with identical text still hits...
+	// A different but equal object still hits...
 	if p, _, ok := c.get("a", mustQ(t, "A(x) := R(x)")); !ok || p != pa {
-		t.Error("textually identical query missed")
+		t.Error("equal query object missed")
 	}
-	// ...but the same name with different text evicts.
+	// ...but the same name with a different body evicts.
 	if _, _, ok := c.get("a", mustQ(t, "A(x) := S(x)")); ok {
 		t.Error("stale entry served for a different query body")
 	}

@@ -108,12 +108,9 @@ func usesUntracedAccess(n plan.Node) bool {
 			}
 		}
 	}
-	for _, c := range n.Children() {
-		if usesUntracedAccess(c) {
-			return true
-		}
-	}
-	return false
+	untraced := false
+	plan.EachChild(n, func(c plan.Node) { untraced = untraced || usesUntracedAccess(c) })
+	return untraced
 }
 
 // socialEngine opens the workload's social store (default access schema:

@@ -163,23 +163,26 @@ next:
 // compileCQ lowers a conjunctive query to its physical plan: one
 // NaiveScan leaf per atom in the greedy most-bound-first order, chained
 // by non-deduplicating NLJoins (the naive join deduplicates only at the
-// head, exactly like the reference backtracking evaluator).
-func compileCQ(atoms []*query.Atom, env query.Bindings) plan.Node {
+// head, exactly like the reference backtracking evaluator). The joins
+// output the atoms' variables; a variable only env binds is read from env.
+func compileCQ(atoms []*query.Atom, env query.Bindings) (plan.Node, error) {
+	ordered := atomOrder(atoms, env)
+	vt, err := plan.NumberAtoms(ordered)
+	if err != nil {
+		return nil, fmt.Errorf("eval: %w", err)
+	}
 	var root plan.Node
-	out := env.Vars().Clone()
-	for _, a := range atomOrder(atoms, env) {
-		leaf := plan.NewNaiveScan(a)
+	for i, a := range ordered {
+		leaf := plan.NewNaiveScan(vt, a, vt.Args(i))
 		if root == nil {
 			root = leaf
-			out = out.Union(leaf.Out())
 			continue
 		}
-		out = out.Union(leaf.Out())
-		j := plan.NewNLJoin(root, leaf, query.NewVarSet(), out)
+		j := plan.NewNLJoin(vt, root, leaf, 0, root.Out()|leaf.Out())
 		j.NoDedup = true
 		root = j
 	}
-	return root
+	return root, nil
 }
 
 // StreamCQ evaluates a conjunctive query as a pipelined join over the
@@ -203,7 +206,11 @@ func StreamCQ(src Source, cq *query.CQ, fixed query.Bindings) iter.Seq2[relation
 		for k, v := range fixed {
 			env[k] = v
 		}
-		root := compileCQ(q.Atoms, env)
+		root, err := compileCQ(q.Atoms, env)
+		if err != nil {
+			yield(nil, err)
+			return
+		}
 		seen := make(map[string]bool)
 		emit := func(b query.Bindings) bool {
 			t := make(relation.Tuple, len(q.Head))

@@ -21,7 +21,8 @@ type ChaseStep struct {
 	Entry   access.Entry
 	OnPos   []int // positions (within the atom) of Entry.On
 	ProjPos []int // positions of Entry's effective Y
-	Binds   []string
+	// Binds lists, sorted, the variables the step binds first.
+	Binds []string
 	// Verifies marks a fetch that fully verifies its atom (no membership
 	// probe needed).
 	Verifies bool
@@ -29,6 +30,10 @@ type ChaseStep struct {
 	Route store.FetchRoute
 	// Equality-propagation step (Atom == nil): bind/check L = R.
 	EqL, EqR string
+	// On and Proj are masks over the plan's Vars. A fetch runs once On,
+	// the variables at OnPos, are bound, and binds Proj, those at ProjPos;
+	// a propagation runs once one variable of Proj, {EqL, EqR}, is bound.
+	On, Proj uint64
 }
 
 // String renders the step for EXPLAIN output.
@@ -64,26 +69,22 @@ type ChaseExec struct {
 	Steps []ChaseStep
 	// MembershipAtoms indexes Atoms that require a final membership probe.
 	MembershipAtoms []int
-	// Free is the set of variables whose values the chase outputs.
-	Free query.VarSet
 	// EqConsts binds variables equated to constants before execution.
 	EqConsts map[string]relation.Value
 	// EqVars are variable equalities checked on every candidate after the
 	// steps run (propagation steps bind, these verify).
 	EqVars [][2]string
+	// EqBound is the mask of the variables EqConsts binds.
+	EqBound uint64
 
-	ctrl query.VarSet
+	varSets // Need: the controlling set; Out: the variables the chase outputs
 }
 
 // NewChaseExec wraps a compiled chase; ctrl is the controlling set the
-// chase was built for.
-func NewChaseExec(ctrl query.VarSet) *ChaseExec { return &ChaseExec{ctrl: ctrl} }
-
-// Out implements Node.
-func (n *ChaseExec) Out() query.VarSet { return n.Free }
-
-// Need implements Node.
-func (n *ChaseExec) Need() query.VarSet { return n.ctrl }
+// chase was built for and free the variables it outputs, both over vt.
+func NewChaseExec(vt *Vars, ctrl, free uint64) *ChaseExec {
+	return &ChaseExec{varSets: newVarSets(vt, ctrl, free)}
+}
 
 // Bound implements Node: candidates multiply along binding fetch steps;
 // each step's reads are charged once per candidate alive at that point,
@@ -103,9 +104,6 @@ func (n *ChaseExec) Bound() Cost {
 	reads = SatAdd(reads, SatMul(cands, int64(len(n.MembershipAtoms))))
 	return Cost{Candidates: cands, Reads: reads}
 }
-
-// Children implements Node.
-func (n *ChaseExec) Children() []Node { return nil }
 
 // Describe implements Node.
 func (n *ChaseExec) Describe() string {
@@ -190,7 +188,7 @@ func (n *ChaseExec) stream(rt Runtime, env query.Bindings) Seq {
 			return true
 		}
 		rec(0, seed)
-	}, n.Free)
+	}, n.outNames)
 }
 
 // finish verifies one fully chased candidate — the equality checks and
@@ -226,7 +224,7 @@ func (n *ChaseExec) finish(rt Runtime, c query.Bindings, yield func(query.Bindin
 			return true
 		}
 	}
-	return yield(Restrict(c, n.Free), nil)
+	return yield(restrict(c, n.outNames), nil)
 }
 
 // unifyProjected matches a fetched (possibly projected) tuple against the

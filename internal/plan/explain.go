@@ -25,9 +25,7 @@ func explain(b *strings.Builder, n Node, depth int) {
 			fmt.Fprintf(b, "%s  step: %s\n", indent, s)
 		}
 	}
-	for _, c := range n.Children() {
-		explain(b, c, depth+1)
-	}
+	EachChild(n, func(c Node) { explain(b, c, depth+1) })
 }
 
 // ExplainAnalyze renders the operator tree like Explain, but follows each
@@ -61,9 +59,7 @@ func explainAnalyze(b *strings.Builder, n Node, ops []store.OpCharge, depth int)
 			fmt.Fprintf(b, "%s  step: %s\n", indent, s)
 		}
 	}
-	for _, c := range n.Children() {
-		explainAnalyze(b, c, ops, depth+1)
-	}
+	EachChild(n, func(c Node) { explainAnalyze(b, c, ops, depth+1) })
 }
 
 // AtomOrder lists, left to right, the operator chain's data-access
@@ -93,9 +89,7 @@ func AtomOrder(n Node) []string {
 			out = append(out, "¬("+strings.Join(AtomOrder(v.Neg), ",")+")?")
 			return
 		default:
-			for _, c := range n.Children() {
-				walk(c)
-			}
+			EachChild(n, walk)
 		}
 	}
 	walk(n)

@@ -29,31 +29,21 @@ type IndexLookup struct {
 	OnPos []int // positions (within the atom) of Entry.On
 	Route store.FetchRoute
 
-	ctrl query.VarSet
-	free query.VarSet
+	varSets        // Need: the variables at OnPos; Out: the atom's
+	args    []int8 // the atom's argument ids
 }
 
-// NewIndexLookup builds the lookup operator; ctrl is the controlling set
-// it was compiled for (the variables at the entry's On positions), free
-// the atom's variables (a.FreeVars(), which callers already hold).
-func NewIndexLookup(a *query.Atom, e access.Entry, onPos []int, ctrl, free query.VarSet) *IndexLookup {
-	return &IndexLookup{Atom: a, Entry: e, OnPos: onPos, ctrl: ctrl, free: free}
+// NewIndexLookup builds the lookup operator over vt; args are the atom's
+// argument ids in vt.
+func NewIndexLookup(vt *Vars, a *query.Atom, args []int8, e access.Entry, onPos []int) *IndexLookup {
+	return &IndexLookup{Atom: a, Entry: e, OnPos: onPos, varSets: newVarSets(vt, ArgMask(args, onPos), ArgsMask(args)), args: args}
 }
-
-// Out implements Node.
-func (n *IndexLookup) Out() query.VarSet { return n.free }
-
-// Need implements Node.
-func (n *IndexLookup) Need() query.VarSet { return n.ctrl }
 
 // Bound implements Node: at most N candidates, at most N reads.
 func (n *IndexLookup) Bound() Cost {
 	nn := int64(n.Entry.N)
 	return Cost{Candidates: nn, Reads: nn}
 }
-
-// Children implements Node.
-func (n *IndexLookup) Children() []Node { return nil }
 
 // Describe implements Node.
 func (n *IndexLookup) Describe() string {
@@ -79,8 +69,8 @@ func (n *IndexLookup) stream(rt Runtime, env query.Bindings) Seq {
 	}
 	// Fully specified atom under env: a single membership probe suffices —
 	// at most one binding, so no dedup wrapper.
-	if n.free.SubsetOf(env.Vars()) {
-		return probeAtom(rt, n.id, n.Atom, env, n.free)
+	if allBound(env, n.outNames) {
+		return probeAtom(rt, n.id, n.Atom, env, n.outNames)
 	}
 	return dedupSeq(func(yield func(query.Bindings, error) bool) {
 		vals, err := TupleForPositions(n.Atom, n.OnPos, env)
@@ -99,13 +89,13 @@ func (n *IndexLookup) stream(rt Runtime, env query.Bindings) Seq {
 				return
 			}
 		}
-	}, n.free)
+	}, n.outNames)
 }
 
 // probeAtom runs the fully-bound membership probe shared by IndexLookup's
 // runtime fast path and the MembershipProbe operator; op is the id of the
 // operator the probe is charged to.
-func probeAtom(rt Runtime, op int, a *query.Atom, env query.Bindings, free query.VarSet) Seq {
+func probeAtom(rt Runtime, op int, a *query.Atom, env query.Bindings, free []string) Seq {
 	return func(yield func(query.Bindings, error) bool) {
 		t := make(relation.Tuple, len(a.Args))
 		for i, arg := range a.Args {
@@ -121,7 +111,7 @@ func probeAtom(rt Runtime, op int, a *query.Atom, env query.Bindings, free query
 			return
 		}
 		if ok {
-			yield(Restrict(env, free), nil)
+			yield(restrict(env, free), nil)
 		}
 	}
 }
@@ -132,26 +122,20 @@ func probeAtom(rt Runtime, op int, a *query.Atom, env query.Bindings, free query
 // present, at most one candidate out.
 type MembershipProbe struct {
 	opID
-	Atom *query.Atom
-	free query.VarSet
+	Atom    *query.Atom
+	varSets        // Need and Out: every variable of the atom
+	args    []int8 // the atom's argument ids
 }
 
-// NewMembershipProbe builds the probe operator.
-func NewMembershipProbe(a *query.Atom) *MembershipProbe {
-	return &MembershipProbe{Atom: a, free: a.FreeVars()}
+// NewMembershipProbe builds the probe operator over vt; args are the
+// atom's argument ids in vt.
+func NewMembershipProbe(vt *Vars, a *query.Atom, args []int8) *MembershipProbe {
+	free := ArgsMask(args)
+	return &MembershipProbe{Atom: a, varSets: newVarSets(vt, free, free), args: args}
 }
-
-// Out implements Node.
-func (n *MembershipProbe) Out() query.VarSet { return n.free }
-
-// Need implements Node: every variable of the atom.
-func (n *MembershipProbe) Need() query.VarSet { return n.free }
 
 // Bound implements Node.
 func (n *MembershipProbe) Bound() Cost { return Cost{Candidates: 1, Reads: 1} }
-
-// Children implements Node.
-func (n *MembershipProbe) Children() []Node { return nil }
 
 // Describe implements Node.
 func (n *MembershipProbe) Describe() string {
@@ -163,7 +147,7 @@ func (n *MembershipProbe) Stream(rt Runtime, env query.Bindings) Seq {
 	if err := rt.Check(); err != nil {
 		return failSeq(err)
 	}
-	return traced(rt, n.id, probeAtom(rt, n.id, n.Atom, env, n.free))
+	return traced(rt, n.id, probeAtom(rt, n.id, n.Atom, env, n.outNames))
 }
 
 // Select filters the environment through an equality-only condition (a
@@ -171,26 +155,18 @@ func (n *MembershipProbe) Stream(rt Runtime, env query.Bindings) Seq {
 // at most one candidate out.
 type Select struct {
 	opID
-	Cond query.Formula
-	free query.VarSet
+	Cond    query.Formula
+	varSets // Need and Out: the condition's free variables
 }
 
-// NewSelect builds the condition filter.
-func NewSelect(f query.Formula) *Select {
-	return &Select{Cond: f, free: f.FreeVars()}
+// NewSelect builds the condition filter; free is f's free variables in
+// vt. Conditions are controlled by all their variables.
+func NewSelect(vt *Vars, f query.Formula, free uint64) *Select {
+	return &Select{Cond: f, varSets: newVarSets(vt, free, free)}
 }
-
-// Out implements Node.
-func (n *Select) Out() query.VarSet { return n.free }
-
-// Need implements Node: conditions are controlled by all their variables.
-func (n *Select) Need() query.VarSet { return n.free }
 
 // Bound implements Node.
 func (n *Select) Bound() Cost { return Cost{Candidates: 1, Reads: 0} }
-
-// Children implements Node.
-func (n *Select) Children() []Node { return nil }
 
 // Describe implements Node.
 func (n *Select) Describe() string { return fmt.Sprintf("Select %s", n.Cond) }
@@ -204,8 +180,8 @@ func (n *Select) stream(rt Runtime, env query.Bindings) Seq {
 	if err := rt.Check(); err != nil {
 		return failSeq(err)
 	}
-	if !n.free.SubsetOf(env.Vars()) {
-		return failSeq(fmt.Errorf("plan: Select with unbound variables %s", n.free.Minus(env.Vars())))
+	if !allBound(env, n.outNames) {
+		return failSeq(fmt.Errorf("plan: Select with unbound variables %s", query.NewVarSet(n.outNames...).Minus(env.Vars())))
 	}
 	ok, err := evalEqOnly(n.Cond, env)
 	if err != nil {
@@ -214,7 +190,7 @@ func (n *Select) stream(rt Runtime, env query.Bindings) Seq {
 	if !ok {
 		return emptySeq
 	}
-	b := Restrict(env, n.free)
+	b := restrict(env, n.outNames)
 	return func(yield func(query.Bindings, error) bool) {
 		yield(b, nil)
 	}
@@ -231,21 +207,14 @@ type NLJoin struct {
 	L, R    Node
 	NoDedup bool
 
-	ctrl query.VarSet
-	out  query.VarSet
+	varSets
 }
 
 // NewNLJoin builds the join; ctrl is the controlling set of the
-// conjunction, out the variable set of the joined bindings.
-func NewNLJoin(l, r Node, ctrl, out query.VarSet) *NLJoin {
-	return &NLJoin{L: l, R: r, ctrl: ctrl, out: out}
+// conjunction, out the variable set of the joined bindings, both over vt.
+func NewNLJoin(vt *Vars, l, r Node, ctrl, out uint64) *NLJoin {
+	return &NLJoin{L: l, R: r, varSets: newVarSets(vt, ctrl, out)}
 }
-
-// Out implements Node.
-func (n *NLJoin) Out() query.VarSet { return n.out }
-
-// Need implements Node.
-func (n *NLJoin) Need() query.VarSet { return n.ctrl }
 
 // Bound implements Node: R runs once per L candidate.
 func (n *NLJoin) Bound() Cost {
@@ -255,9 +224,6 @@ func (n *NLJoin) Bound() Cost {
 		Reads:      SatAdd(c0.Reads, SatMul(c0.Candidates, c1.Reads)),
 	}
 }
-
-// Children implements Node.
-func (n *NLJoin) Children() []Node { return []Node{n.L, n.R} }
 
 // Describe implements Node.
 func (n *NLJoin) Describe() string { return "NLJoin" }
@@ -297,7 +263,7 @@ func (n *NLJoin) stream(rt Runtime, env query.Bindings) Seq {
 				if conflict {
 					continue
 				}
-				if !yield(restrictMerged(n.out, b1, b0, env), nil) {
+				if !yield(restrictMerged(n.outNames, b1, b0, env), nil) {
 					return
 				}
 			}
@@ -306,7 +272,7 @@ func (n *NLJoin) stream(rt Runtime, env query.Bindings) Seq {
 	if n.NoDedup {
 		return inner
 	}
-	return dedupSeq(inner, n.out)
+	return dedupSeq(inner, n.outNames)
 }
 
 // StreamUnion chains its operands' cursors with streaming cross-branch
@@ -318,20 +284,13 @@ type StreamUnion struct {
 	opID
 	Branches []Node
 
-	ctrl query.VarSet
-	out  query.VarSet
+	varSets
 }
 
 // NewStreamUnion builds the union; all branches yield bindings over out.
-func NewStreamUnion(branches []Node, ctrl, out query.VarSet) *StreamUnion {
-	return &StreamUnion{Branches: branches, ctrl: ctrl, out: out}
+func NewStreamUnion(vt *Vars, branches []Node, ctrl, out uint64) *StreamUnion {
+	return &StreamUnion{Branches: branches, varSets: newVarSets(vt, ctrl, out)}
 }
-
-// Out implements Node.
-func (n *StreamUnion) Out() query.VarSet { return n.out }
-
-// Need implements Node.
-func (n *StreamUnion) Need() query.VarSet { return n.ctrl }
 
 // Bound implements Node: candidates and reads add across branches.
 func (n *StreamUnion) Bound() Cost {
@@ -343,9 +302,6 @@ func (n *StreamUnion) Bound() Cost {
 	}
 	return c
 }
-
-// Children implements Node.
-func (n *StreamUnion) Children() []Node { return n.Branches }
 
 // Describe implements Node.
 func (n *StreamUnion) Describe() string { return "StreamUnion (dedup)" }
@@ -371,7 +327,7 @@ func (n *StreamUnion) stream(rt Runtime, env query.Bindings) Seq {
 				}
 			}
 		}
-	}, n.out)
+	}, n.outNames)
 }
 
 // AntiProbe implements safe negation Q ∧ ¬Q′ as an emptiness probe: for
@@ -382,20 +338,13 @@ type AntiProbe struct {
 	opID
 	Pos, Neg Node
 
-	ctrl query.VarSet
-	out  query.VarSet
+	varSets
 }
 
 // NewAntiProbe builds the probe; out is the positive side's variable set.
-func NewAntiProbe(pos, neg Node, ctrl, out query.VarSet) *AntiProbe {
-	return &AntiProbe{Pos: pos, Neg: neg, ctrl: ctrl, out: out}
+func NewAntiProbe(vt *Vars, pos, neg Node, ctrl, out uint64) *AntiProbe {
+	return &AntiProbe{Pos: pos, Neg: neg, varSets: newVarSets(vt, ctrl, out)}
 }
-
-// Out implements Node.
-func (n *AntiProbe) Out() query.VarSet { return n.out }
-
-// Need implements Node.
-func (n *AntiProbe) Need() query.VarSet { return n.ctrl }
 
 // Bound implements Node: as the positive side, plus one probe of the
 // negated plan per candidate (whose worst case is its full bound).
@@ -406,9 +355,6 @@ func (n *AntiProbe) Bound() Cost {
 		Reads:      SatAdd(c0.Reads, SatMul(c0.Candidates, c1.Reads)),
 	}
 }
-
-// Children implements Node.
-func (n *AntiProbe) Children() []Node { return []Node{n.Pos, n.Neg} }
 
 // Describe implements Node.
 func (n *AntiProbe) Describe() string { return "AntiProbe (EmptinessProbe of ¬)" }
@@ -436,11 +382,11 @@ func (n *AntiProbe) stream(rt Runtime, env query.Bindings) Seq {
 			if nonEmpty {
 				continue
 			}
-			if !yield(restrictMerged(n.out, b, env), nil) {
+			if !yield(restrictMerged(n.outNames, b, env), nil) {
 				return
 			}
 		}
-	}, n.out)
+	}, n.outNames)
 }
 
 // Project restricts bindings to a target variable set, deduplicating: the
@@ -454,30 +400,20 @@ type Project struct {
 	// runs (the quantified variables; empty for a pure restriction).
 	Drop []string
 
-	ctrl query.VarSet
-	out  query.VarSet
+	varSets
 }
 
 // NewProject builds the projection.
-func NewProject(child Node, drop []string, ctrl, out query.VarSet) *Project {
-	return &Project{Child: child, Drop: drop, ctrl: ctrl, out: out}
+func NewProject(vt *Vars, child Node, drop []string, ctrl, out uint64) *Project {
+	return &Project{Child: child, Drop: drop, varSets: newVarSets(vt, ctrl, out)}
 }
-
-// Out implements Node.
-func (n *Project) Out() query.VarSet { return n.out }
-
-// Need implements Node.
-func (n *Project) Need() query.VarSet { return n.ctrl }
 
 // Bound implements Node.
 func (n *Project) Bound() Cost { return n.Child.Bound() }
 
-// Children implements Node.
-func (n *Project) Children() []Node { return []Node{n.Child} }
-
 // Describe implements Node.
 func (n *Project) Describe() string {
-	return fmt.Sprintf("Project [%s]", strings.Join(n.out.Sorted(), ","))
+	return fmt.Sprintf("Project [%s]", strings.Join(n.outNames, ","))
 }
 
 // Stream implements Node.
@@ -500,7 +436,7 @@ func (n *Project) stream(rt Runtime, env query.Bindings) Seq {
 	// chain whose output already is n.out): pass child bindings through
 	// untouched. Bindings are read-only once yielded, so sharing is safe —
 	// StreamUnion relies on the same property.
-	ident := n.out.Equal(n.Child.Out())
+	ident := n.out == n.Child.Out()
 	return dedupSeq(func(yield func(query.Bindings, error) bool) {
 		for b, err := range n.Child.Stream(rt, inner) {
 			if err != nil {
@@ -508,13 +444,13 @@ func (n *Project) stream(rt Runtime, env query.Bindings) Seq {
 				return
 			}
 			if !ident {
-				b = Restrict(b, n.out)
+				b = restrict(b, n.outNames)
 			}
 			if !yield(b, nil) {
 				return
 			}
 		}
-	}, n.out)
+	}, n.outNames)
 }
 
 // ForallCheck implements the universal rule ∀ȳ (Q → Q′): it streams the
@@ -527,20 +463,13 @@ type ForallCheck struct {
 	// Drop lists the universally quantified variables.
 	Drop []string
 
-	ctrl query.VarSet
-	out  query.VarSet
+	varSets
 }
 
 // NewForallCheck builds the check.
-func NewForallCheck(gen, test Node, drop []string, ctrl, out query.VarSet) *ForallCheck {
-	return &ForallCheck{Gen: gen, Test: test, Drop: drop, ctrl: ctrl, out: out}
+func NewForallCheck(vt *Vars, gen, test Node, drop []string, ctrl, out uint64) *ForallCheck {
+	return &ForallCheck{Gen: gen, Test: test, Drop: drop, varSets: newVarSets(vt, ctrl, out)}
 }
-
-// Out implements Node.
-func (n *ForallCheck) Out() query.VarSet { return n.out }
-
-// Need implements Node.
-func (n *ForallCheck) Need() query.VarSet { return n.ctrl }
 
 // Bound implements Node.
 func (n *ForallCheck) Bound() Cost {
@@ -550,9 +479,6 @@ func (n *ForallCheck) Bound() Cost {
 		Reads:      SatAdd(c0.Reads, SatMul(c0.Candidates, c1.Reads)),
 	}
 }
-
-// Children implements Node.
-func (n *ForallCheck) Children() []Node { return []Node{n.Gen, n.Test} }
 
 // Describe implements Node.
 func (n *ForallCheck) Describe() string { return "ForallCheck (EmptinessProbe per ȳ)" }
@@ -585,7 +511,7 @@ func (n *ForallCheck) stream(rt Runtime, env query.Bindings) Seq {
 				return // some ȳ satisfies Q but not Q′
 			}
 		}
-		yield(Restrict(env, n.out), nil)
+		yield(restrict(env, n.outNames), nil)
 	}
 }
 
@@ -595,27 +521,19 @@ func (n *ForallCheck) stream(rt Runtime, env query.Bindings) Seq {
 // plan — and reports a saturated read bound.
 type NaiveScan struct {
 	opID
-	Atom *query.Atom
-	free query.VarSet
+	Atom    *query.Atom
+	varSets // Need: nothing; Out: the atom's variables
 }
 
-// NewNaiveScan builds the scan leaf.
-func NewNaiveScan(a *query.Atom) *NaiveScan {
-	return &NaiveScan{Atom: a, free: a.FreeVars()}
+// NewNaiveScan builds the scan leaf over vt; args are the atom's argument
+// ids in vt.
+func NewNaiveScan(vt *Vars, a *query.Atom, args []int8) *NaiveScan {
+	return &NaiveScan{Atom: a, varSets: newVarSets(vt, 0, ArgsMask(args))}
 }
-
-// Out implements Node.
-func (n *NaiveScan) Out() query.VarSet { return n.free }
-
-// Need implements Node: a scan needs nothing bound.
-func (n *NaiveScan) Need() query.VarSet { return query.NewVarSet() }
 
 // Bound implements Node: unbounded (saturated) — naive scans grow with
 // |D|.
 func (n *NaiveScan) Bound() Cost { return Cost{Candidates: costCap, Reads: costCap} }
-
-// Children implements Node.
-func (n *NaiveScan) Children() []Node { return nil }
 
 // Describe implements Node.
 func (n *NaiveScan) Describe() string { return fmt.Sprintf("NaiveScan %s", n.Atom) }

@@ -35,6 +35,9 @@ type Optimizer struct {
 	// Acc is the access schema: the catalog of entries available for
 	// lookup re-selection.
 	Acc *access.Schema
+	// Vars is the numbering the plan was compiled against; rewritten
+	// operators keep their variable sets over it.
+	Vars *Vars
 }
 
 // Optimize rewrites the tree rooted at n, returning the (possibly new)
@@ -66,7 +69,7 @@ func (o *Optimizer) Optimize(n Node) Node {
 		}
 		return n
 	case *ChaseExec:
-		reorderChase(v)
+		o.reorderChase(v)
 		return n
 	default:
 		return n
@@ -85,22 +88,19 @@ func (o *Optimizer) Optimize(n Node) Node {
 //
 // The reorder is kept only under the same never-worse rule as join
 // chains: its bound must strictly beat the emitted order's.
-func reorderChase(n *ChaseExec) {
+func (o *Optimizer) reorderChase(n *ChaseExec) {
 	if len(n.Steps) < 2 {
 		return
 	}
-	seed := n.Need().Clone()
-	for v := range n.EqConsts {
-		seed[v] = true
-	}
-	bound := seed.Clone()
+	seed := n.Need() | n.EqBound
+	bound := seed
 	used := make([]bool, len(n.Steps))
 	order := make([]ChaseStep, 0, len(n.Steps))
 	for len(order) < len(n.Steps) {
 		best := -1
 		var bestN int64
 		for i, s := range n.Steps {
-			if used[i] || !chaseStepReady(s, bound) {
+			if used[i] || !s.ready(bound) {
 				continue
 			}
 			if s.Atom == nil {
@@ -116,7 +116,7 @@ func reorderChase(n *ChaseExec) {
 		}
 		used[best] = true
 		order = append(order, n.Steps[best])
-		bound = chaseStepAfter(n.Steps[best], bound)
+		bound |= n.Steps[best].Proj
 	}
 	if chaseEstimate(n, order) >= chaseEstimate(n, n.Steps) {
 		return // not strictly better
@@ -128,45 +128,20 @@ func reorderChase(n *ChaseExec) {
 	bound = seed
 	for i := range order {
 		order[i].Binds = nil
-		if a := order[i].Atom; a != nil {
-			for _, p := range order[i].ProjPos {
-				if t := a.Args[p]; t.IsVar() && !bound.Contains(t.Name()) {
-					order[i].Binds = append(order[i].Binds, t.Name())
-				}
-			}
+		if order[i].Atom != nil {
+			order[i].Binds = o.Vars.Names(order[i].Proj &^ bound)
 		}
-		bound = chaseStepAfter(order[i], bound)
+		bound |= order[i].Proj
 	}
 	n.Steps = order
 }
 
-// chaseStepReady reports whether the chase state bound suffices to run s.
-func chaseStepReady(s ChaseStep, bound query.VarSet) bool {
+// ready reports whether the chase state bound suffices to run s.
+func (s *ChaseStep) ready(bound uint64) bool {
 	if s.Atom == nil {
-		return bound.Contains(s.EqL) || bound.Contains(s.EqR)
+		return s.Proj&bound != 0
 	}
-	for _, p := range s.OnPos {
-		if t := s.Atom.Args[p]; t.IsVar() && !bound.Contains(t.Name()) {
-			return false
-		}
-	}
-	return true
-}
-
-// chaseStepAfter is the chase state after s ran.
-func chaseStepAfter(s ChaseStep, bound query.VarSet) query.VarSet {
-	out := bound.Clone()
-	if s.Atom == nil {
-		out[s.EqL] = true
-		out[s.EqR] = true
-		return out
-	}
-	for _, p := range s.ProjPos {
-		if t := s.Atom.Args[p]; t.IsVar() {
-			out[t.Name()] = true
-		}
-	}
-	return out
+	return s.On&^bound == 0
 }
 
 // chaseEstimate prices one step order, mirroring ChaseExec.Bound with the
@@ -175,25 +150,17 @@ func chaseStepAfter(s ChaseStep, bound query.VarSet) query.VarSet {
 // per surviving candidate per membership atom. It is the static bound the
 // reordered operator will report.
 func chaseEstimate(n *ChaseExec, steps []ChaseStep) int64 {
-	bound := n.Need().Clone()
-	for v := range n.EqConsts {
-		bound[v] = true
-	}
+	bound := n.Need() | n.EqBound
 	cands, reads := int64(1), int64(0)
 	for _, s := range steps {
-		if s.Atom == nil {
-			bound = chaseStepAfter(s, bound)
-			continue
-		}
-		en := int64(s.Entry.N)
-		reads = SatAdd(reads, SatMul(cands, en))
-		for _, p := range s.ProjPos {
-			if t := s.Atom.Args[p]; t.IsVar() && !bound.Contains(t.Name()) {
+		if s.Atom != nil {
+			en := int64(s.Entry.N)
+			reads = SatAdd(reads, SatMul(cands, en))
+			if s.Proj&^bound != 0 {
 				cands = SatMul(cands, en)
-				break
 			}
 		}
-		bound = chaseStepAfter(s, bound)
+		bound |= s.Proj
 	}
 	return SatAdd(reads, SatMul(cands, int64(len(n.MembershipAtoms))))
 }
@@ -206,11 +173,11 @@ type member struct {
 	// Lookup members (atom != nil) are re-plannable: entry and onPos may
 	// be re-selected per position.
 	atom  *query.Atom
-	entry access.Entry
+	args  []int8        // the atom's argument ids
+	entry *access.Entry // nil for a membership probe
 	onPos []int
 
-	need query.VarSet
-	out  query.VarSet
+	need, out uint64
 }
 
 // flatten decomposes a nested NLJoin/AntiProbe tree into its conjunct
@@ -229,13 +196,13 @@ func flatten(n Node, out *[]member) (ok bool) {
 		if !flatten(v.Pos, out) {
 			return false
 		}
-		*out = append(*out, member{node: v.Neg, anti: true, need: v.Neg.Out(), out: query.NewVarSet()})
+		*out = append(*out, member{node: v.Neg, anti: true, need: v.Neg.Out()})
 		return true
 	case *IndexLookup:
-		*out = append(*out, member{node: v, atom: v.Atom, entry: v.Entry, onPos: v.OnPos, need: v.Need(), out: v.Out()})
+		*out = append(*out, member{node: v, atom: v.Atom, args: v.args, entry: &v.Entry, onPos: v.OnPos, need: v.Need(), out: v.Out()})
 		return true
 	case *MembershipProbe:
-		*out = append(*out, member{node: v, atom: v.Atom, entry: access.Entry{}, need: v.Need(), out: v.Out()})
+		*out = append(*out, member{node: v, atom: v.Atom, args: v.args, need: v.Need(), out: v.Out()})
 		return true
 	case *Select:
 		*out = append(*out, member{node: v, need: v.Need(), out: v.Out()})
@@ -272,16 +239,15 @@ func (o *Optimizer) chain(n Node, budget int) (Node, bool) {
 	if len(members) < 2 {
 		return n, true
 	}
-	ctrl := n.Need()
-	cms, ctrlBits, ok := o.encode(members, ctrl)
+	cms, ok := o.encode(members)
 	if !ok {
-		return n, true // too wide for the bit masks: analysis order stands
+		return n, true // too many members for the search's bit masks: analysis order stands
 	}
-	order, ok := searchOrder(cms, ctrlBits, budget)
+	order, ok := searchOrder(cms, n.Need(), budget)
 	if !ok {
 		return n, true // analysis order stands, tree untouched
 	}
-	return rebuild(cms, order, ctrl, n.Out()), true
+	return o.rebuild(cms, order, n.Need(), n.Out()), true
 }
 
 // optimizeNegs descends a join chain's spine and optimizes every
@@ -298,18 +264,18 @@ func (o *Optimizer) optimizeNegs(n Node) {
 }
 
 // chainMember is a member encoded once per chain for the order search:
-// its variable sets as bit masks over the chain's variable numbering and,
-// for a lookup, every plain entry that could serve it, already priced.
-// No placement allocates or consults the catalog again.
+// for a lookup, its atom's variables and every plain entry that could
+// serve it, already priced. No placement allocates or consults the
+// catalog again.
 type chainMember struct {
 	member
-	need, out, free uint64     // free: the atom's variables (lookups only)
-	opts            []entryOpt // the analysis entry first, so ties keep it
+	free uint64     // the atom's variables (lookups only)
+	opts []entryOpt // the analysis entry first, so ties keep it
 }
 
 // entryOpt is one access entry a lookup member could fetch through.
 type entryOpt struct {
-	e     access.Entry
+	e     *access.Entry
 	onPos []int
 	on    uint64 // variables at onPos: the entry is usable once these are bound
 	n     int64  // the entry's N
@@ -324,42 +290,43 @@ type step struct {
 	cands  int64 // estimated candidate multiplier
 }
 
-// encode numbers the chain's variables and encodes its members, pricing
-// every candidate entry once. It
-// returns false for a chain with more than 64 variables or members.
-func (o *Optimizer) encode(members []member, ctrl query.VarSet) ([]chainMember, uint64, bool) {
+// encode prices every candidate entry of the chain's members once. It
+// returns false for a chain with more than 64 members.
+func (o *Optimizer) encode(members []member) ([]chainMember, bool) {
 	if len(members) > 64 {
-		return nil, 0, false
+		return nil, false
 	}
-	vb := query.NewVarBits(2 * len(members))
-	ctrlBits := vb.Set(ctrl)
 	cms := make([]chainMember, len(members))
+	n := 0
+	for _, m := range members {
+		if m.entry != nil {
+			n += 1 + len(o.Acc.Locate(m.atom.Rel))
+		}
+	}
+	slab := make([]entryOpt, 0, n) // every member's options, in one allocation
 	for i, m := range members {
 		cm := &cms[i]
 		cm.member = m
-		cm.need, cm.out = vb.Set(m.need), vb.Set(m.out)
 		if m.atom == nil {
 			continue
 		}
-		for _, t := range m.atom.Args {
-			if t.IsVar() {
-				cm.free |= vb.Bit(t.Name())
-			}
-		}
-		if m.entry.Rel == "" {
+		cm.free = ArgsMask(m.args)
+		if m.entry == nil {
 			continue // a MembershipProbe member: no entry to fetch through
 		}
-		cm.opts = append(cm.opts, entryOpt{e: m.entry, onPos: m.onPos, on: vb.At(m.atom, m.onPos), n: int64(m.entry.N)})
-		for _, l := range o.Acc.Locate(m.atom.Rel) {
+		start := len(slab)
+		slab = append(slab, entryOpt{e: m.entry, onPos: m.onPos, on: ArgMask(m.args, m.onPos), n: int64(m.entry.N)})
+		locs := o.Acc.Locate(m.atom.Rel)
+		for li := range locs {
 			// A whole-key entry is usable only where every variable is
 			// bound, and there the atom is probed instead.
-			if l.IsEmbedded() || len(l.On) == len(m.atom.Args) {
-				continue
+			if l := &locs[li]; !l.IsEmbedded() && len(l.On) != len(m.atom.Args) {
+				slab = append(slab, entryOpt{e: &l.Entry, onPos: l.OnPos, on: ArgMask(m.args, l.OnPos), n: int64(l.N)})
 			}
-			cm.opts = append(cm.opts, entryOpt{e: l.Entry, onPos: l.OnPos, on: vb.At(m.atom, l.OnPos), n: int64(l.N)})
 		}
+		cm.opts = slab[start:len(slab):len(slab)]
 	}
-	return cms, ctrlBits, !vb.Full()
+	return cms, true
 }
 
 // place makes the access decision for member i at a position where bound
@@ -545,26 +512,22 @@ func PriceBelow(acc *access.Schema, atoms []*query.Atom, ctrl query.VarSet, limi
 	if len(atoms) > 64 {
 		return true
 	}
-	vb := query.NewVarBits(2 * len(atoms))
-	bound := vb.Set(ctrl)
+	vt, err := NumberAtoms(atoms)
+	if err != nil {
+		return true
+	}
+	bound := vt.Mask(ctrl)
 	moves := make([]priceMove, 0, 4*len(atoms))
 	for i, a := range atoms {
-		var free uint64
-		for _, t := range a.Args {
-			if t.IsVar() {
-				free |= vb.Bit(t.Name())
-			}
-		}
+		args := vt.Args(i)
+		free := ArgsMask(args)
 		moves = append(moves, priceMove{atom: i, need: free, binds: free, n: 1, probe: true})
 		for _, l := range acc.Locate(a.Rel) {
 			if len(l.OnPos) == len(a.Args) && l.N >= 1 {
 				continue // a whole-key fetch prices as the probe, or higher
 			}
-			moves = append(moves, priceMove{atom: i, need: vb.At(a, l.OnPos), binds: vb.At(a, l.ProjPos), n: int64(l.N)})
+			moves = append(moves, priceMove{atom: i, need: ArgMask(args, l.OnPos), binds: ArgMask(args, l.ProjPos), n: int64(l.N)})
 		}
-	}
-	if vb.Full() {
-		return true
 	}
 	ps := &priceSearch{moves: moves, all: 1<<len(atoms) - 1, limit: limit, budget: searchBudget, probeFirst: true}
 	for _, m := range moves {
@@ -620,44 +583,33 @@ func (ps *priceSearch) dfs(bound, touched uint64, cands, cost int64) bool {
 // rebuild materializes an order as a left-deep operator chain, restoring
 // the original output variable set with a final projection when the
 // chain's is wider.
-func rebuild(cms []chainMember, order []step, ctrl, out query.VarSet) Node {
+func (o *Optimizer) rebuild(cms []chainMember, order []step, ctrl, out uint64) Node {
 	var chainNode Node
 	for _, st := range order {
 		m := &cms[st.m]
 		var opNode Node
 		switch {
 		case m.anti:
-			chainNode = NewAntiProbe(chainNode, m.node, ctrl, chainNode.Out())
+			chainNode = NewAntiProbe(o.Vars, chainNode, m.node, ctrl, chainNode.Out())
 			continue
 		case m.atom == nil:
 			opNode = m.node // condition filter, reused as compiled
 		case st.opt < 0:
-			opNode = NewMembershipProbe(m.atom)
+			opNode = NewMembershipProbe(o.Vars, m.atom, m.args)
 		default:
 			e := m.opts[st.opt]
-			opNode = NewIndexLookup(m.atom, e.e, e.onPos, varsAt(m.atom, e.onPos), m.member.out)
+			opNode = NewIndexLookup(o.Vars, m.atom, m.args, *e.e, e.onPos)
 		}
 		if chainNode == nil {
 			chainNode = opNode
 		} else {
-			chainNode = NewNLJoin(chainNode, opNode, ctrl, chainNode.Out().Union(opNode.Out()))
+			chainNode = NewNLJoin(o.Vars, chainNode, opNode, ctrl, chainNode.Out()|opNode.Out())
 		}
 	}
-	if !chainNode.Out().Equal(out) {
-		return NewProject(chainNode, nil, ctrl, out)
+	if chainNode.Out() != out {
+		return NewProject(o.Vars, chainNode, nil, ctrl, out)
 	}
 	return chainNode
-}
-
-// varsAt collects the variables at the given atom positions.
-func varsAt(a *query.Atom, positions []int) query.VarSet {
-	out := make(query.VarSet)
-	for _, p := range positions {
-		if t := a.Args[p]; t.IsVar() {
-			out[t.Name()] = true
-		}
-	}
-	return out
 }
 
 // ResolveRoutes resolves, at plan time, the single-shard vs scatter
@@ -686,9 +638,7 @@ func ResolveRoutes(n Node, b store.Backend) {
 				}
 			}
 		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
+		EachChild(n, walk)
 	}
 	walk(n)
 }

@@ -1,7 +1,8 @@
 package plan
 
 // Exactness of join-chain ordering, against an independent reference:
-// the placement rules re-stated over query.VarSet maps and the full
+// the placement rules re-stated over query.VarSet maps (the chain's
+// masks turned back into names) and the full
 // catalog (Acc.Entries), a brute-force minimum over every permutation,
 // and the greedy min-bound-first schedule the search replaced.
 
@@ -18,14 +19,15 @@ import (
 // refPlace is the reference access decision for m at a position where
 // bound is bound: the optimizer's rules, stated over variable-set maps.
 func refPlace(o *Optimizer, m member, bound query.VarSet, head, keep bool) (reads, cands int64, ok bool) {
+	need, out := o.Vars.Set(m.need), o.Vars.Set(m.out)
 	switch {
 	case m.anti:
-		return 1, 1, !head && m.need.SubsetOf(bound)
+		return 1, 1, !head && need.SubsetOf(bound)
 	case m.atom == nil:
-		return 0, 1, m.need.SubsetOf(bound)
+		return 0, 1, need.SubsetOf(bound)
 	case m.atom.FreeVars().SubsetOf(bound):
 		return 1, 1, true
-	case m.entry.Rel == "":
+	case m.entry == nil:
 		return 0, 0, false
 	}
 	usable := func(onPos []int) bool {
@@ -59,7 +61,7 @@ func refPlace(o *Optimizer, m member, bound query.VarSet, head, keep bool) (read
 		return 0, 0, false
 	}
 	cands = 1
-	if !m.out.SubsetOf(bound) {
+	if !out.SubsetOf(bound) {
 		cands = best
 	}
 	return best, cands, true
@@ -77,7 +79,7 @@ func refPrice(o *Optimizer, ms []member, order []int, ctrl query.VarSet, keep bo
 		}
 		total = SatAdd(total, SatMul(cands, r))
 		cands = SatMul(cands, c)
-		bound = bound.Union(ms[i].out)
+		bound = bound.Union(o.Vars.Set(ms[i].out))
 	}
 	return total, true
 }
@@ -134,7 +136,7 @@ func refGreedy(o *Optimizer, ms []member, ctrl query.VarSet) (int64, bool) {
 		used[best] = true
 		total = SatAdd(total, SatMul(cands, br))
 		cands = SatMul(cands, bc)
-		bound = bound.Union(ms[best].out)
+		bound = bound.Union(o.Vars.Set(ms[best].out))
 	}
 	return total, true
 }
@@ -166,29 +168,37 @@ func randomChain(rng *rand.Rand, members, vars int) (*Optimizer, Node) {
 			acc.MustAdd(e)
 		}
 	}
-	o := &Optimizer{Acc: acc}
 	v := func() query.Term { return query.Var(fmt.Sprintf("v%d", rng.Intn(vars))) }
 	ctrl := query.NewVarSet("v0")
 	if rng.Intn(2) == 0 {
 		ctrl = ctrl.Add("v1")
 	}
-	var root Node
+	// Draw the members by name first, then number them and build the
+	// chain over the numbering.
+	type spec struct {
+		kind  int // 0 lookup, 1 condition, 2 anti filter
+		f     query.Formula
+		e     access.Entry
+		onPos []int
+	}
+	var specs []spec
+	bound := query.NewVarSet() // the variables the chain so far binds
 	for k := 0; k < members; k++ {
-		var op Node
 		switch x := rng.Intn(10); {
 		case x == 0 && k > 0:
-			op = NewSelect(query.NewEq(v(), v()))
-		case x == 1 && k > 0 && !root.Out().IsEmpty():
+			eq := query.NewEq(v(), v())
+			specs = append(specs, spec{kind: 1, f: eq})
+			bound = bound.Union(eq.FreeVars())
+		case x == 1 && k > 0 && !bound.IsEmpty():
 			// Negate an atom over variables the chain so far binds, so the
 			// filter is runnable somewhere.
 			rs := rels[rng.Intn(len(rels))]
-			bound := root.Out().Sorted()
+			names := bound.Sorted()
 			args := make([]query.Term, rs.Arity())
 			for i := range args {
-				args[i] = query.Var(bound[rng.Intn(len(bound))])
+				args[i] = query.Var(names[rng.Intn(len(names))])
 			}
-			root = NewAntiProbe(root, NewMembershipProbe(query.NewAtom(rs.Name, args...)), ctrl, root.Out())
-			continue
+			specs = append(specs, spec{kind: 2, f: query.NewAtom(rs.Name, args...)})
 		default:
 			rs := rels[rng.Intn(len(rels))]
 			args := make([]query.Term, rs.Arity())
@@ -209,12 +219,39 @@ func randomChain(rng *rand.Rand, members, vars int) (*Optimizer, Node) {
 			if err != nil {
 				panic(err)
 			}
-			op = NewIndexLookup(a, e, onPos, varsAt(a, onPos), a.FreeVars())
+			specs = append(specs, spec{f: a, e: e, onPos: onPos})
+			bound = bound.Union(a.FreeVars())
+		}
+	}
+	var nb numbering
+	nb.start()
+	pos := make([]int, len(specs))
+	for i, sp := range specs {
+		pos[i] = len(nb.nodes)
+		nb.add(sp.f)
+	}
+	vt, err := nb.done()
+	if err != nil {
+		panic(err)
+	}
+	o := &Optimizer{Acc: acc, Vars: vt}
+	need := vt.Mask(ctrl)
+	var root Node
+	for i, sp := range specs {
+		var op Node
+		switch sp.kind {
+		case 1:
+			op = NewSelect(vt, sp.f, vt.Free(pos[i]))
+		case 2:
+			root = NewAntiProbe(vt, root, NewMembershipProbe(vt, sp.f.(*query.Atom), vt.Args(pos[i])), need, root.Out())
+			continue
+		default:
+			op = NewIndexLookup(vt, sp.f.(*query.Atom), vt.Args(pos[i]), sp.e, sp.onPos)
 		}
 		if root == nil {
 			root = op
 		} else {
-			root = NewNLJoin(root, op, ctrl, root.Out().Union(op.Out()))
+			root = NewNLJoin(vt, root, op, need, root.Out()|op.Out())
 		}
 	}
 	return o, root
@@ -225,7 +262,7 @@ func randomChain(rng *rand.Rand, members, vars int) (*Optimizer, Node) {
 // order with the analysis-chosen entries.
 func chosenEstimate(t *testing.T, o *Optimizer, root, got Node, ms []member) int64 {
 	t.Helper()
-	ctrl := root.Need()
+	ctrl := o.Vars.Set(root.Need())
 	if got == root {
 		c, ok := refPrice(o, ms, identity(len(ms)), ctrl, true)
 		if !ok {
@@ -270,7 +307,7 @@ func TestChainOrderExact(t *testing.T) {
 			if !flatten(root, &ms) {
 				t.Fatalf("seed %d: generated chain does not flatten", seed)
 			}
-			ctrl := root.Need()
+			ctrl := o.Vars.Set(root.Need())
 			baseline, ok := refPrice(o, ms, identity(len(ms)), ctrl, true)
 			if !ok {
 				baseline = costCap
@@ -317,7 +354,7 @@ func TestChainOrderOverBudget(t *testing.T) {
 		o, root := randomChain(rand.New(rand.NewSource(seed)), 10, 9)
 		var ms []member
 		flatten(root, &ms)
-		ctrl := root.Need()
+		ctrl := o.Vars.Set(root.Need())
 		baseline, ok := refPrice(o, ms, identity(len(ms)), ctrl, true)
 		if !ok {
 			baseline = costCap

@@ -200,26 +200,73 @@ func (c Cost) String() string {
 // Node is one physical operator. Stream opens the operator's cursor under
 // an environment binding (at least) the operator's Need variables; each
 // yielded binding is defined on exactly Out, deduplicated per the
-// operator's contract.
+// operator's contract. Out and Need are masks over the Vars the plan was
+// compiled against.
 type Node interface {
 	Stream(rt Runtime, env query.Bindings) Seq
 	// Out is the variable set every yielded binding is defined on.
-	Out() query.VarSet
+	Out() uint64
 	// Need is the variable set the operator requires bound in env (the
 	// controlling set it was compiled for).
-	Need() query.VarSet
+	Need() uint64
 	// Bound is the operator's static cost bound.
 	Bound() Cost
 	// Describe returns the operator's one-line EXPLAIN rendering (name and
 	// detail, without children or cost).
 	Describe() string
-	// Children returns the operand operators, in execution order.
-	Children() []Node
 	// OpID returns the operator's plan-wide id assigned by AssignOpIDs
 	// (pre-order position; 0 before numbering). Every operator gets it by
 	// embedding opID, which also seals the interface to this package.
 	OpID() int
 	setOpID(int)
+}
+
+// EachChild calls fn on each operand operator of n, in execution order.
+func EachChild(n Node, fn func(Node)) {
+	switch v := n.(type) {
+	case *NLJoin:
+		fn(v.L)
+		fn(v.R)
+	case *AntiProbe:
+		fn(v.Pos)
+		fn(v.Neg)
+	case *ForallCheck:
+		fn(v.Gen)
+		fn(v.Test)
+	case *Project:
+		fn(v.Child)
+	case *StreamUnion:
+		for _, b := range v.Branches {
+			fn(b)
+		}
+	}
+}
+
+// varSets holds an operator's Need and Out masks and, for the executor,
+// Out's names in sorted order, listed once when the operator is built.
+type varSets struct {
+	need, out uint64
+	outNames  []string
+}
+
+func newVarSets(vt *Vars, need, out uint64) varSets {
+	return varSets{need: need, out: out, outNames: vt.Names(out)}
+}
+
+// Out implements Node.
+func (s *varSets) Out() uint64 { return s.out }
+
+// Need implements Node.
+func (s *varSets) Need() uint64 { return s.need }
+
+// allBound reports whether env binds every one of names.
+func allBound(env query.Bindings, names []string) bool {
+	for _, v := range names {
+		if _, ok := env[v]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // emptySeq yields nothing.
@@ -237,8 +284,8 @@ func failSeq(err error) Seq {
 // without heap spill, longer ones pay one allocation per cursor.
 const keyScratchSize = 128
 
-// dedupSeq suppresses duplicate bindings (all defined on the same
-// variable set), streaming: the first occurrence passes through
+// dedupSeq suppresses duplicate bindings (all defined on the variables
+// vars, sorted), streaming: the first occurrence passes through
 // immediately, later duplicates are dropped. Errors pass through and
 // terminate the stream.
 //
@@ -248,8 +295,7 @@ const keyScratchSize = 128
 // a duplicate costs zero allocations, and the seen-set itself is
 // allocated only once a first binding arrives (empty cursors, the common
 // case under anti-joins and membership probes, allocate nothing).
-func dedupSeq(s Seq, vars query.VarSet) Seq {
-	sorted := vars.Sorted()
+func dedupSeq(s Seq, vars []string) Seq {
 	return func(yield func(query.Bindings, error) bool) {
 		var seen map[string]bool
 		var ta [8]relation.Value
@@ -262,7 +308,7 @@ func dedupSeq(s Seq, vars query.VarSet) Seq {
 				return
 			}
 			scratch = scratch[:0]
-			for _, v := range sorted {
+			for _, v := range vars {
 				scratch = append(scratch, b[v])
 			}
 			kb = scratch.AppendKey(kb[:0])
@@ -294,10 +340,10 @@ func firstOf(s Seq) (nonEmpty bool, err error) {
 	return false, nil
 }
 
-// Restrict returns env restricted to vars.
-func Restrict(env query.Bindings, vars query.VarSet) query.Bindings {
-	out := make(query.Bindings, vars.Len())
-	for v := range vars {
+// restrict returns env restricted to vars.
+func restrict(env query.Bindings, vars []string) query.Bindings {
+	out := make(query.Bindings, len(vars))
+	for _, v := range vars {
 		if val, ok := env[v]; ok {
 			out[v] = val
 		}
@@ -307,12 +353,12 @@ func Restrict(env query.Bindings, vars query.VarSet) query.Bindings {
 
 // restrictMerged builds the binding over vars, taking each variable from
 // the first of the given layers that binds it: the allocation-lean form
-// of Restrict(mergedWith(env, b), vars) on the join hot path — one output
+// of restrict(mergedWith(env, b), vars) on the join hot path — one output
 // map per answer instead of an intermediate merged environment plus its
 // restriction.
-func restrictMerged(vars query.VarSet, layers ...query.Bindings) query.Bindings {
-	out := make(query.Bindings, vars.Len())
-	for v := range vars {
+func restrictMerged(vars []string, layers ...query.Bindings) query.Bindings {
+	out := make(query.Bindings, len(vars))
+	for _, v := range vars {
 		for _, l := range layers {
 			if val, ok := l[v]; ok {
 				out[v] = val

@@ -244,11 +244,34 @@ func TestExplainShape(t *testing.T) {
 	}
 }
 
+// chaseOver builds a chase over atoms, controlled by ctrl and outputting
+// free, with the steps' variable masks filled in over the atoms'
+// numbering, and an optimizer over that numbering.
+func chaseOver(atoms []*query.Atom, ctrl, free []string, steps ...plan.ChaseStep) (*plan.ChaseExec, *plan.Optimizer) {
+	vt, err := plan.NumberAtoms(atoms)
+	if err != nil {
+		panic(err)
+	}
+	mask := func(names ...string) uint64 { return vt.Mask(query.NewVarSet(names...)) }
+	for i := range steps {
+		s := &steps[i]
+		if s.Atom == nil {
+			s.Proj = mask(s.EqL, s.EqR)
+			continue
+		}
+		args := vt.Args(s.AtomIdx)
+		s.On, s.Proj = plan.ArgMask(args, s.OnPos), plan.ArgMask(args, s.ProjPos)
+	}
+	n := plan.NewChaseExec(vt, mask(ctrl...), mask(free...))
+	n.Atoms, n.Steps = atoms, steps
+	return n, &plan.Optimizer{Vars: vt}
+}
+
 // twoStepChase builds the chase for Q(x,y,z) := a(x,y) and b(x,z) with x
 // controlling, both atoms fetched through entries on x, in the emitted
 // order requested. Each step binds exactly its own fresh variable, so the
 // Binds sets are order-independent here by construction.
-func twoStepChase(nA, nB int, aFirst bool) *plan.ChaseExec {
+func twoStepChase(nA, nB int, aFirst bool) (*plan.ChaseExec, *plan.Optimizer) {
 	atomA := query.NewAtom("a", query.Var("x"), query.Var("y"))
 	atomB := query.NewAtom("b", query.Var("x"), query.Var("z"))
 	stepA := plan.ChaseStep{
@@ -263,15 +286,11 @@ func twoStepChase(nA, nB int, aFirst bool) *plan.ChaseExec {
 		OnPos: []int{0}, ProjPos: []int{0, 1},
 		Binds: []string{"z"}, Verifies: true,
 	}
-	n := plan.NewChaseExec(query.NewVarSet("x"))
-	n.Atoms = []*query.Atom{atomA, atomB}
-	n.Free = query.NewVarSet("x", "y", "z")
+	atoms, ctrl, free := []*query.Atom{atomA, atomB}, []string{"x"}, []string{"x", "y", "z"}
 	if aFirst {
-		n.Steps = []plan.ChaseStep{stepA, stepB}
-	} else {
-		n.Steps = []plan.ChaseStep{stepB, stepA}
+		return chaseOver(atoms, ctrl, free, stepA, stepB)
 	}
-	return n
+	return chaseOver(atoms, ctrl, free, stepB, stepA)
 }
 
 // TestChaseReorder pins the chase-step scheduling contract: smaller N
@@ -280,8 +299,8 @@ func twoStepChase(nA, nB int, aFirst bool) *plan.ChaseExec {
 // dependent steps after their producers.
 func TestChaseReorder(t *testing.T) {
 	t.Run("static flip", func(t *testing.T) {
-		n := twoStepChase(50, 10, true)
-		(&plan.Optimizer{}).Optimize(n)
+		n, o := twoStepChase(50, 10, true)
+		o.Optimize(n)
 		if got := n.Steps[0].Atom.Rel; got != "b" {
 			t.Fatalf("first step fetches %s, want b (smaller N first)", got)
 		}
@@ -299,18 +318,15 @@ func TestChaseReorder(t *testing.T) {
 		// with the emitted order on the bound, so the emitted order stands.
 		atomA := query.NewAtom("a", query.Var("x"), query.Var("y"))
 		atomB := query.NewAtom("b", query.Var("z"), query.Var("w"))
-		n := plan.NewChaseExec(query.NewVarSet("x"))
-		n.Atoms = []*query.Atom{atomA, atomB}
-		n.Free = query.NewVarSet("x", "y", "z", "w")
-		n.Steps = []plan.ChaseStep{
-			{Atom: atomA, AtomIdx: 0, Entry: access.Plain("a", []string{"x"}, 50, 1),
+		n, o := chaseOver([]*query.Atom{atomA, atomB}, []string{"x"}, []string{"x", "y", "z", "w"},
+			plan.ChaseStep{Atom: atomA, AtomIdx: 0, Entry: access.Plain("a", []string{"x"}, 50, 1),
 				OnPos: []int{0}, ProjPos: []int{0, 1}, Binds: []string{"y"}, Verifies: true},
-			{EqL: "z", EqR: "x"},
-			{Atom: atomB, AtomIdx: 1, Entry: access.Plain("b", []string{"z"}, 50, 1),
+			plan.ChaseStep{EqL: "z", EqR: "x"},
+			plan.ChaseStep{Atom: atomB, AtomIdx: 1, Entry: access.Plain("b", []string{"z"}, 50, 1),
 				OnPos: []int{0}, ProjPos: []int{0, 1}, Binds: []string{"w"}, Verifies: true},
-		}
+		)
 		want := n.Bound()
-		(&plan.Optimizer{}).Optimize(n)
+		o.Optimize(n)
 		if n.Steps[0].Atom == nil || n.Steps[0].Atom.Rel != "a" {
 			t.Fatalf("first step %+v, want the emitted fetch of a (a tie keeps the emitted order)", n.Steps[0])
 		}
@@ -324,17 +340,14 @@ func TestChaseReorder(t *testing.T) {
 		// smaller N it cannot run first.
 		atomA := query.NewAtom("a", query.Var("x"), query.Var("y"))
 		atomC := query.NewAtom("c", query.Var("y"), query.Var("w"))
-		n := plan.NewChaseExec(query.NewVarSet("x"))
-		n.Atoms = []*query.Atom{atomA, atomC}
-		n.Free = query.NewVarSet("x", "y", "w")
-		n.Steps = []plan.ChaseStep{
-			{Atom: atomA, AtomIdx: 0, Entry: access.Plain("a", []string{"x"}, 50, 1),
+		n, o := chaseOver([]*query.Atom{atomA, atomC}, []string{"x"}, []string{"x", "y", "w"},
+			plan.ChaseStep{Atom: atomA, AtomIdx: 0, Entry: access.Plain("a", []string{"x"}, 50, 1),
 				OnPos: []int{0}, ProjPos: []int{0, 1}, Binds: []string{"y"}, Verifies: true},
-			{Atom: atomC, AtomIdx: 1, Entry: access.Plain("c", []string{"y"}, 5, 1),
+			plan.ChaseStep{Atom: atomC, AtomIdx: 1, Entry: access.Plain("c", []string{"y"}, 5, 1),
 				OnPos: []int{0}, ProjPos: []int{0, 1}, Binds: []string{"w"}, Verifies: true},
-		}
+		)
 		want := n.Bound()
-		(&plan.Optimizer{}).Optimize(n)
+		o.Optimize(n)
 		if got := n.Steps[0].Atom.Rel; got != "a" {
 			t.Fatalf("first step fetches %s, want a (c's input y unbound)", got)
 		}
@@ -381,13 +394,13 @@ func TestChaseReorder(t *testing.T) {
 			}
 			return got, es.Counters.TupleReads
 		}
-		emitted := twoStepChase(50, 10, true)
+		emitted, _ := twoStepChase(50, 10, true)
 		wantAns, _ := run(emitted)
 		if len(wantAns) != 6 {
 			t.Fatalf("emitted order yields %d answers, want 6", len(wantAns))
 		}
-		opt := twoStepChase(50, 10, true)
-		(&plan.Optimizer{}).Optimize(opt)
+		opt, o := twoStepChase(50, 10, true)
+		o.Optimize(opt)
 		if got := opt.Steps[0].Atom.Rel; got != "b" {
 			t.Fatalf("fixture not reordered (first step %s)", got)
 		}

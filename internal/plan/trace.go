@@ -36,9 +36,7 @@ func AssignOpIDs(root Node) int {
 	walk = func(nd Node) {
 		nd.setOpID(n)
 		n++
-		for _, c := range nd.Children() {
-			walk(c)
-		}
+		EachChild(nd, walk)
 	}
 	walk(root)
 	return n

@@ -122,6 +122,47 @@ func (q *Query) Fix(b Bindings) *Query {
 	return &Query{Name: q.Name, Head: head, Body: body}
 }
 
+// Equal reports whether q and o are the same query: equal names, heads
+// and bodies, the bodies compared node by node without rendering either.
+func (q *Query) Equal(o *Query) bool {
+	return q.Name == o.Name && slices.Equal(q.Head, o.Head) && formulaEqual(q.Body, o.Body)
+}
+
+// formulaEqual reports whether f and g are the same syntax tree.
+func formulaEqual(f, g Formula) bool {
+	switch n := f.(type) {
+	case *Atom:
+		m, ok := g.(*Atom)
+		return ok && n.Rel == m.Rel && slices.Equal(n.Args, m.Args)
+	case *Eq:
+		m, ok := g.(*Eq)
+		return ok && n.L == m.L && n.R == m.R
+	case *Truth:
+		m, ok := g.(*Truth)
+		return ok && n.Bool == m.Bool
+	case *Not:
+		m, ok := g.(*Not)
+		return ok && formulaEqual(n.F, m.F)
+	case *And:
+		m, ok := g.(*And)
+		return ok && formulaEqual(n.L, m.L) && formulaEqual(n.R, m.R)
+	case *Or:
+		m, ok := g.(*Or)
+		return ok && formulaEqual(n.L, m.L) && formulaEqual(n.R, m.R)
+	case *Implies:
+		m, ok := g.(*Implies)
+		return ok && formulaEqual(n.L, m.L) && formulaEqual(n.R, m.R)
+	case *Exists:
+		m, ok := g.(*Exists)
+		return ok && slices.Equal(n.Vars, m.Vars) && formulaEqual(n.Body, m.Body)
+	case *Forall:
+		m, ok := g.(*Forall)
+		return ok && slices.Equal(n.Vars, m.Vars) && formulaEqual(n.Body, m.Body)
+	default:
+		return false
+	}
+}
+
 // String renders the query as Name(head) := body.
 func (q *Query) String() string {
 	return fmt.Sprintf("%s(%s) := %s", q.Name, strings.Join(q.Head, ", "), q.Body)

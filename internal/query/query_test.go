@@ -1,7 +1,6 @@
 package query
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/relation"
@@ -44,33 +43,6 @@ func TestVarSetOps(t *testing.T) {
 	nilSet = nilSet.Add("w")
 	if !nilSet.Contains("w") {
 		t.Error("Add on nil")
-	}
-}
-
-// TestVarBitsNames checks that Names and VarSet name every bit handed out,
-// also bits numbered after an earlier Names, and that a 65th variable
-// marks the numbering Full without a bit.
-func TestVarBitsNames(t *testing.T) {
-	vb := NewVarBits(2)
-	x, y := vb.Bit("x"), vb.Bit("y")
-	if got := vb.Names(x | y); len(got) != 2 || got[0] != "x" || got[1] != "y" {
-		t.Fatalf("Names = %v, want [x y]", got)
-	}
-	z := vb.Bit("z")
-	if got := vb.VarSet(y | z); !got.Equal(NewVarSet("y", "z")) {
-		t.Fatalf("VarSet = %v, want {y, z}", got)
-	}
-	for i := 3; i < 64; i++ {
-		vb.Bit(fmt.Sprintf("v%d", i))
-	}
-	if vb.Full() {
-		t.Fatal("Full after 64 variables")
-	}
-	if b := vb.Bit("w"); b != 0 || !vb.Full() {
-		t.Fatalf("65th variable: bit %x, Full %v; want 0, true", b, vb.Full())
-	}
-	if got := vb.Names(1 << 63); len(got) != 1 || got[0] != "v63" {
-		t.Fatalf("Names(bit 63) = %v, want [v63]", got)
 	}
 }
 
