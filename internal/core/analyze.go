@@ -236,10 +236,11 @@ func compareSets(a, b uint64) int {
 }
 
 // analyze returns derivations for the minimal controlling sets of f, the
-// node at pre-order position pos. parentConj marks nodes analyzed as direct constituents of an enclosing
-// conjunctive shape (And or Exists): the chase runs only at the maximal
-// conjunctive node, which sees the whole flattened conjunction and is
-// insensitive to the binary rule's association order.
+// node at pre-order position pos. parentConj marks nodes analyzed as
+// direct constituents of an enclosing conjunctive shape (And or Exists):
+// the chase runs only at the maximal conjunctive node, which sees the
+// whole flattened conjunction and is insensitive to the binary rule's
+// association order.
 func (st *analysisState) analyze(f query.Formula, pos int, parentConj bool) ([]*Derivation, error) {
 	var fam family
 

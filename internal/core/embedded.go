@@ -213,7 +213,7 @@ func backed[T any](buf []T, n int) []T {
 	return make([]T, n)
 }
 
-// chaseFetch is a candidate fetch step: atom atom through the entry at
+// chaseFetch is a candidate fetch of atoms[atom] through the entry at
 // loc, with its variables as masks.
 type chaseFetch struct {
 	loc   *access.Located

@@ -17,8 +17,9 @@ var ErrTooManyVars = errors.New("plan: more than 64 distinct variables")
 // order: variable id is the bit 1<<id of a uint64, so a set of variables
 // is one word (union is |, difference &^, and s ⊆ o is s&^o == 0), and
 // ascending ids list the names sorted. One pre-order walk builds it (see
-// NumberFormula); it records each formula node's free variables by the
-// node's pre-order position, and each atom's argument ids.
+// NumberFormula); it records each formula node's free variables, as a
+// mask and as sorted names, by the node's pre-order position, and each
+// atom's argument ids.
 //
 // The controllability analysis reads its masks, and every operator
 // compiled from the analysis keeps its variable sets as masks over the
@@ -27,9 +28,9 @@ type Vars struct {
 	names []string  // by id
 	nodes []varNode // by pre-order position
 	args  []int8    // the argument ids of atoms and equalities; -1 for a constant
-	// free lists each node's free variables, sorted: the out-names of
-	// every operator compiled 1:1 from the formula, listed in one slab.
-	free []string
+	// freeNames lists each node's free variables, sorted: the out-names
+	// of every operator compiled 1:1 from the formula, in one slab.
+	freeNames []string
 
 	// Inline backing for typical queries: numbering one allocates the
 	// Vars and one slab of names.
@@ -42,7 +43,7 @@ type varNode struct {
 	free  uint64 // the node's free variables
 	size  int32  // nodes in its subtree, itself included
 	args  int32  // Atom, Eq: offset of its argument ids in Vars.args
-	names int32  // offset of the free variables' names in Vars.free
+	names int32  // offset of the free variables' names in Vars.freeNames
 }
 
 // NumberFormula numbers f's variables. Node 0 is f; a unary node's
@@ -64,9 +65,6 @@ func NumberAtoms(atoms []*query.Atom) (*Vars, error) {
 	}
 	return nb.done()
 }
-
-// Len returns the number of numbered variables.
-func (v *Vars) Len() int { return len(v.names) }
 
 // Free returns the free variables of the node at pre-order position pos.
 func (v *Vars) Free(pos int) uint64 { return v.nodes[pos].free }
@@ -96,7 +94,7 @@ func (v *Vars) Names(m uint64) []string {
 	k := bits.OnesCount64(m)
 	for i := range v.nodes {
 		if n := &v.nodes[i]; n.free == m {
-			return v.free[n.names : int(n.names)+k : int(n.names)+k]
+			return v.freeNames[n.names : int(n.names)+k : int(n.names)+k]
 		}
 	}
 	out := make([]string, 0, k)
@@ -288,7 +286,7 @@ func (nb *numbering) done() (*Vars, error) {
 			slab = append(slab, v.names[bits.TrailingZeros64(f)])
 		}
 	}
-	v.free = slab
+	v.freeNames = slab
 	if !ident {
 		for i, id := range v.args {
 			if id >= 0 {

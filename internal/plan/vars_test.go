@@ -28,7 +28,7 @@ func TestVarsNumbering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := vt.Names(1<<vt.Len() - 1); !slices.Equal(got, []string{"w", "x", "y", "z"}) {
+	if got := vt.Names(0b1111); !slices.Equal(got, []string{"w", "x", "y", "z"}) {
 		t.Fatalf("names by id %v, want [w x y z]", got)
 	}
 	w, x, y, z := uint64(1), uint64(2), uint64(4), uint64(8)
