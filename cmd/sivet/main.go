@@ -2,7 +2,8 @@
 // compiler and staticcheck cannot see: the ExecStats charging
 // discipline that reads ≤ M rests on (chargedreads), documented lock
 // ownership (lockguard), the errors.Is-able error taxonomy (typederr),
-// and the snake_case/json.Number wire contract (wirejson).
+// the snake_case/json.Number wire contract (wirejson), and the one cost
+// algebra every bound is priced with (entrybound).
 //
 // Usage:
 //

@@ -49,8 +49,15 @@ type Derivation struct {
 	vars *plan.Vars
 	pos  int
 	ctrl uint64
-	cost Cost
+	cost plan.Cost
 }
+
+// CostOf returns the static bound of a derivation, composed by the
+// analysis from plan's step rules as it builds d, mirroring the proof of
+// Theorem 4.2. It equals the Bound of the derivation's 1:1 compiled
+// operator plan (TestCompileBoundMatchesCostOf); an optimized plan may
+// carry a tighter bound.
+func CostOf(d *Derivation) plan.Cost { return d.cost }
 
 // Explain renders the derivation tree, one rule per line.
 func (d *Derivation) Explain() string {
@@ -71,7 +78,7 @@ func (d *Derivation) explain(b *strings.Builder, depth int) {
 	b.WriteByte('\n')
 	if d.Chase != nil {
 		for _, s := range d.Chase.Steps {
-			fmt.Fprintf(b, "%s  step: %s\n", indent, s)
+			fmt.Fprintf(b, "%s  step: %s\n", indent, s.Format(d.vars))
 		}
 	}
 	for _, c := range d.Children {
@@ -201,7 +208,7 @@ func (fam *family) admit(ctrl uint64, reads int64) int {
 // offer admits a derivation by rule of f, at pre-order position pos, from
 // at most two children, and allocates it, together with its Children, only
 // if it is kept.
-func (st *analysisState) offer(fam *family, rule Rule, f query.Formula, pos int, ctrl uint64, cost Cost, children ...*Derivation) {
+func (st *analysisState) offer(fam *family, rule Rule, f query.Formula, pos int, ctrl uint64, cost plan.Cost, children ...*Derivation) {
 	i := fam.admit(ctrl, cost.Reads)
 	if i < 0 {
 		return
@@ -247,7 +254,7 @@ func (st *analysisState) analyze(f query.Formula, pos int, parentConj bool) ([]*
 	// conditions rule: any Boolean combination of equalities (no relation
 	// atoms, no quantifiers) is controlled by all its variables.
 	if isEqualityOnly(f) {
-		st.offer(&fam, RuleConditions, f, pos, st.vars.Free(pos), Cost{Candidates: 1, Reads: 0})
+		st.offer(&fam, RuleConditions, f, pos, st.vars.Free(pos), plan.Probe(0))
 	}
 
 	var err error
@@ -311,9 +318,9 @@ func (st *analysisState) atomDerivs(fam *family, a *query.Atom, pos int) error {
 		if l.IsEmbedded() {
 			continue
 		}
-		ctrl, n := plan.ArgMask(args, l.OnPos), int64(l.N)
-		if i := fam.admit(ctrl, n); i >= 0 {
-			(*fam)[i] = &Derivation{Rule: RuleAtom, F: a, Entry: l.Entry, OnPos: l.OnPos, vars: st.vars, pos: pos, ctrl: ctrl, cost: Cost{Candidates: n, Reads: n}}
+		ctrl, cost := plan.ArgMask(args, l.OnPos), plan.Fetch(plan.EntryBound(l.Entry), true)
+		if i := fam.admit(ctrl, cost.Reads); i >= 0 {
+			(*fam)[i] = &Derivation{Rule: RuleAtom, F: a, Entry: l.Entry, OnPos: l.OnPos, vars: st.vars, pos: pos, ctrl: ctrl, cost: cost}
 		}
 	}
 	return nil
@@ -337,8 +344,8 @@ func (st *analysisState) conjDerivs(fam *family, n *query.And, pos int) error {
 	// the other free variables of Qi.
 	for _, dl := range left {
 		for _, dr := range right {
-			st.offer(fam, RuleConj, n, pos, dl.ctrl|dr.ctrl&^freeL, ruleCost(RuleConj, dl.cost, dr.cost), dl, dr)
-			st.offer(fam, RuleConj, n, pos, dr.ctrl|dl.ctrl&^freeR, ruleCost(RuleConj, dr.cost, dl.cost), dr, dl)
+			st.offer(fam, RuleConj, n, pos, dl.ctrl|dr.ctrl&^freeL, plan.Join(dl.cost, dr.cost), dl, dr)
+			st.offer(fam, RuleConj, n, pos, dr.ctrl|dl.ctrl&^freeR, plan.Join(dr.cost, dl.cost), dr, dl)
 		}
 	}
 	// Safe negation: Q ∧ ¬Q′ with free(Q′) ⊆ free(Q), Q′ fully controlled.
@@ -365,7 +372,7 @@ func (st *analysisState) safeNegDerivs(fam *family, n *query.And, pos int, neg q
 	}
 	if dn := cheapestWithin(inner, innerFree); dn != nil {
 		for _, dp := range other {
-			st.offer(fam, RuleSafeNeg, n, pos, dp.ctrl, ruleCost(RuleSafeNeg, dp.cost, dn.cost), dp, dn)
+			st.offer(fam, RuleSafeNeg, n, pos, dp.ctrl, plan.Anti(dp.cost, dn.cost), dp, dn)
 		}
 	}
 	return nil
@@ -400,7 +407,7 @@ func (st *analysisState) disjDerivs(fam *family, n *query.Or, pos int) error {
 	}
 	for _, dl := range left {
 		for _, dr := range right {
-			st.offer(fam, RuleDisj, n, pos, dl.ctrl|dr.ctrl, ruleCost(RuleDisj, dl.cost, dr.cost), dl, dr)
+			st.offer(fam, RuleDisj, n, pos, dl.ctrl|dr.ctrl, plan.Union(dl.cost, dr.cost), dl, dr)
 		}
 	}
 	return nil
@@ -459,7 +466,7 @@ func (st *analysisState) forallDerivs(fam *family, n *query.Forall, pos int) err
 	if dqp == nil {
 		return nil
 	}
-	st.offer(fam, RuleForall, n, pos, x, ruleCost(RuleForall, dq.cost, dqp.cost), dq, dqp)
+	st.offer(fam, RuleForall, n, pos, x, plan.Forall(dq.cost, dqp.cost), dq, dqp)
 	return nil
 }
 

@@ -179,7 +179,6 @@ func (st *analysisState) conjShape(g query.Formula, pos int, c *conjunction) boo
 // chaseBuilder precomputes the candidate fetch steps for a conjunction,
 // with their variables as masks, and chases specific controlling sets.
 type chaseBuilder struct {
-	vars       *plan.Vars
 	atoms      []*query.Atom
 	atomVars   []uint64 // each atom's variables
 	probe      []bool   // each atom's fully bound tuples may be probed for membership
@@ -241,7 +240,7 @@ type chaseMove struct {
 
 func (st *analysisState) newChaseBuilder(c *conjunction, free, quantified uint64) (*chaseBuilder, error) {
 	atoms := c.atoms
-	b := &chaseBuilder{vars: st.vars, atoms: atoms, free: free}
+	b := &chaseBuilder{atoms: atoms, free: free}
 	b.atomVars, b.probe = backed(b.atomVarsBuf[:], len(atoms)), backed(b.probeBuf[:], len(atoms))
 	var seen, twice uint64
 	for ai, args := range c.atomArgs {
@@ -334,7 +333,7 @@ func (st *analysisState) newChaseBuilder(c *conjunction, free, quantified uint64
 // chase runs the chase from the controlling set x and reports the cost of
 // the plan it finds, or false when the chase does not cover the formula.
 // The plan itself stays in the builder's scratch until plan is called.
-func (b *chaseBuilder) chase(x uint64) (Cost, bool) {
+func (b *chaseBuilder) chase(x uint64) (plan.Cost, bool) {
 	bound := x | b.constBound
 	b.moves, b.probes = b.moves[:0], b.probes[:0]
 	for i := range b.fetches {
@@ -357,7 +356,7 @@ func (b *chaseBuilder) chase(x uint64) (Cost, bool) {
 			if fs.used || fs.on&^bound != 0 || fs.proj&^bound == 0 {
 				continue
 			}
-			if best < 0 || fs.loc.N < b.fetches[best].loc.N {
+			if best < 0 || plan.EntryBound(fs.loc.Entry) < plan.EntryBound(b.fetches[best].loc.Entry) {
 				best = i
 			}
 		}
@@ -370,13 +369,13 @@ func (b *chaseBuilder) chase(x uint64) (Cost, bool) {
 		}
 	}
 	if b.free&^bound != 0 {
-		return Cost{}, false
+		return plan.Cost{}, false
 	}
 	// Variables constrained by equalities cannot be absorbed by
 	// projections; they must be bound so the equality can be checked.
 	for _, ev := range b.eqBits {
 		if bound&ev[0] == 0 || bound&ev[1] == 0 {
-			return Cost{}, false
+			return plan.Cost{}, false
 		}
 	}
 	// Verification: atoms with all variables bound get membership probes;
@@ -389,16 +388,16 @@ func (b *chaseBuilder) chase(x uint64) (Cost, bool) {
 			continue
 		}
 		if unbound&^b.absorbable != 0 || !b.markVerifier(ai, bound, unbound) {
-			return Cost{}, false
+			return plan.Cost{}, false
 		}
 	}
-	c := Cost{Candidates: 1}
+	c := plan.Cost{Candidates: 1}
 	for _, m := range b.moves {
 		if m.fetch >= 0 {
-			c = chaseFetchCost(c, b.fetches[m.fetch].loc.N, m.binds != 0)
+			c = plan.Join(c, plan.Fetch(plan.EntryBound(b.fetches[m.fetch].loc.Entry), m.binds != 0))
 		}
 	}
-	return chaseProbeCost(c, len(b.probes)), true
+	return plan.Join(c, plan.Probe(len(b.probes))), true
 }
 
 // markVerifier finds (or appends) a fetch on atom ai that verifies it and
@@ -438,7 +437,7 @@ func (b *chaseBuilder) plan() *ChasePlan {
 		fs := &b.fetches[m.fetch]
 		p.Steps[i] = ChaseStep{
 			Atom: b.atoms[fs.atom], AtomIdx: fs.atom, Entry: fs.loc.Entry, OnPos: fs.loc.OnPos, ProjPos: fs.loc.ProjPos,
-			Binds: b.vars.Names(m.binds), Verifies: m.verifies, On: fs.on, Proj: fs.proj,
+			Binds: m.binds, Verifies: m.verifies, On: fs.on, Proj: fs.proj,
 		}
 	}
 	if len(b.probes) > 0 {

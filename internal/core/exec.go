@@ -25,7 +25,7 @@ import (
 // its own operators guarantee.
 type Plan struct {
 	Derivation *Derivation
-	Bound      Cost
+	Bound      plan.Cost
 	// Root is the physical operator tree the executor interprets.
 	Root plan.Node
 	// Vars numbers the query's variables: Root's operators keep their

@@ -1,12 +1,12 @@
 // Package lint is sivet's analysis kernel: a dependency-free (stdlib
 // go/parser + go/types + go/importer only) analyzer driver for the
 // project-specific invariants that keep the paper's guarantee honest.
-// The four analyzers — chargedreads, lockguard, typederr, wirejson —
-// machine-check what DESIGN.md states in prose: every store access is
-// charged to ExecStats (reads ≤ M is only as strong as the charging
-// discipline), documented lock ownership is real, errors stay
-// errors.Is-able, and the wire surface stays snake_case with exact
-// int64 decoding.
+// The five analyzers — chargedreads, lockguard, typederr, wirejson,
+// entrybound — machine-check what DESIGN.md states in prose: every store
+// access is charged to ExecStats (reads ≤ M is only as strong as the
+// charging discipline), documented lock ownership is real, errors stay
+// errors.Is-able, the wire surface stays snake_case with exact int64
+// decoding, and every bound is priced through the one cost algebra.
 //
 // The framework deliberately mirrors the shape of
 // golang.org/x/tools/go/analysis (Analyzer, Pass, testdata with
@@ -87,7 +87,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzers is the full suite in the order sivet runs it.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{ChargedReads, LockGuard, TypedErr, WireJSON}
+	return []*Analyzer{ChargedReads, LockGuard, TypedErr, WireJSON, EntryBound}
 }
 
 // Run applies each analyzer to each package and returns the surviving

@@ -26,6 +26,7 @@ func TestChargedReadsTestdata(t *testing.T) { runTestdata(t, "chargedreads") }
 func TestLockGuardTestdata(t *testing.T)    { runTestdata(t, "lockguard") }
 func TestTypedErrTestdata(t *testing.T)     { runTestdata(t, "typederr") }
 func TestWireJSONTestdata(t *testing.T)     { runTestdata(t, "wirejson") }
+func TestEntryBoundTestdata(t *testing.T)   { runTestdata(t, "entrybound") }
 
 // TestModuleClean is the self-gate: the repository's own tree must stay
 // free of findings. It is what `make sivet` checks in CI, kept in the

@@ -21,8 +21,9 @@ type ChaseStep struct {
 	Entry   access.Entry
 	OnPos   []int // positions (within the atom) of Entry.On
 	ProjPos []int // positions of Entry's effective Y
-	// Binds lists, sorted, the variables the step binds first.
-	Binds []string
+	// Binds is the mask, over the plan's Vars, of the variables the step
+	// binds first.
+	Binds uint64
 	// Verifies marks a fetch that fully verifies its atom (no membership
 	// probe needed).
 	Verifies bool
@@ -36,8 +37,9 @@ type ChaseStep struct {
 	On, Proj uint64
 }
 
-// String renders the step for EXPLAIN output.
-func (s ChaseStep) String() string {
+// Format renders the step for EXPLAIN output; vt is the Vars its masks
+// are over.
+func (s ChaseStep) Format(vt *Vars) string {
 	if s.Atom == nil {
 		return fmt.Sprintf("propagate %s = %s", s.EqL, s.EqR)
 	}
@@ -45,7 +47,7 @@ func (s ChaseStep) String() string {
 	if s.Verifies {
 		verb = "fetch+verify"
 	}
-	out := fmt.Sprintf("%s %s via %s (binds %s)", verb, s.Atom, s.Entry.String(), strings.Join(s.Binds, ","))
+	out := fmt.Sprintf("%s %s via %s (binds %s)", verb, s.Atom, s.Entry.String(), strings.Join(vt.Names(s.Binds), ","))
 	switch s.Route.Kind {
 	case store.RouteSingle:
 		out += " [single-shard]"
@@ -77,32 +79,35 @@ type ChaseExec struct {
 	// EqBound is the mask of the variables EqConsts binds.
 	EqBound uint64
 
-	varSets // Need: the controlling set; Out: the variables the chase outputs
+	varSets       // Need: the controlling set; Out: the variables the chase outputs
+	vars    *Vars // the numbering the masks are over, for EXPLAIN
 }
 
 // NewChaseExec wraps a compiled chase; ctrl is the controlling set the
 // chase was built for and free the variables it outputs, both over vt.
 func NewChaseExec(vt *Vars, ctrl, free uint64) *ChaseExec {
-	return &ChaseExec{varSets: newVarSets(vt, ctrl, free)}
+	return &ChaseExec{varSets: newVarSets(vt, ctrl, free), vars: vt}
 }
 
-// Bound implements Node: candidates multiply along binding fetch steps;
-// each step's reads are charged once per candidate alive at that point,
-// plus one membership probe per candidate per membership-verified atom.
+// Bound implements Node.
 func (n *ChaseExec) Bound() Cost {
-	cands, reads := int64(1), int64(0)
-	for _, s := range n.Steps {
-		if s.Atom == nil {
-			continue // equality propagation is free
+	return chaseCost(n.Need()|n.EqBound, n.Steps, len(n.MembershipAtoms))
+}
+
+// chaseCost prices a chase that runs steps in order from the variables
+// seed bound, then probes probes atoms for membership: each fetch is a
+// step of the one Fetch rule, binding when its Proj holds a variable no
+// earlier step bound, and equality propagation is free. It is the
+// operator's Bound and the price the chase reorder compares.
+func chaseCost(seed uint64, steps []ChaseStep, probes int) Cost {
+	c, bound := Cost{Candidates: 1}, seed
+	for _, s := range steps {
+		if s.Atom != nil {
+			c = Join(c, Fetch(EntryBound(s.Entry), s.Proj&^bound != 0))
 		}
-		en := int64(s.Entry.N)
-		reads = SatAdd(reads, SatMul(cands, en))
-		if len(s.Binds) > 0 {
-			cands = SatMul(cands, en)
-		}
+		bound |= s.Proj
 	}
-	reads = SatAdd(reads, SatMul(cands, int64(len(n.MembershipAtoms))))
-	return Cost{Candidates: cands, Reads: reads}
+	return Join(c, Probe(probes))
 }
 
 // Describe implements Node.

@@ -22,7 +22,7 @@ func explain(b *strings.Builder, n Node, depth int) {
 	fmt.Fprintf(b, "%s%s — %s\n", indent, n.Describe(), n.Bound())
 	if ch, ok := n.(*ChaseExec); ok {
 		for _, s := range ch.Steps {
-			fmt.Fprintf(b, "%s  step: %s\n", indent, s)
+			fmt.Fprintf(b, "%s  step: %s\n", indent, s.Format(ch.vars))
 		}
 	}
 	EachChild(n, func(c Node) { explain(b, c, depth+1) })
@@ -56,7 +56,7 @@ func explainAnalyze(b *strings.Builder, n Node, ops []store.OpCharge, depth int)
 	b.WriteByte('\n')
 	if ch, ok := n.(*ChaseExec); ok {
 		for _, s := range ch.Steps {
-			fmt.Fprintf(b, "%s  step: %s\n", indent, s)
+			fmt.Fprintf(b, "%s  step: %s\n", indent, s.Format(ch.vars))
 		}
 	}
 	EachChild(n, func(c Node) { explainAnalyze(b, c, ops, depth+1) })

@@ -40,10 +40,7 @@ func NewIndexLookup(vt *Vars, a *query.Atom, args []int8, e access.Entry, onPos 
 }
 
 // Bound implements Node: at most N candidates, at most N reads.
-func (n *IndexLookup) Bound() Cost {
-	nn := int64(n.Entry.N)
-	return Cost{Candidates: nn, Reads: nn}
-}
+func (n *IndexLookup) Bound() Cost { return Fetch(EntryBound(n.Entry), true) }
 
 // Describe implements Node.
 func (n *IndexLookup) Describe() string {
@@ -135,7 +132,7 @@ func NewMembershipProbe(vt *Vars, a *query.Atom, args []int8) *MembershipProbe {
 }
 
 // Bound implements Node.
-func (n *MembershipProbe) Bound() Cost { return Cost{Candidates: 1, Reads: 1} }
+func (n *MembershipProbe) Bound() Cost { return Probe(1) }
 
 // Describe implements Node.
 func (n *MembershipProbe) Describe() string {
@@ -166,7 +163,7 @@ func NewSelect(vt *Vars, f query.Formula, free uint64) *Select {
 }
 
 // Bound implements Node.
-func (n *Select) Bound() Cost { return Cost{Candidates: 1, Reads: 0} }
+func (n *Select) Bound() Cost { return Probe(0) }
 
 // Describe implements Node.
 func (n *Select) Describe() string { return fmt.Sprintf("Select %s", n.Cond) }
@@ -217,13 +214,7 @@ func NewNLJoin(vt *Vars, l, r Node, ctrl, out uint64) *NLJoin {
 }
 
 // Bound implements Node: R runs once per L candidate.
-func (n *NLJoin) Bound() Cost {
-	c0, c1 := n.L.Bound(), n.R.Bound()
-	return Cost{
-		Candidates: SatMul(c0.Candidates, c1.Candidates),
-		Reads:      SatAdd(c0.Reads, SatMul(c0.Candidates, c1.Reads)),
-	}
-}
+func (n *NLJoin) Bound() Cost { return Join(n.L.Bound(), n.R.Bound()) }
 
 // Describe implements Node.
 func (n *NLJoin) Describe() string { return "NLJoin" }
@@ -296,9 +287,7 @@ func NewStreamUnion(vt *Vars, branches []Node, ctrl, out uint64) *StreamUnion {
 func (n *StreamUnion) Bound() Cost {
 	var c Cost
 	for _, b := range n.Branches {
-		cb := b.Bound()
-		c.Candidates = SatAdd(c.Candidates, cb.Candidates)
-		c.Reads = SatAdd(c.Reads, cb.Reads)
+		c = Union(c, b.Bound())
 	}
 	return c
 }
@@ -348,13 +337,7 @@ func NewAntiProbe(vt *Vars, pos, neg Node, ctrl, out uint64) *AntiProbe {
 
 // Bound implements Node: as the positive side, plus one probe of the
 // negated plan per candidate (whose worst case is its full bound).
-func (n *AntiProbe) Bound() Cost {
-	c0, c1 := n.Pos.Bound(), n.Neg.Bound()
-	return Cost{
-		Candidates: c0.Candidates,
-		Reads:      SatAdd(c0.Reads, SatMul(c0.Candidates, c1.Reads)),
-	}
-}
+func (n *AntiProbe) Bound() Cost { return Anti(n.Pos.Bound(), n.Neg.Bound()) }
 
 // Describe implements Node.
 func (n *AntiProbe) Describe() string { return "AntiProbe (EmptinessProbe of ¬)" }
@@ -471,14 +454,8 @@ func NewForallCheck(vt *Vars, gen, test Node, drop []string, ctrl, out uint64) *
 	return &ForallCheck{Gen: gen, Test: test, Drop: drop, varSets: newVarSets(vt, ctrl, out)}
 }
 
-// Bound implements Node.
-func (n *ForallCheck) Bound() Cost {
-	c0, c1 := n.Gen.Bound(), n.Test.Bound()
-	return Cost{
-		Candidates: 1,
-		Reads:      SatAdd(c0.Reads, SatMul(c0.Candidates, c1.Reads)),
-	}
-}
+// Bound implements Node: the test runs once per generated candidate.
+func (n *ForallCheck) Bound() Cost { return Forall(n.Gen.Bound(), n.Test.Bound()) }
 
 // Describe implements Node.
 func (n *ForallCheck) Describe() string { return "ForallCheck (EmptinessProbe per ȳ)" }

@@ -87,7 +87,7 @@ func (o *Optimizer) Optimize(n Node) Node {
 // bound them).
 //
 // The reorder is kept only under the same never-worse rule as join
-// chains: its bound must strictly beat the emitted order's.
+// chains: its bound (chaseCost) must strictly beat the emitted order's.
 func (o *Optimizer) reorderChase(n *ChaseExec) {
 	if len(n.Steps) < 2 {
 		return
@@ -107,7 +107,7 @@ func (o *Optimizer) reorderChase(n *ChaseExec) {
 				best = i
 				break // free: run it now
 			}
-			if en := int64(s.Entry.N); best < 0 || en < bestN {
+			if en := EntryBound(s.Entry); best < 0 || en < bestN {
 				best, bestN = i, en
 			}
 		}
@@ -115,25 +115,17 @@ func (o *Optimizer) reorderChase(n *ChaseExec) {
 			return // not schedulable greedily: keep the emitted order
 		}
 		used[best] = true
-		order = append(order, n.Steps[best])
-		bound |= n.Steps[best].Proj
-	}
-	if chaseEstimate(n, order) >= chaseEstimate(n, n.Steps) {
-		return // not strictly better
-	}
-	// Re-derive each step's newly-bound variables for the new positions:
-	// Binds feeds the candidate multiplier of Bound(). Fresh slices — the
-	// compiled steps share their Binds backing arrays with the derivation's
-	// chase plan.
-	bound = seed
-	for i := range order {
-		order[i].Binds = nil
-		if order[i].Atom != nil {
-			order[i].Binds = o.Vars.Names(order[i].Proj &^ bound)
+		s := n.Steps[best]
+		if s.Atom != nil {
+			s.Binds = s.Proj &^ bound // what it binds first at its new position
 		}
-		bound |= order[i].Proj
+		order = append(order, s)
+		bound |= s.Proj
 	}
-	n.Steps = order
+	k := len(n.MembershipAtoms)
+	if chaseCost(seed, order, k).Reads < chaseCost(seed, n.Steps, k).Reads {
+		n.Steps = order
+	}
 }
 
 // ready reports whether the chase state bound suffices to run s.
@@ -142,27 +134,6 @@ func (s *ChaseStep) ready(bound uint64) bool {
 		return s.Proj&bound != 0
 	}
 	return s.On&^bound == 0
-}
-
-// chaseEstimate prices one step order, mirroring ChaseExec.Bound with the
-// newly-bound sets derived from the order itself: per-candidate reads per
-// fetch, candidate multiplication on binding fetches, one membership probe
-// per surviving candidate per membership atom. It is the static bound the
-// reordered operator will report.
-func chaseEstimate(n *ChaseExec, steps []ChaseStep) int64 {
-	bound := n.Need() | n.EqBound
-	cands, reads := int64(1), int64(0)
-	for _, s := range steps {
-		if s.Atom != nil {
-			en := int64(s.Entry.N)
-			reads = SatAdd(reads, SatMul(cands, en))
-			if s.Proj&^bound != 0 {
-				cands = SatMul(cands, en)
-			}
-		}
-		bound |= s.Proj
-	}
-	return SatAdd(reads, SatMul(cands, int64(len(n.MembershipAtoms))))
 }
 
 // member is one flattened conjunct of a join chain.
@@ -278,7 +249,7 @@ type entryOpt struct {
 	e     *access.Entry
 	onPos []int
 	on    uint64 // variables at onPos: the entry is usable once these are bound
-	n     int64  // the entry's N
+	n     int64  // the entry's bound (EntryBound)
 }
 
 // step is one access decision: member m at its position in an order,
@@ -286,8 +257,7 @@ type entryOpt struct {
 // anti filter, or a membership probe of a fully bound atom).
 type step struct {
 	m, opt int
-	reads  int64 // estimated reads per candidate reaching the operator
-	cands  int64 // estimated candidate multiplier
+	cost   Cost // estimated per candidate reaching the operator
 }
 
 // encode prices every candidate entry of the chain's members once. It
@@ -315,13 +285,13 @@ func (o *Optimizer) encode(members []member) ([]chainMember, bool) {
 			continue // a MembershipProbe member: no entry to fetch through
 		}
 		start := len(slab)
-		slab = append(slab, entryOpt{e: m.entry, onPos: m.onPos, on: ArgMask(m.args, m.onPos), n: int64(m.entry.N)})
+		slab = append(slab, entryOpt{e: m.entry, onPos: m.onPos, on: ArgMask(m.args, m.onPos), n: EntryBound(*m.entry)})
 		locs := o.Acc.Locate(m.atom.Rel)
 		for li := range locs {
 			// A whole-key entry is usable only where every variable is
 			// bound, and there the atom is probed instead.
 			if l := &locs[li]; !l.IsEmbedded() && len(l.On) != len(m.atom.Args) {
-				slab = append(slab, entryOpt{e: &l.Entry, onPos: l.OnPos, on: ArgMask(m.args, l.OnPos), n: int64(l.N)})
+				slab = append(slab, entryOpt{e: &l.Entry, onPos: l.OnPos, on: ArgMask(m.args, l.OnPos), n: EntryBound(l.Entry)})
 			}
 		}
 		cm.opts = slab[start:len(slab):len(slab)]
@@ -334,7 +304,7 @@ func (o *Optimizer) encode(members []member) ([]chainMember, bool) {
 // entry may serve a lookup). It reports false where i cannot run.
 func place(cms []chainMember, i int, bound uint64, head, keep bool) (step, bool) {
 	m := &cms[i]
-	s := step{m: i, opt: -1, reads: 1, cands: 1}
+	s := step{m: i, opt: -1, cost: Probe(1)}
 	switch {
 	case m.anti:
 		// Emptiness probe: requires every variable of the negated operand
@@ -344,7 +314,7 @@ func place(cms []chainMember, i int, bound uint64, head, keep bool) (step, bool)
 		return s, !head && m.need&^bound == 0
 	case m.atom == nil:
 		// Condition filter: free.
-		s.reads = 0
+		s.cost = Probe(0)
 		return s, m.need&^bound == 0
 	case m.free&^bound == 0:
 		return s, true // fully determined: a single membership probe
@@ -355,17 +325,16 @@ func place(cms []chainMember, i int, bound uint64, head, keep bool) (step, bool)
 	}
 	// The usable entry with the smallest N; the analysis
 	// entry comes first, so ties keep it.
+	var n int64
 	for j, e := range opts {
-		if e.on&^bound == 0 && (s.opt < 0 || e.n < s.reads) {
-			s.opt, s.reads = j, e.n
+		if e.on&^bound == 0 && (s.opt < 0 || e.n < n) {
+			s.opt, n = j, e.n
 		}
 	}
 	if s.opt < 0 {
 		return s, false
 	}
-	if m.out&^bound != 0 {
-		s.cands = s.reads
-	}
+	s.cost = Fetch(n, m.out&^bound != 0)
 	return s, true
 }
 
@@ -380,10 +349,9 @@ type orderSearch struct {
 }
 
 // searchOrder returns the cheapest runnable order of the chain under the
-// estimate — each operator's reads charged once per candidate reaching
-// it, candidate counts multiplying along the chain — provided it strictly
-// beats the analysis-emitted order with its analysis-chosen entries;
-// otherwise ok is false.
+// estimate — the Join of the members' step costs in order — provided it
+// strictly beats the analysis-emitted order with its analysis-chosen
+// entries; otherwise ok is false.
 //
 // The incumbent starts at the analysis order, and at the analysis order
 // with entries re-selected when that is cheaper. Children are expanded in
@@ -401,7 +369,7 @@ func searchOrder(cms []chainMember, ctrl uint64, budget int) ([]step, bool) {
 		s.bestCost, s.found = c, true
 		copy(s.best, s.cur)
 	}
-	s.dfs(0, ctrl, 0, 1, 0, make([]step, n*(n+1)/2))
+	s.dfs(0, ctrl, 0, Cost{Candidates: 1}, make([]step, n*(n+1)/2))
 	return s.best, s.found
 }
 
@@ -409,27 +377,26 @@ func searchOrder(cms []chainMember, ctrl uint64, budget int) ([]step, bool) {
 // and returns that order's estimate, or false when some member cannot run
 // there.
 func (s *orderSearch) inAnalysisOrder(bound uint64, keep bool) (int64, bool) {
-	cands, total := int64(1), int64(0)
+	c := Cost{Candidates: 1}
 	for i := range s.cms {
 		st, ok := place(s.cms, i, bound, i == 0, keep)
 		if !ok {
 			return 0, false
 		}
 		s.cur[i] = st
-		total = SatAdd(total, SatMul(cands, st.reads))
-		cands = SatMul(cands, st.cands)
+		c = Join(c, st.cost)
 		bound |= s.cms[i].out
 	}
-	return total, true
+	return c.Reads, true
 }
 
 // dfs extends the order cur[:depth], whose members are used, which binds
-// bound, emits cands candidates and is estimated at total. scratch holds
-// the children lists of this level and every level below.
-func (s *orderSearch) dfs(depth int, bound, used uint64, cands, total int64, scratch []step) {
+// bound and is estimated at c. scratch holds the children lists of this
+// level and every level below.
+func (s *orderSearch) dfs(depth int, bound, used uint64, c Cost, scratch []step) {
 	n := len(s.cms)
 	if depth == n {
-		s.bestCost, s.found = total, true // pruning let only a strictly cheaper order through
+		s.bestCost, s.found = c.Reads, true // pruning let only a strictly cheaper order through
 		copy(s.best, s.cur)
 		return
 	}
@@ -447,7 +414,7 @@ func (s *orderSearch) dfs(depth int, bound, used uint64, cands, total int64, scr
 		// keeps analysis position as the final tie-break.
 		j := len(kids)
 		kids = append(kids, st)
-		for ; j > 0 && (st.reads < kids[j-1].reads || st.reads == kids[j-1].reads && st.cands < kids[j-1].cands); j-- {
+		for ; j > 0 && (st.cost.Reads < kids[j-1].cost.Reads || st.cost.Reads == kids[j-1].cost.Reads && st.cost.Candidates < kids[j-1].cost.Candidates); j-- {
 			kids[j] = kids[j-1]
 		}
 		kids[j] = st
@@ -456,19 +423,19 @@ func (s *orderSearch) dfs(depth int, bound, used uint64, cands, total int64, scr
 		if j > 0 && s.budget <= 0 {
 			return
 		}
-		t := SatAdd(total, SatMul(cands, st.reads))
-		if t >= s.bestCost {
+		t := Join(c, st.cost)
+		if t.Reads >= s.bestCost {
 			return // kids ascend in reads, so every later sibling prunes too
 		}
 		s.cur[depth] = st
-		s.dfs(depth+1, bound|s.cms[st.m].out, used|1<<st.m, SatMul(cands, st.cands), t, scratch[n-depth:])
+		s.dfs(depth+1, bound|s.cms[st.m].out, used|1<<st.m, t, scratch[n-depth:])
 	}
 }
 
 // priceMove is one way to touch an atom in PriceBelow's search: a fetch
-// through an access entry, usable once need is bound, binding binds at n
-// reads per candidate — or a membership probe, with need = binds = the
-// atom's variables and n = 1.
+// through an access entry of bound n, usable once need is bound, binding
+// binds — or a membership probe, with need = binds = the atom's variables
+// and n = 1.
 type priceMove struct {
 	atom        int
 	need, binds uint64
@@ -495,14 +462,14 @@ type priceSearch struct {
 // before any of them is built.
 //
 // The bound is the cheapest sequence of moves touching every atom at
-// least once. A fetch through any entry of acc (plain, embedded or the
-// implicit membership entry) whose X positions are bound or constant
-// costs N per candidate and binds the variables at X∪Y; it multiplies the
-// candidates by N only when it binds a new variable (by min(N, 1)
-// otherwise). A probe of an atom whose variables are all bound costs one
-// read per candidate. Lookups, membership probes, nested-loop joins and
-// chases all price in this sequential form with candidate multipliers at
-// least as large, so no plan costs less than the cheapest sequence.
+// least once, priced by the plans' own step rule and Join: a fetch
+// through any entry of acc (plain, embedded or the implicit membership
+// entry) whose X positions are bound or constant is a Fetch step binding
+// the variables at X∪Y, and a probe of an atom whose variables are all
+// bound is Probe(1). Lookups, membership probes, nested-loop joins and
+// chases price as Joins of the same steps in some order, with candidate
+// multipliers at least as large (a lookup is Fetch(n, true) even where it
+// binds nothing new), so no plan costs less than the cheapest sequence.
 //
 // The search stops at the first sequence under limit. It answers true
 // when it cannot decide — more than 64 atoms or variables, or its budget
@@ -523,22 +490,22 @@ func PriceBelow(acc *access.Schema, atoms []*query.Atom, ctrl query.VarSet, limi
 		free := ArgsMask(args)
 		moves = append(moves, priceMove{atom: i, need: free, binds: free, n: 1, probe: true})
 		for _, l := range acc.Locate(a.Rel) {
-			if len(l.OnPos) == len(a.Args) && l.N >= 1 {
+			if len(l.OnPos) == len(a.Args) && EntryBound(l.Entry) >= 1 {
 				continue // a whole-key fetch prices as the probe, or higher
 			}
-			moves = append(moves, priceMove{atom: i, need: ArgMask(args, l.OnPos), binds: ArgMask(args, l.ProjPos), n: int64(l.N)})
+			moves = append(moves, priceMove{atom: i, need: ArgMask(args, l.OnPos), binds: ArgMask(args, l.ProjPos), n: EntryBound(l.Entry)})
 		}
 	}
 	ps := &priceSearch{moves: moves, all: 1<<len(atoms) - 1, limit: limit, budget: searchBudget, probeFirst: true}
 	for _, m := range moves {
 		ps.probeFirst = ps.probeFirst && m.n > 0
 	}
-	return ps.dfs(bound, 0, 1, 0)
+	return ps.dfs(bound, 0, Cost{Candidates: 1})
 }
 
 // dfs extends a sequence that bound the variables bound, touched the
-// atoms touched, emits cands candidates and costs cost < limit.
-func (ps *priceSearch) dfs(bound, touched uint64, cands, cost int64) bool {
+// atoms touched and costs c, with c.Reads < limit.
+func (ps *priceSearch) dfs(bound, touched uint64, c Cost) bool {
 	if touched == ps.all {
 		return true
 	}
@@ -563,17 +530,15 @@ func (ps *priceSearch) dfs(bound, touched uint64, cands, cost int64) bool {
 		if m.need&^bound != 0 || touched&(1<<m.atom) != 0 && fresh == 0 {
 			continue // not runnable, or a second touch that binds nothing
 		}
-		c := SatAdd(cost, SatMul(cands, m.n))
-		if c >= ps.limit {
+		st := Probe(1)
+		if !m.probe {
+			st = Fetch(m.n, fresh != 0)
+		}
+		next := Join(c, st)
+		if next.Reads >= ps.limit {
 			continue
 		}
-		next := cands
-		if fresh != 0 {
-			next = SatMul(cands, m.n)
-		} else if m.n < 1 {
-			next = 0
-		}
-		if ps.dfs(bound|m.binds, touched|1<<m.atom, next, c) {
+		if ps.dfs(bound|m.binds, touched|1<<m.atom, next) {
 			return true
 		}
 	}

@@ -43,7 +43,6 @@ import (
 	"context"
 	"fmt"
 	"iter"
-	"math"
 
 	"repro/internal/access"
 	"repro/internal/query"
@@ -154,47 +153,6 @@ func (rt BackendRuntime) Check() error {
 		return fmt.Errorf("plan: %w: %w", store.ErrCanceled, err)
 	}
 	return nil
-}
-
-// Cost is the static bound an operator guarantees, expressed in the
-// N-values of the access schema (Theorem 4.2's "time that depends only on
-// A and Q"): Candidates bounds the number of bindings the operator can
-// yield, Reads bounds the number of tuples it fetches. Both are
-// independent of |D| by construction.
-type Cost struct {
-	Candidates int64
-	Reads      int64
-}
-
-// CostCap saturates cost arithmetic well below overflow: a bound at the
-// cap means "effectively unbounded".
-const CostCap = math.MaxInt64 / 4
-
-// costCap is the internal shorthand.
-const costCap = CostCap
-
-// SatAdd adds with saturation at the cost cap.
-func SatAdd(a, b int64) int64 {
-	if a > costCap-b {
-		return costCap
-	}
-	return a + b
-}
-
-// SatMul multiplies with saturation at the cost cap.
-func SatMul(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	if a > costCap/b {
-		return costCap
-	}
-	return a * b
-}
-
-// String renders the cost.
-func (c Cost) String() string {
-	return fmt.Sprintf("≤%d candidates, ≤%d reads", c.Candidates, c.Reads)
 }
 
 // Node is one physical operator. Stream opens the operator's cursor under

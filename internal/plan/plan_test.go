@@ -246,21 +246,25 @@ func TestExplainShape(t *testing.T) {
 
 // chaseOver builds a chase over atoms, controlled by ctrl and outputting
 // free, with the steps' variable masks filled in over the atoms'
-// numbering, and an optimizer over that numbering.
+// numbering (Binds as the emitted order binds them), and an optimizer
+// over that numbering.
 func chaseOver(atoms []*query.Atom, ctrl, free []string, steps ...plan.ChaseStep) (*plan.ChaseExec, *plan.Optimizer) {
 	vt, err := plan.NumberAtoms(atoms)
 	if err != nil {
 		panic(err)
 	}
 	mask := func(names ...string) uint64 { return vt.Mask(query.NewVarSet(names...)) }
+	bound := mask(ctrl...)
 	for i := range steps {
 		s := &steps[i]
 		if s.Atom == nil {
 			s.Proj = mask(s.EqL, s.EqR)
-			continue
+		} else {
+			args := vt.Args(s.AtomIdx)
+			s.On, s.Proj = plan.ArgMask(args, s.OnPos), plan.ArgMask(args, s.ProjPos)
+			s.Binds = s.Proj &^ bound
 		}
-		args := vt.Args(s.AtomIdx)
-		s.On, s.Proj = plan.ArgMask(args, s.OnPos), plan.ArgMask(args, s.ProjPos)
+		bound |= s.Proj
 	}
 	n := plan.NewChaseExec(vt, mask(ctrl...), mask(free...))
 	n.Atoms, n.Steps = atoms, steps
@@ -277,14 +281,12 @@ func twoStepChase(nA, nB int, aFirst bool) (*plan.ChaseExec, *plan.Optimizer) {
 	stepA := plan.ChaseStep{
 		Atom: atomA, AtomIdx: 0,
 		Entry: access.Plain("a", []string{"x"}, nA, 1),
-		OnPos: []int{0}, ProjPos: []int{0, 1},
-		Binds: []string{"y"}, Verifies: true,
+		OnPos: []int{0}, ProjPos: []int{0, 1}, Verifies: true,
 	}
 	stepB := plan.ChaseStep{
 		Atom: atomB, AtomIdx: 1,
 		Entry: access.Plain("b", []string{"x"}, nB, 1),
-		OnPos: []int{0}, ProjPos: []int{0, 1},
-		Binds: []string{"z"}, Verifies: true,
+		OnPos: []int{0}, ProjPos: []int{0, 1}, Verifies: true,
 	}
 	atoms, ctrl, free := []*query.Atom{atomA, atomB}, []string{"x"}, []string{"x", "y", "z"}
 	if aFirst {
@@ -307,8 +309,8 @@ func TestChaseReorder(t *testing.T) {
 		if got := n.Bound(); got.Reads != 510 || got.Candidates != 500 {
 			t.Errorf("reordered bound %+v, want reads 510 candidates 500", got)
 		}
-		if !slices.Equal(n.Steps[0].Binds, []string{"z"}) || !slices.Equal(n.Steps[1].Binds, []string{"y"}) {
-			t.Errorf("binds not recomputed for new order: %v / %v", n.Steps[0].Binds, n.Steps[1].Binds)
+		if got0, got1 := o.Vars.Names(n.Steps[0].Binds), o.Vars.Names(n.Steps[1].Binds); !slices.Equal(got0, []string{"z"}) || !slices.Equal(got1, []string{"y"}) {
+			t.Errorf("binds not recomputed for new order: %v / %v", got0, got1)
 		}
 	})
 
@@ -320,10 +322,10 @@ func TestChaseReorder(t *testing.T) {
 		atomB := query.NewAtom("b", query.Var("z"), query.Var("w"))
 		n, o := chaseOver([]*query.Atom{atomA, atomB}, []string{"x"}, []string{"x", "y", "z", "w"},
 			plan.ChaseStep{Atom: atomA, AtomIdx: 0, Entry: access.Plain("a", []string{"x"}, 50, 1),
-				OnPos: []int{0}, ProjPos: []int{0, 1}, Binds: []string{"y"}, Verifies: true},
+				OnPos: []int{0}, ProjPos: []int{0, 1}, Verifies: true},
 			plan.ChaseStep{EqL: "z", EqR: "x"},
 			plan.ChaseStep{Atom: atomB, AtomIdx: 1, Entry: access.Plain("b", []string{"z"}, 50, 1),
-				OnPos: []int{0}, ProjPos: []int{0, 1}, Binds: []string{"w"}, Verifies: true},
+				OnPos: []int{0}, ProjPos: []int{0, 1}, Verifies: true},
 		)
 		want := n.Bound()
 		o.Optimize(n)
@@ -342,9 +344,9 @@ func TestChaseReorder(t *testing.T) {
 		atomC := query.NewAtom("c", query.Var("y"), query.Var("w"))
 		n, o := chaseOver([]*query.Atom{atomA, atomC}, []string{"x"}, []string{"x", "y", "w"},
 			plan.ChaseStep{Atom: atomA, AtomIdx: 0, Entry: access.Plain("a", []string{"x"}, 50, 1),
-				OnPos: []int{0}, ProjPos: []int{0, 1}, Binds: []string{"y"}, Verifies: true},
+				OnPos: []int{0}, ProjPos: []int{0, 1}, Verifies: true},
 			plan.ChaseStep{Atom: atomC, AtomIdx: 1, Entry: access.Plain("c", []string{"y"}, 5, 1),
-				OnPos: []int{0}, ProjPos: []int{0, 1}, Binds: []string{"w"}, Verifies: true},
+				OnPos: []int{0}, ProjPos: []int{0, 1}, Verifies: true},
 		)
 		want := n.Bound()
 		o.Optimize(n)
