@@ -54,12 +54,15 @@ sivet:
 ## the Prometheus exporter against its own strict
 ## parser, the injective tuple-key encoding every index rides on, the
 ## TupleSet hash table against a map under random operation sequences,
-## and the /query row codec against encoding/json from both ends.
+## the index slot table against a map of groups (same order, slot
+## invariants, forced tag collisions), and the /query row codec against
+## encoding/json from both ends.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDSLParser -fuzztime=10s ./internal/parser/
 	$(GO) test -run=NONE -fuzz=FuzzExpfmtRoundTrip -fuzztime=10s ./internal/obs/
 	$(GO) test -run=NONE -fuzz=FuzzTupleKeyInjective -fuzztime=10s ./internal/relation/
 	$(GO) test -run=NONE -fuzz=FuzzTupleSetOps -fuzztime=10s ./internal/relation/
+	$(GO) test -run=NONE -fuzz=FuzzIndexOps -fuzztime=10s ./internal/index/
 	$(GO) test -run=NONE -fuzz=FuzzQueryLine -fuzztime=10s ./internal/server/
 
 ## overhead-gate: the CI instrumentation budget — default-on telemetry

@@ -14,6 +14,7 @@
 package access
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -22,6 +23,12 @@ import (
 
 	"repro/internal/relation"
 )
+
+// ErrViolation: the data breaks an access entry — some X-group holds
+// more than N distinct π_Y tuples. It is a fault of the stored data, not
+// of a request: Conforms reports it, and so does the read path when a
+// fetched group exceeds its entry's N.
+var ErrViolation = errors.New("access schema violated by the data")
 
 // Entry is one access schema statement (R, X[Y], N, T). A nil Proj means
 // Y = attr(R), i.e. a plain (non-embedded) entry.
@@ -452,7 +459,7 @@ func conformsEntry(db *relation.Database, e Entry) error {
 		}
 		g.Add(t.Project(projPos))
 		if g.Len() > e.N {
-			return fmt.Errorf("access violation: %s has > %d tuples for X-group of %s", e.String(), e.N, t)
+			return fmt.Errorf("%w: %s has > %d tuples for X-group of %s", ErrViolation, e.String(), e.N, t)
 		}
 	}
 	return nil

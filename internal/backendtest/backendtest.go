@@ -438,3 +438,29 @@ func mustPrepare(t *testing.T, eng *core.Engine, q *query.Query, ctrl []string) 
 	}
 	return p
 }
+
+// OverfullFriends generates the workload at cfg and gives person p friends
+// until p has n of them. With n > cfg.MaxFriends the stored data breaks
+// the friend(id1) entry — a data fault, for tests of how each path
+// reports one.
+func OverfullFriends(cfg workload.Config, p int64, n int) (*relation.Database, error) {
+	data, err := workload.Generate(cfg)
+	if err != nil {
+		return nil, err
+	}
+	friend := data.Rel("friend")
+	have := 0
+	for _, t := range friend.Tuples() {
+		if t[0] == relation.Int(p) {
+			have++
+		}
+	}
+	for id := int64(0); have < n; id++ {
+		if ok, err := data.Insert("friend", relation.Ints(p, id)); err != nil {
+			return nil, err
+		} else if ok {
+			have++
+		}
+	}
+	return data, nil
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 
+	"repro/internal/access"
 	"repro/internal/store"
 )
 
@@ -69,6 +70,12 @@ var (
 	// ErrViewExists: CreateView found the name taken — by another view or
 	// by a base relation. DDL conflict, not a query error: maps to 409.
 	ErrViewExists = errors.New("a view or relation with this name already exists")
+
+	// ErrAccessViolation: the stored data breaks its access schema — a
+	// group fetched on the read path holds more than its entry's N tuples.
+	// A fault of the data, not of the request: serving tiers map it to
+	// 500. Aliased from package access.
+	ErrAccessViolation = access.ErrViolation
 
 	// ErrUnknownView: DropView (or a view lookup) named a view that is not
 	// registered on this engine. Maps to 404.

@@ -151,7 +151,7 @@ func filterAt(ts []relation.Tuple, positions []int, vals []relation.Value) []rel
 next:
 	for _, t := range ts {
 		for i, p := range positions {
-			if p >= len(t) || t[p] != vals[i] {
+			if p >= len(t) || !t[p].Equal(vals[i]) {
 				continue next
 			}
 		}

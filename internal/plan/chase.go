@@ -132,7 +132,7 @@ func (n *ChaseExec) stream(rt Runtime, env query.Bindings) Seq {
 		seed[v] = val
 	}
 	for v, val := range env {
-		if prev, ok := seed[v]; ok && prev != val {
+		if prev, ok := seed[v]; ok && !prev.Equal(val) {
 			return emptySeq
 		}
 		seed[v] = val
@@ -157,7 +157,7 @@ func (n *ChaseExec) stream(rt Runtime, env query.Bindings) Seq {
 				rv, rok := c[step.EqR]
 				switch {
 				case lok && rok:
-					if lv != rv {
+					if !lv.Equal(rv) {
 						return true
 					}
 					return rec(i+1, c)
@@ -201,7 +201,7 @@ func (n *ChaseExec) stream(rt Runtime, env query.Bindings) Seq {
 // yields its restriction to the chase's free variables.
 func (n *ChaseExec) finish(rt Runtime, c query.Bindings, yield func(query.Bindings, error) bool) bool {
 	for _, ev := range n.EqVars {
-		if c[ev[0]] != c[ev[1]] {
+		if !c[ev[0]].Equal(c[ev[1]]) {
 			return true
 		}
 	}
@@ -247,7 +247,7 @@ func unifyProjected(step ChaseStep, tu relation.Tuple, c query.Bindings) (query.
 		}
 		name := arg.Name()
 		if v, ok := out[name]; ok {
-			if v != tu[j] {
+			if !v.Equal(tu[j]) {
 				return nil, false
 			}
 			continue

@@ -246,7 +246,7 @@ func (n *NLJoin) stream(rt Runtime, env query.Bindings) Seq {
 				// plus its restriction.
 				conflict := false
 				for k, v := range b1 {
-					if prev, ok := b0[k]; ok && prev != v {
+					if prev, ok := b0[k]; ok && !prev.Equal(v) {
 						conflict = true
 						break
 					}

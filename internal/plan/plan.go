@@ -345,16 +345,16 @@ func UnifyAtom(a *query.Atom, tu relation.Tuple, env query.Bindings) (query.Bind
 	b := make(query.Bindings, len(a.Args))
 	for i, arg := range a.Args {
 		if !arg.IsVar() {
-			if arg.Value() != tu[i] {
+			if !arg.Value().Equal(tu[i]) {
 				return nil, false
 			}
 			continue
 		}
 		name := arg.Name()
-		if v, ok := env[name]; ok && v != tu[i] {
+		if v, ok := env[name]; ok && !v.Equal(tu[i]) {
 			return nil, false
 		}
-		if v, ok := b[name]; ok && v != tu[i] {
+		if v, ok := b[name]; ok && !v.Equal(tu[i]) {
 			return nil, false
 		}
 		b[name] = tu[i]

@@ -49,12 +49,22 @@ func decodeFuzzTuple(data []byte) Tuple {
 // two tuples have equal keys iff they are Equal — on adversarial pairs,
 // plus the equivalence of the allocation-free projection path: keying a
 // tuple at positions must byte-equal keying its materialized projection.
-// Every index probe, O(1) delete, and shard routing decision rides on
-// these two properties.
+// Projection-index probes, dedup maps and shard routing ride on these
+// two properties. The seeded hash that tuple sets and index slot tables
+// key by must agree the same way: equal tuples hash equal, and hashing a
+// tuple at positions equals hashing its materialized projection.
 func FuzzTupleKeyInjective(f *testing.F) {
 	f.Add([]byte{1, 7, 0, 0, 0, 0, 0, 0, 0}, []byte{2, 1, '7'}, byte(0))
 	f.Add([]byte{0, 0}, []byte{0}, byte(1))
 	f.Add([]byte{2, 3, 'a', 0, 'b', 1}, []byte{2, 2, 'a', 0, 2, 1, 'b'}, byte(3))
+	// The payloads the value layout escapes or could confuse with its
+	// int marker: empty, NUL-led, marker-shaped, and non-ASCII strings,
+	// against each other and against ints.
+	f.Add([]byte{2, 0}, []byte{2, 1, 0}, byte(1))
+	f.Add([]byte{2, 2, 0, 0}, []byte{2, 2, 0, 1}, byte(1))
+	f.Add([]byte{2, 2, 0, 1}, []byte{1, 0, 0, 0, 0, 0, 0, 0, 0}, byte(1))
+	f.Add([]byte{2, 3, 0, 1, 'x'}, []byte{2, 2, 0, 2, 0}, byte(1))
+	f.Add([]byte{2, 4, 0xc3, 0xbc, 0xe3, 0x82}, []byte{2, 2, 0xc3, 0xbc}, byte(1))
 	f.Fuzz(func(t *testing.T, rawA, rawB []byte, posBits byte) {
 		a, b := decodeFuzzTuple(rawA), decodeFuzzTuple(rawB)
 		ka, kb := a.AppendKey(nil), b.AppendKey(nil)
@@ -75,6 +85,19 @@ func FuzzTupleKeyInjective(f *testing.F) {
 		viaProject := a.Project(pos).AppendKey(nil)
 		if !bytes.Equal(direct, viaProject) {
 			t.Fatalf("AppendKeyAt(%v) = %q, but Project+AppendKey = %q for %v", pos, direct, viaProject, a)
+		}
+		all := func(t Tuple) []int {
+			ps := make([]int, len(t))
+			for i := range ps {
+				ps[i] = i
+			}
+			return ps
+		}
+		if a.Equal(b) && a.HashAt(all(a)) != b.HashAt(all(b)) {
+			t.Fatalf("equal tuples %v and %v hash apart", a, b)
+		}
+		if p := a.Project(pos); a.HashAt(pos) != p.HashAt(all(p)) || tupleTag(p) != uint32(p.HashAt(all(p)))&tagMask {
+			t.Fatalf("HashAt(%v) of %v disagrees with hashing its projection %v", pos, a, p)
 		}
 	})
 }

@@ -3,11 +3,13 @@ package relation
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValueBasics(t *testing.T) {
@@ -52,6 +54,63 @@ func TestValueCompareTotalOrder(t *testing.T) {
 				t.Errorf("Compare(%v,%v) = %d, want 0", vals[i], vals[j], c)
 			case i > j && c <= 0:
 				t.Errorf("Compare(%v,%v) = %d, want >0", vals[i], vals[j], c)
+			}
+		}
+	}
+}
+
+// A stored tuple pays for every byte of each of its values, so the value
+// layout is pinned: a string and an int64, the kind carried in the string.
+func TestValueLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 24 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 24", got)
+	}
+}
+
+// The kind-in-the-string layout must keep every property the 3-field
+// value had, above all on the payloads it escapes: == holds exactly when
+// Compare reports 0, when the AppendKey bytes agree and when Equal says
+// so; the accessors round-trip; and null is the zero Value, distinct from
+// Int(0) and Str("").
+func TestValueLayoutProperties(t *testing.T) {
+	ints := []int64{0, 1, -1, math.MinInt64, math.MaxInt64}
+	strs := []string{"", "\x00", "\x00\x00", "\x00\x01", "\x00\x01x", "\x00\x02", "x", "ünï\u30b3ード"}
+	vals := []Value{Null()}
+	for _, n := range ints {
+		v := Int(n)
+		if v.Kind() != KindInt || v.AsInt() != n || v.IsNull() {
+			t.Errorf("Int(%d): kind %v, AsInt %d, IsNull %v", n, v.Kind(), v.AsInt(), v.IsNull())
+		}
+		vals = append(vals, v)
+	}
+	for _, s := range strs {
+		v := Str(s)
+		if v.Kind() != KindString || v.AsString() != s || v.IsNull() {
+			t.Errorf("Str(%q): kind %v, AsString %q, IsNull %v", s, v.Kind(), v.AsString(), v.IsNull())
+		}
+		if v.String() != "'"+s+"'" {
+			t.Errorf("Str(%q).String() = %q", s, v.String())
+		}
+		vals = append(vals, v)
+	}
+	if !(Value{}).IsNull() || Null() != (Value{}) || Null() == Int(0) || Null() == Str("") || Int(0) == Str("") {
+		t.Error("null must be the zero Value and differ from Int(0) and Str(\"\")")
+	}
+	for i, v := range vals {
+		for j, w := range vals {
+			eq, cmp := v == w, v.Compare(w) == 0
+			keq := bytes.Equal(NewTuple(v).AppendKey(nil), NewTuple(w).AppendKey(nil))
+			if eq != (i == j) || cmp != eq || keq != eq || v.Equal(w) != eq {
+				t.Errorf("%v vs %v: == %v, Compare==0 %v, equal keys %v, Equal %v; want all %v", v, w, eq, cmp, keq, v.Equal(w), i == j)
+			}
+		}
+	}
+	// Strings order as their payloads, escaped or not.
+	for _, s := range strs {
+		for _, u := range strs {
+			want := strings.Compare(s, u)
+			if got := Str(s).Compare(Str(u)); got != want {
+				t.Errorf("Compare(%q, %q) = %d, want %d", s, u, got, want)
 			}
 		}
 	}

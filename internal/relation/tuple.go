@@ -41,7 +41,7 @@ func (t Tuple) Equal(u Tuple) bool {
 		return false
 	}
 	for i := range t {
-		if t[i] != u[i] {
+		if !t[i].Equal(u[i]) {
 			return false
 		}
 	}
@@ -77,9 +77,8 @@ func (t Tuple) Key() string {
 
 // AppendKey appends the injective encoding of Key to dst and returns the
 // extended slice. Hot paths encode into a stack-backed scratch buffer —
-// TupleSet hashes it, index maps are probed with string(buf) — so a
-// membership check or deletion computes no garbage; Key remains the
-// convenience form for code that stores the key.
+// projection maps are probed with string(buf) — so a probe computes no
+// garbage; Key remains the convenience form for code that stores the key.
 func (t Tuple) AppendKey(dst []byte) []byte {
 	for _, v := range t {
 		dst = v.appendKey(dst)
@@ -97,12 +96,6 @@ func (t Tuple) AppendKeyAt(dst []byte, positions []int) []byte {
 	}
 	return dst
 }
-
-// keyScratchSize is the stack scratch reserved for key probes: large enough
-// that typical tuples (a handful of ints and short strings) encode without
-// spilling to the heap. Longer tuples still work — append reallocates — at
-// the cost of one allocation per probe.
-const keyScratchSize = 128
 
 // Project returns the subtuple at the given positions. It panics if a
 // position is out of range; positions are produced by schema lookups which
@@ -151,8 +144,8 @@ func (t Tuple) String() string {
 //
 // Representation: order holds the tuples; slots is an open-addressing
 // hash table over it with linear probing. Each non-empty slot packs the
-// 32-bit tag of a tuple's key (tupleTag) above that tuple's row+1 in
-// order; 0 marks an empty slot. slots holds no pointer, so the table
+// 32-bit tag of a tuple (tupleTag) above that tuple's row+1 in order; 0
+// marks an empty slot. slots holds no pointer, so the table
 // costs the collector nothing to trace, and no key string is stored:
 // equal tags are resolved by Tuple.Equal against the row. The table length is zero or a power of two and its load stays at
 // most maxLoadNum/maxLoadDen, so every probe ends at an empty slot.
@@ -169,19 +162,52 @@ const (
 	maxLoadDen = 4
 )
 
-// keySeed seeds the tag hash. Tags never influence iteration order, so a
+// keySeed seeds the hash of string values, and tagSeed, drawn from it,
+// starts each tuple's hash. Tags never influence iteration order, so a
 // per-process seed keeps the table unpredictable to crafted inputs at no
 // cost to determinism.
-var keySeed = maphash.MakeSeed()
+var (
+	keySeed = maphash.MakeSeed()
+	tagSeed = maphash.Bytes(keySeed, nil)
+)
 
 // tagMask narrows tags; it is all ones outside tests, which lower it to
 // force tag collisions and long probe chains.
 var tagMask = ^uint32(0)
 
-// tupleTag hashes t's key encoding, built on stack scratch.
+// foldHash folds v's hash word into h with the finalizer of MurmurHash3.
+// Ints are mixed as they are and strings through maphash, so no key is
+// encoded.
+func foldHash(h uint64, v Value) uint64 {
+	h ^= v.hashWord()
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
+
+// HashAt returns a per-process-seeded hash of the subtuple at positions:
+// what hashing t.Project(positions) would give, without materializing
+// it. Equal subtuples hash equal, and the hash is not injective: a table
+// keyed by it resolves equal hashes by comparing values. Index slot
+// tables use it for their keys.
+func (t Tuple) HashAt(positions []int) uint64 {
+	h := tagSeed
+	for _, p := range positions {
+		h = foldHash(h, t[p])
+	}
+	return h
+}
+
+// tupleTag is the tag of t in a TupleSet: its hash over every position.
 func tupleTag(t Tuple) uint32 {
-	var a [keyScratchSize]byte
-	return uint32(maphash.Bytes(keySeed, t.AppendKey(a[:0]))) & tagMask
+	h := tagSeed
+	for _, v := range t {
+		h = foldHash(h, v)
+	}
+	return uint32(h) & tagMask
 }
 
 // slotTag and slotRow unpack a non-empty slot.
@@ -248,9 +274,8 @@ func (s *TupleSet) grow() {
 }
 
 // Add inserts t and reports whether it was not already present. A rejected
-// duplicate costs no allocation (the key is encoded on a stack scratch
-// only to be hashed); a genuine insert allocates only when the order slice
-// or the table grows.
+// duplicate costs no allocation (t is only hashed and compared); a genuine
+// insert allocates only when the order slice or the table grows.
 func (s *TupleSet) Add(t Tuple) bool {
 	tag := tupleTag(t)
 	var i uint32
@@ -319,8 +344,8 @@ func (s *TupleSet) deleteSlot(i uint32) {
 	s.slots[i] = 0
 }
 
-// Contains reports whether t is in the set. Allocation-free: the probe key
-// is built on a stack scratch and only hashed.
+// Contains reports whether t is in the set. Allocation-free: t is only
+// hashed and compared.
 func (s *TupleSet) Contains(t Tuple) bool {
 	_, ok := s.Find(t)
 	return ok

@@ -17,6 +17,7 @@ package relation
 
 import (
 	"fmt"
+	"hash/maphash"
 	"strconv"
 )
 
@@ -49,33 +50,101 @@ func (k Kind) String() string {
 // Value is a single data value: an integer, a string, or null. The zero
 // Value is null. Value is comparable with == (two values are equal iff they
 // have the same kind and payload), so it can key maps directly.
+//
+// Layout: 24 bytes, a string and an int64, with the kind carried in the
+// string, since a stored tuple pays for every byte of each of its values:
+//
+//   - null is the zero Value: s == "";
+//   - an int holds the fixed marker intMark in s and its payload in i;
+//   - a string holds its payload in s and 0 in i. The rare payload that is
+//     empty or starts with NUL — and so could read as null or as the
+//     marker — sits behind the two-byte prefix strEscape, which the
+//     accessors slice off.
+//
+// Every stored s that starts with NUL is therefore intMark or begins with
+// strEscape, so each kind has one encoding, == compares kind and payload,
+// and the stored strings order exactly as their payloads do. Every reader
+// of the fields is in this file.
 type Value struct {
-	kind Kind
-	i    int64
-	s    string
+	s string
+	i int64
 }
 
-// Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+// The markers in Value.s: intMark is an int's whole string, strEscape
+// prefixes a string payload that is empty or starts with NUL.
+const (
+	intMark   = "\x00\x01"
+	strEscape = "\x00\x02"
+)
 
-// Str returns a string value.
-func Str(s string) Value { return Value{kind: KindString, s: s} }
+// Int returns an integer value.
+func Int(v int64) Value { return Value{s: intMark, i: v} }
+
+// Str returns a string value. Only a payload that is empty or starts with
+// NUL is escaped; a non-empty one allocates to do so.
+func Str(s string) Value {
+	switch {
+	case s == "":
+		return Value{s: strEscape}
+	case s[0] == 0:
+		return Value{s: strEscape + s}
+	}
+	return Value{s: s}
+}
 
 // Null returns the null value (the zero Value).
 func Null() Value { return Value{} }
 
 // Kind reports the kind of the value.
-func (v Value) Kind() Kind { return v.kind }
+func (v Value) Kind() Kind {
+	switch v.s {
+	case "":
+		return KindNull
+	case intMark:
+		return KindInt
+	}
+	return KindString
+}
 
 // IsNull reports whether the value is null.
-func (v Value) IsNull() bool { return v.kind == KindNull }
+func (v Value) IsNull() bool { return v.s == "" }
+
+// Equal reports v == w. It decides an int against the constant marker
+// instead of through the runtime's memory comparison, which == calls for
+// every string: the form for hot loops over tuples and keys.
+func (v Value) Equal(w Value) bool {
+	if v.i != w.i {
+		return false
+	}
+	if v.s == intMark {
+		return w.s == intMark
+	}
+	return v.s == w.s
+}
+
+// hashWord returns v's input to tupleTag: an int's payload, or the
+// seeded maphash of any other value's stored string.
+func (v Value) hashWord() uint64 {
+	if v.s == intMark {
+		return uint64(v.i)
+	}
+	return maphash.String(keySeed, v.s)
+}
+
+// str returns a string value's payload, with any escape sliced off.
+func (v Value) str() string {
+	if v.s[0] == 0 {
+		return v.s[len(strEscape):]
+	}
+	return v.s
+}
 
 // AsInt returns the integer payload. It panics if the value is not an
 // integer; callers should check Kind first when the kind is not known
 // statically.
 func (v Value) AsInt() int64 {
-	if v.kind != KindInt {
-		panic("relation: AsInt on " + v.kind.String() + " value")
+	if v.s != intMark {
+		panic("relation: AsInt on " + v.Kind().String() + " value")
 	}
 	return v.i
 }
@@ -83,20 +152,20 @@ func (v Value) AsInt() int64 {
 // AsString returns the string payload. It panics if the value is not a
 // string.
 func (v Value) AsString() string {
-	if v.kind != KindString {
-		panic("relation: AsString on " + v.kind.String() + " value")
+	if k := v.Kind(); k != KindString {
+		panic("relation: AsString on " + k.String() + " value")
 	}
-	return v.s
+	return v.str()
 }
 
 // String renders the value for display: integers in decimal, strings
 // single-quoted, null as "⊥".
 func (v Value) String() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindString:
-		return "'" + v.s + "'"
+		return "'" + v.str() + "'"
 	default:
 		return "⊥"
 	}
@@ -105,13 +174,14 @@ func (v Value) String() string {
 // Compare orders values: null < all ints < all strings; ints by numeric
 // order, strings lexicographically. It returns -1, 0 or +1.
 func (v Value) Compare(w Value) int {
-	if v.kind != w.kind {
-		if v.kind < w.kind {
+	vk, wk := v.Kind(), w.Kind()
+	if vk != wk {
+		if vk < wk {
 			return -1
 		}
 		return 1
 	}
-	switch v.kind {
+	switch vk {
 	case KindInt:
 		switch {
 		case v.i < w.i:
@@ -121,6 +191,9 @@ func (v Value) Compare(w Value) int {
 		}
 		return 0
 	case KindString:
+		// Stored strings order as their payloads: an escaped payload is
+		// empty or starts with NUL, so it sorts below every unescaped one,
+		// and two escaped ones share the prefix.
 		switch {
 		case v.s < w.s:
 			return -1
@@ -136,23 +209,25 @@ func (v Value) Compare(w Value) int {
 // Less reports whether v orders strictly before w under Compare.
 func (v Value) Less(w Value) bool { return v.Compare(w) < 0 }
 
-// appendKey appends a self-delimiting binary encoding of v to dst. The
-// encoding is injective across kinds and payloads, which is all the tuple
-// key machinery needs.
+// appendKey appends a self-delimiting binary encoding of v to dst: the
+// kind byte, then an int's eight big-endian bytes or a string's decimal
+// length, ':' and payload. The encoding is injective across kinds and
+// payloads, which is all the tuple key machinery needs.
 func (v Value) appendKey(dst []byte) []byte {
-	dst = append(dst, byte(v.kind))
-	switch v.kind {
-	case KindInt:
+	switch v.s {
+	case intMark:
 		u := uint64(v.i)
-		dst = append(dst,
+		return append(dst, byte(KindInt),
 			byte(u>>56), byte(u>>48), byte(u>>40), byte(u>>32),
 			byte(u>>24), byte(u>>16), byte(u>>8), byte(u))
-	case KindString:
-		dst = append(dst, []byte(strconv.Itoa(len(v.s)))...)
-		dst = append(dst, ':')
-		dst = append(dst, v.s...)
+	case "":
+		return append(dst, byte(KindNull))
 	}
-	return dst
+	p := v.str()
+	dst = append(dst, byte(KindString))
+	dst = strconv.AppendInt(dst, int64(len(p)), 10)
+	dst = append(dst, ':')
+	return append(dst, p...)
 }
 
 // ParseValue converts text to a Value: decimal integers become KindInt,

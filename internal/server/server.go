@@ -407,6 +407,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err := rows.Err(); err != nil {
+		if answers == 0 {
+			// Nothing is on the wire yet, so the status can still say
+			// what failed: a data fault answers 500, not 200.
+			writeErr(w, err)
+			return
+		}
 		buf = appendErrorLine(buf, bodyFor(err))
 	} else {
 		buf = AppendStatsLine(buf, QueryStats{

@@ -1,7 +1,9 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -743,5 +745,48 @@ func TestViewsOverWire(t *testing.T) {
 				t.Fatalf("views after drop: %v %v", vs, err)
 			}
 		})
+	}
+}
+
+// A data fault is not the client's bad request: when the stored data
+// breaks its access schema (person 7 has 55 friends under N = 50), /query
+// answers 500 with code access_violation, and the client maps it back to
+// core.ErrAccessViolation.
+func TestWireAccessViolation(t *testing.T) {
+	ctx := context.Background()
+	wcfg := workload.DefaultConfig()
+	wcfg.Persons = 200
+	data, err := backendtest.OverfullFriends(wcfg, 7, 55)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := store.Open(data, workload.Access(wcfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(server.NewServer(server.Config{Engine: core.NewEngine(b)}))
+	t.Cleanup(hs.Close)
+	cl := client.New(hs.URL, client.WithHTTPClient(hs.Client()))
+	prep, err := cl.Prepare(ctx, workload.Q1Src, "p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed := query.Bindings{"p": relation.Int(7)}
+	if _, _, err := prep.Exec(ctx, fixed); !errors.Is(err, core.ErrAccessViolation) {
+		t.Fatalf("client Exec: err = %v, want core.ErrAccessViolation", err)
+	}
+	body, _ := json.Marshal(server.QueryRequest{Handle: prep.Handle, Bind: server.EncodeBinds(fixed)})
+	resp, err := hs.Client().Post(hs.URL+"/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var eb struct{ Error server.ErrorBody }
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != 500 || eb.Error.Code != server.CodeAccessViolation {
+		t.Fatalf("POST /query: status %d, code %q (%s); want 500 %q",
+			resp.StatusCode, eb.Error.Code, eb.Error.Message, server.CodeAccessViolation)
 	}
 }

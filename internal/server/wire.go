@@ -336,6 +336,7 @@ const (
 	CodeInvalidQuery         = "invalid_query"
 	CodeViewExists           = "view_exists"
 	CodeUnknownView          = "unknown_view"
+	CodeAccessViolation      = "access_violation"
 	CodeBadRequest           = "bad_request"
 	CodeNotFound             = "not_found"
 	CodeDraining             = "draining"
@@ -417,6 +418,8 @@ func (b *ErrorBody) Err() error {
 		return fmt.Errorf("server: %s: %w", b.Message, core.ErrViewExists)
 	case CodeUnknownView:
 		return fmt.Errorf("server: %s: %w", b.Message, core.ErrUnknownView)
+	case CodeAccessViolation:
+		return fmt.Errorf("server: %s: %w", b.Message, core.ErrAccessViolation)
 	default:
 		return fmt.Errorf("server: %s: %s", b.Code, b.Message)
 	}
@@ -456,6 +459,8 @@ func bodyFor(err error) *ErrorBody {
 		return &ErrorBody{Code: CodeViewExists, Message: err.Error()}
 	case errors.Is(err, core.ErrUnknownView):
 		return &ErrorBody{Code: CodeUnknownView, Message: err.Error()}
+	case errors.Is(err, core.ErrAccessViolation):
+		return &ErrorBody{Code: CodeAccessViolation, Message: err.Error()}
 	default:
 		return &ErrorBody{Code: CodeBadRequest, Message: err.Error()}
 	}
@@ -482,7 +487,7 @@ func statusFor(code string) int {
 		return 404
 	case CodeDraining:
 		return 503
-	default:
+	default: // CodeAccessViolation, CodeInternal: faults of the server or its data
 		return 500
 	}
 }

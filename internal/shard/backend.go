@@ -203,7 +203,8 @@ func (s *Store) scatterFetchPlain(es *store.ExecStats, e access.Entry, vals []re
 		total += len(p)
 	}
 	if total > e.N {
-		return nil, fmt.Errorf("shard: %s violated: group has %d > %d tuples across shards", e.String(), total, e.N)
+		return nil, fmt.Errorf("shard: %w: %s, group %v has %d > %d tuples across shards",
+			access.ErrViolation, e.String(), relation.Tuple(vals), total, e.N)
 	}
 	if err := es.ChargeTo(store.Counters{
 		TupleReads:   int64(total),
@@ -254,7 +255,8 @@ func (s *Store) scatterFetchEmbedded(es *store.ExecStats, e access.Entry, vals [
 		}
 	}
 	if len(out) > e.N {
-		return nil, fmt.Errorf("shard: %s violated: group has %d > %d tuples across shards", e.String(), len(out), e.N)
+		return nil, fmt.Errorf("shard: %w: %s, group %v has %d > %d tuples across shards",
+			access.ErrViolation, e.String(), relation.Tuple(vals), len(out), e.N)
 	}
 	if err := es.ChargeTo(store.Counters{
 		TupleReads:   int64(len(out)),

@@ -349,3 +349,26 @@ func min(a, b int) int {
 	}
 	return b
 }
+
+// A scatter-gathered group larger than its entry's N is a data fault on
+// both merge paths: the plain one (restr by city, routed by rid) and the
+// embedded one (visit(yy[yy, mm, dd]), which deduplicates across shards).
+// Entries with N = 1 make the conforming data break them.
+func TestScatterFetchReportsViolation(t *testing.T) {
+	_, s := openPair(t, 2)
+	cases := []struct {
+		e    access.Entry
+		vals []relation.Value
+	}{
+		{access.Plain("restr", []string{"city"}, 1, 1), []relation.Value{relation.Str("NYC")}},
+		{access.Embedded("visit", []string{"yy"}, []string{"yy", "mm", "dd"}, 1, 1), []relation.Value{relation.Int(2013)}},
+	}
+	for _, c := range cases {
+		if rt := s.PlanFetch(c.e); rt.Kind != store.RouteScatter {
+			t.Fatalf("%s: route %v, want a scatter", c.e, rt.Kind)
+		}
+		if _, err := s.FetchInto(nil, c.e, c.vals); !errors.Is(err, access.ErrViolation) {
+			t.Errorf("%s on %v: err = %v, want access.ErrViolation", c.e, c.vals, err)
+		}
+	}
+}

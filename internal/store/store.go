@@ -641,7 +641,8 @@ func (db *DB) FetchInto(es *ExecStats, e access.Entry, vals []relation.Value) ([
 		return nil, err
 	}
 	if len(out) > e.N {
-		return nil, fmt.Errorf("store: %s violated: group has %d > %d tuples", e.String(), len(out), e.N)
+		return nil, fmt.Errorf("store: %w: %s, group %v has %d > %d tuples",
+			access.ErrViolation, e.String(), relation.Tuple(vals), len(out), e.N)
 	}
 	if err := es.ChargeTo(Counters{TupleReads: int64(len(out)), IndexLookups: 1, TimeUnits: int64(e.T)}); err != nil {
 		return nil, err
