@@ -2,6 +2,7 @@ package backendtest
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -30,6 +31,12 @@ import (
 // Q5's safe negation is not a maintainable conjunction: it rides the
 // WithReexec fallback, pinning the bounded re-execution path under the
 // same exactness and bound checks.
+//
+// Q1 and Q2 are watched several times over through the same prepared
+// query, so the watchers share one compiled plan set: a second watcher on
+// the same person, three on other persons, one that joins mid-stream and
+// one that closes mid-stream. Each is checked like the rest while it is
+// watched.
 func liveMaintenance(t *testing.T, cfg workload.Config, engRef, engB *core.Engine) {
 	ctx := context.Background()
 	qcs := append(cases(cfg), queryCase{"Q5", Q5Src, []string{"p"}, func(i int) query.Bindings {
@@ -43,6 +50,7 @@ func liveMaintenance(t *testing.T, cfg workload.Config, engRef, engB *core.Engin
 		prepRef  *core.PreparedQuery
 		prepB    *core.PreparedQuery
 		lRef, lB *core.Live
+		closed   bool // closed mid-stream: no longer checked
 	}
 	var ws []*watched
 	var hot []int64
@@ -69,6 +77,34 @@ func liveMaintenance(t *testing.T, cfg workload.Config, engRef, engB *core.Engin
 		ws = append(ws, w)
 	}
 
+	share := func(base *watched, p int64, label string) *watched {
+		fixed := query.Bindings{"p": relation.Int(p)}
+		w := &watched{name: fmt.Sprintf("%s %s p=%d", base.name, label, p), fixed: fixed, rels: base.rels, prepRef: base.prepRef, prepB: base.prepB}
+		var err error
+		if w.lRef, err = w.prepRef.Watch(ctx, fixed); err != nil {
+			t.Fatalf("watch %s on reference: %v", w.name, err)
+		}
+		if w.lB, err = w.prepB.Watch(ctx, fixed); err != nil {
+			t.Fatalf("watch %s on backend: %v", w.name, err)
+		}
+		return w
+	}
+	q1, q2 := ws[0], ws[1]
+	var leaver *watched
+	for _, base := range []*watched{q1, q2} {
+		p := base.fixed["p"].AsInt()
+		ws = append(ws, share(base, p, "twin"))
+		for k := int64(1); k <= 3; k++ {
+			other := (p + 17*k) % int64(cfg.Persons)
+			hot = append(hot, other)
+			ws = append(ws, share(base, other, "shared"))
+		}
+		leaver = ws[len(ws)-1]
+	}
+	lateP := (q2.fixed["p"].AsInt() + 71) % int64(cfg.Persons)
+	hot = append(hot, lateP)
+	const joinAt, leaveAt = 80, 120
+
 	commits := workload.MixedCommits(engRef.DB.CloneData(), cfg, 200, hot, 41)
 	baseRef, baseB := engRef.CommitSeq(), engB.CommitSeq()
 	sawDeletion := false
@@ -76,6 +112,14 @@ func liveMaintenance(t *testing.T, cfg workload.Config, engRef, engB *core.Engin
 	for ci, u := range commits {
 		if !u.IsInsertOnly() {
 			sawDeletion = true
+		}
+		switch ci {
+		case joinAt:
+			ws = append(ws, share(q2, lateP, "joined"))
+		case leaveAt:
+			leaver.closed = true
+			leaver.lRef.Close()
+			leaver.lB.Close()
 		}
 		resRef, err := engRef.Commit(ctx, u)
 		if err != nil {
@@ -96,6 +140,9 @@ func liveMaintenance(t *testing.T, cfg workload.Config, engRef, engB *core.Engin
 		maintRef += resRef.Maintenance.TupleReads
 		maintB += resB.Maintenance.TupleReads
 		for _, w := range ws {
+			if w.closed {
+				continue
+			}
 			ansRef, err := w.prepRef.Exec(ctx, w.fixed)
 			if err != nil {
 				t.Fatalf("commit %d: %s fresh exec on reference: %v", ci, w.name, err)

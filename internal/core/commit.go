@@ -59,7 +59,9 @@ type CommitResult struct {
 // executions and open cursors proceed concurrently under the backend's
 // own locking — and maintenance work is bounded (reads ≤ each watcher's
 // DeltaBound), so the write path stays scale-independent: commit latency
-// grows with |ΔD| and the number of touched watchers, never with |D|.
+// grows with |ΔD| and the number of touched watchers, never with |D|. A
+// watcher a delta tuple cannot reach costs a positional comparison or one
+// guard probe and no allocation (see Maintainer).
 //
 // Validation failures wrap ErrInvalidUpdate and apply nothing. A
 // maintenance failure fails that watcher only (its Err reports the cause;
@@ -125,26 +127,30 @@ func (e *Engine) Commit(ctx context.Context, u *relation.Update) (*CommitResult,
 	// are computed against the OLD state. Each watcher charges its own
 	// ExecStats, budgeted at its N-derived per-delta bound and canceled by
 	// its own watch context, so one watcher cannot starve another.
+	// The work slice is allocated once, at its final size, so each
+	// watcher's stats live in it.
 	type pending struct {
 		l       *Live
-		es      *store.ExecStats
+		es      store.ExecStats
 		bound   int64
 		delCand *relation.TupleSet
 	}
-	var work []pending
+	work := make([]pending, 0, len(touched))
 	for _, l := range touched {
 		if err := l.m.canMaintain(u); err != nil {
 			l.fail(err)
 			continue
 		}
-		bound := l.m.DeltaBound(u)
-		es := &store.ExecStats{Ctx: l.ctx, MaxReads: bound}
-		delCand, err := l.m.preDelete(l.ctx, es, u)
+		work = append(work, pending{l: l, bound: l.m.DeltaBound(u)})
+		w := &work[len(work)-1]
+		w.es = store.ExecStats{Ctx: l.ctx, MaxReads: w.bound}
+		delCand, err := l.m.preDelete(l.ctx, &w.es, u)
 		if err != nil {
 			l.fail(err)
+			work = work[:len(work)-1]
 			continue
 		}
-		work = append(work, pending{l: l, es: es, bound: bound, delCand: delCand})
+		w.delCand = delCand
 	}
 	// Touched materialized views run the same pre-apply step: deletion
 	// candidates against the OLD extent, each view charging its own
@@ -231,13 +237,14 @@ func (e *Engine) Commit(ctx context.Context, u *relation.Update) (*CommitResult,
 	// moves and its delta is queued under that watcher's own lock, so
 	// Snapshot and Deltas readers serialize against maintenance without
 	// blocking each other or the backend.
-	for _, w := range work {
+	for i := range work {
+		w := &work[i]
 		w.l.mu.Lock()
 		if w.l.closed || w.l.err != nil {
 			w.l.mu.Unlock()
 			continue
 		}
-		ins, del, err := w.l.m.postApply(w.l.ctx, w.es, u, w.delCand)
+		ins, del, err := w.l.m.postApply(w.l.ctx, &w.es, u, w.delCand)
 		if err != nil {
 			w.l.failLocked(err)
 			w.l.mu.Unlock()

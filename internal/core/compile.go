@@ -73,11 +73,15 @@ func compileChase(d *Derivation) plan.Node {
 
 // compilePlan builds the full physical plan for d against backend b under
 // the given optimizer mode: compile, optimize (unless off), resolve
-// routes.
-func compilePlan(d *Derivation, b store.Backend, mode OptimizerMode) *Plan {
+// routes. env is what every environment the plan runs under binds beyond
+// d's controlling set: nil for a prepared plan, the delta tuple's
+// variables for a maintenance plan, which the optimizer then orders from
+// all of them (plan.Optimizer.Env), so the atoms they determine are
+// probed.
+func compilePlan(d *Derivation, b store.Backend, mode OptimizerMode, env query.VarSet) *Plan {
 	root := Compile(d)
 	if mode != OptimizerOff && b != nil {
-		root = (&plan.Optimizer{Acc: b.Access(), Vars: d.vars}).Optimize(root)
+		root = (&plan.Optimizer{Acc: b.Access(), Vars: d.vars, Env: d.vars.Mask(env)}).Optimize(root)
 	}
 	if b != nil {
 		plan.ResolveRoutes(root, b)

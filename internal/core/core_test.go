@@ -34,7 +34,7 @@ func mustCatalog(t *testing.T, src string) *parser.Catalog {
 	return cat
 }
 
-func mustQ(t *testing.T, src string) *query.Query {
+func mustQ(t testing.TB, src string) *query.Query {
 	t.Helper()
 	q, err := parser.ParseQuery(src)
 	if err != nil {

@@ -258,7 +258,7 @@ func (e *Engine) Prepare(q *query.Query, x query.VarSet) (*PreparedQuery, error)
 		}
 		return nil, err
 	}
-	p := &PreparedQuery{eng: e, q: q, ctrl: x.Clone(), d: d, plan: compilePlan(d, e.DB, mode)}
+	p := &PreparedQuery{eng: e, q: q, ctrl: x.Clone(), d: d, plan: compilePlan(d, e.DB, mode, nil)}
 	if vp, ok := e.viewRewritePlan(q, x, mode, p.plan); ok {
 		p = vp
 	}

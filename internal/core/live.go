@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"strconv"
 	"sync"
 
 	"repro/internal/plan"
@@ -96,9 +97,12 @@ type Live struct {
 	id     int64
 	bufCap int
 
-	mu     sync.Mutex
-	cond   sync.Cond
+	mu   sync.Mutex
+	cond sync.Cond
+	// The pending deltas are queue[next:]. Consumed slots are cleared and
+	// the array reused, so a consumer keeping up allocates no queue.
 	queue  []Delta        // guarded by mu
+	next   int            // guarded by mu
 	err    error          // guarded by mu
 	closed bool           // guarded by mu
 	seq    int64          // guarded by mu
@@ -111,6 +115,10 @@ type Live struct {
 // maintained by every subsequent Engine.Commit. Registration is atomic
 // with respect to commits: the initial snapshot reflects exactly the
 // commits sequenced before the watch.
+//
+// The first watch of p for a set of fixed variables compiles the
+// maintenance plans; later watches with the same variables share them, so
+// a watch costs the initial execution and its registration.
 //
 // The query must be incrementally maintainable (each per-occurrence
 // maintenance remainder controllable under the access schema) or the
@@ -167,10 +175,10 @@ func (p *PreparedQuery) Watch(ctx context.Context, fixed query.Bindings, opts ..
 	return l, nil
 }
 
-// newLiveMaintainer builds the maintenance plans for a watch: delta plans
-// when the query is a maintainable conjunction, with the prepared plan
-// attached as the deletion fallback; pure re-execution under WithReexec
-// otherwise.
+// newLiveMaintainer builds the maintainer of a watch: the prepared
+// query's shared delta plans for this fixed-variable set when the query
+// is a maintainable conjunction, with the prepared plan attached as the
+// deletion fallback; pure re-execution under WithReexec otherwise.
 func newLiveMaintainer(p *PreparedQuery, fixed query.Bindings, allowReexec bool) (*Maintainer, error) {
 	cq, ok := query.AsCQ(p.q)
 	if !ok {
@@ -180,15 +188,46 @@ func newLiveMaintainer(p *PreparedQuery, fixed query.Bindings, allowReexec bool)
 		}
 		return newReexecMaintainer(p, fixed), nil
 	}
-	m, err := buildMaintPlans(p.eng, cq, fixed)
+	ps, err := p.maintPlans(cq, fixed.Vars())
 	if err != nil {
 		if allowReexec {
 			return newReexecMaintainer(p, fixed), nil
 		}
 		return nil, err
 	}
+	m := newMaintainer(p.eng, ps, fixed)
 	m.reexec = p // deletion fallback per SupportsDeletions
 	return m, nil
+}
+
+// maintPlans returns the maintenance plan set of p's body cq for the
+// fixed variables x under the engine's optimizer mode, compiling it on
+// the first watch and sharing it with every later one: watchers of one
+// prepared query differ only in their fixed values. A failure is
+// remembered too. A view registered or dropped since (the view epoch)
+// makes the next watch compile afresh.
+func (p *PreparedQuery) maintPlans(cq *query.CQ, x query.VarSet) (*maintPlans, error) {
+	key := strconv.Itoa(int(p.eng.Optimizer())) + "\x00" + x.Key()
+	epoch := p.eng.viewEpoch.Load()
+	p.maintMu.Lock()
+	defer p.maintMu.Unlock()
+	if c, ok := p.maint[key]; ok && c.epoch == epoch {
+		return c.ps, c.err
+	}
+	ps, err := buildMaintPlans(p.eng, cq, x)
+	if p.maint == nil {
+		p.maint = make(map[string]compiledMaint)
+	}
+	p.maint[key] = compiledMaint{ps: ps, err: err, epoch: epoch}
+	return ps, err
+}
+
+// compiledMaint is a PreparedQuery's cached maintenance plan set, or why
+// there is none, as of a view epoch.
+type compiledMaint struct {
+	ps    *maintPlans
+	err   error
+	epoch int64
 }
 
 // WatchContext prepares q for the controlling set fixed.Vars() (or reuses
@@ -288,12 +327,11 @@ func (l *Live) Deltas() iter.Seq2[Delta, error] {
 	return func(yield func(Delta, error) bool) {
 		for {
 			l.mu.Lock()
-			for len(l.queue) == 0 && l.err == nil && !l.closed {
+			for l.next == len(l.queue) && l.err == nil && !l.closed {
 				l.cond.Wait()
 			}
-			if len(l.queue) > 0 {
-				d := l.queue[0]
-				l.queue = l.queue[1:]
+			if l.next < len(l.queue) {
+				d := l.popLocked()
 				l.mu.Unlock()
 				if !yield(d, nil) {
 					return
@@ -318,17 +356,35 @@ func (l *Live) Deltas() iter.Seq2[Delta, error] {
 //
 //sivet:holds mu
 func (l *Live) deliverLocked(d Delta) {
-	if l.bufCap > 0 && len(l.queue) >= l.bufCap {
-		if len(l.queue) >= 2 {
-			l.queue[1] = foldDeltas(l.queue[0], l.queue[1])
-			l.queue = append(l.queue[:0], l.queue[1:]...)
+	if pending := len(l.queue) - l.next; l.bufCap > 0 && pending >= l.bufCap {
+		if pending >= 2 {
+			l.queue[l.next+1] = foldDeltas(l.queue[l.next], l.queue[l.next+1])
+			l.popLocked()
 		} else {
-			d = foldDeltas(l.queue[0], d)
-			l.queue = l.queue[:0]
+			d = foldDeltas(l.popLocked(), d)
 		}
+	}
+	if len(l.queue) == cap(l.queue) && l.next > 0 {
+		// Slide the pending deltas down instead of growing the array.
+		n := copy(l.queue, l.queue[l.next:])
+		clear(l.queue[n:])
+		l.queue, l.next = l.queue[:n], 0
 	}
 	l.queue = append(l.queue, d)
 	l.cond.Broadcast()
+}
+
+// popLocked dequeues the oldest pending delta (caller holds l.mu; one is
+// pending).
+//
+//sivet:holds mu
+func (l *Live) popLocked() Delta {
+	d := l.queue[l.next]
+	l.queue[l.next] = Delta{}
+	if l.next++; l.next == len(l.queue) {
+		l.queue, l.next = l.queue[:0], 0
+	}
+	return d
 }
 
 // foldDeltas merges two consecutive deltas into their net effect: a tuple

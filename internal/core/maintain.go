@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/eval"
 	"repro/internal/plan"
@@ -16,20 +17,32 @@ import (
 // the paper's incremental scale independence result (Corollary 5.3,
 // Proposition 5.5), compiled onto the physical plan IR. It is the one
 // maintenance engine: Engine.Commit drives it for every Live handle
-// (PreparedQuery.Watch) and every materialized view (CreateView):
+// (PreparedQuery.Watch) and every materialized view (CreateView).
 //
-//   - one maintenance plan per atom occurrence: the occurrence is unified
-//     with each delta tuple and the *remainder* of the body — controlled
-//     by x̄ ∪ vars(atom) — is compiled through compilePlan, so the
-//     cost-based optimizer orders the delta conjuncts and routing is
-//     resolved against the concrete backend once, at Watch/construction
-//     time, not per delta;
+// What a Maintainer owns is its fixed values and its answer set; the
+// compiled plans are a maintPlans shared by every Maintainer of the same
+// query and fixed-variable set (one per PreparedQuery and x̄, compiled by
+// the first Watch; a view's is its own):
+//
+//   - one maintenance plan per atom occurrence, compiled against what the
+//     delta binds: the remainder of the body is controlled by
+//     x̄ ∪ vars(atom), and the optimizer orders it starting from that
+//     whole set, so an atom the delta tuple and ā determine is a single
+//     membership probe and lookups take the entries those variables make
+//     usable. Routing is resolved against the backend at compile time;
+//   - the membership probes leading an occurrence plan are peeled off as
+//     guards: per delta tuple, the occurrence is unified with it by
+//     argument position (constants, fixed and repeated variables), each
+//     guard is one Member call, and the rest of the plan opens only when
+//     every guard holds — a delta tuple that cannot reach this watcher's
+//     answers costs one probe and allocates nothing;
 //   - deletions re-verify candidates through a compiled verification plan
 //     (the body controlled by x̄ ∪ head variables, Proposition 5.5(2)),
 //     probing only for a first witness;
 //   - every maintenance read is charged to a per-delta store.ExecStats
-//     whose MaxReads is the N-derived DeltaBound, so "bounded maintenance"
-//     is enforced at runtime, not just proved statically.
+//     whose MaxReads is the N-derived DeltaBound — per-relation
+//     coefficients precomputed from the plans' bounds — so "bounded
+//     maintenance" is enforced at runtime, not just proved statically.
 //
 // When the verification condition fails (SupportsDeletions is false) and a
 // re-execution plan is attached — always the case for handles built by
@@ -46,29 +59,25 @@ import (
 // readers; Engine.Commit drives registered handles under the engine's
 // commit lock.
 type Maintainer struct {
-	eng   *Engine
-	cq    *query.CQ // nil in pure re-execution mode
+	eng *Engine
+	ps  *maintPlans
+	// fixed binds x̄ to ā; vals lists ā in ps.fixed's order, for the
+	// positional unification and the guards.
 	fixed query.Bindings
-
-	// rem is the (eq-eliminated) head without the terms fixed by ā,
-	// remPos their positions within the full head.
-	rem    []query.Term
-	remPos []int
-
-	// plans holds the compiled maintenance plans per updated relation;
-	// verify the compiled re-derivation plan (nil when deletions are not
-	// supported by the controllability conditions).
-	plans  map[string][]occPlan
-	verify *Plan
+	vals  []relation.Value
 
 	// reexec, when non-nil, is the prepared bounded plan used to resync by
 	// re-execution: always for a Maintainer in pure re-execution mode
-	// (plans == nil), and as the deletion fallback when verify is nil.
+	// (ps.occs == nil), and as the deletion fallback when ps.verify is
+	// nil.
 	reexec *PreparedQuery
 
-	// bodyRels are the relations the query body mentions; commits touching
-	// none of them are skipped entirely.
-	bodyRels map[string]bool
+	// rt is the charged runtime of the maintenance call in progress, and
+	// probe the tuple guards are probed with, rebuilt per probe: scratch
+	// reused across commits, so a delta tuple that fails its guards
+	// allocates nothing.
+	rt    plan.BackendRuntime
+	probe relation.Tuple
 
 	// answers is the maintained answer set — the single-writer state the
 	// "NOT safe for concurrent use" contract protects. Every runtime
@@ -78,12 +87,97 @@ type Maintainer struct {
 	answers *relation.TupleSet // guarded by single-writer
 }
 
+// maintPlans is the compiled maintenance of one query for one set of
+// fixed variables: what every Maintainer of that query and set shares.
+// Read-only once built.
+type maintPlans struct {
+	cq *query.CQ // the eq-eliminated body; nil in pure re-execution mode
+	// fixed lists the fixed variables, sorted: a Maintainer's vals follow
+	// it.
+	fixed []string
+
+	// rem is the head without the terms fixed by ā, remPos their
+	// positions within the full head.
+	rem    []query.Term
+	remPos []int
+
+	// occs holds the occurrence plans per updated relation (nil in pure
+	// re-execution mode); verify the compiled re-derivation plan (nil
+	// when deletions are not supported by the controllability
+	// conditions).
+	occs   map[string][]*occPlan
+	verify *Plan
+	// coef holds, per relation, what one delta tuple of it adds to
+	// DeltaBound: the summed bounds of its occurrence plans.
+	coef map[string]plan.Cost
+
+	// bodyRels are the relations the query body mentions; commits touching
+	// none of them are skipped entirely.
+	bodyRels map[string]bool
+}
+
 // occPlan is the compiled maintenance plan for one occurrence of an
-// updatable relation in the body: unify atom with the delta tuple, then
-// execute the remainder's physical plan.
+// updatable relation in the body: unify the atom with the delta tuple by
+// position, probe the guards, then run the rest of the remainder's plan.
 type occPlan struct {
 	atom *query.Atom
+	// plan is the whole remainder plan: its Bound is the occurrence's
+	// price, Join(Probe(len(guards)), rest.Bound()).
 	plan *Plan
+
+	// Unification by position: consts must match, fixed positions must
+	// equal ā, a repeated variable must equal its first occurrence, and
+	// binds name the variables the tuple binds.
+	consts  []argConst
+	fixed   []argRef // idx: into the Maintainer's vals
+	repeats []argRef // idx: the first occurrence's position
+	binds   []argBind
+
+	guards []guard
+	rest   plan.Node // nil: the guards are the whole remainder
+
+	// out says where each remaining head term's value comes from.
+	out []argSrc
+}
+
+type argConst struct {
+	pos int
+	v   relation.Value
+}
+
+type argRef struct{ pos, idx int }
+
+type argBind struct {
+	pos  int
+	name string
+}
+
+// argSrc is where a value comes from once a delta tuple has unified: a
+// constant, ā (vals[idx]), the delta tuple (t[idx]) or, for an answer
+// term, the rest plan's binding of name.
+type argSrc struct {
+	from srcKind
+	idx  int
+	v    relation.Value
+	name string
+}
+
+type srcKind uint8
+
+const (
+	srcConst srcKind = iota
+	srcFixed
+	srcDelta
+	srcPlan
+)
+
+// guard is a membership probe peeled off an occurrence plan: the atom's
+// tuple is built by position from ā and the delta tuple, and probed once,
+// charged under the probe operator's id.
+type guard struct {
+	op   int
+	rel  string
+	args []argSrc
 }
 
 // NewMaintainer checks the conditions of Proposition 5.5, compiles the
@@ -96,13 +190,15 @@ type occPlan struct {
 // CloneData copy on backends other than store.DB). Failure wraps
 // ErrWatchNotMaintainable when the query cannot be incrementally
 // maintained. It backs CreateView; live queries are built by
-// PreparedQuery.Watch instead, which seeds the answers from a bounded
+// PreparedQuery.Watch instead, which shares one plan set per prepared
+// query and fixed-variable set, seeds the answers from a bounded
 // execution and attaches the re-execution fallback.
 func NewMaintainer(eng *Engine, q *query.CQ, fixed query.Bindings) (*Maintainer, error) {
-	m, err := buildMaintPlans(eng, q, fixed)
+	ps, err := buildMaintPlans(eng, q, fixed.Vars())
 	if err != nil {
 		return nil, err
 	}
+	m := newMaintainer(eng, ps, fixed)
 	// Offline precomputation wants an uncounted read view: the single-node
 	// store exposes its data in place; other backends (sharded) provide a
 	// merged snapshot copy.
@@ -115,16 +211,25 @@ func NewMaintainer(eng *Engine, q *query.CQ, fixed query.Bindings) (*Maintainer,
 		view = eng.DB.CloneData()
 	}
 	//sivet:ignore chargedreads -- full evaluation over the offline snapshot happens once, before the maintainer serves anything
-	full, err := eval.AnswersCQ(eval.DBSource{DB: view}, m.cq, fixed)
+	full, err := eval.AnswersCQ(eval.DBSource{DB: view}, ps.cq, fixed)
 	if err != nil {
 		return nil, err
 	}
 	answers := relation.NewTupleSet(full.Len())
 	for _, t := range full.Tuples() {
-		answers.Add(t.Project(m.remPos))
+		answers.Add(t.Project(ps.remPos))
 	}
 	m.seed(answers)
 	return m, nil
+}
+
+// newMaintainer binds a plan set to fixed values.
+func newMaintainer(eng *Engine, ps *maintPlans, fixed query.Bindings) *Maintainer {
+	m := &Maintainer{eng: eng, ps: ps, fixed: fixed.Clone(), vals: make([]relation.Value, len(ps.fixed))}
+	for i, x := range ps.fixed {
+		m.vals[i] = fixed[x]
+	}
+	return m
 }
 
 // seed installs the initial answer set before the Maintainer is
@@ -132,8 +237,9 @@ func NewMaintainer(eng *Engine, q *query.CQ, fixed query.Bindings) (*Maintainer,
 // registered).
 func (m *Maintainer) seed(ts *relation.TupleSet) { m.answers = ts }
 
-// buildMaintPlans compiles the per-occurrence and verification plans.
-func buildMaintPlans(eng *Engine, q *query.CQ, fixed query.Bindings) (*Maintainer, error) {
+// buildMaintPlans compiles the per-occurrence and verification plans of q
+// for the fixed variables x.
+func buildMaintPlans(eng *Engine, q *query.CQ, x query.VarSet) (*maintPlans, error) {
 	if len(q.Eqs) > 0 {
 		applied, ok := q.ApplyEqs()
 		if !ok {
@@ -141,23 +247,22 @@ func buildMaintPlans(eng *Engine, q *query.CQ, fixed query.Bindings) (*Maintaine
 		}
 		q = applied
 	}
-	m := &Maintainer{
-		eng:      eng,
+	ps := &maintPlans{
 		cq:       q,
-		fixed:    fixed.Clone(),
-		plans:    make(map[string][]occPlan),
+		fixed:    x.Sorted(),
+		occs:     make(map[string][]*occPlan),
+		coef:     make(map[string]plan.Cost),
 		bodyRels: make(map[string]bool, len(q.Atoms)),
 	}
-	m.initHead(q.Head)
+	ps.initHead(q.Head)
 	an := eng.An
 	mode := eng.Optimizer()
-	fixedVars := fixed.Vars()
 	// One maintenance plan per atom occurrence: the remaining conjunction
 	// must be controlled by x̄ ∪ vars(atom), since the delta tuple supplies
 	// the atom's variables (Q being x̄-scale-independent under A(R),
 	// Proposition 5.5(1)).
 	for i, a := range q.Atoms {
-		m.bodyRels[a.Rel] = true
+		ps.bodyRels[a.Rel] = true
 		rest := make([]query.Formula, 0, len(q.Atoms)-1)
 		for j, b := range q.Atoms {
 			if j != i {
@@ -169,13 +274,22 @@ func buildMaintPlans(eng *Engine, q *query.CQ, fixed query.Bindings) (*Maintaine
 		if err != nil {
 			return nil, err
 		}
-		ctrl := fixedVars.Union(a.FreeVars())
+		ctrl := x.Union(a.FreeVars())
 		d := res.Controls(ctrl)
 		if d == nil {
 			return nil, fmt.Errorf("core: %s is not incrementally scale-independent for updates to %s: remainder %s not %s-controlled: %w",
 				q.Name, a.Rel, restBody, ctrl, ErrWatchNotMaintainable)
 		}
-		m.plans[a.Rel] = append(m.plans[a.Rel], occPlan{atom: a, plan: compilePlan(d, eng.DB, mode)})
+		op, err := ps.compileOcc(a, compilePlan(d, eng.DB, mode, ctrl))
+		if err != nil {
+			return nil, err
+		}
+		ps.occs[a.Rel] = append(ps.occs[a.Rel], op)
+		c := ps.coef[a.Rel]
+		ps.coef[a.Rel] = plan.Cost{
+			Candidates: plan.SatAdd(c.Candidates, op.plan.Bound.Candidates),
+			Reads:      plan.SatAdd(c.Reads, op.plan.Bound.Reads),
+		}
 	}
 	// Deletion support (Proposition 5.5(2)): re-derivation of a candidate
 	// answer requires the whole body controlled by x̄ ∪ head variables.
@@ -183,10 +297,75 @@ func buildMaintPlans(eng *Engine, q *query.CQ, fixed query.Bindings) (*Maintaine
 	if err != nil {
 		return nil, err
 	}
-	if d := full.Controls(fixedVars.Union(q.HeadVars())); d != nil {
-		m.verify = compilePlan(d, eng.DB, mode)
+	ctrl := x.Union(q.HeadVars())
+	if d := full.Controls(ctrl); d != nil {
+		ps.verify = compilePlan(d, eng.DB, mode, ctrl)
 	}
-	return m, nil
+	return ps, nil
+}
+
+// compileOcc precomputes the positional unification of atom a, peels the
+// guards off its remainder plan p, and says where each answer term's
+// value comes from.
+func (ps *maintPlans) compileOcc(a *query.Atom, p *Plan) (*occPlan, error) {
+	op := &occPlan{atom: a, plan: p}
+	first := make(map[string]int, len(a.Args))
+	for pos, arg := range a.Args {
+		switch {
+		case !arg.IsVar():
+			op.consts = append(op.consts, argConst{pos: pos, v: arg.Value()})
+		case ps.fixedIdx(arg.Name()) >= 0:
+			op.fixed = append(op.fixed, argRef{pos: pos, idx: ps.fixedIdx(arg.Name())})
+		default:
+			if at, ok := first[arg.Name()]; ok {
+				op.repeats = append(op.repeats, argRef{pos: pos, idx: at})
+				continue
+			}
+			first[arg.Name()] = pos
+			op.binds = append(op.binds, argBind{pos: pos, name: arg.Name()})
+		}
+	}
+	// src is where a term's value comes from once the tuple has unified,
+	// or ok false when the rest plan binds it.
+	src := func(t query.Term) (argSrc, bool) {
+		if !t.IsVar() {
+			return argSrc{from: srcConst, v: t.Value()}, true
+		}
+		if i := ps.fixedIdx(t.Name()); i >= 0 {
+			return argSrc{from: srcFixed, idx: i}, true
+		}
+		if at, ok := first[t.Name()]; ok {
+			return argSrc{from: srcDelta, idx: at}, true
+		}
+		return argSrc{from: srcPlan, name: t.Name()}, false
+	}
+	env := p.Vars.Mask(query.NewVarSet(ps.fixed...).Union(a.FreeVars()))
+	probes, rest := plan.PeelGuards(p.Root, env)
+	for _, g := range probes {
+		gd := guard{op: g.OpID(), rel: g.Atom.Rel, args: make([]argSrc, len(g.Atom.Args))}
+		for i, arg := range g.Atom.Args {
+			s, ok := src(arg)
+			if !ok {
+				return nil, fmt.Errorf("core: guard %s of the %s plan reads %s, which neither ā nor the delta binds", g.Atom, a, arg)
+			}
+			gd.args[i] = s
+		}
+		op.guards = append(op.guards, gd)
+	}
+	op.rest = rest
+	op.out = make([]argSrc, len(ps.rem))
+	for i, h := range ps.rem {
+		op.out[i], _ = src(h)
+	}
+	return op, nil
+}
+
+// fixedIdx returns x's index among the fixed variables, or -1.
+func (ps *maintPlans) fixedIdx(x string) int {
+	if i, ok := slices.BinarySearch(ps.fixed, x); ok {
+		return i
+	}
+	return -1
 }
 
 // newReexecMaintainer builds a Maintainer that maintains purely by bounded
@@ -194,27 +373,22 @@ func buildMaintPlans(eng *Engine, q *query.CQ, fixed query.Bindings) (*Maintaine
 // queries whose body is not a maintainable conjunction. bodyRels comes
 // from the query formula, so irrelevant commits are still skipped.
 func newReexecMaintainer(p *PreparedQuery, fixed query.Bindings) *Maintainer {
-	m := &Maintainer{
-		eng:      p.eng,
-		fixed:    fixed.Clone(),
-		reexec:   p,
-		bodyRels: make(map[string]bool),
-	}
-	m.initHead(query.Vars(p.q.Head...))
-	collectRels(p.q.Body, m.bodyRels)
+	ps := &maintPlans{fixed: fixed.Vars().Sorted(), bodyRels: make(map[string]bool)}
+	ps.initHead(query.Vars(p.q.Head...))
+	collectRels(p.q.Body, ps.bodyRels)
+	m := newMaintainer(p.eng, ps, fixed)
+	m.reexec = p
 	return m
 }
 
 // initHead splits the full head into fixed and remaining terms.
-func (m *Maintainer) initHead(head []query.Term) {
+func (ps *maintPlans) initHead(head []query.Term) {
 	for i, h := range head {
-		if h.IsVar() {
-			if _, ok := m.fixed[h.Name()]; ok {
-				continue
-			}
+		if h.IsVar() && ps.fixedIdx(h.Name()) >= 0 {
+			continue
 		}
-		m.rem = append(m.rem, h)
-		m.remPos = append(m.remPos, i)
+		ps.rem = append(ps.rem, h)
+		ps.remPos = append(ps.remPos, i)
 	}
 }
 
@@ -253,22 +427,22 @@ func (m *Maintainer) Len() int { return m.answers.Len() }
 // available (Proposition 5.5(2)'s condition held at construction). When
 // false and a re-execution plan is attached, deletion commits resync by
 // bounded re-execution instead.
-func (m *Maintainer) SupportsDeletions() bool { return m.verify != nil }
+func (m *Maintainer) SupportsDeletions() bool { return m.ps.verify != nil }
 
 // Maintained reports whether delta maintenance plans exist: false for a
 // pure re-execution maintainer (every commit resyncs through the
 // prepared plan).
-func (m *Maintainer) Maintained() bool { return m.plans != nil }
+func (m *Maintainer) Maintained() bool { return m.ps.occs != nil }
 
 // Touches reports whether ΔD mentions any relation of the query body.
 func (m *Maintainer) Touches(u *relation.Update) bool {
 	for rel, ts := range u.Ins {
-		if len(ts) > 0 && m.bodyRels[rel] {
+		if len(ts) > 0 && m.ps.bodyRels[rel] {
 			return true
 		}
 	}
 	for rel, ts := range u.Del {
-		if len(ts) > 0 && m.bodyRels[rel] {
+		if len(ts) > 0 && m.ps.bodyRels[rel] {
 			return true
 		}
 	}
@@ -278,20 +452,20 @@ func (m *Maintainer) Touches(u *relation.Update) bool {
 // useReexec reports whether this update is maintained by re-executing the
 // prepared plan (pure re-execution mode, or the deletion fallback).
 func (m *Maintainer) useReexec(u *relation.Update) bool {
-	if m.plans == nil {
+	if m.ps.occs == nil {
 		return true
 	}
-	return !u.IsInsertOnly() && m.verify == nil && m.reexec != nil
+	return !u.IsInsertOnly() && m.ps.verify == nil && m.reexec != nil
 }
 
 // canMaintain checks that a strategy exists for u.
 func (m *Maintainer) canMaintain(u *relation.Update) error {
-	if m.plans == nil && m.reexec == nil {
+	if m.ps.occs == nil && m.reexec == nil {
 		return fmt.Errorf("core: maintainer has neither delta plans nor a re-execution plan: %w", ErrWatchNotMaintainable)
 	}
-	if m.plans != nil && !u.IsInsertOnly() && m.verify == nil && m.reexec == nil {
+	if m.ps.occs != nil && !u.IsInsertOnly() && m.ps.verify == nil && m.reexec == nil {
 		return fmt.Errorf("core: %s supports insert-only updates (body not controlled by head variables): %w",
-			m.cq.Name, ErrWatchNotMaintainable)
+			m.ps.cq.Name, ErrWatchNotMaintainable)
 	}
 	return nil
 }
@@ -300,8 +474,10 @@ func (m *Maintainer) canMaintain(u *relation.Update) error {
 // the answers under u may charge: per inserted or deleted tuple, the
 // remainder plans' read bounds; per potential deletion candidate, the
 // verification plan's read bound — or, when u is maintained by
-// re-execution, the prepared plan's full bound M. Independent of |D| by
-// construction; Engine.Commit enforces it as the per-delta MaxReads.
+// re-execution, the prepared plan's full bound M. The per-tuple terms are
+// precomputed per relation, so this is a few multiply-adds. Independent
+// of |D| by construction; Engine.Commit enforces it as the per-delta
+// MaxReads.
 func (m *Maintainer) DeltaBound(u *relation.Update) int64 {
 	if m.useReexec(u) {
 		if m.reexec == nil {
@@ -311,38 +487,41 @@ func (m *Maintainer) DeltaBound(u *relation.Update) int64 {
 	}
 	var reads, delCands int64
 	for rel, ts := range u.Ins {
-		for _, op := range m.plans[rel] {
-			reads = plan.SatAdd(reads, plan.SatMul(int64(len(ts)), op.plan.Bound.Reads))
-		}
+		reads = plan.SatAdd(reads, plan.SatMul(int64(len(ts)), m.ps.coef[rel].Reads))
 	}
 	for rel, ts := range u.Del {
-		for _, op := range m.plans[rel] {
-			reads = plan.SatAdd(reads, plan.SatMul(int64(len(ts)), op.plan.Bound.Reads))
-			delCands = plan.SatAdd(delCands, plan.SatMul(int64(len(ts)), op.plan.Bound.Candidates))
-		}
+		c := m.ps.coef[rel]
+		reads = plan.SatAdd(reads, plan.SatMul(int64(len(ts)), c.Reads))
+		delCands = plan.SatAdd(delCands, plan.SatMul(int64(len(ts)), c.Candidates))
 	}
-	if m.verify != nil {
-		reads = plan.SatAdd(reads, plan.SatMul(delCands, m.verify.Bound.Reads))
+	if m.ps.verify != nil {
+		reads = plan.SatAdd(reads, plan.SatMul(delCands, m.ps.verify.Bound.Reads))
 	}
 	return reads
 }
 
+// charge points m.rt at one maintenance call's context and stats.
+func (m *Maintainer) charge(ctx context.Context, es *store.ExecStats) {
+	m.rt = plan.BackendRuntime{Ctx: ctx, B: m.eng.DB, Es: es}
+}
+
 // preDelete computes the deletion candidates of u against the OLD database
 // state: answers that some occurrence of a deleted tuple contributed to.
-// It must run before the update is applied.
+// It must run before the update is applied. The set is nil when there are
+// none.
 func (m *Maintainer) preDelete(ctx context.Context, es *store.ExecStats, u *relation.Update) (*relation.TupleSet, error) {
 	if m.useReexec(u) {
 		return nil, nil
 	}
-	delCand := relation.NewTupleSet(0)
+	m.charge(ctx, es)
+	var delCand *relation.TupleSet
 	for rel, ts := range u.Del {
-		for _, op := range m.plans[rel] {
+		for _, op := range m.ps.occs[rel] {
 			for _, t := range ts {
-				c, err := m.occAnswers(ctx, es, op, t)
-				if err != nil {
+				var err error
+				if delCand, err = m.occAnswers(op, t, delCand); err != nil {
 					return nil, err
 				}
-				delCand.AddAll(c.Tuples())
 			}
 		}
 	}
@@ -357,21 +536,22 @@ func (m *Maintainer) postApply(ctx context.Context, es *store.ExecStats, u *rela
 	if m.useReexec(u) {
 		return m.resync(ctx, es)
 	}
-	insCand := relation.NewTupleSet(0)
+	m.charge(ctx, es)
+	var insCand *relation.TupleSet
 	for rel, ts := range u.Ins {
-		for _, op := range m.plans[rel] {
+		for _, op := range m.ps.occs[rel] {
 			for _, t := range ts {
-				c, err := m.occAnswers(ctx, es, op, t)
-				if err != nil {
+				if insCand, err = m.occAnswers(op, t, insCand); err != nil {
 					return nil, nil, err
 				}
-				insCand.AddAll(c.Tuples())
 			}
 		}
 	}
-	for _, t := range insCand.Tuples() {
-		if !m.answers.Contains(t) {
-			ins = append(ins, t)
+	if insCand != nil {
+		for _, t := range insCand.Tuples() {
+			if !m.answers.Contains(t) {
+				ins = append(ins, t)
+			}
 		}
 	}
 	// A deletion candidate disappears only if no alternative derivation
@@ -381,10 +561,10 @@ func (m *Maintainer) postApply(ctx context.Context, es *store.ExecStats, u *rela
 			if !m.answers.Contains(t) {
 				continue
 			}
-			if insCand.Contains(t) {
+			if insCand != nil && insCand.Contains(t) {
 				continue // re-derived via an insertion in the same update
 			}
-			still, err := m.rederive(ctx, es, t)
+			still, err := m.rederive(t)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -408,13 +588,13 @@ func (m *Maintainer) postApply(ctx context.Context, es *store.ExecStats, u *rela
 // resync re-executes the prepared plan (charged to es, reads ≤ its static
 // bound M) and folds the difference into the answer set.
 func (m *Maintainer) resync(ctx context.Context, es *store.ExecStats) (ins, del []relation.Tuple, err error) {
-	rt := plan.BackendRuntime{Ctx: ctx, B: m.eng.DB, Es: es}
-	head := make([]string, len(m.rem))
-	for i, h := range m.rem {
+	m.charge(ctx, es)
+	head := make([]string, len(m.ps.rem))
+	for i, h := range m.ps.rem {
 		head[i] = h.Name()
 	}
 	got := relation.NewTupleSet(m.answers.Len())
-	for t, err := range projectSeq(m.reexec.plan.Root.Stream(rt, m.fixed), head, m.reexec.q.Name) {
+	for t, err := range projectSeq(m.reexec.plan.Root.Stream(&m.rt, m.fixed), head, m.reexec.q.Name) {
 		if err != nil {
 			return nil, nil, err
 		}
@@ -434,55 +614,130 @@ func (m *Maintainer) resync(ctx context.Context, es *store.ExecStats) (ins, del 
 	return ins, del, nil
 }
 
-// occAnswers evaluates one maintenance plan for one delta tuple: unify the
-// occurrence atom with the tuple, then execute the compiled remainder plan
-// under the merged environment, charging es.
-func (m *Maintainer) occAnswers(ctx context.Context, es *store.ExecStats, op occPlan, t relation.Tuple) (*relation.TupleSet, error) {
-	out := relation.NewTupleSet(0)
-	chi, ok := unifyArgs(op.atom.Args, t)
-	if !ok {
-		return out, nil
+// occAnswers adds to cands (allocated on the first answer) the answers
+// occurrence op derives from delta tuple t, and returns the set: unify by
+// position, probe the guards, and only when they all hold run the rest of
+// the plan under the environment ā ∪ t, charging m.rt.
+func (m *Maintainer) occAnswers(op *occPlan, t relation.Tuple, cands *relation.TupleSet) (*relation.TupleSet, error) {
+	if !op.unifies(t, m.vals) {
+		return cands, nil
 	}
-	env := m.fixed.Clone()
-	for k, v := range chi {
-		if prev, has := env[k]; has && prev != v {
-			return out, nil
+	if len(op.guards) > 0 {
+		if err := m.rt.Check(); err != nil {
+			return nil, err
 		}
-		env[k] = v
+		for i := range op.guards {
+			g := &op.guards[i]
+			m.probe = m.probe[:0]
+			for _, a := range g.args {
+				m.probe = append(m.probe, a.value(t, m.vals))
+			}
+			if ok, err := m.rt.Member(g.op, g.rel, m.probe); err != nil || !ok {
+				return cands, err
+			}
+		}
 	}
-	rt := plan.BackendRuntime{Ctx: ctx, B: m.eng.DB, Es: es}
-	for b, err := range op.plan.Root.Stream(rt, env) {
+	if op.rest == nil {
+		return addCand(cands, op.answer(t, m.vals, nil)), nil
+	}
+	return m.runRest(op, t, cands)
+}
+
+// runRest runs the rest of op's plan for delta tuple t, whose guards
+// held, adding its answers to cands. (Apart from occAnswers, so the
+// variables the loop body captures are moved to the heap only here.)
+func (m *Maintainer) runRest(op *occPlan, t relation.Tuple, cands *relation.TupleSet) (*relation.TupleSet, error) {
+	env := make(query.Bindings, len(m.fixed)+len(op.binds))
+	for x, v := range m.fixed {
+		env[x] = v
+	}
+	for _, b := range op.binds {
+		env[b.name] = t[b.pos]
+	}
+	for b, err := range op.rest.Stream(&m.rt, env) {
 		if err != nil {
 			return nil, err
 		}
-		tu := make(relation.Tuple, len(m.rem))
-		ok := true
-		for i, h := range m.rem {
-			if !h.IsVar() {
-				tu[i] = h.Value()
-				continue
-			}
-			if v, has := b[h.Name()]; has {
-				tu[i] = v
-			} else if v, has := env[h.Name()]; has {
-				tu[i] = v
-			} else {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out.Add(tu)
+		if tu := op.answer(t, m.vals, b); tu != nil {
+			cands = addCand(cands, tu)
 		}
 	}
-	return out, nil
+	return cands, nil
+}
+
+// unifies reports whether delta tuple t matches the occurrence atom under
+// ā: arity, constants, fixed variables and repeated variables, checked by
+// position before anything is allocated.
+func (op *occPlan) unifies(t relation.Tuple, vals []relation.Value) bool {
+	if len(t) != len(op.atom.Args) {
+		return false
+	}
+	for _, c := range op.consts {
+		if !t[c.pos].Equal(c.v) {
+			return false
+		}
+	}
+	for _, f := range op.fixed {
+		if !t[f.pos].Equal(vals[f.idx]) {
+			return false
+		}
+	}
+	for _, r := range op.repeats {
+		if !t[r.pos].Equal(t[r.idx]) {
+			return false
+		}
+	}
+	return true
+}
+
+// answer builds the answer tuple over the remaining head from the delta
+// tuple, ā and the rest plan's binding b; nil when b leaves a term
+// unbound.
+func (op *occPlan) answer(t relation.Tuple, vals []relation.Value, b query.Bindings) relation.Tuple {
+	tu := make(relation.Tuple, len(op.out))
+	for i, s := range op.out {
+		if s.from != srcPlan {
+			tu[i] = s.value(t, vals)
+			continue
+		}
+		v, ok := b[s.name]
+		if !ok {
+			return nil
+		}
+		tu[i] = v
+	}
+	return tu
+}
+
+// value resolves a constant, fixed or delta source.
+func (s *argSrc) value(t relation.Tuple, vals []relation.Value) relation.Value {
+	switch s.from {
+	case srcFixed:
+		return vals[s.idx]
+	case srcDelta:
+		return t[s.idx]
+	default:
+		return s.v
+	}
+}
+
+// addCand adds t to cands, allocating the set on first use.
+func addCand(cands *relation.TupleSet, t relation.Tuple) *relation.TupleSet {
+	if cands == nil {
+		cands = relation.NewTupleSet(0)
+	}
+	cands.Add(t)
+	return cands
 }
 
 // rederive checks boundedly whether answer t (over the remaining head) is
 // still derivable, probing the verification plan for a first witness only.
-func (m *Maintainer) rederive(ctx context.Context, es *store.ExecStats, t relation.Tuple) (bool, error) {
-	env := m.fixed.Clone()
-	for i, h := range m.rem {
+func (m *Maintainer) rederive(t relation.Tuple) (bool, error) {
+	env := make(query.Bindings, len(m.fixed)+len(m.ps.rem))
+	for x, v := range m.fixed {
+		env[x] = v
+	}
+	for i, h := range m.ps.rem {
 		if !h.IsVar() {
 			if h.Value() != t[i] {
 				return false, nil
@@ -494,34 +749,11 @@ func (m *Maintainer) rederive(ctx context.Context, es *store.ExecStats, t relati
 		}
 		env[h.Name()] = t[i]
 	}
-	rt := plan.BackendRuntime{Ctx: ctx, B: m.eng.DB, Es: es}
-	for _, err := range m.verify.Root.Stream(rt, env) {
+	for _, err := range m.ps.verify.Root.Stream(&m.rt, env) {
 		if err != nil {
 			return false, err
 		}
 		return true, nil // first witness suffices
 	}
 	return false, nil
-}
-
-// unifyArgs matches atom arguments against a delta tuple, returning the
-// variable bindings.
-func unifyArgs(args []query.Term, t relation.Tuple) (query.Bindings, bool) {
-	if len(args) != len(t) {
-		return nil, false
-	}
-	b := make(query.Bindings, len(args))
-	for i, a := range args {
-		if !a.IsVar() {
-			if a.Value() != t[i] {
-				return nil, false
-			}
-			continue
-		}
-		if v, ok := b[a.Name()]; ok && v != t[i] {
-			return nil, false
-		}
-		b[a.Name()] = t[i]
-	}
-	return b, true
 }

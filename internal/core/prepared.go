@@ -15,13 +15,17 @@ import (
 // times: the prepare-once / execute-many half of the serving API. It is
 // immutable after Prepare and safe for concurrent Exec calls — each call
 // gets fresh per-call stats, so traces and counters never cross between
-// goroutines sharing one prepared query.
+// goroutines sharing one prepared query. Its watches share their
+// maintenance plans, compiled by the first Watch per fixed-variable set.
 type PreparedQuery struct {
 	eng  *Engine
 	q    *query.Query
 	ctrl query.VarSet
 	d    *Derivation
 	plan *Plan
+
+	maintMu sync.Mutex
+	maint   map[string]compiledMaint // guarded by maintMu
 }
 
 // Stmt returns the underlying query statement. (The Query method is the

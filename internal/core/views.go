@@ -381,7 +381,7 @@ func (e *Engine) viewRewritePlan(q *query.Query, x query.VarSet, mode OptimizerM
 		if d == nil {
 			continue
 		}
-		pl := compilePlan(d, e.DB, mode)
+		pl := compilePlan(d, e.DB, mode, nil)
 		if limit, ok := incumbent(); ok && pl.Bound.Reads >= limit {
 			continue
 		}

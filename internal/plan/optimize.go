@@ -38,34 +38,46 @@ type Optimizer struct {
 	// Vars is the numbering the plan was compiled against; rewritten
 	// operators keep their variable sets over it.
 	Vars *Vars
+	// Env is what every environment the plan runs under binds beyond the
+	// root's Need: a maintenance plan runs with the delta tuple's
+	// variables bound as well as the controlling set it was derived for.
+	// The root chain's order search starts from Need ∪ Env, so atoms the
+	// environment determines become membership probes and lookups take
+	// the entries its variables make usable. Zero for a prepared plan,
+	// whose environment binds exactly its controlling set.
+	Env uint64
 }
 
 // Optimize rewrites the tree rooted at n, returning the (possibly new)
 // root. Sub-operators not amenable to reordering are recursed into and
 // left structurally intact.
-func (o *Optimizer) Optimize(n Node) Node {
+func (o *Optimizer) Optimize(n Node) Node { return o.optimize(n, o.Env) }
+
+// optimize rewrites the tree rooted at n, whose environment binds env
+// beyond n's Need.
+func (o *Optimizer) optimize(n Node, env uint64) Node {
 	switch v := n.(type) {
-	case *NLJoin, *AntiProbe:
-		if opt, ok := o.chain(n, searchBudget); ok {
+	case *NLJoin, *AntiProbe, *IndexLookup:
+		if opt, ok := o.chain(n, env, searchBudget); ok {
 			return opt
 		}
 		// Not a reorderable chain (opaque members): recurse in place.
 		switch v := n.(type) {
 		case *NLJoin:
-			v.L, v.R = o.Optimize(v.L), o.Optimize(v.R)
+			v.L, v.R = o.optimize(v.L, 0), o.optimize(v.R, 0)
 		case *AntiProbe:
-			v.Pos, v.Neg = o.Optimize(v.Pos), o.Optimize(v.Neg)
+			v.Pos, v.Neg = o.optimize(v.Pos, 0), o.optimize(v.Neg, 0)
 		}
 		return n
 	case *Project:
-		v.Child = o.Optimize(v.Child)
+		v.Child = o.optimize(v.Child, 0)
 		return n
 	case *ForallCheck:
-		v.Gen, v.Test = o.Optimize(v.Gen), o.Optimize(v.Test)
+		v.Gen, v.Test = o.optimize(v.Gen, 0), o.optimize(v.Test, 0)
 		return n
 	case *StreamUnion:
 		for i, b := range v.Branches {
-			v.Branches[i] = o.Optimize(b)
+			v.Branches[i] = o.optimize(b, 0)
 		}
 		return n
 	case *ChaseExec:
@@ -191,14 +203,17 @@ func flatten(n Node, out *[]member) (ok bool) {
 // members need at most 64.
 const searchBudget = 4096
 
-// chain attempts the reorder of a join chain rooted at n. It returns the
-// rebuilt chain and true when the chain was flattenable. The rewrite is
-// the cheapest runnable order under the estimate, found by searchOrder,
-// and is kept only when its estimate strictly beats the analysis-emitted
-// plan's — on a tie or a regression the original tree is returned
-// untouched, so the optimized plan is never estimated-worse than what
-// analysis emitted.
-func (o *Optimizer) chain(n Node, budget int) (Node, bool) {
+// chain attempts the reorder of a join chain rooted at n, whose
+// environment binds env beyond n's Need. It returns the rebuilt chain and
+// true when the chain was flattenable. The rewrite is the cheapest
+// runnable order under the estimate, found by searchOrder, and is kept
+// only when its estimate strictly beats the analysis-emitted plan's — on
+// a tie or a regression the original tree is returned untouched, so the
+// optimized plan is never estimated-worse than what analysis emitted.
+// Under a wider environment the analysis order is rebuilt instead, with
+// the atoms the environment determines probed: the same order and
+// entries, never dearer.
+func (o *Optimizer) chain(n Node, env uint64, budget int) (Node, bool) {
 	// Optimize within opaque operands (the negated side of anti filters)
 	// first, mutating the tree in place: the rewrite survives even when
 	// the outer chain keeps its analysis order below.
@@ -207,18 +222,20 @@ func (o *Optimizer) chain(n Node, budget int) (Node, bool) {
 	if !flatten(n, &members) {
 		return nil, false
 	}
-	if len(members) < 2 {
+	ctrl := n.Need()
+	wider := env&^ctrl != 0
+	if len(members) < 2 && !wider {
 		return n, true
 	}
 	cms, ok := o.encode(members)
 	if !ok {
 		return n, true // too many members for the search's bit masks: analysis order stands
 	}
-	order, ok := searchOrder(cms, n.Need(), budget)
-	if !ok {
+	order, ok := searchOrder(cms, ctrl|env, budget)
+	if !ok && (!wider || order == nil) {
 		return n, true // analysis order stands, tree untouched
 	}
-	return o.rebuild(cms, order, n.Need(), n.Out()), true
+	return o.rebuild(cms, order, ctrl|env, n.Out()), true
 }
 
 // optimizeNegs descends a join chain's spine and optimizes every
@@ -351,7 +368,8 @@ type orderSearch struct {
 // searchOrder returns the cheapest runnable order of the chain under the
 // estimate — the Join of the members' step costs in order — provided it
 // strictly beats the analysis-emitted order with its analysis-chosen
-// entries; otherwise ok is false.
+// entries; otherwise ok is false and the order returned is that analysis
+// order (nil when it cannot run from ctrl).
 //
 // The incumbent starts at the analysis order, and at the analysis order
 // with entries re-selected when that is cheaper. Children are expanded in
@@ -362,14 +380,19 @@ type orderSearch struct {
 func searchOrder(cms []chainMember, ctrl uint64, budget int) ([]step, bool) {
 	n := len(cms)
 	s := &orderSearch{cms: cms, budget: budget, cur: make([]step, n), best: make([]step, n), bestCost: costCap}
+	analysis := false
 	if c, ok := s.inAnalysisOrder(ctrl, true); ok {
-		s.bestCost = c
+		s.bestCost, analysis = c, true
+		copy(s.best, s.cur)
 	}
 	if c, ok := s.inAnalysisOrder(ctrl, false); ok && c < s.bestCost {
 		s.bestCost, s.found = c, true
 		copy(s.best, s.cur)
 	}
 	s.dfs(0, ctrl, 0, Cost{Candidates: 1}, make([]step, n*(n+1)/2))
+	if !s.found && !analysis {
+		return nil, false
+	}
 	return s.best, s.found
 }
 

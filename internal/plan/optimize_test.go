@@ -313,7 +313,7 @@ func TestChainOrderExact(t *testing.T) {
 				baseline = costCap
 			}
 			greedy, greedyOK := refGreedy(o, ms, ctrl)
-			got, ok := o.chain(root, budget)
+			got, ok := o.chain(root, 0, budget)
 			if !ok {
 				t.Fatalf("seed %d: chain refused a flattenable chain", seed)
 			}
@@ -359,7 +359,7 @@ func TestChainOrderOverBudget(t *testing.T) {
 		if !ok {
 			baseline = costCap
 		}
-		got, _ := o.chain(root, searchBudget)
+		got, _ := o.chain(root, 0, searchBudget)
 		chosen := chosenEstimate(t, o, root, got, ms)
 		if chosen > baseline {
 			t.Fatalf("seed %d: chosen %d above analysis order %d", seed, chosen, baseline)

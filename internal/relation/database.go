@@ -237,21 +237,21 @@ func (u *Update) IsInsertOnly() bool {
 }
 
 // Validate checks the update against db: every deleted tuple must be
-// present, every inserted tuple absent, no tuple both inserted and deleted,
-// and no duplicates within the update.
+// present, every inserted tuple absent, and no duplicates within the
+// update. A tuple both inserted and deleted therefore fails — as an
+// insertion already present, since its deletion requires it present. Time
+// is linear in |ΔD|.
 func (u *Update) Validate(db *Database) error {
 	for rel, ts := range u.Del {
 		r := db.Rel(rel)
 		if r == nil {
 			return fmt.Errorf("update: unknown relation %q", rel)
 		}
-		seen := make(map[string]bool, len(ts))
+		seen := dedupSet(ts)
 		for _, t := range ts {
-			k := t.Key()
-			if seen[k] {
+			if seen != nil && !seen.Add(t) {
 				return fmt.Errorf("update: duplicate deletion %s from %s", t, rel)
 			}
-			seen[k] = true
 			if !r.Contains(t) {
 				return fmt.Errorf("update: deletion %s not present in %s", t, rel)
 			}
@@ -262,27 +262,29 @@ func (u *Update) Validate(db *Database) error {
 		if r == nil {
 			return fmt.Errorf("update: unknown relation %q", rel)
 		}
-		seen := make(map[string]bool, len(ts))
+		seen := dedupSet(ts)
 		for _, t := range ts {
 			if err := checkAgainst(r, t); err != nil {
 				return err
 			}
-			k := t.Key()
-			if seen[k] {
+			if seen != nil && !seen.Add(t) {
 				return fmt.Errorf("update: duplicate insertion %s into %s", t, rel)
 			}
-			seen[k] = true
 			if r.Contains(t) {
 				return fmt.Errorf("update: insertion %s already present in %s", t, rel)
-			}
-			for _, d := range u.Del[rel] {
-				if t.Equal(d) {
-					return fmt.Errorf("update: %s both inserted into and deleted from %s", t, rel)
-				}
 			}
 		}
 	}
 	return nil
+}
+
+// dedupSet returns the set Validate finds duplicates among ts with, or nil
+// when ts is too short to hold any.
+func dedupSet(ts []Tuple) *TupleSet {
+	if len(ts) < 2 {
+		return nil
+	}
+	return NewTupleSet(len(ts))
 }
 
 func checkAgainst(r *Relation, t Tuple) error {
