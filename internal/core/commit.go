@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/relation"
@@ -48,17 +49,28 @@ type CommitResult struct {
 // Commit is the engine's write path: it validates ΔD, applies it to the
 // storage backend through the backend's versioned commit log, assigns the
 // commit a sequence number, tracks per-relation committed update volume,
-// and incrementally maintains every registered Live subscription —
-// deletion candidates are probed against the pre-commit state, insertion
-// candidates and re-verification against the post-commit state, and each
-// watcher receives one Delta carrying the commit's sequence number.
+// and incrementally maintains every registered Live subscription and
+// materialized view — deletion candidates are probed against the
+// pre-commit state, insertion candidates and re-verification against the
+// post-commit state, and each watcher receives one Delta carrying the
+// commit's sequence number, in registration order.
+//
+// ΔD is read once per commit, into a digest of the touched relations (in
+// name order, each with its inserted and deleted tuples), the insert-only
+// flag and |ΔD|; nothing after that ranges over the update's maps again.
+// What depends only on a plan set and ΔD — whether the commit touches the
+// body, whether it is maintained by re-execution, its read bound, or why
+// it cannot be maintained (maintStep) — is decided once per group of
+// watchers sharing a plan set, not per watcher. Per watcher only the
+// positional unification, the guard probes, the rest plans and the
+// delivery remain. A view is a group of one.
 //
 // Commits are serialized: the pipeline runs under the engine's commit
 // lock, so sequence numbers, maintained answer sets and delta streams
 // agree on one total order. Readers are not excluded — prepared
 // executions and open cursors proceed concurrently under the backend's
 // own locking — and maintenance work is bounded (reads ≤ each watcher's
-// DeltaBound), so the write path stays scale-independent: commit latency
+// delta bound), so the write path stays scale-independent: commit latency
 // grows with |ΔD| and the number of touched watchers, never with |D|. A
 // watcher a delta tuple cannot reach costs a positional comparison or one
 // guard probe and no allocation (see Maintainer).
@@ -80,6 +92,8 @@ func (e *Engine) Commit(ctx context.Context, u *relation.Update) (*CommitResult,
 	}
 	e.commitMu.Lock()
 	defer e.commitMu.Unlock()
+	sc := &e.scratch
+	defer sc.reset()
 
 	// Phase timing is always on: a handful of clock reads per commit is
 	// noise next to the apply, and CommitResult.Phases is part of the
@@ -92,31 +106,38 @@ func (e *Engine) Commit(ctx context.Context, u *relation.Update) (*CommitResult,
 		phaseStart = now
 	}
 
-	// Phase 0 — validate before charging anyone: when watchers or
-	// materialized views will do maintenance work for this update, the
-	// backend pre-checks ΔD (Backend.ValidateUpdate) and an invalid commit
-	// is rejected here, before any maintenance reads run or a watcher can
-	// be failed — or a view frozen — on behalf of an update that will
-	// never apply. Maintenance-less commits skip straight to the apply,
-	// whose own validation is authoritative either way.
-	var touched []*Live
-	for _, l := range e.liveWatchers() {
-		if l.m.Touches(u) {
-			touched = append(touched, l)
-		}
+	// Phase 0 — read ΔD once, decide per group, validate. The registry
+	// snapshot is immutable (Watch, Close and failing handles publish a
+	// new one), so it is read as is.
+	d := &sc.digest
+	d.read(u)
+	reg := e.registry()
+	touched := false
+	for _, g := range reg.groups {
+		s := g.ps.step(d, g.reexec)
+		sc.steps = append(sc.steps, s)
+		touched = touched || s.touched
 	}
-	var touchedViews []*matView
-	for _, mv := range e.activeViews() {
-		if mv.m.Touches(u) {
-			touchedViews = append(touchedViews, mv)
-		}
+	views := e.activeViews()
+	for _, mv := range views {
+		s := mv.m.ps.step(d, nil)
+		sc.vsteps = append(sc.vsteps, s)
+		touched = touched || s.touched
 	}
-	if len(touched) > 0 || len(touchedViews) > 0 {
+	// Deletion candidates are computed against the OLD state before the
+	// apply, so when watchers or views will maintain a ΔD that deletes,
+	// the backend pre-checks it (Backend.ValidateUpdate) and an invalid
+	// commit is rejected here, before any maintenance reads run or a
+	// watcher can be failed — or a view frozen — on behalf of an update
+	// that will never apply. An insert-only ΔD reads nothing and can fail
+	// no one before the apply, whose own validation is authoritative
+	// either way.
+	if touched && !d.insertOnly {
 		if err := e.DB.ValidateUpdate(u); err != nil {
 			err = fmt.Errorf("core: %w: %w", ErrInvalidUpdate, err)
 			mark(&phases.Validate)
 			if o := e.telemetry(); o != nil {
-				o.observeCommit(CommitEvent{Size: u.Size(), Phases: phases, Err: err})
+				o.observeCommit(CommitEvent{Size: d.size, Phases: phases, Err: err})
 			}
 			return nil, err
 		}
@@ -124,57 +145,50 @@ func (e *Engine) Commit(ctx context.Context, u *relation.Update) (*CommitResult,
 	mark(&phases.Validate)
 
 	// Phase 1 — pre-apply: deletion candidates for every touched watcher
-	// are computed against the OLD state. Each watcher charges its own
-	// ExecStats, budgeted at its N-derived per-delta bound and canceled by
-	// its own watch context, so one watcher cannot starve another.
-	// The work slice is allocated once, at its final size, so each
-	// watcher's stats live in it.
-	type pending struct {
-		l       *Live
-		es      store.ExecStats
-		bound   int64
-		delCand *relation.TupleSet
-	}
-	work := make([]pending, 0, len(touched))
-	for _, l := range touched {
-		if err := l.m.canMaintain(u); err != nil {
-			l.fail(err)
+	// are computed against the OLD state. Each watcher is charged to the
+	// one reused ExecStats, budgeted at its group's N-derived per-delta
+	// bound and canceled by its own watch context, so one watcher cannot
+	// starve another; its Counters are carried to phase 3, so the budget
+	// covers both phases.
+	for _, mem := range reg.members {
+		s := &sc.steps[mem.g]
+		if !s.touched {
 			continue
 		}
-		work = append(work, pending{l: l, bound: l.m.DeltaBound(u)})
-		w := &work[len(work)-1]
-		w.es = store.ExecStats{Ctx: l.ctx, MaxReads: w.bound}
-		delCand, err := l.m.preDelete(l.ctx, &w.es, u)
+		l := mem.l
+		if s.err != nil {
+			l.fail(s.err)
+			continue
+		}
+		sc.es = store.ExecStats{Ctx: l.ctx, MaxReads: s.bound}
+		delCand, err := l.m.preDelete(l.ctx, &sc.es, d, s.reexec)
 		if err != nil {
 			l.fail(err)
-			work = work[:len(work)-1]
 			continue
 		}
-		w.delCand = delCand
+		sc.work = append(sc.work, pending[*Live]{of: l, s: s, cnt: sc.es.Counters, delCand: delCand})
 	}
 	// Touched materialized views run the same pre-apply step: deletion
-	// candidates against the OLD extent, each view charging its own
-	// ExecStats budgeted at its N-derived per-delta bound. A failure here
-	// freezes the view (stale, unplannable, epoch bumped) but never fails
-	// the commit — view maintenance is derived work, the base write wins.
-	type viewPending struct {
-		mv      *matView
-		es      *store.ExecStats
-		delCand *relation.TupleSet
-	}
-	var vwork []viewPending
-	for _, mv := range touchedViews {
-		if err := mv.m.canMaintain(u); err != nil {
-			e.breakView(mv, err)
+	// candidates against the OLD extent, each view charged under its own
+	// N-derived per-delta bound. A failure here freezes the view (stale,
+	// unplannable, epoch bumped) but never fails the commit — view
+	// maintenance is derived work, the base write wins.
+	for i, mv := range views {
+		s := &sc.vsteps[i]
+		if !s.touched {
 			continue
 		}
-		es := &store.ExecStats{Ctx: ctx, MaxReads: mv.m.DeltaBound(u)}
-		delCand, err := mv.m.preDelete(ctx, es, u)
+		if s.err != nil {
+			e.breakView(mv, s.err)
+			continue
+		}
+		sc.es = store.ExecStats{Ctx: ctx, MaxReads: s.bound}
+		delCand, err := mv.m.preDelete(ctx, &sc.es, d, s.reexec)
 		if err != nil {
 			e.breakView(mv, err)
 			continue
 		}
-		vwork = append(vwork, viewPending{mv: mv, es: es, delCand: delCand})
+		sc.vwork = append(sc.vwork, pending[*matView]{of: mv, s: s, cnt: sc.es.Counters, delCand: delCand})
 	}
 	mark(&phases.Maintain)
 
@@ -184,13 +198,13 @@ func (e *Engine) Commit(ctx context.Context, u *relation.Update) (*CommitResult,
 		err = fmt.Errorf("core: %w: %w", ErrInvalidUpdate, err)
 		mark(&phases.Apply)
 		if o := e.telemetry(); o != nil {
-			o.observeCommit(CommitEvent{Size: u.Size(), Phases: phases, Err: err})
+			o.observeCommit(CommitEvent{Size: d.size, Phases: phases, Err: err})
 		}
 		return nil, err
 	}
 	seq := e.commitSeq.Add(1)
-	e.trackVolume(u)
-	res := &CommitResult{Seq: seq, StoreSeq: storeSeq, Size: u.Size()}
+	e.trackVolume(d)
+	res := &CommitResult{Seq: seq, StoreSeq: storeSeq, Size: d.size}
 	mark(&phases.Apply)
 
 	// Phase 3a — view post-apply: insertion candidates and deletion
@@ -199,15 +213,17 @@ func (e *Engine) Commit(ctx context.Context, u *relation.Update) (*CommitResult,
 	// LSN advance — the view extent is state of THIS commit, not a commit
 	// of its own). Views go first so watchers whose queries read views
 	// observe extents consistent with the commit they are notified for.
-	for _, w := range vwork {
-		ins, del, err := w.mv.m.postApply(ctx, w.es, u, w.delCand)
+	for i := range sc.vwork {
+		w := &sc.vwork[i]
+		sc.es = store.ExecStats{Ctx: ctx, MaxReads: w.s.bound, Counters: w.cnt}
+		ins, del, err := w.of.m.postApply(ctx, &sc.es, d, w.s.reexec, w.delCand)
 		if err != nil {
-			e.breakView(w.mv, err)
+			e.breakView(w.of, err)
 			continue
 		}
 		if len(ins)+len(del) > 0 {
 			vu := relation.NewUpdate()
-			vname := w.mv.view.Name()
+			vname := w.of.view.Name()
 			for _, t := range ins {
 				vu.Insert(vname, t)
 			}
@@ -215,17 +231,18 @@ func (e *Engine) Commit(ctx context.Context, u *relation.Update) (*CommitResult,
 				vu.Delete(vname, t)
 			}
 			if err := e.DB.ApplyDerived(vu); err != nil {
-				e.breakView(w.mv, err)
+				e.breakView(w.of, err)
 				continue
 			}
 		}
 		res.ViewsMaintained++
-		res.ViewReads += w.es.Counters.TupleReads
+		res.ViewReads += sc.es.Counters.TupleReads
 	}
 	// Every surviving view is fresh as of this commit: maintained extents
-	// after the delta above, untouched ones trivially.
+	// after the delta above, untouched ones trivially. No view registers
+	// or drops under the commit lock, so the snapshot is all of them.
 	e.viewMu.Lock()
-	for _, mv := range e.viewReg {
+	for _, mv := range views {
 		if mv.broken == nil {
 			mv.seq = seq
 		}
@@ -237,32 +254,34 @@ func (e *Engine) Commit(ctx context.Context, u *relation.Update) (*CommitResult,
 	// moves and its delta is queued under that watcher's own lock, so
 	// Snapshot and Deltas readers serialize against maintenance without
 	// blocking each other or the backend.
-	for i := range work {
-		w := &work[i]
-		w.l.mu.Lock()
-		if w.l.closed || w.l.err != nil {
-			w.l.mu.Unlock()
+	for i := range sc.work {
+		w := &sc.work[i]
+		l := w.of
+		l.mu.Lock()
+		if l.closed || l.err != nil {
+			l.mu.Unlock()
 			continue
 		}
-		ins, del, err := w.l.m.postApply(w.l.ctx, &w.es, u, w.delCand)
+		sc.es = store.ExecStats{Ctx: l.ctx, MaxReads: w.s.bound, Counters: w.cnt}
+		ins, del, err := l.m.postApply(l.ctx, &sc.es, d, w.s.reexec, w.delCand)
 		if err != nil {
-			w.l.failLocked(err)
-			w.l.mu.Unlock()
+			l.mu.Unlock()
+			l.fail(err)
 			continue
 		}
-		w.l.seq = seq
-		w.l.cost.Add(w.es.Counters)
-		w.l.deliverLocked(Delta{
+		l.seq = seq
+		l.cost.Add(sc.es.Counters)
+		l.deliverLocked(Delta{
 			Seq:    seq,
 			Ins:    ins,
 			Del:    del,
-			Cost:   w.es.Counters,
-			Bound:  w.bound,
-			Reexec: w.l.m.useReexec(u),
+			Cost:   sc.es.Counters,
+			Bound:  w.s.bound,
+			Reexec: w.s.reexec,
 		})
-		w.l.mu.Unlock()
+		l.mu.Unlock()
 		res.Watchers++
-		res.Maintenance.Add(w.es.Counters)
+		res.Maintenance.Add(sc.es.Counters)
 	}
 	mark(&phases.Notify)
 	res.Phases = phases
@@ -278,6 +297,91 @@ func (e *Engine) Commit(ctx context.Context, u *relation.Update) (*CommitResult,
 		})
 	}
 	return res, nil
+}
+
+// commitScratch is the commit pipeline's state reused across commits, so
+// the pipeline's own bookkeeping allocates nothing per commit. Guarded by
+// Engine.commitMu.
+type commitScratch struct {
+	digest deltaDigest
+	// steps holds the maintStep of each group of the registry snapshot,
+	// vsteps that of each active view.
+	steps, vsteps []maintStep
+	// es is the one ExecStats every maintenance call is charged to, reset
+	// per watcher or view; the Counters each one ran up before the apply
+	// are carried in its pending entry.
+	es    store.ExecStats
+	work  []pending[*Live]
+	vwork []pending[*matView]
+}
+
+// pending is a watcher or view between its pre-apply and post-apply
+// steps: its group's decision, the Counters charged so far and the
+// deletion candidates.
+type pending[T any] struct {
+	of      T
+	s       *maintStep
+	cnt     store.Counters
+	delCand *relation.TupleSet
+}
+
+// reset empties the scratch, dropping its references to this commit's
+// update, watchers and candidates but keeping the arrays.
+func (sc *commitScratch) reset() {
+	sc.digest.reset()
+	clear(sc.steps)
+	clear(sc.vsteps)
+	clear(sc.work)
+	clear(sc.vwork)
+	sc.steps, sc.vsteps, sc.work, sc.vwork = sc.steps[:0], sc.vsteps[:0], sc.work[:0], sc.vwork[:0]
+	sc.es = store.ExecStats{}
+}
+
+// deltaDigest is ΔD read once: the relations it touches, in name order,
+// each with its inserted and deleted tuples (the update's own slices, not
+// copies), whether it only inserts, and |ΔD|. The commit pipeline and
+// every maintenance step range over it instead of the update's maps.
+type deltaDigest struct {
+	rels       []relDelta
+	insertOnly bool
+	size       int
+}
+
+// relDelta is one relation's share of ΔD.
+type relDelta struct {
+	rel      string
+	ins, del []relation.Tuple
+}
+
+// read fills d from u, reusing d's array.
+func (d *deltaDigest) read(u *relation.Update) {
+	d.reset()
+	for rel, ts := range u.Ins {
+		if len(ts) > 0 {
+			d.rels = append(d.rels, relDelta{rel: rel, ins: ts})
+			d.size += len(ts)
+		}
+	}
+	nIns := len(d.rels)
+	for rel, ts := range u.Del {
+		if len(ts) == 0 {
+			continue
+		}
+		d.size += len(ts)
+		d.insertOnly = false
+		if i := slices.IndexFunc(d.rels[:nIns], func(r relDelta) bool { return r.rel == rel }); i >= 0 {
+			d.rels[i].del = ts
+			continue
+		}
+		d.rels = append(d.rels, relDelta{rel: rel, del: ts})
+	}
+	slices.SortFunc(d.rels, func(a, b relDelta) int { return strings.Compare(a.rel, b.rel) })
+}
+
+// reset empties d, keeping its array.
+func (d *deltaDigest) reset() {
+	clear(d.rels)
+	d.rels, d.insertOnly, d.size = d.rels[:0], true, 0
 }
 
 // CommitSeq returns the sequence number of the last commit (0 before the
@@ -296,56 +400,109 @@ func (e *Engine) CommittedVolume() map[string]int64 {
 	return out
 }
 
-// trackVolume accumulates u's per-relation volume.
-func (e *Engine) trackVolume(u *relation.Update) {
+// trackVolume accumulates ΔD's per-relation volume.
+func (e *Engine) trackVolume(d *deltaDigest) {
 	e.volumeMu.Lock()
 	defer e.volumeMu.Unlock()
 	if e.volume == nil {
 		e.volume = make(map[string]int64)
 	}
-	for rel, ts := range u.Ins {
-		e.volume[rel] += int64(len(ts))
-	}
-	for rel, ts := range u.Del {
-		e.volume[rel] += int64(len(ts))
+	for _, r := range d.rels {
+		e.volume[r.rel] += int64(len(r.ins) + len(r.del))
 	}
 }
 
-// register appends a Live subscription to the engine's watcher list,
-// assigning its id. Ids are handed out monotonically, so the list stays
-// in registration order without sorting. Called under the commit lock
-// (Watch), so a handle is either notified of a commit or its initial
-// snapshot already includes it.
+// watchRegistry is the registered Live subscriptions, grouped by what
+// maintains them. It is immutable once published: Watch, Close and a
+// failing handle publish a new one under watchMu, and a commit reads the
+// current one as it is, without copying it or locking any handle.
+type watchRegistry struct {
+	// groups are keyed by (plan set, re-execution plan): every member of
+	// a group gets the same maintStep from a commit.
+	groups []watchGroup
+	// members are the handles in registration (id) order, the order
+	// deltas are delivered in.
+	members []watchMember
+}
+
+// watchGroup is the shared maintenance of the watchers of one prepared
+// query and fixed-variable set, and how many members it has.
+type watchGroup struct {
+	ps     *maintPlans
+	reexec *PreparedQuery
+	n      int
+}
+
+// watchMember is one registered handle and the index of its group.
+type watchMember struct {
+	l *Live
+	g int
+}
+
+// noWatchers is the registry of an engine nobody has watched yet.
+var noWatchers watchRegistry
+
+// registry returns the current registry snapshot.
+func (e *Engine) registry() *watchRegistry {
+	if r := e.watchReg.Load(); r != nil {
+		return r
+	}
+	return &noWatchers
+}
+
+// register adds a Live subscription to the registry, assigning its id and
+// joining the group of its plan set and re-execution plan. Ids are handed
+// out monotonically, so members stay in registration order without
+// sorting. Called under the commit lock (Watch), so a handle is either
+// notified of a commit or its initial snapshot already includes it.
 func (e *Engine) register(l *Live) {
 	e.watchMu.Lock()
 	defer e.watchMu.Unlock()
 	e.watchID++
 	l.id = e.watchID
-	e.watchers = append(e.watchers, l)
-}
-
-// unregister removes a subscription (Close).
-func (e *Engine) unregister(id int64) {
-	e.watchMu.Lock()
-	defer e.watchMu.Unlock()
-	if i, ok := slices.BinarySearchFunc(e.watchers, id, func(l *Live, id int64) int { return cmp.Compare(l.id, id) }); ok {
-		e.watchers = slices.Delete(e.watchers, i, i+1)
+	old := e.registry()
+	r := &watchRegistry{
+		groups:  slices.Clone(old.groups),
+		members: slices.Grow(slices.Clone(old.members), 1),
 	}
+	g := slices.IndexFunc(r.groups, func(g watchGroup) bool { return g.ps == l.m.ps && g.reexec == l.m.reexec })
+	if g < 0 {
+		g = len(r.groups)
+		r.groups = append(r.groups, watchGroup{ps: l.m.ps, reexec: l.m.reexec})
+	}
+	r.groups[g].n++
+	r.members = append(r.members, watchMember{l: l, g: g})
+	e.watchReg.Store(r)
 }
 
-// liveWatchers snapshots the registered subscriptions in registration
-// order, pruning dead ones: notification (and delta delivery) order is
-// deterministic.
-func (e *Engine) liveWatchers() []*Live {
+// unregister removes a subscription (Close, or a failed handle), dropping
+// its group when it was the last member. Idempotent.
+func (e *Engine) unregister(l *Live) {
 	e.watchMu.Lock()
 	defer e.watchMu.Unlock()
-	e.watchers = slices.DeleteFunc(e.watchers, (*Live).dead)
-	return slices.Clone(e.watchers)
+	old := e.registry()
+	i, ok := slices.BinarySearchFunc(old.members, l.id, func(m watchMember, id int64) int { return cmp.Compare(m.l.id, id) })
+	if !ok {
+		return
+	}
+	g := old.members[i].g
+	r := &watchRegistry{groups: slices.Clone(old.groups), members: make([]watchMember, 0, len(old.members)-1)}
+	r.groups[g].n--
+	drop := r.groups[g].n == 0
+	if drop {
+		r.groups = slices.Delete(r.groups, g, g+1)
+	}
+	for j, m := range old.members {
+		if j == i {
+			continue
+		}
+		if drop && m.g > g {
+			m.g--
+		}
+		r.members = append(r.members, m)
+	}
+	e.watchReg.Store(r)
 }
 
 // Watchers reports the number of registered live subscriptions.
-func (e *Engine) Watchers() int {
-	e.watchMu.Lock()
-	defer e.watchMu.Unlock()
-	return len(e.watchers)
-}
+func (e *Engine) Watchers() int { return len(e.registry().members) }

@@ -16,6 +16,7 @@ import (
 type watchedQ2 struct {
 	eng   *Engine
 	st    *store.DB
+	prep  *PreparedQuery
 	lives []*Live
 }
 
@@ -37,6 +38,7 @@ func newWatchedQ2(tb testing.TB, persons, watchers int) *watchedQ2 {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	w.prep = prep
 	for p := range watchers {
 		l, err := prep.Watch(context.Background(), query.Bindings{"p": relation.Int(int64(p))})
 		if err != nil {

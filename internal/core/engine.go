@@ -38,26 +38,31 @@ type Engine struct {
 
 	// Commit pipeline state (commit.go): commitMu serializes the
 	// validate→apply→notify pipeline and totally orders commit sequence
-	// numbers; watchers are the registered Live subscriptions in id
-	// (registration) order.
+	// numbers, and guards the scratch the pipeline reuses. watchReg is the
+	// registered Live subscriptions, grouped by plan set: an immutable
+	// snapshot that watchMu serializes the replacing of.
 	commitMu  sync.Mutex
 	commitSeq atomic.Int64
+	scratch   commitScratch // guarded by commitMu
 	watchMu   sync.Mutex
-	watchers  []*Live // guarded by watchMu
-	watchID   int64   // guarded by watchMu
+	watchReg  atomic.Pointer[watchRegistry]
+	watchID   int64 // guarded by watchMu
 
 	// Committed update volume per relation (commit.go), reported as
 	// EngineStats.CommittedVolume.
 	volumeMu sync.Mutex
 	volume   map[string]int64 // guarded by volumeMu
 
-	// Materialized-view registry (views.go): viewMu guards the map and
-	// each view's seq/broken fields; maintainers themselves run only under
-	// commitMu. viewEpoch is part of every plan-cache key, so CreateView,
-	// DropView and a maintenance failure atomically invalidate all cached
-	// plans (and cached ErrNotControllable outcomes).
+	// Materialized-view registry (views.go): viewMu guards the map, the
+	// list of active views in registration order (replaced, never
+	// mutated, so a reader keeps what it read) and each view's seq/broken
+	// fields; maintainers themselves run only under commitMu. viewEpoch
+	// is part of every plan-cache key, so CreateView, DropView and a
+	// maintenance failure atomically invalidate all cached plans (and
+	// cached ErrNotControllable outcomes).
 	viewMu    sync.RWMutex
 	viewReg   map[string]*matView // guarded by viewMu
+	viewList  []*matView          // guarded by viewMu
 	viewID    int64               // guarded by viewMu
 	viewEpoch atomic.Int64
 

@@ -118,7 +118,12 @@ type Live struct {
 //
 // The first watch of p for a set of fixed variables compiles the
 // maintenance plans; later watches with the same variables share them, so
-// a watch costs the initial execution and its registration.
+// a watch costs the initial execution and its registration. The engine
+// registers watchers in groups that share a plan set: a commit decides
+// once per group whether it touches the query, how it is maintained and
+// under what read bound, and each member only unifies the delta with its
+// fixed values, probes its guards, runs what they let through and takes
+// its delta. Closing a handle, or its failing, takes it out of its group.
 //
 // The query must be incrementally maintainable (each per-occurrence
 // maintenance remainder controllable under the access schema) or the
@@ -308,7 +313,7 @@ func (l *Live) Close() error {
 	if l.stop != nil {
 		l.stop()
 	}
-	l.eng.unregister(l.id)
+	l.eng.unregister(l)
 	return nil
 }
 
@@ -438,7 +443,8 @@ func foldDeltas(a, b Delta) Delta {
 }
 
 // failLocked marks the subscription failed (first error wins) and wakes
-// consumers; the engine prunes failed handles lazily.
+// consumers. The caller has taken the handle off the registry first
+// (fail).
 //
 //sivet:holds mu
 func (l *Live) failLocked(err error) {
@@ -448,16 +454,12 @@ func (l *Live) failLocked(err error) {
 	l.cond.Broadcast()
 }
 
-// fail is failLocked behind the lock.
+// fail unregisters the handle and marks it failed: by the time a
+// consumer sees the error the handle is out of the registry, and a commit
+// that read the registry before skips it at delivery.
 func (l *Live) fail(err error) {
+	l.eng.unregister(l)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.failLocked(err)
-}
-
-// dead reports whether the handle no longer needs maintenance.
-func (l *Live) dead() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.closed || l.err != nil
 }

@@ -243,7 +243,8 @@ func TestWatchContextCancelFailsHandle(t *testing.T) {
 	if !errors.Is(l.Err(), ErrCanceled) {
 		t.Fatalf("Err() = %v, want ErrCanceled", l.Err())
 	}
-	// The dead handle is pruned at the next commit.
+	// The dead handle left the registry when it failed, before its
+	// consumer could see the error; a commit does not bring it back.
 	if _, err := eng.Commit(context.Background(), newPersonUpdate(1, 910_000)); err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +255,7 @@ func TestWatchContextCancelFailsHandle(t *testing.T) {
 
 // TestWatcherRegistryOrder: the registry stays in registration order
 // without a per-commit sort — closing a handle in the middle removes
-// exactly it, a failed handle is pruned at the next snapshot, and later
+// exactly it, a failed handle is pruned when it fails, and later
 // registrations land at the end.
 func TestWatcherRegistryOrder(t *testing.T) {
 	eng, prep, first := watchQ1(t, 30, 1)
@@ -272,8 +273,8 @@ func TestWatcherRegistryOrder(t *testing.T) {
 	failed.fail(errors.New("injected"))
 	late := watch(5)
 	var got []int64
-	for _, l := range eng.liveWatchers() {
-		got = append(got, l.id)
+	for _, m := range eng.registry().members {
+		got = append(got, m.l.id)
 	}
 	if want := []int64{first.id, last.id, late.id}; !slices.Equal(got, want) {
 		t.Fatalf("live watchers %v, want %v (registration order, closed and failed handles gone)", got, want)

@@ -40,9 +40,16 @@ import (
 //     (the body controlled by x̄ ∪ head variables, Proposition 5.5(2)),
 //     probing only for a first witness;
 //   - every maintenance read is charged to a per-delta store.ExecStats
-//     whose MaxReads is the N-derived DeltaBound — per-relation
+//     whose MaxReads is the N-derived delta bound — per-relation
 //     coefficients precomputed from the plans' bounds — so "bounded
 //     maintenance" is enforced at runtime, not just proved statically.
+//
+// Engine.Commit reads ΔD once into a deltaDigest. What depends only on
+// the plan set and ΔD — whether the commit touches the body, whether it
+// is maintained by re-execution, the delta bound, or why it cannot be
+// maintained — is a maintStep the plan set decides once for every
+// Maintainer sharing it (maintPlans.step); a Maintainer's own per-commit
+// work is preDelete and postApply over the digest.
 //
 // When the verification condition fails (SupportsDeletions is false) and a
 // re-execution plan is attached — always the case for handles built by
@@ -89,7 +96,9 @@ type Maintainer struct {
 
 // maintPlans is the compiled maintenance of one query for one set of
 // fixed variables: what every Maintainer of that query and set shares.
-// Read-only once built.
+// Read-only once built. It is also what the engine groups watchers by:
+// the per-commit decisions that do not read ā (step) are its functions of
+// the commit's delta digest, evaluated once per group, not per watcher.
 type maintPlans struct {
 	cq *query.CQ // the eq-eliminated body; nil in pure re-execution mode
 	// fixed lists the fixed variables, sorted: a Maintainer's vals follow
@@ -107,8 +116,8 @@ type maintPlans struct {
 	// conditions).
 	occs   map[string][]*occPlan
 	verify *Plan
-	// coef holds, per relation, what one delta tuple of it adds to
-	// DeltaBound: the summed bounds of its occurrence plans.
+	// coef holds, per relation, what one delta tuple of it adds to the
+	// delta bound: the summed bounds of its occurrence plans.
 	coef map[string]plan.Cost
 
 	// bodyRels are the relations the query body mentions; commits touching
@@ -434,68 +443,88 @@ func (m *Maintainer) SupportsDeletions() bool { return m.ps.verify != nil }
 // prepared plan).
 func (m *Maintainer) Maintained() bool { return m.ps.occs != nil }
 
-// Touches reports whether ΔD mentions any relation of the query body.
-func (m *Maintainer) Touches(u *relation.Update) bool {
-	for rel, ts := range u.Ins {
-		if len(ts) > 0 && m.ps.bodyRels[rel] {
-			return true
-		}
+// maintStep is what one plan set decides about one commit, the same for
+// every Maintainer sharing the plan set and its re-execution strategy:
+// whether ΔD touches the body, whether it is maintained by re-execution,
+// the read bound maintenance runs under, or why it cannot be maintained.
+// The zero value is an untouched plan set.
+type maintStep struct {
+	touched bool
+	reexec  bool
+	bound   int64
+	err     error
+}
+
+// step decides how ΔD is maintained for every Maintainer of ps whose
+// re-execution plan is reexec (nil for a view). None of it reads ā, so
+// Engine.Commit evaluates it once per group of watchers, not per watcher.
+func (ps *maintPlans) step(d *deltaDigest, reexec *PreparedQuery) maintStep {
+	if !ps.touches(d) {
+		return maintStep{}
 	}
-	for rel, ts := range u.Del {
-		if len(ts) > 0 && m.ps.bodyRels[rel] {
+	if err := ps.canMaintain(d, reexec); err != nil {
+		return maintStep{touched: true, err: err}
+	}
+	s := maintStep{touched: true, reexec: ps.useReexec(d, reexec)}
+	s.bound = ps.deltaBound(d, reexec, s.reexec)
+	return s
+}
+
+// touches reports whether ΔD mentions any relation of the query body.
+func (ps *maintPlans) touches(d *deltaDigest) bool {
+	for i := range d.rels {
+		if ps.bodyRels[d.rels[i].rel] {
 			return true
 		}
 	}
 	return false
 }
 
-// useReexec reports whether this update is maintained by re-executing the
+// useReexec reports whether ΔD is maintained by re-executing the
 // prepared plan (pure re-execution mode, or the deletion fallback).
-func (m *Maintainer) useReexec(u *relation.Update) bool {
-	if m.ps.occs == nil {
+func (ps *maintPlans) useReexec(d *deltaDigest, reexec *PreparedQuery) bool {
+	if ps.occs == nil {
 		return true
 	}
-	return !u.IsInsertOnly() && m.ps.verify == nil && m.reexec != nil
+	return !d.insertOnly && ps.verify == nil && reexec != nil
 }
 
-// canMaintain checks that a strategy exists for u.
-func (m *Maintainer) canMaintain(u *relation.Update) error {
-	if m.ps.occs == nil && m.reexec == nil {
+// canMaintain checks that a strategy exists for ΔD.
+func (ps *maintPlans) canMaintain(d *deltaDigest, reexec *PreparedQuery) error {
+	if ps.occs == nil && reexec == nil {
 		return fmt.Errorf("core: maintainer has neither delta plans nor a re-execution plan: %w", ErrWatchNotMaintainable)
 	}
-	if m.ps.occs != nil && !u.IsInsertOnly() && m.ps.verify == nil && m.reexec == nil {
+	if ps.occs != nil && !d.insertOnly && ps.verify == nil && reexec == nil {
 		return fmt.Errorf("core: %s supports insert-only updates (body not controlled by head variables): %w",
-			m.ps.cq.Name, ErrWatchNotMaintainable)
+			ps.cq.Name, ErrWatchNotMaintainable)
 	}
 	return nil
 }
 
-// DeltaBound is the static, N-derived bound on the tuple reads maintaining
-// the answers under u may charge: per inserted or deleted tuple, the
-// remainder plans' read bounds; per potential deletion candidate, the
-// verification plan's read bound — or, when u is maintained by
-// re-execution, the prepared plan's full bound M. The per-tuple terms are
-// precomputed per relation, so this is a few multiply-adds. Independent
-// of |D| by construction; Engine.Commit enforces it as the per-delta
-// MaxReads.
-func (m *Maintainer) DeltaBound(u *relation.Update) int64 {
-	if m.useReexec(u) {
-		if m.reexec == nil {
+// deltaBound is the static, N-derived bound on the tuple reads
+// maintaining the answers under ΔD may charge: per inserted or deleted
+// tuple, the remainder plans' read bounds; per potential deletion
+// candidate, the verification plan's read bound — or, when ΔD is
+// maintained by re-execution, the prepared plan's full bound M. The
+// per-tuple terms are precomputed per relation, so this is a few
+// multiply-adds. Independent of |D| by construction; Engine.Commit
+// enforces it as the per-delta MaxReads.
+func (ps *maintPlans) deltaBound(d *deltaDigest, reexec *PreparedQuery, useReexec bool) int64 {
+	if useReexec {
+		if reexec == nil {
 			return 0
 		}
-		return m.reexec.plan.Bound.Reads
+		return reexec.plan.Bound.Reads
 	}
 	var reads, delCands int64
-	for rel, ts := range u.Ins {
-		reads = plan.SatAdd(reads, plan.SatMul(int64(len(ts)), m.ps.coef[rel].Reads))
+	for i := range d.rels {
+		r := &d.rels[i]
+		c := ps.coef[r.rel]
+		reads = plan.SatAdd(reads, plan.SatMul(int64(len(r.ins)+len(r.del)), c.Reads))
+		delCands = plan.SatAdd(delCands, plan.SatMul(int64(len(r.del)), c.Candidates))
 	}
-	for rel, ts := range u.Del {
-		c := m.ps.coef[rel]
-		reads = plan.SatAdd(reads, plan.SatMul(int64(len(ts)), c.Reads))
-		delCands = plan.SatAdd(delCands, plan.SatMul(int64(len(ts)), c.Candidates))
-	}
-	if m.ps.verify != nil {
-		reads = plan.SatAdd(reads, plan.SatMul(delCands, m.ps.verify.Bound.Reads))
+	if ps.verify != nil {
+		reads = plan.SatAdd(reads, plan.SatMul(delCands, ps.verify.Bound.Reads))
 	}
 	return reads
 }
@@ -505,19 +534,23 @@ func (m *Maintainer) charge(ctx context.Context, es *store.ExecStats) {
 	m.rt = plan.BackendRuntime{Ctx: ctx, B: m.eng.DB, Es: es}
 }
 
-// preDelete computes the deletion candidates of u against the OLD database
-// state: answers that some occurrence of a deleted tuple contributed to.
-// It must run before the update is applied. The set is nil when there are
-// none.
-func (m *Maintainer) preDelete(ctx context.Context, es *store.ExecStats, u *relation.Update) (*relation.TupleSet, error) {
-	if m.useReexec(u) {
+// preDelete computes the deletion candidates of ΔD against the OLD
+// database state: answers that some occurrence of a deleted tuple
+// contributed to. It must run before the update is applied. The set is
+// nil when there are none; reexec is the commit's maintStep.reexec.
+func (m *Maintainer) preDelete(ctx context.Context, es *store.ExecStats, d *deltaDigest, reexec bool) (*relation.TupleSet, error) {
+	if reexec || d.insertOnly {
 		return nil, nil
 	}
 	m.charge(ctx, es)
 	var delCand *relation.TupleSet
-	for rel, ts := range u.Del {
-		for _, op := range m.ps.occs[rel] {
-			for _, t := range ts {
+	for i := range d.rels {
+		r := &d.rels[i]
+		if len(r.del) == 0 {
+			continue
+		}
+		for _, op := range m.ps.occs[r.rel] {
+			for _, t := range r.del {
 				var err error
 				if delCand, err = m.occAnswers(op, t, delCand); err != nil {
 					return nil, err
@@ -530,17 +563,21 @@ func (m *Maintainer) preDelete(ctx context.Context, es *store.ExecStats, u *rela
 
 // postApply finishes maintenance after the update has been applied:
 // insertion candidates against the NEW state, then bounded re-verification
-// of the deletion candidates — or one bounded re-execution when u is
+// of the deletion candidates — or one bounded re-execution when ΔD is
 // maintained by resync. It mutates the answer set and returns the delta.
-func (m *Maintainer) postApply(ctx context.Context, es *store.ExecStats, u *relation.Update, delCand *relation.TupleSet) (ins, del []relation.Tuple, err error) {
-	if m.useReexec(u) {
+func (m *Maintainer) postApply(ctx context.Context, es *store.ExecStats, d *deltaDigest, reexec bool, delCand *relation.TupleSet) (ins, del []relation.Tuple, err error) {
+	if reexec {
 		return m.resync(ctx, es)
 	}
 	m.charge(ctx, es)
 	var insCand *relation.TupleSet
-	for rel, ts := range u.Ins {
-		for _, op := range m.ps.occs[rel] {
-			for _, t := range ts {
+	for i := range d.rels {
+		r := &d.rels[i]
+		if len(r.ins) == 0 {
+			continue
+		}
+		for _, op := range m.ps.occs[r.rel] {
+			for _, t := range r.ins {
 				if insCand, err = m.occAnswers(op, t, insCand); err != nil {
 					return nil, nil, err
 				}

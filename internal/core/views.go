@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -132,6 +133,7 @@ func (e *Engine) CreateView(def *query.CQ, entries ...access.Entry) (ViewInfo, e
 	e.viewID++
 	mv.id = e.viewID
 	e.viewReg[name] = mv
+	e.viewList = append(slices.Clip(e.viewList), mv)
 	e.viewMu.Unlock()
 	e.viewEpoch.Add(1)
 	return e.viewInfo(mv), nil
@@ -147,11 +149,13 @@ func (e *Engine) DropView(name string) error {
 	e.commitMu.Lock()
 	defer e.commitMu.Unlock()
 	e.viewMu.Lock()
-	if _, ok := e.viewReg[name]; !ok {
+	mv, ok := e.viewReg[name]
+	if !ok {
 		e.viewMu.Unlock()
 		return fmt.Errorf("core: %w: %q", ErrUnknownView, name)
 	}
 	delete(e.viewReg, name)
+	e.deactivateLocked(mv)
 	e.viewMu.Unlock()
 	e.viewEpoch.Add(1)
 	return e.DB.DropRelation(name)
@@ -220,18 +224,19 @@ func (e *Engine) viewFreshSeq(name string) (int64, bool) {
 	return mv.seq, true
 }
 
-// activeViews returns the non-broken views in registration order.
+// activeViews returns the non-broken views in registration order. The
+// slice is shared: callers must not modify it.
 func (e *Engine) activeViews() []*matView {
 	e.viewMu.RLock()
-	out := make([]*matView, 0, len(e.viewReg))
-	for _, mv := range e.viewReg {
-		if mv.broken == nil {
-			out = append(out, mv)
-		}
-	}
-	e.viewMu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
+	defer e.viewMu.RUnlock()
+	return e.viewList
+}
+
+// deactivateLocked takes mv off the active list, publishing a new list.
+//
+//sivet:holds viewMu
+func (e *Engine) deactivateLocked(mv *matView) {
+	e.viewList = slices.DeleteFunc(slices.Clone(e.viewList), func(v *matView) bool { return v == mv })
 }
 
 // breakView freezes a view after a maintenance failure: the extent stays
@@ -240,6 +245,7 @@ func (e *Engine) activeViews() []*matView {
 func (e *Engine) breakView(mv *matView, err error) {
 	e.viewMu.Lock()
 	mv.broken = err
+	e.deactivateLocked(mv)
 	e.viewMu.Unlock()
 	e.viewEpoch.Add(1)
 }
